@@ -6,12 +6,12 @@ search, technical-indicator feature preparation, and the statistical
 machinery to compare architectures across repeated seeded runs.
 """
 
-from .cells import GruParams, GruState, LstmParams, LstmState, gru_backward, gru_forward, lstm_backward, lstm_forward
+from .cells import LayerParams, gru_backward, gru_forward, lstm_backward, lstm_forward
 from .data import NormalizationParams, TimeSeriesFrame, WindowedDataset, ema, ingest, inverse_transform, macd, normalize, rsi, window
-from .hpo import IntUniform, LogUniform, SearchSpace, TpeConfig, Trial, optimize, sample_prior, suggest
+from .hpo import IntUniform, LogUniform, SearchSpace, TpeConfig, Trial, optimize, suggest
 from .metrics import EvalReport, evaluate, mape, r2, rmse
-from .network import LayerSpec, NetworkParams, NetworkSpec, backward, forward, forward_batch, load_model, mse_loss, predict_batch, save_model
-from .numerics import Rng, glorot_uniform, matmul, relu, sigmoid, tanh
+from .network import LayerSpec, NetworkParams, NetworkSpec, backward, forward, forward_batch, load_model, predict_batch, save_model
+from .numerics import Rng, glorot_uniform, relu, sigmoid, tanh
 from .optim import OptimizerState, apply, clip_gradients
 from .stats import compare_architectures, dagostino_pearson, welch_t
 from .train import RunArchive, TrainConfig, TrainResult, run_experiment, train

@@ -1,314 +1,259 @@
-"""Single-timestep LSTM and GRU memory cells with hand-derived backward passes.
+"""LSTM and GRU layers run over a whole window, with hand-derived backward passes.
 
-Forward passes follow the standard gate equations
+Weights use the fused layout of Keras and cuDNN.  A layer with input width
+D, H units and G gates holds three arrays, all views into the network's
+flat parameter vector (see `network.py`):
 
-    LSTM:  f = sig(b_f + V_f x + W_f h_prev)        (same form for i, o)
-           c~ = act(b_c + V_c x + W_c h_prev)
-           c  = f * c_prev + i * c~
-           h  = act(c) * o
+    kernel     (D, G*H)   input weights
+    recurrent  (H, G*H)   recurrent weights
+    bias       (G*H,)
 
-    GRU:   r = sig(b_r + V_r x + W_r h_prev)        (same form for z)
-           h~ = act(b_c + V_c x + W_c (r * h_prev))
-           h  = (1 - z) * h_prev + z * h~
+Column block k (columns k*H to (k+1)*H) of all three belongs to gate k, in
+the order f, i, o, c for LSTM (G = 4) and r, z, c for GRU (G = 3); c is the
+candidate.  Gradients use the same layout.  With [.]_g the block of gate g:
 
-where `act` is tanh (default) or relu, chosen per layer; gates are always
-sigmoid.  Weight shapes: V_* is (units, input_dim), W_* is (units, units),
-b_* is (units,).
+    LSTM:  f, i, o = sig([x_t K + h_{t-1} R + b]_{f,i,o})
+           c~  = act([x_t K + h_{t-1} R + b]_c)
+           c_t = f * c_{t-1} + i * c~
+           h_t = o * act(c_t)
 
-All operations accept a single vector (1-D) or a batch (2-D, batch-first)
-and are pure: given the same params and inputs the outputs are bitwise
-identical.  Backward passes are exact analytic gradients of the equations
-above; they are verified against central finite differences in the tests.
+    GRU:   r, z = sig([x_t K + h_{t-1} R + b]_{r,z})
+           h~  = act([x_t K + (r * h_{t-1}) R + b]_c)
+           h_t = (1 - z) * h_{t-1} + z * h~
+
+The GRU applies its reset gate before the recurrent product (the paper's
+form, not Keras' reset_after).  `act` is tanh (default) or relu, chosen per
+layer; sigmoid is evaluated as 0.5 + 0.5 tanh(x / 2), so the gates of one
+step cost one tanh call.  Initial states are zero.
+
+Inputs are time-major (T, B, D) and each forward returns the layer's
+outputs (T, B, H) plus a tape of stacked (T, B, .) arrays.  Forward does
+one x K + b GEMM for the whole window, then one h R GEMM per step (GRU:
+h R_rz and (r * h) R_c).  Backward fills the gradients of the gate
+pre-activations, dz (T, B, G*H), step by step; its only per-step GEMMs
+carry dh back through R.  Each weight gradient is then one GEMM over the
+stacked T*B rows, written into the caller's gradient views, and the
+gradient for the layer below, dz K^T, is computed once.  Everything is
+deterministic, and the gradients are checked against central finite
+differences in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import FLOAT, ShapeError, relu, sigmoid, sigmoid_grad, tanh
+from .numerics import FLOAT, ShapeError, sigmoid_grad
 
 LSTM_GATES = ("f", "i", "o", "c")
 GRU_GATES = ("r", "z", "c")
 ACTIVATIONS = ("tanh", "relu")
 
 
-def _apply_activation(name: str, pre: np.ndarray):
-    """Return (value, d value / d pre) for the candidate activation."""
+class LayerParams(NamedTuple):
+    kernel: np.ndarray       # (D, G*H)
+    recurrent: np.ndarray    # (H, G*H)
+    bias: np.ndarray         # (G*H,)
+
+
+class LstmTape(NamedTuple):
+    x: np.ndarray            # (T, B, D) layer input
+    h: np.ndarray            # (T+1, B, H) outputs; h[0] is the zero initial state
+    c: np.ndarray            # (T+1, B, H) cell states; c[0] = 0
+    gates: np.ndarray        # (T, B, 4H) f, i, o, c~ after their activations
+    act_c: np.ndarray        # (T, B, H) act(c_t)
+    activation: str
+
+
+class GruTape(NamedTuple):
+    x: np.ndarray            # (T, B, D) layer input
+    h: np.ndarray            # (T+1, B, H) outputs; h[0] is the zero initial state
+    gates: np.ndarray        # (T, B, 3H) r, z, h~ after their activations
+    rh: np.ndarray           # (T, B, H) r * h_{t-1}
+    activation: str
+
+
+def _activate(name: str, a: np.ndarray, out: np.ndarray) -> None:
+    """Write the candidate activation of `a` into `out` (may be `a` itself)."""
     if name == "tanh":
-        out = tanh(pre)
-        return out, 1.0 - out * out
-    if name == "relu":
-        return relu(pre), (pre > 0.0).astype(FLOAT)
-    raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
-
-
-def _gate_tensor_specs(gates, input_dim, units):
-    for g in gates:
-        yield f"v_{g}", (units, input_dim)
-        yield f"w_{g}", (units, units)
-        yield f"b_{g}", (units,)
-
-
-class _ParamsBase:
-    """Shared helpers for the per-gate weight containers (also used for grads)."""
-
-    GATES: tuple[str, ...] = ()
-
-    @property
-    def units(self) -> int:
-        return getattr(self, f"b_{self.GATES[0]}").shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return getattr(self, f"v_{self.GATES[0]}").shape[1]
-
-    def tensors(self):
-        """Yield (name, array) in a fixed order: per gate V, W, b."""
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
-    def copy(self):
-        return type(self)(*(getattr(self, f.name).copy() for f in fields(self)))
-
-    def validate(self):
-        units, input_dim = self.units, self.input_dim
-        for name, expected in _gate_tensor_specs(self.GATES, input_dim, units):
-            arr = getattr(self, name)
-            if arr.shape != expected:
-                raise ShapeError(f"{type(self).__name__}.{name}: shape {arr.shape}, expected {expected}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{type(self).__name__}.{name} contains non-finite entries")
-        return self
-
-    @classmethod
-    def zeros(cls, input_dim: int, units: int):
-        arrs = [np.zeros(shape, dtype=FLOAT)
-                for _, shape in _gate_tensor_specs(cls.GATES, input_dim, units)]
-        return cls(*arrs)
-
-    @classmethod
-    def init(cls, rng, input_dim: int, units: int):
-        """Glorot-uniform V and W, zero biases.
-
-        Draw order is fixed (per gate: V then W) so a seed pins the weights.
-        """
-        from .numerics import glorot_uniform
-
-        arrs = []
-        for name, shape in _gate_tensor_specs(cls.GATES, input_dim, units):
-            if name.startswith("b_"):
-                arrs.append(np.zeros(shape, dtype=FLOAT))
-            elif name.startswith("v_"):
-                arrs.append(glorot_uniform(rng, input_dim, units))
-            else:
-                arrs.append(glorot_uniform(rng, units, units))
-        return cls(*arrs)
-
-
-@dataclass
-class LstmParams(_ParamsBase):
-    v_f: np.ndarray
-    w_f: np.ndarray
-    b_f: np.ndarray
-    v_i: np.ndarray
-    w_i: np.ndarray
-    b_i: np.ndarray
-    v_o: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
-    v_c: np.ndarray
-    w_c: np.ndarray
-    b_c: np.ndarray
-
-    GATES = LSTM_GATES
-
-
-@dataclass
-class GruParams(_ParamsBase):
-    v_r: np.ndarray
-    w_r: np.ndarray
-    b_r: np.ndarray
-    v_z: np.ndarray
-    w_z: np.ndarray
-    b_z: np.ndarray
-    v_c: np.ndarray
-    w_c: np.ndarray
-    b_c: np.ndarray
-
-    GATES = GRU_GATES
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, units: int, batch: int | None = None):
-        shape = (units,) if batch is None else (batch, units)
-        return cls(np.zeros(shape, dtype=FLOAT), np.zeros(shape, dtype=FLOAT))
-
-
-@dataclass
-class GruState:
-    h: np.ndarray
-
-    @classmethod
-    def zeros(cls, units: int, batch: int | None = None):
-        shape = (units,) if batch is None else (batch, units)
-        return cls(np.zeros(shape, dtype=FLOAT))
-
-
-@dataclass
-class CellTape:
-    """Cached forward values for one timestep, consumed by the backward pass."""
-
-    kind: str                    # "lstm" or "gru"
-    x: np.ndarray
-    h_prev: np.ndarray
-    gates: dict                  # post-activation gate values and candidates
-    c_prev: np.ndarray | None = None
-    c: np.ndarray | None = None
-    act_c: np.ndarray | None = None      # act(c), LSTM hidden-path value
-    dact_c: np.ndarray | None = None     # d act(c)/dc
-    dact_cand: np.ndarray | None = None  # d act(pre)/dpre at the candidate
-    rh: np.ndarray | None = None         # r * h_prev (GRU candidate input)
-
-
-def _as_batch(a, dim, what) -> tuple[np.ndarray, bool]:
-    a = np.asarray(a, dtype=FLOAT)
-    if a.ndim == 1:
-        a = a[None, :]
-        squeezed = True
-    elif a.ndim == 2:
-        squeezed = False
+        np.tanh(a, out=out)
     else:
-        raise ShapeError(f"{what}: expected 1-D or 2-D, got ndim={a.ndim}")
-    if a.shape[1] != dim:
-        raise ShapeError(f"{what}: last dim {a.shape[1]}, expected {dim}")
-    return a, squeezed
+        np.maximum(a, 0.0, out=out)
 
 
-def lstm_forward(params: LstmParams, x_t, prev: LstmState, activation: str = "tanh"):
-    """One LSTM step. Returns (LstmState, CellTape)."""
-    x, sq = _as_batch(x_t, params.input_dim, "x_t")
-    h_prev, _ = _as_batch(prev.h, params.units, "prev.h")
-    c_prev, _ = _as_batch(prev.c, params.units, "prev.c")
-    if x.shape[0] != h_prev.shape[0] or h_prev.shape != c_prev.shape:
-        raise ShapeError("lstm_forward: batch dims of x, h, c disagree")
-
-    f = sigmoid(x @ params.v_f.T + h_prev @ params.w_f.T + params.b_f)
-    i = sigmoid(x @ params.v_i.T + h_prev @ params.w_i.T + params.b_i)
-    o = sigmoid(x @ params.v_o.T + h_prev @ params.w_o.T + params.b_o)
-    pre_c = x @ params.v_c.T + h_prev @ params.w_c.T + params.b_c
-    c_tilde, dact_cand = _apply_activation(activation, pre_c)
-
-    c = f * c_prev + i * c_tilde
-    act_c, dact_c = _apply_activation(activation, c)
-    h = act_c * o
-
-    tape = CellTape(
-        kind="lstm", x=x, h_prev=h_prev, c_prev=c_prev,
-        gates={"f": f, "i": i, "o": o, "c_tilde": c_tilde},
-        c=c, act_c=act_c, dact_c=dact_c, dact_cand=dact_cand,
-    )
-    if sq:
-        return LstmState(h[0], c[0]), tape
-    return LstmState(h, c), tape
+def _activation_grad(name: str, y: np.ndarray) -> np.ndarray:
+    """d act / d pre, from the activation's output y."""
+    if name == "tanh":
+        return 1.0 - y * y
+    return (y > 0.0).astype(FLOAT)
 
 
-def lstm_backward(tape: CellTape, params: LstmParams, dh, dc=None):
-    """Backward through one LSTM step.
+def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
+    """Finish sig(x) = 0.5 + 0.5 tanh(x / 2) in place, given a = tanh(x / 2)."""
+    a *= 0.5
+    a += 0.5
 
-    dh, dc are dL/dh_t and dL/dc_t (dc may be None for the last step).
-    Returns (LstmParams gradients, dx, dh_prev, dc_prev).
+
+def _start(p: LayerParams, x, n_gates: int, activation: str, what: str):
+    """Check shapes; return (x, T, B, H, gate pre-activations x K + b as (T, B, G*H))."""
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
+    x = np.ascontiguousarray(x, dtype=FLOAT)
+    units = p.recurrent.shape[0]
+    if x.ndim != 3:
+        raise ShapeError(f"{what}: x must be (T, B, D), got shape {x.shape}")
+    if p.kernel.shape != (x.shape[2], n_gates * units) or p.bias.shape != (n_gates * units,):
+        raise ShapeError(f"{what}: kernel {p.kernel.shape} does not take inputs of width {x.shape[2]}")
+    steps, batch, width = x.shape
+    pre = x.reshape(steps * batch, width) @ p.kernel
+    pre += p.bias
+    pre = pre.reshape(steps, batch, -1)
+    return x, steps, batch, units, pre
+
+
+def lstm_forward(p: LayerParams, x, activation: str = "tanh"):
+    """Run an LSTM layer over a (T, B, D) window. Returns (outputs (T, B, H), LstmTape)."""
+    x, steps, batch, units, gates = _start(p, x, 4, activation, "lstm_forward")
+    n_sig = 3 * units
+    gates[..., :n_sig] *= 0.5
+    rec = p.recurrent.copy()
+    rec[:, :n_sig] *= 0.5           # halving is exact, so the step GEMM needs no rescale
+    h = np.zeros((steps + 1, batch, units), dtype=FLOAT)
+    c = np.zeros_like(h)
+    act_c = np.empty((steps, batch, units), dtype=FLOAT)
+    for t in range(steps):
+        g = gates[t]
+        if t:
+            g += h[t] @ rec
+        if activation == "tanh":
+            np.tanh(g, out=g)              # gates and candidate in one call
+        else:
+            np.tanh(g[:, :n_sig], out=g[:, :n_sig])
+            np.maximum(g[:, n_sig:], 0.0, out=g[:, n_sig:])
+        _sigmoid_from_half_tanh(g[:, :n_sig])
+        np.multiply(g[:, :units], c[t], out=c[t + 1])
+        c[t + 1] += g[:, units:2 * units] * g[:, n_sig:]
+        _activate(activation, c[t + 1], act_c[t])
+        np.multiply(act_c[t], g[:, 2 * units:n_sig], out=h[t + 1])
+    return h[1:], LstmTape(x, h, c, gates, act_c, activation)
+
+
+def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams) -> np.ndarray:
+    """Backward through an LSTM layer.
+
+    dh is dL/dh_t for every step, shape (T, B, H), from the layer above or
+    the head.  Writes dL/dkernel, dL/drecurrent and dL/dbias into `grad`
+    and returns dL/dx, shape (T, B, D).
     """
-    if tape.kind != "lstm":
-        raise ShapeError(f"lstm_backward: tape of kind {tape.kind!r}")
-    dh, sq = _as_batch(dh, params.units, "dh")
-    if dc is None:
-        dc_in = np.zeros_like(dh)
-    else:
-        dc_in, _ = _as_batch(dc, params.units, "dc")
+    if not isinstance(tape, LstmTape):
+        raise ShapeError(f"lstm_backward: got a {type(tape).__name__}")
+    x, h, c, gates, act_c, activation = tape
+    steps, batch, units = act_c.shape
+    dh = np.asarray(dh, dtype=FLOAT)
+    if dh.shape != act_c.shape:
+        raise ShapeError(f"lstm_backward: dh shape {dh.shape}, expected {act_c.shape}")
+    n_sig = 3 * units
+    f, i, o, cand = (gates[..., k * units:(k + 1) * units] for k in range(4))
 
-    f, i, o = tape.gates["f"], tape.gates["i"], tape.gates["o"]
-    c_tilde = tape.gates["c_tilde"]
+    # the factors of dz that do not depend on the recursion, for the whole window:
+    # dz = [dcell, dcell, dh_t, dcell] * q, blockwise
+    q = sigmoid_grad(gates)              # the candidate block is overwritten below
+    for k, factor in enumerate((c[:-1], cand, act_c)):
+        q[..., k * units:(k + 1) * units] *= factor
+    np.multiply(i, _activation_grad(activation, cand), out=q[..., n_sig:])
+    cell_from_h = o * _activation_grad(activation, act_c)
 
-    d_o = dh * tape.act_c
-    dcell = dc_in + dh * o * tape.dact_c
-    d_f = dcell * tape.c_prev
-    d_i = dcell * c_tilde
-    d_cand = dcell * i
-    dc_prev = dcell * f
-
-    dpre_f = d_f * sigmoid_grad(f)
-    dpre_i = d_i * sigmoid_grad(i)
-    dpre_o = d_o * sigmoid_grad(o)
-    dpre_c = d_cand * tape.dact_cand
-
-    grads = LstmParams(
-        v_f=dpre_f.T @ tape.x, w_f=dpre_f.T @ tape.h_prev, b_f=dpre_f.sum(axis=0),
-        v_i=dpre_i.T @ tape.x, w_i=dpre_i.T @ tape.h_prev, b_i=dpre_i.sum(axis=0),
-        v_o=dpre_o.T @ tape.x, w_o=dpre_o.T @ tape.h_prev, b_o=dpre_o.sum(axis=0),
-        v_c=dpre_c.T @ tape.x, w_c=dpre_c.T @ tape.h_prev, b_c=dpre_c.sum(axis=0),
-    )
-    dx = dpre_f @ params.v_f + dpre_i @ params.v_i + dpre_o @ params.v_o + dpre_c @ params.v_c
-    dh_prev = dpre_f @ params.w_f + dpre_i @ params.w_i + dpre_o @ params.w_o + dpre_c @ params.w_c
-    if sq:
-        return grads, dx[0], dh_prev[0], dc_prev[0]
-    return grads, dx, dh_prev, dc_prev
-
-
-def gru_forward(params: GruParams, x_t, prev: GruState, activation: str = "tanh"):
-    """One GRU step. Returns (GruState, CellTape)."""
-    x, sq = _as_batch(x_t, params.input_dim, "x_t")
-    h_prev, _ = _as_batch(prev.h, params.units, "prev.h")
-    if x.shape[0] != h_prev.shape[0]:
-        raise ShapeError("gru_forward: batch dims of x and h disagree")
-
-    r = sigmoid(x @ params.v_r.T + h_prev @ params.w_r.T + params.b_r)
-    z = sigmoid(x @ params.v_z.T + h_prev @ params.w_z.T + params.b_z)
-    rh = r * h_prev
-    pre_c = x @ params.v_c.T + rh @ params.w_c.T + params.b_c
-    h_tilde, dact_cand = _apply_activation(activation, pre_c)
-    h = (1.0 - z) * h_prev + z * h_tilde
-
-    tape = CellTape(
-        kind="gru", x=x, h_prev=h_prev,
-        gates={"r": r, "z": z, "h_tilde": h_tilde},
-        rh=rh, dact_cand=dact_cand,
-    )
-    if sq:
-        return GruState(h[0]), tape
-    return GruState(h), tape
+    dz = np.empty_like(gates)
+    rec_t = np.ascontiguousarray(p.recurrent.T)     # BLAS runs this layout faster
+    dh_rec = np.zeros((batch, units), dtype=FLOAT)
+    dc = np.zeros((batch, units), dtype=FLOAT)
+    for t in reversed(range(steps)):
+        dh_t = dh[t] + dh_rec
+        dcell = dh_t * cell_from_h[t]
+        dcell += dc
+        np.multiply(q[t].reshape(batch, 4, units), dcell[:, None, :],
+                    out=dz[t].reshape(batch, 4, units))
+        np.multiply(dh_t, q[t, :, 2 * units:n_sig], out=dz[t, :, 2 * units:n_sig])
+        if t:
+            dc = dcell * f[t]
+            dh_rec = dz[t] @ rec_t
+    return _weight_grads(p, grad, x, dz, ((h[:-1], slice(None)),))
 
 
-def gru_backward(tape: CellTape, params: GruParams, dh):
-    """Backward through one GRU step. Returns (GruParams grads, dx, dh_prev)."""
-    if tape.kind != "gru":
-        raise ShapeError(f"gru_backward: tape of kind {tape.kind!r}")
-    dh, sq = _as_batch(dh, params.units, "dh")
+def gru_forward(p: LayerParams, x, activation: str = "tanh"):
+    """Run a GRU layer over a (T, B, D) window. Returns (outputs (T, B, H), GruTape)."""
+    x, steps, batch, units, gates = _start(p, x, 3, activation, "gru_forward")
+    n_sig = 2 * units
+    gates[..., :n_sig] *= 0.5
+    rec_rz = p.recurrent[:, :n_sig] * 0.5     # exact halving, as in lstm_forward
+    rec_c = p.recurrent[:, n_sig:]
+    h = np.zeros((steps + 1, batch, units), dtype=FLOAT)
+    rh = np.empty((steps, batch, units), dtype=FLOAT)
+    for t in range(steps):
+        rz, cand = gates[t, :, :n_sig], gates[t, :, n_sig:]
+        if t:
+            rz += h[t] @ rec_rz
+        np.tanh(rz, out=rz)
+        _sigmoid_from_half_tanh(rz)
+        np.multiply(rz[:, :units], h[t], out=rh[t])
+        if t:
+            cand += rh[t] @ rec_c
+        _activate(activation, cand, cand)
+        np.subtract(cand, h[t], out=h[t + 1])
+        h[t + 1] *= rz[:, units:]
+        h[t + 1] += h[t]
+    return h[1:], GruTape(x, h, gates, rh, activation)
 
-    r, z, h_tilde = tape.gates["r"], tape.gates["z"], tape.gates["h_tilde"]
 
-    d_z = dh * (h_tilde - tape.h_prev)
-    d_cand = dh * z
-    dpre_c = d_cand * tape.dact_cand
-    d_rh = dpre_c @ params.w_c
-    d_r = d_rh * tape.h_prev
+def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams) -> np.ndarray:
+    """Backward through a GRU layer; same contract as `lstm_backward`."""
+    if not isinstance(tape, GruTape):
+        raise ShapeError(f"gru_backward: got a {type(tape).__name__}")
+    x, h, gates, rh, activation = tape
+    steps, batch, units = rh.shape
+    dh = np.asarray(dh, dtype=FLOAT)
+    if dh.shape != rh.shape:
+        raise ShapeError(f"gru_backward: dh shape {dh.shape}, expected {rh.shape}")
+    n_sig = 2 * units
+    h_prev = h[:-1]
+    r, z, cand = (gates[..., k * units:(k + 1) * units] for k in range(3))
 
-    dpre_r = d_r * sigmoid_grad(r)
-    dpre_z = d_z * sigmoid_grad(z)
+    # factors of dz that do not depend on the recursion, for the whole window
+    q_r = h_prev * sigmoid_grad(r)
+    q_z = (cand - h_prev) * sigmoid_grad(z)
+    q_c = z * _activation_grad(activation, cand)
+    keep = 1.0 - z
 
-    grads = GruParams(
-        v_r=dpre_r.T @ tape.x, w_r=dpre_r.T @ tape.h_prev, b_r=dpre_r.sum(axis=0),
-        v_z=dpre_z.T @ tape.x, w_z=dpre_z.T @ tape.h_prev, b_z=dpre_z.sum(axis=0),
-        v_c=dpre_c.T @ tape.x, w_c=dpre_c.T @ tape.rh, b_c=dpre_c.sum(axis=0),
-    )
-    dx = dpre_r @ params.v_r + dpre_z @ params.v_z + dpre_c @ params.v_c
-    dh_prev = dh * (1.0 - z) + dpre_r @ params.w_r + dpre_z @ params.w_z + d_rh * r
-    if sq:
-        return grads, dx[0], dh_prev[0]
-    return grads, dx, dh_prev
+    dz = np.empty_like(gates)
+    rec_rz_t = np.ascontiguousarray(p.recurrent[:, :n_sig].T)
+    rec_c_t = np.ascontiguousarray(p.recurrent[:, n_sig:].T)
+    dh_rec = np.zeros((batch, units), dtype=FLOAT)
+    for t in reversed(range(steps)):
+        dh_t = dh[t] + dh_rec
+        dz_c = np.multiply(dh_t, q_c[t], out=dz[t, :, n_sig:])
+        d_rh = dz_c @ rec_c_t
+        np.multiply(d_rh, q_r[t], out=dz[t, :, :units])
+        np.multiply(dh_t, q_z[t], out=dz[t, :, units:n_sig])
+        if t:
+            dh_rec = dh_t * keep[t]
+            dh_rec += dz[t, :, :n_sig] @ rec_rz_t
+            d_rh *= r[t]
+            dh_rec += d_rh
+    return _weight_grads(p, grad, x, dz, ((h_prev, slice(None, n_sig)), (rh, slice(n_sig, None))))
+
+
+def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs) -> np.ndarray:
+    """One GEMM per weight gradient over the stacked T*B rows; returns dL/dx.
+
+    `recurrent_inputs` pairs each (T, B, H) input of the recurrent product
+    with the gate columns it feeds.
+    """
+    steps, batch, width = dz.shape
+    rows = steps * batch
+    dz = dz.reshape(rows, width)
+    for inp, cols in recurrent_inputs:
+        np.matmul(inp.reshape(rows, -1).T, dz[:, cols], out=grad.recurrent[:, cols])
+    np.matmul(x.reshape(rows, -1).T, dz, out=grad.kernel)
+    np.matmul(np.ones(rows), dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
+    return (dz @ p.kernel.T).reshape(steps, batch, -1)

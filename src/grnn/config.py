@@ -123,7 +123,7 @@ def _get(cp, section, key, conv, default):
         return default
     try:
         return conv(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 

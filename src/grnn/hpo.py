@@ -139,11 +139,6 @@ class TpeConfig:
             raise ValueError("n_startup_random must be < n_trials")
 
 
-def sample_prior(dist, rng: Rng):
-    """Draw one value from a dimension's prior."""
-    return dist.sample_prior(rng)
-
-
 def split_good_bad(complete: list[Trial], gamma: float):
     """Best ceil(gamma*n) trials by objective, then the rest; ids break ties."""
     ordered = sorted(complete, key=lambda t: (t.objective, t.trial_id))

@@ -6,29 +6,51 @@ followed by one dense linear unit applied to the top layer's hidden state
 at the final timestep.  Initial hidden/cell states are zero for every
 window; windows are independent samples, not a continuous stream.
 
-`forward` runs one window, `forward_batch` a (batch, lookback, features)
-stack of windows; both record a ForwardTape that `backward` consumes to
-produce exact gradients for every parameter, summed over timesteps.
+Parameters live in one contiguous float64 vector, `NetworkParams.flat`,
+laid out as
 
-Checkpoints are a single self-describing file: a JSON header line (format
-version, layer kinds/units/activations, optional metadata such as lookback
-and feature names, tensor manifest) followed by the raw float64
-little-endian tensor data.  Round-trips are bit-exact.
+    for each layer: kernel (D, G*H), recurrent (H, G*H), bias (G*H,)
+    then:           head_w (output_dim, H_top), head_b (output_dim,)
+
+each row-major (see `cells.py` for the fused gate layout).  Gradients are
+a second NetworkParams with the same layout, so an optimizer step is a few
+ufuncs over flat arrays.
+
+`forward_batch` runs a (batch, lookback, features) stack of windows one
+layer at a time over the whole window and records a ForwardTape, which
+`backward` consumes to write exact gradients, summed over timesteps,
+straight into the gradient vector.  `predict_batch` keeps no tape.
+
+Checkpoints (format version 1) are a single self-describing file: a JSON
+header line (format version, layer kinds/units/activations, optional
+metadata such as lookback and feature names, tensor manifest) followed by
+the raw float64 little-endian tensor data, tensor by tensor in
+`NetworkParams.tensors()` order.  That order and its per-gate names are the
+ones of the original per-gate containers; each name maps to a view of the
+flat vector:
+
+    layer{l}.v_g  (H, D)   kernel[:, block g].T
+    layer{l}.w_g  (H, H)   recurrent[:, block g].T
+    layer{l}.b_g  (H,)     bias[block g]
+    head.w, head.b
+
+with g running over f, i, o, c (LSTM) or r, z, c (GRU).  Round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cells import (
-    CellTape,
-    GruParams,
-    GruState,
-    LstmParams,
-    LstmState,
+    ACTIVATIONS,
+    GRU_GATES,
+    LSTM_GATES,
+    LayerParams,
     gru_backward,
     gru_forward,
     lstm_backward,
@@ -40,6 +62,7 @@ MODEL_FORMAT = "grnn-model"
 MODEL_VERSION = 1
 
 CELL_KINDS = ("lstm", "gru")
+GATES = {"lstm": LSTM_GATES, "gru": GRU_GATES}
 
 
 class ModelFormatError(ValueError):
@@ -57,6 +80,8 @@ class LayerSpec:
             raise ValueError(f"cell_kind must be one of {CELL_KINDS}, got {self.cell_kind!r}")
         if self.units < 1:
             raise ValueError(f"units must be >= 1, got {self.units}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -80,79 +105,107 @@ class NetworkSpec:
         return dims
 
 
-@dataclass
+def _tensor_shapes(spec: NetworkSpec):
+    """Shapes of the flat vector's pieces, in order: per layer kernel,
+    recurrent, bias; then the head's weight and bias."""
+    for layer, in_dim in zip(spec.layers, spec.layer_input_dims()):
+        width = len(GATES[layer.cell_kind]) * layer.units
+        yield (in_dim, width)
+        yield (layer.units, width)
+        yield (width,)
+    yield (spec.output_dim, spec.layers[-1].units)
+    yield (spec.output_dim,)
+
+
 class NetworkParams:
-    """All weights of a network; the same container carries gradients."""
+    """All weights of a network in one flat float64 vector.
 
-    layers: list
-    head_w: np.ndarray     # (output_dim, top_units)
-    head_b: np.ndarray     # (output_dim,)
+    `layers[l]` is a LayerParams of views into `flat`, and `head_w`
+    (output_dim, top_units) and `head_b` (output_dim,) are views too, so
+    writing through any of them changes `flat`.  Gradients are a second
+    NetworkParams of the same spec.  Only the spec and `flat` are pickled;
+    the views are rebuilt on unpickling.
+    """
 
-    @classmethod
-    def init(cls, spec: NetworkSpec, rng: Rng) -> "NetworkParams":
-        """Glorot-uniform weights, zero biases; draw order is fixed by the spec."""
-        layers = []
-        for layer, in_dim in zip(spec.layers, spec.layer_input_dims()):
-            klass = LstmParams if layer.cell_kind == "lstm" else GruParams
-            layers.append(klass.init(rng, in_dim, layer.units))
-        top = spec.layers[-1].units
-        head_w = glorot_uniform(rng, top, spec.output_dim)
-        head_b = np.zeros(spec.output_dim, dtype=FLOAT)
-        return cls(layers, head_w, head_b)
+    def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
+        size = sum(math.prod(shape) for shape in _tensor_shapes(spec))
+        if flat is None:
+            flat = np.zeros(size, dtype=FLOAT)
+        if flat.shape != (size,) or flat.dtype != FLOAT:
+            raise ShapeError(f"flat parameters {flat.dtype}{flat.shape}, expected float64 ({size},)")
+        self.spec = spec
+        self.flat = flat
+        views, offset = [], 0
+        for shape in _tensor_shapes(spec):
+            count = math.prod(shape)
+            views.append(flat[offset:offset + count].reshape(shape))
+            offset += count
+        *layer_views, self.head_w, self.head_b = views
+        self.layers = [LayerParams(*layer_views[k:k + 3]) for k in range(0, len(layer_views), 3)]
+
+    def __getstate__(self):
+        return {"spec": self.spec, "flat": self.flat}
+
+    def __setstate__(self, state):
+        self.__init__(state["spec"], state["flat"])
 
     @classmethod
     def zeros(cls, spec: NetworkSpec) -> "NetworkParams":
-        layers = []
-        for layer, in_dim in zip(spec.layers, spec.layer_input_dims()):
-            klass = LstmParams if layer.cell_kind == "lstm" else GruParams
-            layers.append(klass.zeros(in_dim, layer.units))
-        top = spec.layers[-1].units
-        return cls(layers, np.zeros((spec.output_dim, top), dtype=FLOAT),
-                   np.zeros(spec.output_dim, dtype=FLOAT))
+        return cls(spec)
+
+    @classmethod
+    def init(cls, spec: NetworkSpec, rng: Rng) -> "NetworkParams":
+        """Glorot-uniform weights, zero biases.
+
+        Draws follow `tensors()` order (per layer and gate: V, then W; then
+        the head), so a seed pins the weights.
+        """
+        params = cls(spec)
+        for _, arr in params.tensors():
+            if arr.ndim == 2:           # (fan_out, fan_in)
+                arr[...] = glorot_uniform(rng, arr.shape[1], arr.shape[0])
+        return params
 
     def tensors(self):
-        """Yield (name, array) for every parameter tensor, in a fixed order."""
-        for idx, layer in enumerate(self.layers):
-            for name, arr in layer.tensors():
-                yield f"layer{idx}.{name}", arr
+        """Yield (name, view) for every checkpoint tensor, in a fixed order.
+
+        Per layer and gate g: v_g (units, input_dim), w_g (units, units) and
+        b_g (units,), the transposed column block of g in kernel, recurrent
+        and bias; then head.w and head.b.
+        """
+        for idx, (layer, p) in enumerate(zip(self.spec.layers, self.layers)):
+            units = layer.units
+            for k, gate in enumerate(GATES[layer.cell_kind]):
+                cols = slice(k * units, (k + 1) * units)
+                yield f"layer{idx}.v_{gate}", p.kernel[:, cols].T
+                yield f"layer{idx}.w_{gate}", p.recurrent[:, cols].T
+                yield f"layer{idx}.b_{gate}", p.bias[cols]
         yield "head.w", self.head_w
         yield "head.b", self.head_b
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams([p.copy() for p in self.layers],
-                             self.head_w.copy(), self.head_b.copy())
+        return NetworkParams(self.spec, self.flat.copy())
 
     def validate(self, spec: NetworkSpec) -> "NetworkParams":
-        if len(self.layers) != len(spec.layers):
-            raise ShapeError("params/spec layer count mismatch")
-        for lp, ls, in_dim in zip(self.layers, spec.layers, spec.layer_input_dims()):
-            expected = LstmParams if ls.cell_kind == "lstm" else GruParams
-            if not isinstance(lp, expected):
-                raise ShapeError(f"expected {expected.__name__}, got {type(lp).__name__}")
-            if lp.units != ls.units or lp.input_dim != in_dim:
-                raise ShapeError(f"layer dims ({lp.units},{lp.input_dim}) != spec ({ls.units},{in_dim})")
-            lp.validate()
-        if self.head_w.shape != (spec.output_dim, spec.layers[-1].units):
-            raise ShapeError(f"head_w shape {self.head_w.shape}")
+        if self.spec != spec:
+            raise ShapeError("params were built for a different network spec")
+        if not np.all(np.isfinite(self.flat)):
+            name = next(n for n, arr in self.tensors() if not np.all(np.isfinite(arr)))
+            raise ValueError(f"parameter tensor {name} contains non-finite entries")
         return self
-
-
-NetworkGrads = NetworkParams
 
 
 @dataclass
 class ForwardTape:
-    """Per-timestep, per-layer cell tapes plus what the head saw."""
+    """Each layer's tape plus what the head saw."""
 
-    steps: list                       # steps[t][l] -> CellTape
+    layers: list                      # layers[l] -> LstmTape | GruTape
     h_last: np.ndarray                # (batch, top_units), head input
     predictions: np.ndarray           # (batch, output_dim)
 
-    def __len__(self):
-        return len(self.steps) * (len(self.steps[0]) if self.steps else 0)
 
-
-def _check_windows(spec: NetworkSpec, windows: np.ndarray) -> np.ndarray:
+def _time_major(spec: NetworkSpec, windows) -> np.ndarray:
+    """Check a (batch, lookback, features) stack; return it as (lookback, batch, features)."""
     windows = np.asarray(windows, dtype=FLOAT)
     if windows.ndim != 3:
         raise ShapeError(f"windows: expected (batch, lookback, features), got {windows.shape}")
@@ -160,37 +213,25 @@ def _check_windows(spec: NetworkSpec, windows: np.ndarray) -> np.ndarray:
         raise ShapeError(f"windows feature dim {windows.shape[2]} != input_dim {spec.input_dim}")
     if windows.shape[1] < 1:
         raise ShapeError("lookback must be >= 1")
-    return windows
+    return np.ascontiguousarray(windows.transpose(1, 0, 2))
+
+
+def _layer_forward(layer: LayerSpec, p: LayerParams, x):
+    if layer.cell_kind == "lstm":
+        return lstm_forward(p, x, layer.activation)
+    return gru_forward(p, x, layer.activation)
 
 
 def forward_batch(spec: NetworkSpec, params: NetworkParams, windows) -> tuple[np.ndarray, ForwardTape]:
     """Run a (batch, lookback, features) stack of windows. Returns (preds, tape)."""
-    windows = _check_windows(spec, windows)
-    batch, lookback, _ = windows.shape
-
-    states = []
-    for layer in spec.layers:
-        if layer.cell_kind == "lstm":
-            states.append(LstmState.zeros(layer.units, batch))
-        else:
-            states.append(GruState.zeros(layer.units, batch))
-
-    steps: list[list[CellTape]] = []
-    for t in range(lookback):
-        inp = windows[:, t, :]
-        taps = []
-        for l, layer in enumerate(spec.layers):
-            if layer.cell_kind == "lstm":
-                states[l], tape = lstm_forward(params.layers[l], inp, states[l], layer.activation)
-            else:
-                states[l], tape = gru_forward(params.layers[l], inp, states[l], layer.activation)
-            taps.append(tape)
-            inp = states[l].h
-        steps.append(taps)
-
-    h_last = states[-1].h
+    x = _time_major(spec, windows)
+    tapes = []
+    for layer, p in zip(spec.layers, params.layers):
+        x, tape = _layer_forward(layer, p, x)
+        tapes.append(tape)
+    h_last = x[-1]
     preds = h_last @ params.head_w.T + params.head_b
-    return preds, ForwardTape(steps=steps, h_last=h_last, predictions=preds)
+    return preds, ForwardTape(layers=tapes, h_last=h_last, predictions=preds)
 
 
 def forward(spec: NetworkSpec, params: NetworkParams, window) -> tuple[np.ndarray, ForwardTape]:
@@ -203,31 +244,22 @@ def forward(spec: NetworkSpec, params: NetworkParams, window) -> tuple[np.ndarra
 
 
 def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarray:
-    """Predictions for many windows, no tapes retained. Returns (n, output_dim)."""
+    """Predictions for many windows. Returns (n, output_dim).
+
+    Each layer's tape is dropped as soon as the next layer has its input,
+    so memory holds one layer's working arrays at a time.
+    """
     windows = np.asarray(windows, dtype=FLOAT)
     if windows.size == 0:
         return np.zeros((0, spec.output_dim), dtype=FLOAT)
-    preds, _ = forward_batch(spec, params, windows)
-    return preds
+    x = _time_major(spec, windows)
+    for layer, p in zip(spec.layers, params.layers):
+        x = _layer_forward(layer, p, x)[0]
+    return x[-1] @ params.head_w.T + params.head_b
 
 
-def mse_loss(pred, target) -> float:
-    """Mean squared error between two equal-length vectors."""
-    pred = np.asarray(pred, dtype=FLOAT).ravel()
-    target = np.asarray(target, dtype=FLOAT).ravel()
-    if pred.shape != target.shape or pred.size == 0:
-        raise ShapeError(f"mse_loss: shapes {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff))
-
-
-def _accumulate(acc, delta) -> None:
-    for (_, a), (_, d) in zip(acc.tensors(), delta.tensors()):
-        a += d
-
-
-def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred) -> NetworkGrads:
-    """Full-unrolled BPTT from dL/dprediction; gradients summed over timesteps."""
+def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred) -> NetworkParams:
+    """Full-unrolled BPTT from dL/dprediction; returns the gradients, summed over timesteps."""
     dpred = np.asarray(dpred, dtype=FLOAT)
     if dpred.ndim == 1:
         dpred = dpred[None, :]
@@ -235,29 +267,17 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred)
     if dpred.shape != (batch, spec.output_dim):
         raise ShapeError(f"dpred shape {dpred.shape}, expected {(batch, spec.output_dim)}")
 
-    grads = NetworkParams.zeros(spec)
-    grads.head_w += dpred.T @ tape.h_last
-    grads.head_b += dpred.sum(axis=0)
-
-    n_layers = len(spec.layers)
-    dh_rec = [np.zeros((batch, l.units), dtype=FLOAT) for l in spec.layers]
-    dc_rec = [np.zeros((batch, l.units), dtype=FLOAT) if l.cell_kind == "lstm" else None
-              for l in spec.layers]
-    head_dh = dpred @ params.head_w
-
-    for t in reversed(range(len(tape.steps))):
-        carry = head_dh if t == len(tape.steps) - 1 else None
-        for l in reversed(range(n_layers)):
-            dh = dh_rec[l] if carry is None else dh_rec[l] + carry
-            cell_tape = tape.steps[t][l]
-            if spec.layers[l].cell_kind == "lstm":
-                g, dx, dh_prev, dc_prev = lstm_backward(cell_tape, params.layers[l], dh, dc_rec[l])
-                dc_rec[l] = dc_prev
-            else:
-                g, dx, dh_prev = gru_backward(cell_tape, params.layers[l], dh)
-            _accumulate(grads.layers[l], g)
-            dh_rec[l] = dh_prev
-            carry = dx      # feeds the layer below at this same timestep
+    grads = NetworkParams(spec)
+    np.matmul(dpred.T, tape.h_last, out=grads.head_w)
+    np.sum(dpred, axis=0, out=grads.head_b)
+    top = tape.layers[-1]
+    dh = np.zeros(top.h[1:].shape, dtype=FLOAT)
+    dh[-1] = dpred @ params.head_w
+    for l in reversed(range(len(spec.layers))):
+        if spec.layers[l].cell_kind == "lstm":
+            dh = lstm_backward(params.layers[l], tape.layers[l], dh, grads.layers[l])
+        else:
+            dh = gru_backward(params.layers[l], tape.layers[l], dh, grads.layers[l])
     return grads
 
 
@@ -287,7 +307,10 @@ def save_model(path, spec: NetworkSpec, params: NetworkParams, extra: dict | Non
 
 
 def load_model(path) -> tuple[NetworkSpec, NetworkParams, dict]:
-    """Read a checkpoint written by save_model. Returns (spec, params, extra)."""
+    """Read a checkpoint written by save_model. Returns (spec, params, extra).
+
+    Anything that is not such a checkpoint raises ModelFormatError naming the file.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -295,30 +318,38 @@ def load_model(path) -> tuple[NetworkSpec, NetworkParams, dict]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a model file ({exc})") from None
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: header is not a JSON object")
     if header.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: format {header.get('format')!r} is not {MODEL_FORMAT!r}")
     if header.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"{path}: version {header.get('version')!r}, expected {MODEL_VERSION}")
+    try:
+        spec = NetworkSpec(
+            layers=tuple(LayerSpec(l["kind"], l["units"], l["activation"])
+                         for l in header["spec"]["layers"]),
+            input_dim=header["spec"]["input_dim"],
+            output_dim=header["spec"]["output_dim"],
+        )
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ModelFormatError(f"{path}: header 'extra' is not a JSON object")
 
-    spec = NetworkSpec(
-        layers=tuple(LayerSpec(l["kind"], l["units"], l["activation"])
-                     for l in header["spec"]["layers"]),
-        input_dim=header["spec"]["input_dim"],
-        output_dim=header["spec"]["output_dim"],
-    )
     params = NetworkParams.zeros(spec)
+    expected = [(name, arr.shape) for name, arr in params.tensors()]
+    if manifest != expected:
+        raise ModelFormatError(f"{path}: tensor manifest does not match the network spec")
+    if len(blob) != params.flat.nbytes:
+        problem = "truncated" if len(blob) < params.flat.nbytes else "trailing bytes"
+        raise ModelFormatError(f"{path}: {problem}: {len(blob)} bytes of tensor data, "
+                               f"expected {params.flat.nbytes}")
+    data = np.frombuffer(blob, dtype="<f8")
     offset = 0
-    by_name = dict(params.tensors())
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += count * 8
-        target = by_name.get(entry["name"])
-        if target is None or target.shape != shape:
-            raise ModelFormatError(f"{path}: unexpected tensor {entry['name']} {shape}")
-        target[...] = arr
-    if offset != len(blob):
-        raise ModelFormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    for _, arr in params.tensors():
+        arr[...] = data[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     params.validate(spec)
-    return spec, params, header.get("extra", {})
+    return spec, params, extra

@@ -17,29 +17,6 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's precondition."""
 
 
-def as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=FLOAT)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def as_vector(a) -> np.ndarray:
-    a = np.asarray(a, dtype=FLOAT)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x):
     """Logistic function, stable for any finite input.
 
@@ -62,16 +39,6 @@ def relu(x):
 def sigmoid_grad(y):
     """d sigmoid/dx expressed in terms of the output y = sigmoid(x)."""
     return y * (1.0 - y)
-
-
-def tanh_grad(y):
-    """d tanh/dx in terms of the output y = tanh(x)."""
-    return 1.0 - y * y
-
-
-def relu_grad(x):
-    """d relu/dx in terms of the *input* x (subgradient 0 at x=0)."""
-    return (np.asarray(x) > 0.0).astype(FLOAT)
 
 
 class Rng:

@@ -1,7 +1,12 @@
 """First-order optimizers: SGD, AdaGrad, RMSProp, Adam, Nadam.
 
-All five apply in-place to any container exposing ``tensors()`` (network
-params and gradient containers both do).  Update rules, with g the
+All five update in place a container's flat float64 vector ``flat``; the
+gradients come in a second container of the same layout (network params
+and gradients are both NetworkParams).  A step is a few in-place ufuncs
+over whole vectors: ``m`` and ``v`` hold the moments, and two preallocated
+scratch rows take every intermediate, so a step allocates nothing of the
+parameters' size.  One ``isfinite`` pass checks all gradients; on failure
+``tensors()`` names the offending tensor.  Update rules, with g the
 gradient, lr the learning rate and t the 1-based step count:
 
     sgd      theta -= lr * g
@@ -55,7 +60,9 @@ class OptimizerState:
     eps: float = 1e-8
     rho: float = 0.9
     step_count: int = 0
-    slots: dict = field(default_factory=dict)   # name -> accumulator arrays
+    m: np.ndarray | None = None      # first moment (adam, nadam)
+    v: np.ndarray | None = None      # squared-gradient accumulator (all but sgd)
+    scratch: np.ndarray | None = field(default=None, repr=False)   # (2, n) work rows
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -69,59 +76,70 @@ class OptimizerState:
             learning_rate = DEFAULT_LEARNING_RATES[kind]
         return cls(kind=kind, learning_rate=learning_rate, **hyper)
 
-    def _slot(self, name: str, like: np.ndarray, n: int) -> list[np.ndarray]:
-        if name not in self.slots:
-            self.slots[name] = [np.zeros_like(like, dtype=FLOAT) for _ in range(n)]
-        return self.slots[name]
+
+def _check_finite(grads) -> None:
+    if not np.all(np.isfinite(grads.flat)):
+        name = next(n for n, g in grads.tensors() if not np.all(np.isfinite(g)))
+        raise NonFiniteGradient(f"non-finite gradient in tensor {name!r}")
 
 
 def apply(state: OptimizerState, params, grads) -> None:
-    """One optimizer step, updating `params` and `state` in place."""
-    pairs = list(zip(params.tensors(), grads.tensors()))
-    for (pname, p), (gname, g) in pairs:
-        if pname != gname or p.shape != g.shape:
-            raise ShapeError(f"params/grads mismatch at {pname!r} vs {gname!r}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient in tensor {gname!r}")
+    """One optimizer step over the flat vectors, updating `params` and `state` in place."""
+    p, g = params.flat, grads.flat
+    if p.shape != g.shape:
+        raise ShapeError(f"params/grads mismatch: {p.shape} vs {g.shape}")
+    _check_finite(grads)
+    if state.scratch is None:
+        state.scratch = np.empty((2, p.size), dtype=FLOAT)
+        state.m = np.zeros_like(p) if state.kind in ("adam", "nadam") else None
+        state.v = np.zeros_like(p) if state.kind != "sgd" else None
+    elif state.scratch.shape[1] != p.size:
+        raise ShapeError(f"optimizer state holds {state.scratch.shape[1]} parameters, got {p.size}")
 
     state.step_count += 1
     t = state.step_count
-    lr, eps = state.learning_rate, state.eps
+    lr, eps, v = state.learning_rate, state.eps, state.v
+    step, work = state.scratch
 
-    for (name, p), (_, g) in pairs:
-        if state.kind == "sgd":
-            p -= lr * g
-        elif state.kind == "adagrad":
-            (acc,) = state._slot(name, p, 1)
-            acc += g * g
-            p -= lr * g / (np.sqrt(acc) + eps)
-        elif state.kind == "rmsprop":
-            (acc,) = state._slot(name, p, 1)
-            acc *= state.rho
-            acc += (1.0 - state.rho) * g * g
-            p -= lr * g / (np.sqrt(acc) + eps)
-        else:   # adam / nadam share the moment updates
-            m, v = state._slot(name, p, 2)
-            b1, b2 = state.beta1, state.beta2
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / (1.0 - b1 ** t)
-            vhat = v / (1.0 - b2 ** t)
-            if state.kind == "adam":
-                update = mhat
-            else:
-                update = b1 * mhat + (1.0 - b1) * g / (1.0 - b1 ** t)
-            p -= lr * update / (np.sqrt(vhat) + eps)
+    if state.kind == "sgd":
+        np.multiply(g, lr, out=step)
+        p -= step
+        return
+    if state.kind in ("adagrad", "rmsprop"):
+        if state.kind == "rmsprop":
+            v *= state.rho
+        np.multiply(g, g, out=work)
+        if state.kind == "rmsprop":
+            work *= 1.0 - state.rho
+        v += work
+        np.sqrt(v, out=work)
+        np.multiply(g, lr, out=step)
+    else:   # adam / nadam share the moment updates
+        m, b1, b2 = state.m, state.beta1, state.beta2
+        np.multiply(g, 1.0 - b1, out=work)
+        m *= b1
+        m += work
+        if state.kind == "adam":
+            np.multiply(m, lr / (1.0 - b1 ** t), out=step)
+        else:   # lr * (b1 * m + (1 - b1) * g) / (1 - b1^t)
+            np.multiply(m, b1, out=step)
+            step += work
+            step *= lr / (1.0 - b1 ** t)
+        np.multiply(g, g, out=work)
+        work *= 1.0 - b2
+        v *= b2
+        v += work
+        np.divide(v, 1.0 - b2 ** t, out=work)
+        np.sqrt(work, out=work)
+    work += eps
+    step /= work
+    p -= step
 
 
 def global_norm(grads) -> float:
     """L2 norm over all gradient tensors taken together."""
-    total = 0.0
-    for _, g in grads.tensors():
-        total += float(np.sum(g * g))
-    return math.sqrt(total)
+    g = grads.flat
+    return math.sqrt(float(np.dot(g, g)))
 
 
 def clip_gradients(grads, max_norm: float):
@@ -130,21 +148,6 @@ def clip_gradients(grads, max_norm: float):
         raise ValueError("max_norm must be > 0")
     norm = global_norm(grads)
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, g in grads.tensors():
-            g *= scale
+        g = grads.flat
+        g *= max_norm / norm
     return grads
-
-
-@dataclass
-class ScalarBag:
-    """Single-scalar parameter container for optimizer tests and demos."""
-
-    value: np.ndarray
-
-    @classmethod
-    def of(cls, x: float) -> "ScalarBag":
-        return cls(np.array([float(x)], dtype=FLOAT))
-
-    def tensors(self):
-        yield "value", self.value

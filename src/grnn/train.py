@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import WindowedDataset
 from .metrics import EvalReport, evaluate
-from .network import NetworkParams, NetworkSpec, backward, forward_batch, mse_loss
+from .network import NetworkParams, NetworkSpec, backward, forward_batch
 from .numerics import FLOAT, Rng
 from .optim import NonFiniteGradient, OptimizerState, apply, clip_gradients
 
@@ -59,7 +59,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    final_params: NetworkParams
     best_params: NetworkParams
     epoch_losses: list
     stopped_epoch: int
@@ -116,14 +115,14 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
 
         if epoch_loss < best_loss - IMPROVEMENT_EPS:
             best_loss = epoch_loss
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
             if epochs_since_improvement >= cfg.patience:
                 break
 
-    return TrainResult(final_params=params, best_params=best_params,
+    return TrainResult(best_params=best_params,
                        epoch_losses=epoch_losses, stopped_epoch=stopped_epoch,
                        seed=cfg.seed)
 

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from helpers import ScalarBag, central_differences, mse
 
 from grnn.data import (
     TimeSeriesFrame,
@@ -40,11 +41,10 @@ from grnn.network import (
     NetworkSpec,
     backward,
     forward,
-    mse_loss,
     save_model,
 )
 from grnn.numerics import Rng
-from grnn.optim import OPTIMIZER_KINDS, OptimizerState, ScalarBag, apply
+from grnn.optim import OPTIMIZER_KINDS, OptimizerState, apply
 from grnn.special import betainc, chi2_sf, gammainc_lower, t_sf
 from grnn.stats import dagostino_pearson, welch_t
 from grnn.synthetic import make_sources
@@ -71,21 +71,10 @@ def criterion(num: int, desc: str):
 # --- criterion 1: gradient correctness --------------------------------------
 
 def _fd_grads(spec, params, win, target):
-    out = {}
-    for name, arr in params.tensors():
-        g = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), g.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            h = 1e-6 * max(1.0, abs(orig))
-            flat[k] = orig + h
-            up = mse_loss(forward(spec, params, win)[0], target)
-            flat[k] = orig - h
-            dn = mse_loss(forward(spec, params, win)[0], target)
-            flat[k] = orig
-            gflat[k] = (up - dn) / (2 * h)
-        out[name] = g
-    return out
+    """Central differences over the flat parameter vector, by tensor name."""
+    flat = central_differences(lambda: mse(forward(spec, params, win)[0], target),
+                               params.flat)
+    return dict(NetworkParams(spec, flat).tensors())
 
 
 def test_c01_bptt_gradients_match_finite_differences():

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import central_differences
 from hypothesis import given
 from hypothesis import strategies as st
 
 from grnn.cells import (
-    GruParams,
-    GruState,
-    LstmParams,
-    LstmState,
+    GruTape,
+    LayerParams,
     gru_backward,
     gru_forward,
     lstm_backward,
@@ -18,191 +17,157 @@ from grnn.cells import (
 from grnn.numerics import Rng, ShapeError
 
 
-def lstm_fixture(units=3, input_dim=2, seed=11):
-    rng = Rng(seed)
-    params = LstmParams.init(rng, input_dim, units)
-    x = rng.standard_normal(input_dim)
-    prev = LstmState(rng.standard_normal(units) * 0.5, rng.standard_normal(units) * 0.5)
-    return params, x, prev
-
-
-def gru_fixture(units=4, input_dim=3, seed=13):
-    rng = Rng(seed)
-    params = GruParams.init(rng, input_dim, units)
-    x = rng.standard_normal(input_dim)
-    prev = GruState(rng.standard_normal(units) * 0.5)
-    return params, x, prev
+def make_layer(n_gates, input_dim, units, rng=None, scale=0.5):
+    """(flat, LayerParams of views into flat); zeros unless an rng is given."""
+    width = n_gates * units
+    sizes = (input_dim * width, units * width, width)
+    flat = np.zeros(sum(sizes))
+    if rng is not None:
+        flat[:] = rng.uniform(-scale, scale, size=flat.size)
+    k, r, b = np.split(flat, np.cumsum(sizes)[:2])
+    return flat, LayerParams(k.reshape(input_dim, width), r.reshape(units, width), b)
 
 
 def test_lstm_zero_params_zero_state():
-    params = LstmParams.zeros(2, 3)
-    state, tape = lstm_forward(params, [0.7, -1.2], LstmState.zeros(3))
-    assert np.array_equal(tape.gates["f"], np.full((1, 3), 0.5))
-    assert np.array_equal(tape.gates["i"], np.full((1, 3), 0.5))
-    assert np.array_equal(tape.gates["o"], np.full((1, 3), 0.5))
-    assert np.array_equal(state.c, np.zeros(3))
-    assert np.array_equal(state.h, np.zeros(3))
+    _, params = make_layer(4, 2, 3)
+    h, tape = lstm_forward(params, [[[0.7, -1.2]]])
+    assert np.array_equal(tape.gates[..., :9], np.full((1, 1, 9), 0.5))
+    assert np.array_equal(tape.c, np.zeros((2, 1, 3)))
+    assert np.array_equal(h, np.zeros((1, 1, 3)))
 
 
 def test_lstm_zero_params_carries_half_of_prev_cell():
-    params = LstmParams.zeros(1, 1)
-    state, _ = lstm_forward(params, [0.3], LstmState(np.zeros(1), np.array([2.0])))
-    assert state.c[0] == pytest.approx(1.0, abs=0)
-    assert state.h[0] == pytest.approx(math.tanh(1.0) * 0.5, abs=1e-15)
-    assert state.h[0] == pytest.approx(0.380797, abs=1e-6)
+    _, params = make_layer(4, 1, 1)
+    params.kernel[0, 3] = 1.0              # candidate sees x; every gate sits at 0.5
+    h, tape = lstm_forward(params, [[[2.0]], [[0.0]]])
+    c0, c1 = tape.c[1, 0, 0], tape.c[2, 0, 0]
+    assert c0 == pytest.approx(0.5 * math.tanh(2.0), abs=1e-16)
+    assert c1 == pytest.approx(0.5 * c0, abs=0)
+    assert h[1, 0, 0] == pytest.approx(math.tanh(c1) * 0.5, abs=1e-15)
 
 
 def test_lstm_forward_is_pure():
-    params, x, prev = lstm_fixture()
-    s1, t1 = lstm_forward(params, x, prev)
-    s2, t2 = lstm_forward(params, x, prev)
-    assert np.array_equal(s1.h, s2.h) and np.array_equal(s1.c, s2.c)
-    assert np.array_equal(t1.gates["c_tilde"], t2.gates["c_tilde"])
+    rng = Rng(11)
+    _, params = make_layer(4, 2, 3, rng)
+    x = rng.standard_normal((4, 2, 2))
+    h1, t1 = lstm_forward(params, x)
+    h2, t2 = lstm_forward(params, x)
+    assert np.array_equal(h1, h2) and np.array_equal(t1.c, t2.c)
+    assert np.array_equal(t1.gates, t2.gates)
 
 
 def test_gru_zero_params():
-    params = GruParams.zeros(2, 2)
-    state, tape = gru_forward(params, [1.0, 2.0], GruState.zeros(2))
-    assert np.array_equal(tape.gates["r"], np.full((1, 2), 0.5))
-    assert np.array_equal(tape.gates["z"], np.full((1, 2), 0.5))
-    assert np.array_equal(state.h, np.zeros(2))
+    _, params = make_layer(3, 2, 2)
+    h, tape = gru_forward(params, [[[1.0, 2.0]]])
+    assert np.array_equal(tape.gates[..., :4], np.full((1, 1, 4), 0.5))
+    assert np.array_equal(h, np.zeros((1, 1, 2)))
 
 
 def test_gru_zero_params_halves_prev_state():
-    params = GruParams.zeros(1, 1)
-    state, _ = gru_forward(params, [0.0], GruState(np.array([0.8])))
-    assert state.h[0] == pytest.approx(0.4, abs=1e-15)
+    _, params = make_layer(3, 1, 1)
+    params.kernel[0, 2] = 1.0              # candidate sees x; r and z sit at 0.5
+    h, _ = gru_forward(params, [[[0.8]], [[0.0]]])
+    assert h[0, 0, 0] == pytest.approx(0.5 * math.tanh(0.8), abs=1e-15)
+    assert h[1, 0, 0] == pytest.approx(0.5 * h[0, 0, 0], abs=1e-15)
 
 
 def test_gru_saturated_update_gate_passes_candidate():
-    params, x, prev = gru_fixture()
-    params.b_z[:] = 100.0
-    state, tape = gru_forward(params, x, prev)
-    np.testing.assert_allclose(state.h, tape.gates["h_tilde"][0], atol=1e-12)
+    rng = Rng(13)
+    _, params = make_layer(3, 3, 4, rng)
+    params.bias[4:8] = 100.0
+    h, tape = gru_forward(params, rng.standard_normal((3, 2, 3)))
+    np.testing.assert_allclose(h, tape.gates[..., 8:], atol=1e-12)
 
 
 @given(st.integers(0, 10_000))
 def test_gates_stay_in_open_unit_interval(seed):
     rng = Rng(seed)
-    lp = LstmParams.init(rng, 2, 3)
-    gp = GruParams.init(rng, 2, 3)
-    x = rng.uniform(-3, 3, size=2)
-    lstate, ltape = lstm_forward(lp, x, LstmState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)))
-    gstate, gtape = gru_forward(gp, x, GruState(rng.uniform(-1, 1, 3)))
-    for g in ("f", "i", "o"):
-        assert np.all((ltape.gates[g] > 0) & (ltape.gates[g] < 1))
-    for g in ("r", "z"):
-        assert np.all((gtape.gates[g] > 0) & (gtape.gates[g] < 1))
-    assert np.all(np.abs(lstate.h) < 1)    # tanh output times a gate
+    _, lp = make_layer(4, 2, 3, rng)
+    _, gp = make_layer(3, 2, 3, rng)
+    x = rng.uniform(-3, 3, size=(3, 2, 2))
+    lh, ltape = lstm_forward(lp, x)
+    _, gtape = gru_forward(gp, x)
+    assert np.all((ltape.gates[..., :9] > 0) & (ltape.gates[..., :9] < 1))
+    assert np.all((gtape.gates[..., :6] > 0) & (gtape.gates[..., :6] < 1))
+    assert np.all(np.abs(lh) < 1)    # tanh output times a gate
 
 
 def test_backward_zero_gradient_gives_zero():
-    params, x, prev = lstm_fixture()
-    _, tape = lstm_forward(params, x, prev)
-    grads, dx, dh, dc = lstm_backward(tape, params, np.zeros(3), np.zeros(3))
-    assert all(np.all(arr == 0) for _, arr in grads.tensors())
-    assert np.all(dx == 0) and np.all(dh == 0) and np.all(dc == 0)
+    rng = Rng(11)
+    _, params = make_layer(4, 2, 3, rng)
+    gflat, grad = make_layer(4, 2, 3)
+    gflat += np.nan                        # every entry must be written
+    _, tape = lstm_forward(params, rng.standard_normal((3, 2, 2)))
+    dx = lstm_backward(params, tape, np.zeros((3, 2, 3)), grad)
+    assert np.all(gflat == 0) and np.all(dx == 0)
 
-    gparams, gx, gprev = gru_fixture()
-    _, gtape = gru_forward(gparams, gx, gprev)
-    ggrads, gdx, gdh = gru_backward(gtape, gparams, np.zeros(4))
-    assert all(np.all(arr == 0) for _, arr in ggrads.tensors())
-    assert np.all(gdx == 0) and np.all(gdh == 0)
+    _, gparams = make_layer(3, 3, 4, rng)
+    gflat, ggrad = make_layer(3, 3, 4)
+    gflat += np.nan
+    _, gtape = gru_forward(gparams, rng.standard_normal((3, 2, 3)))
+    gdx = gru_backward(gparams, gtape, np.zeros((3, 2, 4)), ggrad)
+    assert np.all(gflat == 0) and np.all(gdx == 0)
 
 
-def _fd_check_lstm(activation, seed, units=3, input_dim=2, tol=1e-5):
+def _fd_check(forward, backward, n_gates, activation, seed, units, input_dim,
+              steps=3, batch=2, tol=1e-5):
+    """Loss = sum_t w_t . h_t over a window; check dparams and dx."""
     rng = Rng(seed)
-    params = LstmParams.init(rng, input_dim, units)
-    x = rng.standard_normal(input_dim)
-    prev = LstmState(rng.standard_normal(units) * 0.5, rng.standard_normal(units) * 0.5)
-    w_h = rng.standard_normal(units)
-    w_c = rng.standard_normal(units)
-
-    def loss(p, xx, hh, cc):
-        state, _ = lstm_forward(p, xx, LstmState(hh, cc), activation)
-        return float(w_h @ state.h + w_c @ state.c)
-
-    state, tape = lstm_forward(params, x, prev, activation)
-    grads, dx, dh_prev, dc_prev = lstm_backward(tape, params, w_h, w_c)
-
-    leaves = list(grads.tensors()) + [("x", dx), ("h_prev", dh_prev), ("c_prev", dc_prev)]
-    inputs = {"x": x, "h_prev": prev.h, "c_prev": prev.c}
-    for name, analytic in leaves:
-        target = inputs.get(name, dict(params.tensors()).get(name))
-        flat_t, flat_a = target.ravel(), analytic.ravel()
-        for k in range(flat_t.size):
-            orig = flat_t[k]
-            h = 1e-6 * max(1.0, abs(orig))
-            flat_t[k] = orig + h
-            up = loss(params, x, prev.h, prev.c)
-            flat_t[k] = orig - h
-            dn = loss(params, x, prev.h, prev.c)
-            flat_t[k] = orig
-            numeric = (up - dn) / (2 * h)
-            assert abs(flat_a[k] - numeric) <= tol * abs(numeric) + 1e-8, \
-                f"{name}[{k}] analytic {flat_a[k]} vs numeric {numeric}"
-
-
-def _fd_check_gru(activation, seed, units=4, input_dim=3, tol=1e-5):
-    rng = Rng(seed)
-    params = GruParams.init(rng, input_dim, units)
-    x = rng.standard_normal(input_dim)
-    prev = GruState(rng.standard_normal(units) * 0.5)
-    w_h = rng.standard_normal(units)
+    flat, params = make_layer(n_gates, input_dim, units, rng)
+    x = rng.standard_normal((steps, batch, input_dim))
+    w = rng.standard_normal((steps, batch, units))
 
     def loss():
-        state, _ = gru_forward(params, x, GruState(prev.h), activation)
-        return float(w_h @ state.h)
+        h, _ = forward(params, x, activation)
+        return float(np.sum(w * h))
 
-    _, tape = gru_forward(params, x, prev, activation)
-    grads, dx, dh_prev = gru_backward(tape, params, w_h)
-
-    leaves = list(grads.tensors()) + [("x", dx), ("h_prev", dh_prev)]
-    inputs = {"x": x, "h_prev": prev.h}
-    for name, analytic in leaves:
-        target = inputs.get(name, dict(params.tensors()).get(name))
-        flat_t, flat_a = target.ravel(), analytic.ravel()
-        for k in range(flat_t.size):
-            orig = flat_t[k]
-            h = 1e-6 * max(1.0, abs(orig))
-            flat_t[k] = orig + h
-            up = loss()
-            flat_t[k] = orig - h
-            dn = loss()
-            flat_t[k] = orig
-            numeric = (up - dn) / (2 * h)
-            assert abs(flat_a[k] - numeric) <= tol * abs(numeric) + 1e-8, \
-                f"{name}[{k}] analytic {flat_a[k]} vs numeric {numeric}"
+    _, tape = forward(params, x, activation)
+    gflat, grad = make_layer(n_gates, input_dim, units)
+    dx = backward(params, tape, w, grad)
+    for name, analytic, target in (("params", gflat, flat), ("x", dx, x)):
+        numeric = central_differences(loss, target)
+        np.testing.assert_allclose(analytic, numeric, rtol=tol, atol=1e-8, err_msg=name)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("seed", [3, 17])
 def test_lstm_gradients_match_finite_differences(activation, seed):
-    _fd_check_lstm(activation, seed)
+    _fd_check(lstm_forward, lstm_backward, 4, activation, seed, units=3, input_dim=2)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("seed", [5, 23])
 def test_gru_gradients_match_finite_differences(activation, seed):
-    _fd_check_gru(activation, seed)
+    _fd_check(gru_forward, gru_backward, 3, activation, seed, units=4, input_dim=3)
 
 
 def test_lstm_cell_state_gradient_includes_forget_path():
-    """dL/dc_prev must carry the f_t (x) elementwise path."""
-    params, x, prev = lstm_fixture(units=2, input_dim=2, seed=31)
-    _, tape = lstm_forward(params, x, prev)
-    w_c = np.array([1.0, -2.0])
-    _, _, _, dc_prev = lstm_backward(tape, params, np.zeros(2), w_c)
-    np.testing.assert_allclose(dc_prev, w_c * tape.gates["f"][0], rtol=1e-12)
+    """With no recurrent weights, x_0 reaches h_1 only through c_0 and f_1."""
+    rng = Rng(31)
+    _, params = make_layer(4, 2, 2, rng)
+    params.recurrent[...] = 0.0
+    x = rng.standard_normal((2, 1, 2))
+    dh = np.zeros((2, 1, 2))
+    dh[1] = [1.0, -2.0]
+    _, tape = lstm_forward(params, x)
+    _, grad = make_layer(4, 2, 2)
+    dx = lstm_backward(params, tape, dh, grad)
+
+    numeric = central_differences(lambda: float(np.sum(dh * lstm_forward(params, x)[0])), x)
+    assert np.all(np.abs(dx[0]) > 1e-6)
+    np.testing.assert_allclose(dx, numeric, rtol=1e-6, atol=1e-10)
 
 
 def test_shape_errors():
-    params = LstmParams.zeros(2, 3)
+    _, params = make_layer(4, 2, 3)
     with pytest.raises(ShapeError):
-        lstm_forward(params, [1.0, 2.0, 3.0], LstmState.zeros(3))
-    gparams = GruParams.zeros(2, 3)
+        lstm_forward(params, np.zeros((1, 1, 3)))
+    _, gparams = make_layer(3, 2, 3)
     with pytest.raises(ShapeError):
-        gru_forward(gparams, [1.0, 2.0], GruState.zeros(4))
-    _, tape = gru_forward(gparams, [1.0, 2.0], GruState.zeros(3))
+        gru_forward(gparams, np.zeros((1, 2)))
+    _, tape = gru_forward(gparams, np.zeros((1, 1, 2)))
+    assert isinstance(tape, GruTape)
     with pytest.raises(ShapeError):
-        lstm_backward(tape, params, np.zeros(3))
+        lstm_backward(params, tape, np.zeros((1, 1, 3)), params)
+    with pytest.raises(ValueError):
+        lstm_forward(params, np.zeros((1, 1, 2)), "sigmoid")

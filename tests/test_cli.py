@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from grnn.cli import main
-from grnn.config import load_config, parse_arch_label
+from grnn.config import ConfigError, load_config, parse_arch_label
 from grnn.hpo import load_history
-from grnn.network import load_model
+from grnn.network import LayerSpec, NetworkParams, NetworkSpec, load_model, save_model
+from grnn.numerics import Rng
 from grnn.synthetic import write_bundle, write_sine
 
 
@@ -236,6 +237,43 @@ def test_evaluate_rejects_corrupt_checkpoint(tmp_path, capsys):
     bad.write_bytes(b"garbage\x00\x01\n more garbage")
     assert main(["evaluate", "--config", str(path), "--checkpoint", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    capsys.readouterr()
+    spec = NetworkSpec(layers=(LayerSpec("lstm", 3),), input_dim=1)
+    good = tmp_path / "good.grnn"
+    save_model(good, spec, NetworkParams.init(spec, Rng(1)), {"lookback": 8})
+    header_line, blob = good.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    cases = {
+        "truncated": header_line + b"\n" + blob[:-12],
+        "array_header": b"[1, 2]\n" + blob,
+        "no_spec": json.dumps({k: v for k, v in header.items() if k != "spec"}).encode()
+                   + b"\n" + blob,
+        "no_tensors": json.dumps({k: v for k, v in header.items() if k != "tensors"}).encode()
+                      + b"\n" + blob,
+    }
+    for name, content in cases.items():
+        bad = tmp_path / f"{name}.grnn"
+        bad.write_bytes(content)
+        assert main(["evaluate", "--config", str(path), "--checkpoint", str(bad)]) == 1, name
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (name, err)
+        assert str(bad) in lines[0], name
+
+
+def test_bool_override_that_does_not_parse_is_a_config_error(tmp_path, capsys):
+    path = write_sine_config(tmp_path)
+    with pytest.raises(ConfigError, match="cannot parse 'yes'"):
+        load_config(path, overrides=["train.shuffle=yes"])
+    assert load_config(path, overrides=["train.shuffle=FALSE"]).train.shuffle is False
+    assert main(["prepare", "--config", str(path), "--set", "train.shuffle=yes"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot parse 'yes'" in err and "Traceback" not in err
 
 
 def test_compare_requires_two_archives(tmp_path, capsys):

@@ -14,7 +14,6 @@ from grnn.hpo import (
     Trial,
     load_history,
     optimize,
-    sample_prior,
     save_history,
     split_good_bad,
     suggest,
@@ -47,14 +46,14 @@ def make_history(rng, n, objective=bowl, fail_every=0):
 
 def test_int_prior_covers_range_and_endpoints():
     rng = Rng(1)
-    draws = np.array([sample_prior(UNITS, rng) for _ in range(100_000)])
+    draws = np.array([UNITS.sample_prior(rng) for _ in range(100_000)])
     assert draws.min() == 32 and draws.max() == 512
     assert np.all((draws >= 32) & (draws <= 512))
 
 
 def test_log_prior_median_is_geometric_mean():
     rng = Rng(2)
-    draws = np.array([sample_prior(LR, rng) for _ in range(100_000)])
+    draws = np.array([LR.sample_prior(rng) for _ in range(100_000)])
     assert np.all((draws >= 1e-4) & (draws <= 1e-2))
     assert abs(np.median(draws) - 1e-3) <= 0.15e-3
 
@@ -73,7 +72,7 @@ def test_degenerate_distributions_rejected():
 def test_int_step_quantization():
     dist = IntUniform("x", 10, 50, step=10)
     rng = Rng(3)
-    draws = {sample_prior(dist, rng) for _ in range(2000)}
+    draws = {dist.sample_prior(rng) for _ in range(2000)}
     assert draws == {10, 20, 30, 40, 50}
 
 

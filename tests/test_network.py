@@ -1,7 +1,11 @@
+import json
+import pickle
+
 import numpy as np
 import pytest
+from helpers import central_differences, mse
 
-from grnn.cells import LstmState, lstm_forward
+from grnn.cells import lstm_forward
 from grnn.network import (
     LayerSpec,
     ModelFormatError,
@@ -11,11 +15,10 @@ from grnn.network import (
     forward,
     forward_batch,
     load_model,
-    mse_loss,
     predict_batch,
     save_model,
 )
-from grnn.numerics import Rng, ShapeError
+from grnn.numerics import Rng, ShapeError, glorot_uniform
 
 
 def small_spec(*layers, input_dim=2):
@@ -35,8 +38,8 @@ def test_single_layer_lookback_one_equals_cell_plus_head():
     params = NetworkParams.init(spec, rng)
     x = rng.standard_normal(2)
     pred, _ = forward(spec, params, x[None, :])
-    state, _ = lstm_forward(params.layers[0], x, LstmState.zeros(3))
-    expected = state.h @ params.head_w.T + params.head_b
+    h, _ = lstm_forward(params.layers[0], x[None, None, :])
+    expected = h[-1, 0] @ params.head_w.T + params.head_b
     np.testing.assert_array_equal(pred, expected)
 
 
@@ -47,17 +50,10 @@ def test_hybrid_forward_shapes_and_tape():
     window = rng.standard_normal((6, 4))
     pred, tape = forward(spec, params, window)
     assert pred.shape == (1,) and np.isfinite(pred).all()
-    assert len(tape.steps) == 6
-    assert all(len(step) == 2 for step in tape.steps)
-    assert len(tape) == 12
-
-
-def test_mse_loss_examples():
-    assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert mse_loss([0.0], [2.0]) == 4.0
-    assert mse_loss([0.0, 1.0], [2.0, 1.0]) == 2.0
-    with pytest.raises(ShapeError):
-        mse_loss([1.0], [1.0, 2.0])
+    assert len(tape.layers) == 2
+    assert tape.layers[0].h.shape == (7, 1, 2) and tape.layers[0].gates.shape == (6, 1, 6)
+    assert tape.layers[1].h.shape == (7, 1, 3) and tape.layers[1].gates.shape == (6, 1, 12)
+    np.testing.assert_array_equal(tape.h_last, tape.layers[1].h[-1])
 
 
 def test_backward_zero_gradient():
@@ -70,27 +66,19 @@ def test_backward_zero_gradient():
 
 
 def fd_network_grads(spec, params, window, target):
-    out = {}
-    for name, arr in params.tensors():
-        g = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), g.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            h = 1e-6 * max(1.0, abs(orig))
-            flat[k] = orig + h
-            up = mse_loss(forward(spec, params, window)[0], target)
-            flat[k] = orig - h
-            dn = mse_loss(forward(spec, params, window)[0], target)
-            flat[k] = orig
-            gflat[k] = (up - dn) / (2 * h)
-        out[name] = g
-    return out
+    """Central differences over the flat vector, as a NetworkParams."""
+    flat = central_differences(lambda: mse(forward(spec, params, window)[0], target),
+                               params.flat)
+    return dict(NetworkParams(spec, flat).tensors())
 
 
 @pytest.mark.parametrize("layers", [
     (LayerSpec("lstm", 3),),
     (LayerSpec("lstm", 2), LayerSpec("gru", 2)),
     (LayerSpec("gru", 2, "relu"), LayerSpec("lstm", 2, "relu")),
+    (LayerSpec("gru", 3),),
+    (LayerSpec("gru", 2), LayerSpec("lstm", 3)),
+    (LayerSpec("lstm", 2, "relu"), LayerSpec("gru", 3, "relu")),
 ])
 def test_bptt_matches_finite_differences(layers):
     rng = Rng(6)
@@ -136,8 +124,8 @@ def test_hybrid_with_zeroed_lstm_block_reduces_to_head_bias():
     rng = Rng(9)
     spec = small_spec(LayerSpec("gru", 3), LayerSpec("lstm", 2), input_dim=2)
     params = NetworkParams.init(spec, rng)
-    for _, arr in params.layers[1].tensors():
-        arr[:] = 0.0
+    for arr in params.layers[1]:
+        arr[...] = 0.0
     params.head_b[:] = 0.77
     pred, _ = forward(spec, params, rng.standard_normal((4, 2)))
     assert pred[0] == pytest.approx(0.77, abs=0)
@@ -186,3 +174,107 @@ def test_forward_rejects_bad_shapes():
         forward(spec, params, np.zeros((4, 2)))
     with pytest.raises(ShapeError):
         forward(spec, params, np.zeros(3))
+
+
+def per_gate_predict(spec, arrays, window):
+    """Reference forward from per-gate checkpoint tensors, one step and one gate at a time."""
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    seq = list(window)
+    for l, layer in enumerate(spec.layers):
+        def pre(gate, x, h):
+            a = arrays
+            return a[f"layer{l}.v_{gate}"] @ x + a[f"layer{l}.w_{gate}"] @ h + a[f"layer{l}.b_{gate}"]
+
+        act = np.tanh if layer.activation == "tanh" else (lambda v: np.maximum(v, 0.0))
+        h = c = np.zeros(layer.units)
+        out = []
+        for x in seq:
+            if layer.cell_kind == "lstm":
+                f, i, o = sig(pre("f", x, h)), sig(pre("i", x, h)), sig(pre("o", x, h))
+                c = f * c + i * act(pre("c", x, h))
+                h = o * act(c)
+            else:
+                r, z = sig(pre("r", x, h)), sig(pre("z", x, h))
+                h = (1.0 - z) * h + z * act(pre("c", x, r * h))
+            out.append(h)
+        seq = out
+    return arrays["head.w"] @ seq[-1] + arrays["head.b"]
+
+
+def per_gate_tensors(spec):
+    """(v, w, b names, units, input_dim) per layer and gate, in checkpoint order."""
+    for idx, (layer, in_dim) in enumerate(zip(spec.layers, spec.layer_input_dims())):
+        for gate in ("fioc" if layer.cell_kind == "lstm" else "rzc"):
+            yield (f"layer{idx}.v_{gate}", f"layer{idx}.w_{gate}", f"layer{idx}.b_{gate}",
+                   layer.units, in_dim)
+
+
+def test_checkpoint_v1_from_per_gate_arrays_loads_and_resaves_byte_identical(tmp_path):
+    spec = small_spec(LayerSpec("gru", 3), LayerSpec("lstm", 4, "relu"), input_dim=2)
+    rng = Rng(12)
+    arrays = {}
+    for v, w, b, units, in_dim in per_gate_tensors(spec):
+        arrays[v] = rng.uniform(-0.5, 0.5, size=(units, in_dim))
+        arrays[w] = rng.uniform(-0.5, 0.5, size=(units, units))
+        arrays[b] = rng.uniform(-0.5, 0.5, size=units)
+    arrays["head.w"] = rng.uniform(-0.5, 0.5, size=(1, 4))
+    arrays["head.b"] = np.array([0.1])
+
+    header = {
+        "format": "grnn-model", "version": 1,
+        "spec": {"input_dim": 2, "output_dim": 1, "layers": [
+            {"kind": "gru", "units": 3, "activation": "tanh"},
+            {"kind": "lstm", "units": 4, "activation": "relu"}]},
+        "extra": {"lookback": 5},
+        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()],
+    }
+    path = tmp_path / "v1.grnn"
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + b"".join(a.astype("<f8").tobytes() for a in arrays.values()))
+
+    spec2, params, extra = load_model(path)
+    assert spec2 == spec and extra == {"lookback": 5}
+    assert [n for n, _ in params.tensors()] == list(arrays)
+    for name, view in params.tensors():
+        np.testing.assert_array_equal(view, arrays[name], err_msg=name)
+    window = rng.standard_normal((5, 2))
+    np.testing.assert_allclose(forward(spec, params, window)[0],
+                               per_gate_predict(spec, arrays, window), rtol=1e-12, atol=1e-14)
+
+    again = tmp_path / "again.grnn"
+    save_model(again, spec, params, extra)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_init_matches_per_gate_glorot_draws():
+    spec = small_spec(LayerSpec("lstm", 3), LayerSpec("gru", 2), input_dim=4)
+    params = NetworkParams.init(spec, Rng(21))
+    rng = Rng(21)
+    expected = {}
+    for v, w, b, units, in_dim in per_gate_tensors(spec):
+        expected[v] = glorot_uniform(rng, in_dim, units)
+        expected[w] = glorot_uniform(rng, units, units)
+        expected[b] = np.zeros(units)
+    expected["head.w"] = glorot_uniform(rng, 2, 1)
+    expected["head.b"] = np.zeros(1)
+    got = dict(params.tensors())
+    assert list(got) == list(expected)
+    for name in expected:
+        np.testing.assert_array_equal(got[name], expected[name], err_msg=name)
+
+
+def test_pickled_params_keep_their_views_on_flat():
+    spec = small_spec(LayerSpec("gru", 2), LayerSpec("lstm", 3))
+    params = pickle.loads(pickle.dumps(NetworkParams.init(spec, Rng(5))))
+    before = params.flat.copy()
+    dict(params.tensors())["layer1.w_o"][0, 1] = 7.0
+    params.layers[0].bias[1] = -3.0
+    params.head_b[0] = 2.5
+    changed = np.flatnonzero(params.flat != before)
+    assert changed.size == 3
+    assert sorted(params.flat[changed]) == [-3.0, 2.5, 7.0]
+    copy = params.copy()
+    copy.head_w[0, 0] = 99.0
+    assert params.head_w[0, 0] != 99.0 and copy.flat[-4] == 99.0

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from helpers import ScalarBag
 
-from grnn.numerics import ShapeError
+from grnn.network import LayerSpec, NetworkParams, NetworkSpec
+from grnn.numerics import Rng, ShapeError
 from grnn.optim import (
     DEFAULT_LEARNING_RATES,
     OPTIMIZER_KINDS,
     NonFiniteGradient,
     OptimizerState,
-    ScalarBag,
     apply,
     clip_gradients,
     global_norm,
@@ -83,7 +84,7 @@ def test_adam_and_nadam_share_second_moment_trajectory():
     for g in grads:
         apply(adam_s, adam_t, ScalarBag.of(g))
         apply(nadam_s, nadam_t, ScalarBag.of(g))
-        np.testing.assert_array_equal(adam_s.slots["value"][1], nadam_s.slots["value"][1])
+        np.testing.assert_array_equal(adam_s.v, nadam_s.v)
     assert adam_t.value[0] != nadam_t.value[0]
 
 
@@ -106,6 +107,65 @@ def test_nonfinite_gradient_names_tensor():
     theta = ScalarBag.of(0.0)
     with pytest.raises(NonFiniteGradient, match="value"):
         apply(OptimizerState.create("sgd"), theta, ScalarBag.of(float("nan")))
+
+    spec = NetworkSpec(layers=(LayerSpec("gru", 2), LayerSpec("lstm", 3)), input_dim=2)
+    params, grads = NetworkParams.init(spec, Rng(1)), NetworkParams.zeros(spec)
+    dict(grads.tensors())["layer1.w_o"][2, 0] = np.inf
+    with pytest.raises(NonFiniteGradient, match="layer1.w_o"):
+        apply(OptimizerState.create("nadam"), params, grads)
+
+
+def per_element_reference(kind, theta, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8, rho=0.9):
+    """Each update rule applied element by element with plain Python floats."""
+    theta = [float(x) for x in theta]
+    m = [0.0] * len(theta)
+    v = [0.0] * len(theta)
+    for t, grads in enumerate(grad_steps, start=1):
+        for k, g in enumerate(float(x) for x in grads):
+            if kind == "sgd":
+                theta[k] -= lr * g
+            elif kind == "adagrad":
+                v[k] += g * g
+                theta[k] -= lr * g / (math.sqrt(v[k]) + eps)
+            elif kind == "rmsprop":
+                v[k] = rho * v[k] + (1 - rho) * g * g
+                theta[k] -= lr * g / (math.sqrt(v[k]) + eps)
+            else:
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                mhat, vhat = m[k] / (1 - b1 ** t), v[k] / (1 - b2 ** t)
+                if kind == "adam":
+                    update = mhat
+                else:
+                    update = b1 * mhat + (1 - b1) * g / (1 - b1 ** t)
+                theta[k] -= lr * update / (math.sqrt(vhat) + eps)
+    return np.array(theta)
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_flat_apply_matches_per_element_reference(kind):
+    rng = np.random.Generator(np.random.Philox(key=11))
+    theta0 = rng.standard_normal(37)
+    grad_steps = [rng.standard_normal(37) * scale for scale in (1.0, 0.1, 3.0, 0.0, 1e-4, 2.0)]
+    theta = ScalarBag(theta0.copy())
+    state = OptimizerState.create(kind)
+    for g in grad_steps:
+        apply(state, theta, ScalarBag(g.copy()))
+    expected = per_element_reference(kind, theta0, grad_steps, state.learning_rate)
+    np.testing.assert_allclose(theta.value, expected, rtol=1e-13, atol=1e-15)
+    assert state.step_count == len(grad_steps)
+
+
+def test_clip_matches_per_element_reference():
+    rng = np.random.Generator(np.random.Philox(key=12))
+    for scale, max_norm in ((10.0, 2.5), (0.01, 2.5), (1.0, 1e-3)):
+        values = rng.standard_normal(50) * scale
+        norm = math.sqrt(sum(float(x) * float(x) for x in values))
+        expected = values * (max_norm / norm) if norm > max_norm else values
+        g = ScalarBag(values.copy())
+        assert global_norm(g) == pytest.approx(norm, rel=1e-14)
+        clip_gradients(g, max_norm)
+        np.testing.assert_allclose(g.value, expected, rtol=1e-14)
 
 
 def test_shape_mismatch_rejected():

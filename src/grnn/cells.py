@@ -27,7 +27,8 @@ layer; sigmoid is evaluated as 0.5 + 0.5 tanh(x / 2), so the gates of one
 step cost one tanh call.  Initial states are zero.
 
 Inputs are time-major (T, B, D) and each forward returns the layer's
-outputs (T, B, H) plus a tape of stacked (T, B, .) arrays.  Forward does
+outputs (T, B, H) plus a tape of stacked (T, B, .) arrays (none with
+keep_tape=False, for prediction).  Forward does
 one x K + b GEMM for the whole window, then one h R GEMM per step (GRU:
 h R_rz and (r * h) R_c).  Backward fills the gradients of the gate
 pre-activations, dz (T, B, G*H), step by step; its only per-step GEMMs
@@ -112,17 +113,23 @@ def _start(p: LayerParams, x, n_gates: int, activation: str, what: str):
     return x, steps, batch, units, pre
 
 
-def lstm_forward(p: LayerParams, x, activation: str = "tanh"):
-    """Run an LSTM layer over a (T, B, D) window. Returns (outputs (T, B, H), LstmTape)."""
+def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = True):
+    """Run an LSTM layer over a (T, B, D) window. Returns (outputs (T, B, H), LstmTape).
+
+    With keep_tape=False the cell state lives in a two-row ring and the
+    tape is None, so only the outputs and the gate block outlive a step.
+    """
     x, steps, batch, units, gates = _start(p, x, 4, activation, "lstm_forward")
     n_sig = 3 * units
     gates[..., :n_sig] *= 0.5
     rec = p.recurrent.copy()
     rec[:, :n_sig] *= 0.5           # halving is exact, so the step GEMM needs no rescale
+    kept = steps if keep_tape else 1
     h = np.zeros((steps + 1, batch, units), dtype=FLOAT)
-    c = np.zeros_like(h)
-    act_c = np.empty((steps, batch, units), dtype=FLOAT)
+    c = np.zeros((kept + 1, batch, units), dtype=FLOAT)
+    act_c = np.empty((kept, batch, units), dtype=FLOAT)
     for t in range(steps):
+        c_prev, c_new, a = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], act_c[t % kept]
         g = gates[t]
         if t:
             g += h[t] @ rec
@@ -132,11 +139,11 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh"):
             np.tanh(g[:, :n_sig], out=g[:, :n_sig])
             np.maximum(g[:, n_sig:], 0.0, out=g[:, n_sig:])
         _sigmoid_from_half_tanh(g[:, :n_sig])
-        np.multiply(g[:, :units], c[t], out=c[t + 1])
-        c[t + 1] += g[:, units:2 * units] * g[:, n_sig:]
-        _activate(activation, c[t + 1], act_c[t])
-        np.multiply(act_c[t], g[:, 2 * units:n_sig], out=h[t + 1])
-    return h[1:], LstmTape(x, h, c, gates, act_c, activation)
+        np.multiply(g[:, :units], c_prev, out=c_new)
+        c_new += g[:, units:2 * units] * g[:, n_sig:]
+        _activate(activation, c_new, a)
+        np.multiply(a, g[:, 2 * units:n_sig], out=h[t + 1])
+    return h[1:], LstmTape(x, h, c, gates, act_c, activation) if keep_tape else None
 
 
 def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams) -> np.ndarray:
@@ -181,29 +188,33 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams) -> np.n
     return _weight_grads(p, grad, x, dz, ((h[:-1], slice(None)),))
 
 
-def gru_forward(p: LayerParams, x, activation: str = "tanh"):
-    """Run a GRU layer over a (T, B, D) window. Returns (outputs (T, B, H), GruTape)."""
+def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = True):
+    """Run a GRU layer over a (T, B, D) window. Returns (outputs (T, B, H), GruTape).
+
+    With keep_tape=False r * h_{t-1} lives in a one-row buffer and the tape is None.
+    """
     x, steps, batch, units, gates = _start(p, x, 3, activation, "gru_forward")
     n_sig = 2 * units
     gates[..., :n_sig] *= 0.5
     rec_rz = p.recurrent[:, :n_sig] * 0.5     # exact halving, as in lstm_forward
     rec_c = p.recurrent[:, n_sig:]
     h = np.zeros((steps + 1, batch, units), dtype=FLOAT)
-    rh = np.empty((steps, batch, units), dtype=FLOAT)
+    kept = steps if keep_tape else 1
+    rh = np.empty((kept, batch, units), dtype=FLOAT)
     for t in range(steps):
-        rz, cand = gates[t, :, :n_sig], gates[t, :, n_sig:]
+        rz, cand, rh_t = gates[t, :, :n_sig], gates[t, :, n_sig:], rh[t % kept]
         if t:
             rz += h[t] @ rec_rz
         np.tanh(rz, out=rz)
         _sigmoid_from_half_tanh(rz)
-        np.multiply(rz[:, :units], h[t], out=rh[t])
+        np.multiply(rz[:, :units], h[t], out=rh_t)
         if t:
-            cand += rh[t] @ rec_c
+            cand += rh_t @ rec_c
         _activate(activation, cand, cand)
         np.subtract(cand, h[t], out=h[t + 1])
         h[t + 1] *= rz[:, units:]
         h[t + 1] += h[t]
-    return h[1:], GruTape(x, h, gates, rh, activation)
+    return h[1:], GruTape(x, h, gates, rh, activation) if keep_tape else None
 
 
 def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams) -> np.ndarray:

@@ -128,7 +128,8 @@ class NetworkParams:
     """
 
     def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
-        size = sum(math.prod(shape) for shape in _tensor_shapes(spec))
+        shapes = list(_tensor_shapes(spec))
+        size = sum(map(math.prod, shapes))
         if flat is None:
             flat = np.zeros(size, dtype=FLOAT)
         if flat.shape != (size,) or flat.dtype != FLOAT:
@@ -136,10 +137,9 @@ class NetworkParams:
         self.spec = spec
         self.flat = flat
         views, offset = [], 0
-        for shape in _tensor_shapes(spec):
-            count = math.prod(shape)
-            views.append(flat[offset:offset + count].reshape(shape))
-            offset += count
+        for shape in shapes:
+            views.append(flat[offset:offset + math.prod(shape)].reshape(shape))
+            offset += math.prod(shape)
         *layer_views, self.head_w, self.head_b = views
         self.layers = [LayerParams(*layer_views[k:k + 3]) for k in range(0, len(layer_views), 3)]
 
@@ -201,7 +201,6 @@ class ForwardTape:
 
     layers: list                      # layers[l] -> LstmTape | GruTape
     h_last: np.ndarray                # (batch, top_units), head input
-    predictions: np.ndarray           # (batch, output_dim)
 
 
 def _time_major(spec: NetworkSpec, windows) -> np.ndarray:
@@ -216,10 +215,10 @@ def _time_major(spec: NetworkSpec, windows) -> np.ndarray:
     return np.ascontiguousarray(windows.transpose(1, 0, 2))
 
 
-def _layer_forward(layer: LayerSpec, p: LayerParams, x):
+def _layer_forward(layer: LayerSpec, p: LayerParams, x, keep_tape: bool = True):
     if layer.cell_kind == "lstm":
-        return lstm_forward(p, x, layer.activation)
-    return gru_forward(p, x, layer.activation)
+        return lstm_forward(p, x, layer.activation, keep_tape)
+    return gru_forward(p, x, layer.activation, keep_tape)
 
 
 def forward_batch(spec: NetworkSpec, params: NetworkParams, windows) -> tuple[np.ndarray, ForwardTape]:
@@ -231,7 +230,7 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows) -> tuple[np
         tapes.append(tape)
     h_last = x[-1]
     preds = h_last @ params.head_w.T + params.head_b
-    return preds, ForwardTape(layers=tapes, h_last=h_last, predictions=preds)
+    return preds, ForwardTape(layers=tapes, h_last=h_last)
 
 
 def forward(spec: NetworkSpec, params: NetworkParams, window) -> tuple[np.ndarray, ForwardTape]:
@@ -244,17 +243,17 @@ def forward(spec: NetworkSpec, params: NetworkParams, window) -> tuple[np.ndarra
 
 
 def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarray:
-    """Predictions for many windows. Returns (n, output_dim).
+    """Predictions for many windows, with no tape. Returns (n, output_dim).
 
-    Each layer's tape is dropped as soon as the next layer has its input,
-    so memory holds one layer's working arrays at a time.
+    Each layer keeps only its input, its outputs, its x K + b block (the
+    gates are computed in place there) and one step of state.
     """
     windows = np.asarray(windows, dtype=FLOAT)
     if windows.size == 0:
         return np.zeros((0, spec.output_dim), dtype=FLOAT)
     x = _time_major(spec, windows)
     for layer, p in zip(spec.layers, params.layers):
-        x = _layer_forward(layer, p, x)[0]
+        x, _ = _layer_forward(layer, p, x, keep_tape=False)
     return x[-1] @ params.head_w.T + params.head_b
 
 
@@ -351,5 +350,6 @@ def load_model(path) -> tuple[NetworkSpec, NetworkParams, dict]:
     for _, arr in params.tensors():
         arr[...] = data[offset:offset + arr.size].reshape(arr.shape)
         offset += arr.size
-    params.validate(spec)
+    if not np.all(np.isfinite(params.flat)):
+        raise ModelFormatError(f"{path}: tensor data contains non-finite values")
     return spec, params, extra

@@ -250,6 +250,7 @@ def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
     header = json.loads(header_line)
     cases = {
         "truncated": header_line + b"\n" + blob[:-12],
+        "nan_tensor": header_line + b"\n" + np.array([np.nan]).astype("<f8").tobytes() + blob[8:],
         "array_header": b"[1, 2]\n" + blob,
         "no_spec": json.dumps({k: v for k, v in header.items() if k != "spec"}).encode()
                    + b"\n" + blob,

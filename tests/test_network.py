@@ -76,7 +76,9 @@ def fd_network_grads(spec, params, window, target):
     (LayerSpec("lstm", 3),),
     (LayerSpec("lstm", 2), LayerSpec("gru", 2)),
     (LayerSpec("gru", 2, "relu"), LayerSpec("lstm", 2, "relu")),
+    (LayerSpec("lstm", 3, "relu"),),
     (LayerSpec("gru", 3),),
+    (LayerSpec("gru", 3, "relu"),),
     (LayerSpec("gru", 2), LayerSpec("lstm", 3)),
     (LayerSpec("lstm", 2, "relu"), LayerSpec("gru", 3, "relu")),
 ])
@@ -107,6 +109,14 @@ def test_predict_batch_contracts():
 
     singles = np.array([forward(spec, params, w)[0] for w in windows])
     np.testing.assert_allclose(preds, singles, rtol=1e-12, atol=1e-15)
+
+    # without a tape, the same arithmetic as the training forward pass
+    for layers in ((LayerSpec("gru", 3, "relu"), LayerSpec("lstm", 4)),
+                   (LayerSpec("lstm", 3), LayerSpec("gru", 2, "relu"))):
+        hybrid = small_spec(*layers, input_dim=2)
+        hp = NetworkParams.init(hybrid, rng)
+        np.testing.assert_array_equal(predict_batch(hybrid, hp, windows),
+                                      forward_batch(hybrid, hp, windows)[0])
 
 
 def test_batched_forward_matches_single():

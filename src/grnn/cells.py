@@ -96,7 +96,7 @@ def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
     a += 0.5
 
 
-def _start(p: LayerParams, x, n_gates: int, activation: str, what: str):
+def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str):
     """Check shapes; return (x, T, B, H, gate pre-activations x K + b as (T, B, G*H))."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
@@ -119,7 +119,7 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     With keep_tape=False the cell state lives in a two-row ring and the
     tape is None, so only the outputs and the gate block outlive a step.
     """
-    x, steps, batch, units, gates = _start(p, x, 4, activation, "lstm_forward")
+    x, steps, batch, units, gates = _project_inputs(p, x, 4, activation, "lstm_forward")
     n_sig = 3 * units
     gates[..., :n_sig] *= 0.5
     rec = p.recurrent.copy()
@@ -193,7 +193,7 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
 
     With keep_tape=False r * h_{t-1} lives in a one-row buffer and the tape is None.
     """
-    x, steps, batch, units, gates = _start(p, x, 3, activation, "gru_forward")
+    x, steps, batch, units, gates = _project_inputs(p, x, 3, activation, "gru_forward")
     n_sig = 2 * units
     gates[..., :n_sig] *= 0.5
     rec_rz = p.recurrent[:, :n_sig] * 0.5     # exact halving, as in lstm_forward

@@ -7,7 +7,7 @@ machinery to compare architectures across repeated seeded runs.
 """
 
 from .cells import LayerParams, gru_backward, gru_forward, lstm_backward, lstm_forward
-from .data import NormalizationParams, TimeSeriesFrame, WindowedDataset, ema, ingest, inverse_transform, macd, normalize, rsi, window
+from .data import NormalizationParams, TimeSeriesFrame, WindowedDataset, ema, ingest, macd, normalize, rsi, window
 from .hpo import IntUniform, LogUniform, SearchSpace, TpeConfig, Trial, optimize, suggest
 from .metrics import EvalReport, evaluate, mape, r2, rmse
 from .network import LayerSpec, NetworkParams, NetworkSpec, backward, forward, forward_batch, load_model, predict_batch, save_model

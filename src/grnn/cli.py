@@ -35,14 +35,16 @@ from .data import (
     ingest,
     normalize,
     read_frame_csv,
+    read_json,
     window,
     write_frame_csv,
 )
 from .hpo import IntUniform, LogUniform, SearchSpace, load_history, optimize, save_history
 from .metrics import EvalReport, evaluate
-from .network import LayerSpec, ModelFormatError, NetworkSpec, load_model, save_model
+from .network import (LayerSpec, ModelFormatError, NetworkSpec, load_model, predict_batch,
+                      save_model)
 from .stats import compare_architectures, render_normality_table, render_pairwise_table
-from .train import RunArchive, TrainConfig, load_archive, run_experiment, save_archive
+from .train import load_archive, run_experiment, save_archive, train
 
 PREPARED_CSV = "prepared.csv"
 NORM_SIDECAR = "norm_params.json"
@@ -124,10 +126,8 @@ def load_prepared(cfg: PipelineConfig, out: str | None) -> WindowedDataset:
     if not (os.path.exists(csv_path) and os.path.exists(sidecar_path)):
         raise DataError(f"prepared dataset missing under {outdir}; run `grnn prepare` first")
     frame = read_frame_csv(csv_path, cfg.date_column)
-    with open(sidecar_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    norm = NormalizationParams(
-        {name: (v["min"], v["max"]) for name, v in sidecar["columns"].items()})
+    norm = read_json(sidecar_path, lambda sidecar: NormalizationParams(
+        {name: (v["min"], v["max"]) for name, v in sidecar["columns"].items()}))
     return window(frame, cfg.lookback, norm, split=cfg.split, target=cfg.target)
 
 
@@ -141,8 +141,8 @@ def _search_space(cfg: PipelineConfig, arch: ArchDef) -> SearchSpace:
 
 def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
     arch = cfg.arch(label)
-    dataset = load_prepared(cfg, out)
     space = _search_space(cfg, arch)
+    dataset = load_prepared(cfg, out)
     outdir = _outdir(cfg, out, "hpo", label)
     log_path = os.path.join(outdir, "trials.jsonl")
 
@@ -154,20 +154,17 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
     def objective(values: dict) -> float:
         units = [values[f"units_{i}"] for i in range(len(arch.cell_kinds))]
         spec = _network_spec(cfg, arch, units)
-        tc = TrainConfig(batch_size=int(values["batch_size"]),
-                         max_epochs=cfg.hpo.max_epochs, patience=cfg.train.patience,
-                         learning_rate=float(values["learning_rate"]),
-                         optimizer=cfg.train.optimizer, seed=cfg.hpo.train_seed,
-                         shuffle=cfg.train.shuffle, clip_norm=cfg.train.clip_norm)
-        from .train import train as train_fn
-        result = train_fn(spec, dataset, tc)
+        tc = replace(cfg.train, batch_size=int(values["batch_size"]),
+                     learning_rate=float(values["learning_rate"]),
+                     max_epochs=cfg.hpo.max_epochs, seed=cfg.hpo.train_seed)
+        result = train(spec, dataset, tc)
         report = evaluate(spec, result.best_params, dataset, split="test")
         return report.rmse_nd
 
     def on_trial(trial):
         info(f"trial {trial.trial_id}: {trial.status} objective={trial.objective}")
 
-    best, history = optimize(objective, space, cfg.hpo.tpe, history=history,
+    best, history = optimize(objective, space, cfg.hpo, history=history,
                              on_trial=on_trial)
     save_history(log_path, history)
     if best is None:
@@ -192,12 +189,10 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
 def _resolve_hyperparams(cfg: PipelineConfig, arch: ArchDef,
                          hyperparams_path: str | None):
     if hyperparams_path:
-        with open(hyperparams_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        units = payload["units"]
-        lr = payload.get("learning_rate", cfg.train.learning_rate)
-        batch = payload.get("batch_size", cfg.train.batch_size)
-        return units, float(lr), int(batch)
+        return read_json(hyperparams_path, lambda best: (
+            list(best["units"]),
+            float(best.get("learning_rate", cfg.train.learning_rate)),
+            int(best.get("batch_size", cfg.train.batch_size))))
     if arch.units is None:
         raise ConfigError(
             f"{arch.label}: no units configured; add [arch.{arch.label}] or pass --hyperparams")
@@ -214,7 +209,6 @@ def _workers(parallel: bool, repeats: int) -> int:
     return max(1, min(workers, repeats))
 
 
-
 def _report_row_header() -> str:
     return (f"{'Model':<10} {'Layers':>6} {'R2':>9} {'MAPE(%)':>11} "
             f"{'RMSE':>12} {'RMSE(ND)':>9} {'MAPE(frac)':>12}")
@@ -224,17 +218,15 @@ def _report_row(model: str, n_layers: int, rep: EvalReport) -> str:
     return (f"{model:<10} {n_layers:>6d} {rep.r2:>9.4f} {rep.mape_pct:>11.4g} "
             f"{rep.rmse:>12.4f} {rep.rmse_nd:>9.4f} {rep.mape:>12.6g}")
 
+
 def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
               repeats: int | None, out: str | None, parallel: bool) -> int:
     arch = cfg.arch(label)
-    dataset = load_prepared(cfg, out)
     units, lr, batch = _resolve_hyperparams(cfg, arch, hyperparams_path)
     spec = _network_spec(cfg, arch, units)
     n_runs = repeats if repeats is not None else cfg.train.repeats
-    tc = TrainConfig(batch_size=batch, max_epochs=cfg.train.max_epochs,
-                     patience=cfg.train.patience, learning_rate=lr,
-                     optimizer=cfg.train.optimizer, seed=cfg.train.seed,
-                     shuffle=cfg.train.shuffle, clip_norm=cfg.train.clip_norm)
+    tc = replace(cfg.train, batch_size=batch, learning_rate=lr)
+    dataset = load_prepared(cfg, out)
     info(f"{label}: units={units} lr={lr} batch={batch} repeats={n_runs} "
          f"seed={tc.seed} activation={cfg.train.activation}")
 
@@ -361,11 +353,9 @@ def cmd_report(cfg: PipelineConfig, label: str, out: str | None) -> int:
     dataset = load_prepared(cfg, out)
     archive = load_archive(arc_path)
 
-    from .data import inverse_transform
-    from .network import predict_batch
     preds_nd = predict_batch(spec, params, dataset.test_x)[:, 0]
-    actual = inverse_transform(dataset.test_y, dataset.norm, dataset.target_name)
-    predicted = inverse_transform(preds_nd, dataset.norm, dataset.target_name)
+    actual = dataset.norm.unscale(dataset.target_name, dataset.test_y)
+    predicted = dataset.norm.unscale(dataset.target_name, preds_nd)
 
     outdir = _outdir(cfg, out, "report")
     scatter_path = os.path.join(outdir, f"{label}_scatter.csv")

@@ -8,15 +8,23 @@ carrying that architecture's units/learning rate/batch size.
 Architecture labels encode their stack: `lstm3` is three LSTM layers,
 `gru-lstm2` is the GRU->LSTM hybrid block repeated twice (four layers).
 `units` lists one value per layer, in order.
+
+Each section is one dataclass holding its defaults: [train] a TrainSettings
+(a TrainConfig), [hpo] an HpoSettings (a TpeConfig), [data] and [output]
+fields of PipelineConfig, [arch.<label>] an ArchDef.  An unknown key or
+section, or a value its dataclass rejects, is a ConfigError.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .hpo import TpeConfig
+from .network import LayerSpec
+from .optim import OptimizerState
+from .train import R2_RETENTION_BAR, TrainConfig
 
 ARCH_PATTERN = re.compile(r"^(lstm-gru|gru-lstm|lstm|gru)(\d+)$")
 
@@ -48,23 +56,23 @@ class ArchDef:
 
 
 @dataclass
-class TrainDefaults:
-    optimizer: str = "nadam"
+class TrainSettings(TrainConfig):
+    """[train]: the training run plus the cell activation and the protocol."""
+
     activation: str = "tanh"
-    max_epochs: int = 200
-    patience: int = 5
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    shuffle: bool = True
-    clip_norm: float | None = None
     repeats: int = 48
-    seed: int = 0
-    r2_bar: float = 0.90
+    r2_bar: float = R2_RETENTION_BAR
+
+    def __post_init__(self):
+        super().__post_init__()
+        OptimizerState.create(self.optimizer, self.learning_rate)
+        LayerSpec("lstm", 1, self.activation)
 
 
 @dataclass
-class HpoSettings:
-    tpe: TpeConfig = field(default_factory=TpeConfig)
+class HpoSettings(TpeConfig):
+    """[hpo]: the TPE search, the trial budget and the search bounds."""
+
     max_epochs: int = 40
     train_seed: int = 0
     units_low: int = 32
@@ -84,7 +92,7 @@ class PipelineConfig:
     lookback: int = 10
     split: float = 0.80
     fit_on: str = "train_only"
-    train: TrainDefaults = field(default_factory=TrainDefaults)
+    train: TrainSettings = field(default_factory=TrainSettings)
     hpo: HpoSettings = field(default_factory=HpoSettings)
     output_dir: str = "out"
     architectures: dict = field(default_factory=dict)   # label -> ArchDef
@@ -102,35 +110,77 @@ def _parser() -> configparser.ConfigParser:
 
 
 def apply_overrides(cp: configparser.ConfigParser, overrides: list[str]) -> None:
-    """Apply repeated `section.key=value` strings on top of the file."""
+    """Apply repeated `section.key=value` strings on top of the file.
+
+    `arch.lstm1.units=8` sets `units` in [arch.lstm1]: labels hold no dot.
+    """
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         target, value = item.split("=", 1)
         if "." not in target:
             raise ConfigError(f"override {item!r}: key must be section.key")
-        section, key = target.split(".", 1)
+        split = target.rsplit if target.startswith("arch.") else target.split
+        section, key = split(".", 1)
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section.strip(), key.strip(), value.strip())
 
 
-def _get(cp, section, key, conv, default):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key).strip()
-    if raw == "":
-        return default
+def _names(raw: str) -> tuple:
+    """A comma list; empty means none."""
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+def _bool(raw: str) -> bool:
+    return {"true": True, "false": False, "1": True, "0": False}[raw.lower()]
+
+
+_TYPE_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
+                 "float | None": float}
+
+
+def _field_parsers(cls) -> dict:
+    return {f.name: _TYPE_PARSERS[f.type] for f in fields(cls)}
+
+
+DATA_KEYS = {"date_column": str, "target": str, "indicators": _names,
+             "lookback": int, "split": float, "fit_on": str}
+ARCH_KEYS = {"units": lambda raw: tuple(int(u) for u in _names(raw)),
+             "learning_rate": float, "batch_size": int}
+SECTIONS = {"data": DATA_KEYS, "train": _field_parsers(TrainSettings),
+            "hpo": _field_parsers(HpoSettings), "output": {"dir": str},
+            "architectures": {"roster": _names}}
+
+
+def _read(cp, section: str, parsers: dict) -> dict:
+    """Parsed values of the keys present in `section`; unknown keys raise.
+
+    An empty scalar is left out, so its dataclass default applies; an
+    empty comma list means none.
+    """
+    out = {}
+    for key in cp.options(section) if cp.has_section(section) else ():
+        if key not in parsers:
+            raise ConfigError(f"[{section}] unknown key {key!r}; "
+                              f"expected one of {sorted(parsers)}")
+        parse = parsers[key]
+        raw = cp.get(section, key).strip()
+        if raw == "" and parse is not _names:
+            continue
+        try:
+            out[key] = parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+    return out
+
+
+def _settings(cls, cp, section: str):
+    values = _read(cp, section, SECTIONS[section])
     try:
-        return conv(raw)
-    except (KeyError, ValueError):
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-
-
-def _get_bool(cp, section, key, default):
-    return _get(cp, section, key,
-                lambda s: {"true": True, "false": False, "1": True, "0": False}[s.lower()],
-                default)
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
@@ -140,6 +190,10 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     apply_overrides(cp, overrides or [])
+    for section in cp.sections():
+        if section not in SECTIONS and section != "sources" and not section.startswith("arch."):
+            raise ConfigError(f"unknown section [{section}]; expected one of "
+                              f"{sorted([*SECTIONS, 'sources'])} or arch.<label>")
 
     if not cp.has_section("sources"):
         raise ConfigError("config needs a [sources] section")
@@ -150,79 +204,24 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
         p, col = value.rsplit(":", 1)
         sources[name] = (p.strip(), col.strip())
 
-    target = _get(cp, "data", "target", str, None)
-    if target is None:
+    data = _read(cp, "data", DATA_KEYS)
+    if "target" not in data:
         raise ConfigError("[data] target is required")
-    # "indicators =" (present but empty) means none; absent means the default
-    if cp.has_option("data", "indicators"):
-        raw_indicators = cp.get("data", "indicators")
-    else:
-        raw_indicators = "MACD,RSI"
-    indicators = tuple(s.strip() for s in raw_indicators.split(",") if s.strip())
 
-    train = TrainDefaults(
-        optimizer=_get(cp, "train", "optimizer", str, "nadam"),
-        activation=_get(cp, "train", "activation", str, "tanh"),
-        max_epochs=_get(cp, "train", "max_epochs", int, 200),
-        patience=_get(cp, "train", "patience", int, 5),
-        learning_rate=_get(cp, "train", "learning_rate", float, 0.001),
-        batch_size=_get(cp, "train", "batch_size", int, 32),
-        shuffle=_get_bool(cp, "train", "shuffle", True),
-        clip_norm=_get(cp, "train", "clip_norm", float, None),
-        repeats=_get(cp, "train", "repeats", int, 48),
-        seed=_get(cp, "train", "seed", int, 0),
-        r2_bar=_get(cp, "train", "r2_bar", float, 0.90),
-    )
-    hpo = HpoSettings(
-        tpe=TpeConfig(
-            n_trials=_get(cp, "hpo", "n_trials", int, 60),
-            n_startup_random=_get(cp, "hpo", "n_startup", int, 20),
-            gamma=_get(cp, "hpo", "gamma", float, 0.25),
-            n_ei_candidates=_get(cp, "hpo", "n_ei_candidates", int, 24),
-            bandwidth_floor=_get(cp, "hpo", "bandwidth_floor", float, 0.01),
-            seed=_get(cp, "hpo", "seed", int, 0),
-        ),
-        max_epochs=_get(cp, "hpo", "max_epochs", int, 40),
-        train_seed=_get(cp, "hpo", "train_seed", int, 0),
-        units_low=_get(cp, "hpo", "units_low", int, 32),
-        units_high=_get(cp, "hpo", "units_high", int, 512),
-        lr_low=_get(cp, "hpo", "lr_low", float, 1e-4),
-        lr_high=_get(cp, "hpo", "lr_high", float, 1e-2),
-        batch_low=_get(cp, "hpo", "batch_low", int, 16),
-        batch_high=_get(cp, "hpo", "batch_high", int, 128),
-    )
-
-    roster = _get(cp, "architectures", "roster", str, "")
-    labels = [s.strip() for s in roster.split(",") if s.strip()]
+    labels = _read(cp, "architectures", SECTIONS["architectures"]).get("roster", ())
     if len(set(labels)) != len(labels):
-        raise ConfigError(f"duplicate architecture labels in roster: {labels}")
+        raise ConfigError(f"duplicate architecture labels in roster: {list(labels)}")
     architectures = {}
     for label in labels:
         kinds = parse_arch_label(label)
         section = f"arch.{label}"
-        units = lr = batch = None
-        if cp.has_section(section):
-            raw_units = _get(cp, section, "units", str, None)
-            if raw_units is not None:
-                units = tuple(int(u.strip()) for u in raw_units.split(","))
-                if len(units) != len(kinds):
-                    raise ConfigError(
-                        f"[{section}] units: {len(units)} values for {len(kinds)} layers")
-            lr = _get(cp, section, "learning_rate", float, None)
-            batch = _get(cp, section, "batch_size", int, None)
-        architectures[label] = ArchDef(label=label, cell_kinds=kinds, units=units,
-                                       learning_rate=lr, batch_size=batch)
+        arch = ArchDef(label=label, cell_kinds=kinds, **_read(cp, section, ARCH_KEYS))
+        if arch.units is not None and len(arch.units) != len(kinds):
+            raise ConfigError(
+                f"[{section}] units: {len(arch.units)} values for {len(kinds)} layers")
+        architectures[label] = arch
 
-    return PipelineConfig(
-        sources=sources,
-        target=target,
-        date_column=_get(cp, "data", "date_column", str, "Date"),
-        indicators=indicators,
-        lookback=_get(cp, "data", "lookback", int, 10),
-        split=_get(cp, "data", "split", float, 0.80),
-        fit_on=_get(cp, "data", "fit_on", str, "train_only"),
-        train=train,
-        hpo=hpo,
-        output_dir=_get(cp, "output", "dir", str, "out"),
-        architectures=architectures,
-    )
+    output = {f"output_{k}": v for k, v in _read(cp, "output", SECTIONS["output"]).items()}
+    return PipelineConfig(sources=sources, train=_settings(TrainSettings, cp, "train"),
+                          hpo=_settings(HpoSettings, cp, "hpo"),
+                          architectures=architectures, **data, **output)

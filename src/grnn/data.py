@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,6 @@ class TimeSeriesFrame:
         """(rows, features) array in column order."""
         return np.column_stack([self.columns[c] for c in self.columns])
 
-    def slice(self, start: int, stop: int) -> "TimeSeriesFrame":
-        return TimeSeriesFrame(self.dates[start:stop],
-                               {k: v[start:stop].copy() for k, v in self.columns.items()})
-
 
 @dataclass
 class NormalizationParams:
@@ -72,6 +69,7 @@ class NormalizationParams:
         return (np.asarray(values, dtype=FLOAT) - lo) / (hi - lo)
 
     def unscale(self, column: str, values: np.ndarray) -> np.ndarray:
+        """Map normalized values back to raw units: x = z*(max-min) + min."""
         lo, hi = self._get(column)
         return np.asarray(values, dtype=FLOAT) * (hi - lo) + lo
 
@@ -99,11 +97,6 @@ class WindowedDataset:
     lookback: int
     train_dates: list       # target date of each training sample
     test_dates: list
-
-
-def inverse_transform(values, norm: NormalizationParams, column: str) -> np.ndarray:
-    """Map normalized values back to raw units: x = z*(max-min) + min."""
-    return norm.unscale(column, values)
 
 
 def read_series_csv(path, column: str, date_column: str = "Date"):
@@ -333,5 +326,44 @@ def read_frame_csv(path, date_column: str = "Date") -> TimeSeriesFrame:
                 rows.append([float(v) for v in row[1:]])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: unparseable row") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=FLOAT)
     return TimeSeriesFrame(dates, {name: arr[:, j].copy() for j, name in enumerate(names)})
+
+
+def _parse_json(where: str, text: str, parse):
+    try:
+        record = json.loads(text)
+        if not isinstance(record, dict):
+            raise TypeError("expected a JSON object")
+        return parse(record)
+    except KeyError as exc:
+        raise DataError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def read_json(path, parse):
+    """`parse(record)` of a file holding one JSON object.
+
+    Invalid JSON, a non-object, or a record that `parse` rejects with a
+    KeyError, TypeError or ValueError raises DataError naming the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return _parse_json(str(path), fh.read(), parse)
+
+
+def read_jsonl(path, parse, first=None) -> list:
+    """`parse(record)` for each non-blank line of a JSON-lines file.
+
+    `first`, when given, parses the first record instead (a file header).
+    Errors are those of `read_json`, naming the file and line.
+    """
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                fn = parse if first is None or out else first
+                out.append(_parse_json(f"{path}:{lineno}", line, fn))
+    return out

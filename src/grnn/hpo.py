@@ -2,7 +2,7 @@
 
 The search space is a list of independent dimensions: quantized integer
 ranges (units per layer, batch size) and log-uniform continuous ranges
-(learning rate).  Until `n_startup_random` trials have completed, values
+(learning rate).  Until `n_startup` trials have completed, values
 come from the prior.  After that each dimension is proposed independently:
 completed trials are split at the gamma quantile of the objective into a
 good set and a bad set, Gaussian kernel-density estimators l(x) and g(x)
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import read_jsonl
 from .numerics import FLOAT, Rng
 
 
@@ -112,9 +113,7 @@ class Trial:
     error: str = ""
 
     def to_record(self) -> dict:
-        return {"trial_id": self.trial_id, "values": self.values,
-                "objective": self.objective, "status": self.status,
-                "error": self.error}
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "Trial":
@@ -126,7 +125,7 @@ class Trial:
 @dataclass
 class TpeConfig:
     n_trials: int = 60
-    n_startup_random: int = 20
+    n_startup: int = 20
     gamma: float = 0.25
     n_ei_candidates: int = 24
     bandwidth_floor: float = 0.01      # fraction of the native range
@@ -135,8 +134,8 @@ class TpeConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.n_startup_random >= self.n_trials:
-            raise ValueError("n_startup_random must be < n_trials")
+        if self.n_startup >= self.n_trials:
+            raise ValueError("n_startup must be < n_trials")
 
 
 def split_good_bad(complete: list[Trial], gamma: float):
@@ -208,7 +207,7 @@ def _suggest_dim(dist, good_native: np.ndarray, bad_native: np.ndarray,
 def suggest(history: list[Trial], space: SearchSpace, cfg: TpeConfig, rng: Rng) -> dict:
     """Propose values for every dimension given the trials so far."""
     complete = [t for t in history if t.status == "complete"]
-    if len(complete) < cfg.n_startup_random:
+    if len(complete) < cfg.n_startup:
         return space.sample_prior(rng)
     good, bad = split_good_bad(complete, cfg.gamma)
     out = {}
@@ -258,10 +257,4 @@ def save_history(path, history: list[Trial]) -> None:
 
 
 def load_history(path) -> list[Trial]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Trial.from_record(json.loads(line)))
-    return out
+    return read_jsonl(path, Trial.from_record)

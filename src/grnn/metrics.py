@@ -10,11 +10,11 @@ rmse == rmse_nd * (target max - min) holds exactly up to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import WindowedDataset, inverse_transform
+from .data import WindowedDataset
 from .network import NetworkParams, NetworkSpec, predict_batch
 from .numerics import FLOAT, ShapeError
 
@@ -62,16 +62,7 @@ class EvalReport:
     architecture: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "seed": self.seed,
-            "n": self.n,
-            "r2": self.r2,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "mape_pct": self.mape_pct,
-            "rmse_nd": self.rmse_nd,
-        }
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "EvalReport":
@@ -96,8 +87,8 @@ def evaluate(spec: NetworkSpec, params: NetworkParams, dataset: WindowedDataset,
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     preds_nd = predict_batch(spec, params, xs)[:, 0]
     rmse_nd = rmse(ys, preds_nd)
-    y_raw = inverse_transform(ys, dataset.norm, dataset.target_name)
-    p_raw = inverse_transform(preds_nd, dataset.norm, dataset.target_name)
+    y_raw = dataset.norm.unscale(dataset.target_name, ys)
+    p_raw = dataset.norm.unscale(dataset.target_name, preds_nd)
     frac = mape(y_raw, p_raw)
     return EvalReport(
         r2=r2(y_raw, p_raw),

@@ -162,7 +162,3 @@ def t_sf(t: float, dof: float) -> float:
     x = dof / (dof + t * t)
     tail = 0.5 * betainc(0.5 * dof, 0.5, x)
     return tail if t > 0.0 else 1.0 - tail
-
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import WindowedDataset
+from .data import DataError, WindowedDataset, read_jsonl
 from .metrics import EvalReport, evaluate
 from .network import NetworkParams, NetworkSpec, backward, forward_batch
 from .numerics import FLOAT, Rng
@@ -140,15 +140,13 @@ class RunRecord:
     error: str = ""
 
     def to_record(self) -> dict:
-        out = {"seed": self.seed, "status": self.status,
-               "stopped_epoch": self.stopped_epoch, "train_loss": self.train_loss,
-               "retained": self.retained, "error": self.error}
-        out["report"] = self.report.to_record() if self.report else None
-        return out
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "RunRecord":
         report = EvalReport.from_record(rec["report"]) if rec.get("report") else None
+        if rec.get("retained") and report is None:
+            raise ValueError("a retained run needs a report")
         return cls(seed=rec["seed"], status=rec["status"],
                    stopped_epoch=rec.get("stopped_epoch", 0),
                    train_loss=rec.get("train_loss"), report=report,
@@ -234,10 +232,8 @@ def save_archive(path, archive: RunArchive) -> None:
 
 
 def load_archive(path) -> RunArchive:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in (l.strip() for l in fh) if line]
-    if not lines:
-        raise ValueError(f"{path}: empty archive")
-    header = json.loads(lines[0])
-    runs = [RunRecord.from_record(json.loads(line)) for line in lines[1:]]
+    records = read_jsonl(path, RunRecord.from_record, first=dict)
+    if not records:
+        raise DataError(f"{path}: empty archive")
+    header, *runs = records
     return RunArchive(architecture=header.get("architecture", ""), runs=runs)

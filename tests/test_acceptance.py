@@ -16,7 +16,6 @@ from helpers import ScalarBag, central_differences, mse
 from grnn.data import (
     TimeSeriesFrame,
     add_indicators,
-    inverse_transform,
     macd,
     normalize,
     rsi,

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from grnn.cli import main
-from grnn.config import ConfigError, load_config, parse_arch_label
+from grnn.config import ConfigError, HpoSettings, TrainSettings, load_config, parse_arch_label
 from grnn.hpo import load_history
 from grnn.network import LayerSpec, NetworkParams, NetworkSpec, load_model, save_model
 from grnn.numerics import Rng
@@ -61,6 +62,126 @@ def test_config_loading_and_overrides(tmp_path):
     assert cfg.architectures["lstm1"].units == (16,)
     cfg2 = load_config(path, overrides=["train.seed=99", "data.lookback=4"])
     assert cfg2.train.seed == 99 and cfg2.lookback == 4
+
+
+PROFILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "profiles", "*.ini")))
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=os.path.basename)
+def test_shipped_profiles_load(profile):
+    cfg = load_config(profile)
+    assert cfg.architectures and all(a.units for a in cfg.architectures.values())
+
+
+def test_empty_scalar_value_keeps_its_default(tmp_path):
+    path = write_sine_config(tmp_path)
+    cfg = load_config(path, overrides=["train.max_epochs=", "hpo.units_high=",
+                                       "data.lookback=", "train.clip_norm=",
+                                       "arch.lstm1.units="])
+    assert cfg.train.max_epochs == TrainSettings().max_epochs
+    assert cfg.hpo.units_high == HpoSettings().units_high
+    assert cfg.lookback == 10 and cfg.train.clip_norm is None
+    assert cfg.architectures["lstm1"].units is None
+    assert cfg.indicators == ()          # an empty list means none, not the default
+
+
+def test_arch_override_reaches_its_section(tmp_path):
+    path = write_sine_config(tmp_path)
+    cfg = load_config(path, overrides=["arch.lstm1.units=8", "arch.gru1.batch_size=4"])
+    assert cfg.architectures["lstm1"].units == (8,)
+    assert cfg.architectures["gru1"].batch_size == 4
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("override, named", [
+    ("train.lerning_rate=0.1", "'lerning_rate'"),
+    ("trian.seed=3", "[trian]"),
+    ("train.optimizer=adamw", "optimizer 'adamw'"),
+    ("train.activation=sigmoid", "'sigmoid'"),
+    ("train.learning_rate=-1", "learning_rate"),
+    ("hpo.n_startup_random=3", "'n_startup_random'"),
+    ("arch.lstm1.unit=3", "[arch.lstm1] unknown key 'unit'"),
+    ("hpo.gamma=1.5", "[hpo] gamma"),
+])
+def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
+    path = write_sine_config(tmp_path)      # nothing prepared under out/
+    assert main(["train", "--config", str(path), "--arch", "lstm1",
+                 "--set", override]) == 1
+    line = one_error_line(capsys)
+    assert named in line and "prepared dataset missing" not in line
+
+
+@pytest.mark.parametrize("name, content, named", [
+    ("no_units", {"learning_rate": 0.003, "batch_size": 16}, "missing key 'units'"),
+    ("a_list", [16, 0.003, 16], "expected a JSON object"),
+])
+def test_train_rejects_malformed_hyperparams(tmp_path, capsys, name, content, named):
+    path = write_sine_config(tmp_path)
+    best = tmp_path / f"{name}.json"
+    best.write_text(json.dumps(content))
+    assert main(["train", "--config", str(path), "--arch", "lstm1",
+                 "--hyperparams", str(best)]) == 1
+    line = one_error_line(capsys)
+    assert str(best) in line and named in line
+
+
+@pytest.mark.parametrize("name, mangle, named", [
+    ("norm_params.json", lambda text: "{}\n", "missing key 'columns'"),
+    ("prepared.csv", lambda text: text.splitlines()[0] + "\n", "no data rows"),
+])
+def test_train_rejects_malformed_prepared_data(tmp_path, capsys, name, mangle, named):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "out" / name
+    target.write_text(mangle(target.read_text()))
+    assert main(["train", "--config", str(path), "--arch", "lstm1"]) == 1
+    line = one_error_line(capsys)
+    assert str(target) in line and named in line
+
+
+@pytest.mark.parametrize("lines, named", [
+    (['{"architecture": "lstm1", "n_runs": 1}', '{"status": "complete"}'],
+     "archive.jsonl:2: missing key 'seed'"),
+    (["[1]"], "archive.jsonl:1: expected a JSON object"),
+    (['{"architecture": "lstm1", "n_runs": 1}', "[]"],
+     "archive.jsonl:2: expected a JSON object"),
+    ([], "empty archive"),
+    (['{"architecture": "lstm1", "n_runs": 1}',
+      '{"seed": 1, "status": "complete", "retained": true}'],
+     "archive.jsonl:2: a retained run needs a report"),
+])
+def test_compare_rejects_malformed_archive(tmp_path, capsys, lines, named):
+    path = write_sine_config(tmp_path)
+    archive = tmp_path / "out" / "train" / "lstm1" / "archive.jsonl"
+    archive.parent.mkdir(parents=True)
+    archive.write_text("".join(line + "\n" for line in lines))
+    assert main(["compare", "--config", str(path), "--arch", "lstm1"]) == 1
+    assert named in one_error_line(capsys)
+
+
+def test_hpo_bad_search_bounds_fail_before_data_loads(tmp_path, capsys):
+    path = write_sine_config(tmp_path)      # nothing prepared under out/
+    assert main(["hpo", "--config", str(path), "--arch", "lstm1",
+                 "--set", "hpo.units_low=64"]) == 1
+    assert "low must be < high" in one_error_line(capsys)
+
+
+def test_hpo_resume_rejects_trial_without_objective(tmp_path, capsys):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    log = tmp_path / "out" / "hpo" / "lstm1" / "trials.jsonl"
+    log.parent.mkdir(parents=True)
+    log.write_text('{"trial_id": 0, "values": {}, "status": "complete"}\n')
+    capsys.readouterr()
+    assert main(["hpo", "--config", str(path), "--arch", "lstm1"]) == 1
+    assert "trials.jsonl:1: missing key 'objective'" in one_error_line(capsys)
 
 
 def test_prepare_is_deterministic_and_reports_counts(tmp_path, capsys):

@@ -12,7 +12,6 @@ from grnn.data import (
     add_indicators,
     ema,
     ingest,
-    inverse_transform,
     macd,
     normalize,
     read_frame_csv,
@@ -196,7 +195,7 @@ def test_normalize_unit_interval_and_roundtrip():
     scaled, norm = normalize(frame, fit_on="full")
     for name, col in scaled.columns.items():
         assert col.min() == 0.0 and col.max() == 1.0
-        back = inverse_transform(col, norm, name)
+        back = norm.unscale(name, col)
         np.testing.assert_allclose(back, frame.columns[name], rtol=1e-9)
 
 
@@ -219,12 +218,12 @@ def test_normalize_constant_column_names_offender():
 
 def test_inverse_transform_endpoints_and_midpoint():
     norm_params = normalize(nifty_like_frame(), fit_on="full")[1]
-    assert inverse_transform(np.array([0.0]), norm_params, "NIFTY")[0] == TABLE_NIFTY_MIN
-    assert inverse_transform(np.array([1.0]), norm_params, "NIFTY")[0] == TABLE_NIFTY_MAX
-    mid = inverse_transform(np.array([0.5]), norm_params, "NIFTY")[0]
+    assert norm_params.unscale("NIFTY", np.array([0.0]))[0] == TABLE_NIFTY_MIN
+    assert norm_params.unscale("NIFTY", np.array([1.0]))[0] == TABLE_NIFTY_MAX
+    mid = norm_params.unscale("NIFTY", np.array([0.5]))[0]
     assert mid == pytest.approx(12175.725, abs=1e-9)
     with pytest.raises(DataError):
-        inverse_transform(np.array([0.5]), norm_params, "GOLD")
+        norm_params.unscale("GOLD", np.array([0.5]))
 
 
 @given(st.integers(0, 500))
@@ -232,7 +231,7 @@ def test_normalize_roundtrip_property(seed):
     frame = random_frame(seed, n=30, n_cols=2)
     scaled, norm = normalize(frame, fit_on="full")
     for name in frame.columns:
-        back = inverse_transform(scaled.columns[name], norm, name)
+        back = norm.unscale(name, scaled.columns[name])
         np.testing.assert_allclose(back, frame.columns[name], rtol=1e-9, atol=1e-9)
 
 
@@ -300,3 +299,11 @@ def test_frame_csv_roundtrip_is_exact(tmp_path):
     assert back.dates == frame.dates
     for name in frame.columns:
         np.testing.assert_array_equal(back.columns[name], frame.columns[name])
+
+
+def test_frame_csv_with_only_a_header_is_a_data_error(tmp_path):
+    path = tmp_path / "frame.csv"
+    write_frame_csv(path, random_frame(2, n=10))
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(DataError, match="no data rows"):
+        read_frame_csv(path)

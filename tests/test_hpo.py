@@ -129,7 +129,7 @@ def test_suggest_bounds_under_fuzzed_histories(seed, n_hist):
 # --- optimize ---------------------------------------------------------------
 
 def test_optimize_history_length_and_best():
-    best, hist = optimize(bowl, SPACE, TpeConfig(n_trials=25, n_startup_random=5, seed=1))
+    best, hist = optimize(bowl, SPACE, TpeConfig(n_trials=25, n_startup=5, seed=1))
     assert len(hist) == 25
     assert [t.trial_id for t in hist] == list(range(25))
     assert best.objective == min(t.objective for t in hist if t.status == "complete")
@@ -137,7 +137,7 @@ def test_optimize_history_length_and_best():
 
 def test_optimize_constant_objective_picks_first_trial():
     best, hist = optimize(lambda v: 1.0, SPACE,
-                          TpeConfig(n_trials=10, n_startup_random=3, seed=2))
+                          TpeConfig(n_trials=10, n_startup=3, seed=2))
     assert best.trial_id == 0
     assert len(hist) == 10
 
@@ -146,7 +146,7 @@ def test_optimize_all_failures_yields_none():
     def boom(values):
         raise RuntimeError("nope")
 
-    best, hist = optimize(boom, SPACE, TpeConfig(n_trials=8, n_startup_random=2, seed=3))
+    best, hist = optimize(boom, SPACE, TpeConfig(n_trials=8, n_startup=2, seed=3))
     assert best is None
     assert all(t.status == "failed" for t in hist)
     assert len(hist) == 8
@@ -156,12 +156,12 @@ def test_optimize_marks_nonfinite_objective_failed():
     def sometimes(values):
         return float("inf") if values["units"] % 2 else 1.0
 
-    _, hist = optimize(sometimes, SPACE, TpeConfig(n_trials=12, n_startup_random=4, seed=4))
+    _, hist = optimize(sometimes, SPACE, TpeConfig(n_trials=12, n_startup=4, seed=4))
     assert {t.status for t in hist} == {"complete", "failed"}
 
 
 def test_optimize_deterministic_for_fixed_seed():
-    cfg = TpeConfig(n_trials=30, n_startup_random=10, seed=11)
+    cfg = TpeConfig(n_trials=30, n_startup=10, seed=11)
     best1, hist1 = optimize(bowl, SPACE, cfg)
     best2, hist2 = optimize(bowl, SPACE, cfg)
     assert [t.values for t in hist1] == [t.values for t in hist2]
@@ -169,10 +169,10 @@ def test_optimize_deterministic_for_fixed_seed():
 
 
 def test_optimize_resume_matches_uninterrupted(tmp_path):
-    cfg = TpeConfig(n_trials=40, n_startup_random=10, seed=12)
+    cfg = TpeConfig(n_trials=40, n_startup=10, seed=12)
     _, full = optimize(bowl, SPACE, cfg)
 
-    cfg_half = TpeConfig(n_trials=20, n_startup_random=10, seed=12)
+    cfg_half = TpeConfig(n_trials=20, n_startup=10, seed=12)
     _, half = optimize(bowl, SPACE, cfg_half)
     path = tmp_path / "trials.jsonl"
     save_history(path, half)
@@ -210,4 +210,4 @@ def test_tpe_config_validation():
     with pytest.raises(ValueError):
         TpeConfig(gamma=0.0)
     with pytest.raises(ValueError):
-        TpeConfig(n_trials=10, n_startup_random=10)
+        TpeConfig(n_trials=10, n_startup=10)

@@ -37,6 +37,14 @@ stacked T*B rows, written into the caller's gradient views, and the
 gradient for the layer below, dz K^T, is computed once.  Everything is
 deterministic, and the gradients are checked against central finite
 differences in the tests.
+
+Every array a forward or backward writes, tape included, comes from a
+workspace: a dict from buffer name to array, passed as `ws`.  An array is
+reallocated only when its shape changes, so a training loop that passes
+the same workspace each step allocates nothing of the tape's size after
+the first step.  A tape is therefore valid only until the next forward on
+the same workspace.  Called without one, each function makes a fresh
+workspace and allocates as it goes.
 """
 
 from __future__ import annotations
@@ -83,11 +91,22 @@ def _activate(name: str, a: np.ndarray, out: np.ndarray) -> None:
         np.maximum(a, 0.0, out=out)
 
 
-def _activation_grad(name: str, y: np.ndarray) -> np.ndarray:
-    """d act / d pre, from the activation's output y."""
+def _activation_grad(name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write d act / d pre, from the activation's output y, into `out`."""
     if name == "tanh":
-        return 1.0 - y * y
-    return (y > 0.0).astype(FLOAT)
+        np.multiply(y, y, out=out)
+        np.subtract(1.0, out, out=out)
+    else:
+        np.greater(y, 0.0, out=out)
+    return out
+
+
+def buffer(ws: dict, name: str, shape) -> np.ndarray:
+    """Uninitialised float64 array `ws[name]`, reallocated only when its shape changes."""
+    arr = ws.get(name)
+    if arr is None or arr.shape != shape:
+        arr = ws[name] = np.empty(shape, dtype=FLOAT)
+    return arr
 
 
 def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
@@ -96,7 +115,7 @@ def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
     a += 0.5
 
 
-def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str):
+def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str, ws: dict):
     """Check shapes; return (x, T, B, H, gate pre-activations x K + b as (T, B, G*H))."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
@@ -107,32 +126,39 @@ def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str)
     if p.kernel.shape != (x.shape[2], n_gates * units) or p.bias.shape != (n_gates * units,):
         raise ShapeError(f"{what}: kernel {p.kernel.shape} does not take inputs of width {x.shape[2]}")
     steps, batch, width = x.shape
-    pre = x.reshape(steps * batch, width) @ p.kernel
+    pre = buffer(ws, "gates", (steps, batch, n_gates * units))
+    np.matmul(x.reshape(steps * batch, width), p.kernel, out=pre.reshape(steps * batch, -1))
     pre += p.bias
-    pre = pre.reshape(steps, batch, -1)
     return x, steps, batch, units, pre
 
 
-def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = True):
+def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = True,
+                 ws: dict | None = None):
     """Run an LSTM layer over a (T, B, D) window. Returns (outputs (T, B, H), LstmTape).
 
     With keep_tape=False the cell state lives in a two-row ring and the
     tape is None, so only the outputs and the gate block outlive a step.
+    Outputs and tape live in `ws` and stay valid until its next forward.
     """
-    x, steps, batch, units, gates = _project_inputs(p, x, 4, activation, "lstm_forward")
+    ws = {} if ws is None else ws
+    x, steps, batch, units, gates = _project_inputs(p, x, 4, activation, "lstm_forward", ws)
     n_sig = 3 * units
     gates[..., :n_sig] *= 0.5
-    rec = p.recurrent.copy()
+    rec = buffer(ws, "rec", p.recurrent.shape)
+    np.copyto(rec, p.recurrent)
     rec[:, :n_sig] *= 0.5           # halving is exact, so the step GEMM needs no rescale
     kept = steps if keep_tape else 1
-    h = np.zeros((steps + 1, batch, units), dtype=FLOAT)
-    c = np.zeros((kept + 1, batch, units), dtype=FLOAT)
-    act_c = np.empty((kept, batch, units), dtype=FLOAT)
+    h = buffer(ws, "h", (steps + 1, batch, units))
+    c = buffer(ws, "c", (kept + 1, batch, units))
+    h[0] = 0.0
+    c[0] = 0.0
+    act_c = buffer(ws, "act_c", (kept, batch, units))
+    hr = buffer(ws, "hr", (batch, 4 * units))
     for t in range(steps):
         c_prev, c_new, a = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], act_c[t % kept]
         g = gates[t]
         if t:
-            g += h[t] @ rec
+            g += np.matmul(h[t], rec, out=hr)
         if activation == "tanh":
             np.tanh(g, out=g)              # gates and candidate in one call
         else:
@@ -140,21 +166,24 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
             np.maximum(g[:, n_sig:], 0.0, out=g[:, n_sig:])
         _sigmoid_from_half_tanh(g[:, :n_sig])
         np.multiply(g[:, :units], c_prev, out=c_new)
-        c_new += g[:, units:2 * units] * g[:, n_sig:]
+        c_new += np.multiply(g[:, units:2 * units], g[:, n_sig:], out=a)   # a is scratch here
         _activate(activation, c_new, a)
         np.multiply(a, g[:, 2 * units:n_sig], out=h[t + 1])
     return h[1:], LstmTape(x, h, c, gates, act_c, activation) if keep_tape else None
 
 
-def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams) -> np.ndarray:
+def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
+                  ws: dict | None = None, input_grad: bool = True):
     """Backward through an LSTM layer.
 
     dh is dL/dh_t for every step, shape (T, B, H), from the layer above or
     the head.  Writes dL/dkernel, dL/drecurrent and dL/dbias into `grad`
-    and returns dL/dx, shape (T, B, D).
+    and returns dL/dx, shape (T, B, D), held in `ws` (None with
+    input_grad=False, which skips that GEMM).
     """
     if not isinstance(tape, LstmTape):
         raise ShapeError(f"lstm_backward: got a {type(tape).__name__}")
+    ws = {} if ws is None else ws
     x, h, c, gates, act_c, activation = tape
     steps, batch, units = act_c.shape
     dh = np.asarray(dh, dtype=FLOAT)
@@ -165,51 +194,63 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams) -> np.n
 
     # the factors of dz that do not depend on the recursion, for the whole window:
     # dz = [dcell, dcell, dh_t, dcell] * q, blockwise
-    q = sigmoid_grad(gates)              # the candidate block is overwritten below
+    q = sigmoid_grad(gates, buffer(ws, "q", gates.shape))   # candidate block overwritten below
     for k, factor in enumerate((c[:-1], cand, act_c)):
         q[..., k * units:(k + 1) * units] *= factor
-    np.multiply(i, _activation_grad(activation, cand), out=q[..., n_sig:])
-    cell_from_h = o * _activation_grad(activation, act_c)
+    q_cand = _activation_grad(activation, cand, q[..., n_sig:])
+    q_cand *= i
+    cell_from_h = _activation_grad(activation, act_c, buffer(ws, "cell_from_h", act_c.shape))
+    cell_from_h *= o
 
-    dz = np.empty_like(gates)
-    rec_t = np.ascontiguousarray(p.recurrent.T)     # BLAS runs this layout faster
-    dh_rec = np.zeros((batch, units), dtype=FLOAT)
-    dc = np.zeros((batch, units), dtype=FLOAT)
+    dz = buffer(ws, "dz", gates.shape)
+    rec_t = buffer(ws, "rec_t", p.recurrent.shape[::-1])
+    np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
+    dh_rec, dc, dh_t, dcell = (buffer(ws, name, (batch, units))
+                               for name in ("dh_rec", "dc", "dh_t", "dcell"))
+    dh_rec[...] = 0.0
+    dc[...] = 0.0
     for t in reversed(range(steps)):
-        dh_t = dh[t] + dh_rec
-        dcell = dh_t * cell_from_h[t]
+        np.add(dh[t], dh_rec, out=dh_t)
+        np.multiply(dh_t, cell_from_h[t], out=dcell)
         dcell += dc
         np.multiply(q[t].reshape(batch, 4, units), dcell[:, None, :],
                     out=dz[t].reshape(batch, 4, units))
         np.multiply(dh_t, q[t, :, 2 * units:n_sig], out=dz[t, :, 2 * units:n_sig])
         if t:
-            dc = dcell * f[t]
-            dh_rec = dz[t] @ rec_t
-    return _weight_grads(p, grad, x, dz, ((h[:-1], slice(None)),))
+            np.multiply(dcell, f[t], out=dc)
+            np.matmul(dz[t], rec_t, out=dh_rec)
+    return _weight_grads(p, grad, x, dz, ((h[:-1], slice(None)),), ws, input_grad)
 
 
-def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = True):
+def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = True,
+                ws: dict | None = None):
     """Run a GRU layer over a (T, B, D) window. Returns (outputs (T, B, H), GruTape).
 
-    With keep_tape=False r * h_{t-1} lives in a one-row buffer and the tape is None.
+    With keep_tape=False r * h_{t-1} lives in a one-row buffer and the tape
+    is None.  Outputs and tape live in `ws` and stay valid until its next forward.
     """
-    x, steps, batch, units, gates = _project_inputs(p, x, 3, activation, "gru_forward")
+    ws = {} if ws is None else ws
+    x, steps, batch, units, gates = _project_inputs(p, x, 3, activation, "gru_forward", ws)
     n_sig = 2 * units
     gates[..., :n_sig] *= 0.5
-    rec_rz = p.recurrent[:, :n_sig] * 0.5     # exact halving, as in lstm_forward
+    rec_rz = buffer(ws, "rec_rz", (units, n_sig))
+    np.multiply(p.recurrent[:, :n_sig], 0.5, out=rec_rz)     # exact halving, as in lstm_forward
     rec_c = p.recurrent[:, n_sig:]
-    h = np.zeros((steps + 1, batch, units), dtype=FLOAT)
+    h = buffer(ws, "h", (steps + 1, batch, units))
+    h[0] = 0.0
     kept = steps if keep_tape else 1
-    rh = np.empty((kept, batch, units), dtype=FLOAT)
+    rh = buffer(ws, "rh", (kept, batch, units))
+    hr_rz = buffer(ws, "hr_rz", (batch, n_sig))
+    hr_c = buffer(ws, "hr_c", (batch, units))
     for t in range(steps):
         rz, cand, rh_t = gates[t, :, :n_sig], gates[t, :, n_sig:], rh[t % kept]
         if t:
-            rz += h[t] @ rec_rz
+            rz += np.matmul(h[t], rec_rz, out=hr_rz)
         np.tanh(rz, out=rz)
         _sigmoid_from_half_tanh(rz)
         np.multiply(rz[:, :units], h[t], out=rh_t)
         if t:
-            cand += rh_t @ rec_c
+            cand += np.matmul(rh_t, rec_c, out=hr_c)
         _activate(activation, cand, cand)
         np.subtract(cand, h[t], out=h[t + 1])
         h[t + 1] *= rz[:, units:]
@@ -217,10 +258,12 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     return h[1:], GruTape(x, h, gates, rh, activation) if keep_tape else None
 
 
-def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams) -> np.ndarray:
+def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
+                 ws: dict | None = None, input_grad: bool = True):
     """Backward through a GRU layer; same contract as `lstm_backward`."""
     if not isinstance(tape, GruTape):
         raise ShapeError(f"gru_backward: got a {type(tape).__name__}")
+    ws = {} if ws is None else ws
     x, h, gates, rh, activation = tape
     steps, batch, units = rh.shape
     dh = np.asarray(dh, dtype=FLOAT)
@@ -230,32 +273,43 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams) -> np.nda
     h_prev = h[:-1]
     r, z, cand = (gates[..., k * units:(k + 1) * units] for k in range(3))
 
-    # factors of dz that do not depend on the recursion, for the whole window
-    q_r = h_prev * sigmoid_grad(r)
-    q_z = (cand - h_prev) * sigmoid_grad(z)
-    q_c = z * _activation_grad(activation, cand)
-    keep = 1.0 - z
+    # factors of dz that do not depend on the recursion, for the whole window:
+    # q_r = h_prev sig'(r), q_z = (h~ - h_prev) sig'(z), q_c = z act'(h~), keep = 1 - z
+    q_r = sigmoid_grad(r, buffer(ws, "q_r", rh.shape))
+    q_r *= h_prev
+    q_z = sigmoid_grad(z, buffer(ws, "q_z", rh.shape))
+    keep = np.subtract(cand, h_prev, out=buffer(ws, "keep", rh.shape))
+    q_z *= keep
+    q_c = _activation_grad(activation, cand, buffer(ws, "q_c", rh.shape))
+    q_c *= z
+    np.subtract(1.0, z, out=keep)
 
-    dz = np.empty_like(gates)
-    rec_rz_t = np.ascontiguousarray(p.recurrent[:, :n_sig].T)
-    rec_c_t = np.ascontiguousarray(p.recurrent[:, n_sig:].T)
-    dh_rec = np.zeros((batch, units), dtype=FLOAT)
+    dz = buffer(ws, "dz", gates.shape)
+    rec_rz_t = buffer(ws, "rec_rz_t", (n_sig, units))
+    np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
+    rec_c_t = buffer(ws, "rec_c_t", (units, units))
+    np.copyto(rec_c_t, p.recurrent[:, n_sig:].T)
+    dh_rec, dh_t, d_rh, dh_rz = (buffer(ws, name, (batch, units))
+                                 for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
+    dh_rec[...] = 0.0
     for t in reversed(range(steps)):
-        dh_t = dh[t] + dh_rec
+        np.add(dh[t], dh_rec, out=dh_t)
         dz_c = np.multiply(dh_t, q_c[t], out=dz[t, :, n_sig:])
-        d_rh = dz_c @ rec_c_t
+        np.matmul(dz_c, rec_c_t, out=d_rh)
         np.multiply(d_rh, q_r[t], out=dz[t, :, :units])
         np.multiply(dh_t, q_z[t], out=dz[t, :, units:n_sig])
         if t:
-            dh_rec = dh_t * keep[t]
-            dh_rec += dz[t, :, :n_sig] @ rec_rz_t
+            np.multiply(dh_t, keep[t], out=dh_rec)
+            dh_rec += np.matmul(dz[t, :, :n_sig], rec_rz_t, out=dh_rz)
             d_rh *= r[t]
             dh_rec += d_rh
-    return _weight_grads(p, grad, x, dz, ((h_prev, slice(None, n_sig)), (rh, slice(n_sig, None))))
+    return _weight_grads(p, grad, x, dz, ((h_prev, slice(None, n_sig)), (rh, slice(n_sig, None))),
+                         ws, input_grad)
 
 
-def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs) -> np.ndarray:
-    """One GEMM per weight gradient over the stacked T*B rows; returns dL/dx.
+def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs, ws: dict,
+                  input_grad: bool):
+    """One GEMM per weight gradient over the stacked T*B rows; returns dL/dx or None.
 
     `recurrent_inputs` pairs each (T, B, H) input of the recurrent product
     with the gate columns it feeds.
@@ -266,5 +320,11 @@ def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs) ->
     for inp, cols in recurrent_inputs:
         np.matmul(inp.reshape(rows, -1).T, dz[:, cols], out=grad.recurrent[:, cols])
     np.matmul(x.reshape(rows, -1).T, dz, out=grad.kernel)
-    np.matmul(np.ones(rows), dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
-    return (dz @ p.kernel.T).reshape(steps, batch, -1)
+    ones = buffer(ws, "ones", (rows,))
+    ones[...] = 1.0
+    np.matmul(ones, dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
+    if not input_grad:
+        return None
+    dx = buffer(ws, "dx", x.shape)
+    np.matmul(dz, p.kernel.T, out=dx.reshape(rows, -1))
+    return dx

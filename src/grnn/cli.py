@@ -39,7 +39,8 @@ from .data import (
     window,
     write_frame_csv,
 )
-from .hpo import IntUniform, LogUniform, SearchSpace, load_history, optimize, save_history
+from .hpo import (IntUniform, LogUniform, SearchSpace, load_history, optimize, save_history,
+                  trial_line)
 from .metrics import EvalReport, evaluate
 from .network import (LayerSpec, ModelFormatError, NetworkSpec, load_model, predict_batch,
                       save_model)
@@ -148,7 +149,8 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
 
     history = []
     if os.path.exists(log_path):
-        history = load_history(log_path)
+        history = load_history(log_path, space)
+        save_history(log_path, history)     # without a torn last line, before appending
         info(f"resuming from {len(history)} recorded trials")
 
     def objective(values: dict) -> float:
@@ -161,12 +163,14 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
         report = evaluate(spec, result.best_params, dataset, split="test")
         return report.rmse_nd
 
-    def on_trial(trial):
-        info(f"trial {trial.trial_id}: {trial.status} objective={trial.objective}")
+    with open(log_path, "a", encoding="utf-8") as log:
+        def on_trial(trial):
+            log.write(trial_line(trial))
+            log.flush()
+            info(f"trial {trial.trial_id}: {trial.status} objective={trial.objective}")
 
-    best, history = optimize(objective, space, cfg.hpo, history=history,
-                             on_trial=on_trial)
-    save_history(log_path, history)
+        best, history = optimize(objective, space, cfg.hpo, history=history,
+                                 on_trial=on_trial)
     if best is None:
         info("no complete trial")
         return 1

@@ -67,6 +67,8 @@ class TrainSettings(TrainConfig):
         super().__post_init__()
         OptimizerState.create(self.optimizer, self.learning_rate)
         LayerSpec("lstm", 1, self.activation)
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
 
 
 @dataclass
@@ -81,6 +83,11 @@ class HpoSettings(TpeConfig):
     lr_high: float = 1e-2
     batch_low: int = 16
     batch_high: int = 128
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
 
 
 @dataclass

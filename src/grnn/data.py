@@ -344,6 +344,14 @@ def _parse_json(where: str, text: str, parse):
         raise DataError(f"{where}: {exc}") from None
 
 
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
 def read_json(path, parse):
     """`parse(record)` of a file holding one JSON object.
 
@@ -354,15 +362,19 @@ def read_json(path, parse):
         return _parse_json(str(path), fh.read(), parse)
 
 
-def read_jsonl(path, parse, first=None) -> list:
+def read_jsonl(path, parse, first=None, drop_torn_tail: bool = False) -> list:
     """`parse(record)` for each non-blank line of a JSON-lines file.
 
     `first`, when given, parses the first record instead (a file header).
-    Errors are those of `read_json`, naming the file and line.
+    With drop_torn_tail, a last line that has no newline and is not valid
+    JSON (the torn end of an interrupted append) is skipped.  Errors are
+    those of `read_json`, naming the file and line.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if drop_torn_tail and not line.endswith("\n") and not _is_json(line):
+                break
             if line.strip():
                 fn = parse if first is None or out else first
                 out.append(_parse_json(f"{path}:{lineno}", line, fn))

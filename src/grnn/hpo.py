@@ -2,8 +2,9 @@
 
 The search space is a list of independent dimensions: quantized integer
 ranges (units per layer, batch size) and log-uniform continuous ranges
-(learning rate).  Until `n_startup` trials have completed, values
-come from the prior.  After that each dimension is proposed independently:
+(learning rate).  Until `n_startup` trials have completed, and while
+the good or the bad set below would be empty, values come from the
+prior.  After that each dimension is proposed independently:
 completed trials are split at the gamma quantile of the objective into a
 good set and a bad set, Gaussian kernel-density estimators l(x) and g(x)
 are built over each set's values in the dimension's native space (log
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -103,6 +105,18 @@ class SearchSpace:
     def sample_prior(self, rng: Rng) -> dict:
         return {d.name: d.sample_prior(rng) for d in self.dims}
 
+    def check(self, values) -> None:
+        """Raise KeyError, TypeError or ValueError unless `values` holds a
+        finite number for every dimension."""
+        if not isinstance(values, dict):
+            raise TypeError(f"'values' is not an object: {values!r}")
+        for d in self.dims:
+            value = values[d.name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"value of {d.name!r} is not a number: {value!r}")
+            if not math.isfinite(d.to_native(value)):
+                raise ValueError(f"value of {d.name!r} is not finite: {value!r}")
+
 
 @dataclass
 class Trial:
@@ -134,6 +148,10 @@ class TpeConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
+        if self.n_startup < 0:
+            raise ValueError("n_startup must be >= 0")
         if self.n_startup >= self.n_trials:
             raise ValueError("n_startup must be < n_trials")
 
@@ -207,9 +225,9 @@ def _suggest_dim(dist, good_native: np.ndarray, bad_native: np.ndarray,
 def suggest(history: list[Trial], space: SearchSpace, cfg: TpeConfig, rng: Rng) -> dict:
     """Propose values for every dimension given the trials so far."""
     complete = [t for t in history if t.status == "complete"]
-    if len(complete) < cfg.n_startup:
-        return space.sample_prior(rng)
     good, bad = split_good_bad(complete, cfg.gamma)
+    if len(complete) < cfg.n_startup or not good or not bad:
+        return space.sample_prior(rng)
     out = {}
     for dim in space.dims:
         g = np.array([dim.to_native(t.values[dim.name]) for t in good], dtype=FLOAT)
@@ -250,11 +268,29 @@ def optimize(objective, space: SearchSpace, cfg: TpeConfig,
     return best, history
 
 
+def trial_line(trial: Trial) -> str:
+    """One line of a trial log."""
+    return json.dumps(trial.to_record(), sort_keys=True) + "\n"
+
+
 def save_history(path, history: list[Trial]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in history:
-            fh.write(json.dumps(t.to_record(), sort_keys=True) + "\n")
+    """Write a whole trial log atomically: a temp file, then os.replace."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(trial_line(t) for t in history)
+    os.replace(tmp, path)
 
 
-def load_history(path) -> list[Trial]:
-    return read_jsonl(path, Trial.from_record)
+def load_history(path, space: SearchSpace | None = None) -> list[Trial]:
+    """Trials of a log; with `space`, each trial's values are checked against it.
+
+    A last line with no newline that is not valid JSON is the torn end of
+    an interrupted append and is dropped.
+    """
+    def parse(record):
+        trial = Trial.from_record(record)
+        if space is not None:
+            space.check(trial.values)
+        return trial
+
+    return read_jsonl(path, parse, drop_torn_tail=True)

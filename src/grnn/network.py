@@ -20,6 +20,10 @@ ufuncs over flat arrays.
 layer at a time over the whole window and records a ForwardTape, which
 `backward` consumes to write exact gradients, summed over timesteps,
 straight into the gradient vector.  `predict_batch` keeps no tape.
+Both `forward_batch` and `backward` take an optional workspace (a dict;
+see `cells.py`) and give each layer its own part of it, so a training
+loop that passes one workspace to every step reuses the tape's and the
+backward's arrays; the tape is then valid until the next forward.
 
 Checkpoints (format version 1) are a single self-describing file: a JSON
 header line (format version, layer kinds/units/activations, optional
@@ -51,6 +55,7 @@ from .cells import (
     GRU_GATES,
     LSTM_GATES,
     LayerParams,
+    buffer,
     gru_backward,
     gru_forward,
     lstm_backward,
@@ -215,18 +220,28 @@ def _time_major(spec: NetworkSpec, windows) -> np.ndarray:
     return np.ascontiguousarray(windows.transpose(1, 0, 2))
 
 
-def _layer_forward(layer: LayerSpec, p: LayerParams, x, keep_tape: bool = True):
-    if layer.cell_kind == "lstm":
-        return lstm_forward(p, x, layer.activation, keep_tape)
-    return gru_forward(p, x, layer.activation, keep_tape)
+def _layer_forward(layer: LayerSpec, p: LayerParams, x, keep_tape: bool = True, ws=None):
+    forward = lstm_forward if layer.cell_kind == "lstm" else gru_forward
+    return forward(p, x, layer.activation, keep_tape, ws)
 
 
-def forward_batch(spec: NetworkSpec, params: NetworkParams, windows) -> tuple[np.ndarray, ForwardTape]:
-    """Run a (batch, lookback, features) stack of windows. Returns (preds, tape)."""
+def _layer_ws(ws: dict, index: int) -> dict:
+    """Layer `index`'s part of a network workspace."""
+    return ws.setdefault(f"layer{index}", {})
+
+
+def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
+                  ws: dict | None = None) -> tuple[np.ndarray, ForwardTape]:
+    """Run a (batch, lookback, features) stack of windows. Returns (preds, tape).
+
+    The tape's arrays live in `ws` (a fresh workspace when None) and stay
+    valid only until the next forward on the same workspace.
+    """
+    ws = {} if ws is None else ws
     x = _time_major(spec, windows)
     tapes = []
-    for layer, p in zip(spec.layers, params.layers):
-        x, tape = _layer_forward(layer, p, x)
+    for l, (layer, p) in enumerate(zip(spec.layers, params.layers)):
+        x, tape = _layer_forward(layer, p, x, ws=_layer_ws(ws, l))
         tapes.append(tape)
     h_last = x[-1]
     preds = h_last @ params.head_w.T + params.head_b
@@ -257,26 +272,38 @@ def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarr
     return x[-1] @ params.head_w.T + params.head_b
 
 
-def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred) -> NetworkParams:
-    """Full-unrolled BPTT from dL/dprediction; returns the gradients, summed over timesteps."""
+def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
+             grads: NetworkParams | None = None, ws: dict | None = None) -> NetworkParams:
+    """Full-unrolled BPTT from dL/dprediction; returns the gradients, summed over timesteps.
+
+    The gradients are written into `grads` (a fresh NetworkParams of `spec`
+    when None); every element is overwritten, so a training loop can pass
+    the same container each step.  `ws` is the workspace the tape's forward
+    used, or any other: backward adds its own arrays under names the
+    forward does not use.  The tape must come from the latest forward on
+    its workspace.
+    """
     dpred = np.asarray(dpred, dtype=FLOAT)
     if dpred.ndim == 1:
         dpred = dpred[None, :]
     batch = tape.h_last.shape[0]
     if dpred.shape != (batch, spec.output_dim):
         raise ShapeError(f"dpred shape {dpred.shape}, expected {(batch, spec.output_dim)}")
+    if grads is None:
+        grads = NetworkParams(spec)
+    elif grads.spec != spec:
+        raise ShapeError("grads were built for a different network spec")
+    ws = {} if ws is None else ws
 
-    grads = NetworkParams(spec)
     np.matmul(dpred.T, tape.h_last, out=grads.head_w)
     np.sum(dpred, axis=0, out=grads.head_b)
-    top = tape.layers[-1]
-    dh = np.zeros(top.h[1:].shape, dtype=FLOAT)
-    dh[-1] = dpred @ params.head_w
+    dh = buffer(ws, "dh_top", tape.layers[-1].h[1:].shape)
+    dh[:-1] = 0.0
+    np.matmul(dpred, params.head_w, out=dh[-1])
     for l in reversed(range(len(spec.layers))):
-        if spec.layers[l].cell_kind == "lstm":
-            dh = lstm_backward(params.layers[l], tape.layers[l], dh, grads.layers[l])
-        else:
-            dh = gru_backward(params.layers[l], tape.layers[l], dh, grads.layers[l])
+        layer_backward = lstm_backward if spec.layers[l].cell_kind == "lstm" else gru_backward
+        dh = layer_backward(params.layers[l], tape.layers[l], dh, grads.layers[l],
+                            _layer_ws(ws, l), input_grad=l > 0)
     return grads
 
 

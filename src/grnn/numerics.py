@@ -36,9 +36,14 @@ def relu(x):
     return np.maximum(np.asarray(x, dtype=FLOAT), 0.0)
 
 
-def sigmoid_grad(y):
-    """d sigmoid/dx expressed in terms of the output y = sigmoid(x)."""
-    return y * (1.0 - y)
+def sigmoid_grad(y, out=None):
+    """d sigmoid/dx expressed in terms of the output y = sigmoid(x): y (1 - y).
+
+    With `out`, the result is written there.
+    """
+    out = np.subtract(1.0, y, out=out)
+    out *= y
+    return out
 
 
 class Rng:

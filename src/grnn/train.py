@@ -6,7 +6,10 @@ second stream of the same seed.  The monitored quantity is the training
 MSE; early stopping fires when the best loss so far has not improved by
 at least 1e-12 for `patience` consecutive epochs (the test split never
 influences stopping).  The weights with the lowest monitored loss are the
-returned model.
+returned model.  A run keeps one workspace for the tapes and the
+backward's arrays and one gradient vector, so its steps reuse memory
+instead of allocating it; only the epoch's short last batch, whose shape
+differs, reallocates the workspace's arrays.
 
 `run_experiment` trains with seeds seed, seed+1, ... and evaluates each
 run on the held-out test split, retaining runs whose test R^2 clears the
@@ -53,6 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 
@@ -82,6 +87,8 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
     params = NetworkParams.init(spec, seed_rng.child(0))
     shuffle_rng = seed_rng.child(1)
     opt = OptimizerState.create(cfg.optimizer, cfg.learning_rate)
+    ws: dict = {}
+    grads = NetworkParams(spec)
 
     best_loss = np.inf
     best_params = params.copy()
@@ -97,7 +104,7 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
             bx, by = xs[idx], ys[idx]
             # overflow surfaces through the explicit finite-loss check
             with np.errstate(over="ignore", invalid="ignore"):
-                preds, tape = forward_batch(spec, params, bx)
+                preds, tape = forward_batch(spec, params, bx, ws)
                 err = preds[:, 0] - by
                 batch_loss = float(np.mean(err * err))
             if not np.isfinite(batch_loss):
@@ -105,7 +112,7 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
                     f"non-finite training loss at epoch {epoch} (seed {cfg.seed})")
             sq_err_sum += batch_loss * idx.size
             dpred = (2.0 * err / idx.size)[:, None]
-            grads = backward(spec, params, tape, dpred)
+            backward(spec, params, tape, dpred, grads, ws)
             if cfg.clip_norm is not None:
                 clip_gradients(grads, cfg.clip_norm)
             apply(opt, params, grads)

@@ -5,12 +5,14 @@ import os
 import numpy as np
 import pytest
 
+from grnn import cli
 from grnn.cli import main
 from grnn.config import ConfigError, HpoSettings, TrainSettings, load_config, parse_arch_label
 from grnn.hpo import load_history
 from grnn.network import LayerSpec, NetworkParams, NetworkSpec, load_model, save_model
 from grnn.numerics import Rng
 from grnn.synthetic import write_bundle, write_sine
+from grnn.train import train
 
 
 def write_sine_config(tmp_path, **overrides):
@@ -108,6 +110,11 @@ def one_error_line(capsys) -> str:
     ("hpo.n_startup_random=3", "'n_startup_random'"),
     ("arch.lstm1.unit=3", "[arch.lstm1] unknown key 'unit'"),
     ("hpo.gamma=1.5", "[hpo] gamma"),
+    ("train.max_epochs=0", "[train] max_epochs must be >= 1"),
+    ("train.repeats=0", "[train] repeats must be >= 1"),
+    ("hpo.max_epochs=0", "[hpo] max_epochs must be >= 1"),
+    ("hpo.n_trials=0", "[hpo] n_trials must be >= 1"),
+    ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
 ])
 def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
     path = write_sine_config(tmp_path)      # nothing prepared under out/
@@ -182,6 +189,59 @@ def test_hpo_resume_rejects_trial_without_objective(tmp_path, capsys):
     capsys.readouterr()
     assert main(["hpo", "--config", str(path), "--arch", "lstm1"]) == 1
     assert "trials.jsonl:1: missing key 'objective'" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("values, named", [
+    ("5", "'values' is not an object"),
+    ('{"units_0": 8, "batch_size": 16}', "missing key 'learning_rate'"),
+    ('{"units_0": 8, "learning_rate": "fast", "batch_size": 16}',
+     "value of 'learning_rate' is not a number"),
+])
+def test_hpo_resume_rejects_malformed_trial_values(tmp_path, capsys, values, named):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    log = tmp_path / "out" / "hpo" / "lstm1" / "trials.jsonl"
+    log.parent.mkdir(parents=True)
+    text = ('{"trial_id": 0, "values": {"units_0": 8, "learning_rate": 0.003, "batch_size": 16}, '
+            '"objective": 0.2, "status": "complete"}\n'
+            f'{{"trial_id": 1, "values": {values}, "objective": 0.1, "status": "complete"}}\n')
+    log.write_text(text)
+    capsys.readouterr()
+    assert main(["hpo", "--config", str(path), "--arch", "lstm1",
+                 "--set", "hpo.n_startup=1"]) == 1
+    line = one_error_line(capsys)                      # no trial ran
+    assert f"{log}:2: " in line and named in line
+    assert log.read_text() == text
+
+
+def test_hpo_log_survives_a_crash_and_a_torn_line(tmp_path, capsys, monkeypatch):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    hpo = ["hpo", "--config", str(path), "--arch", "lstm1", "--set", "hpo.n_startup=1"]
+    log = tmp_path / "out" / "hpo" / "lstm1" / "trials.jsonl"
+    assert main(hpo) == 0
+    whole = log.read_bytes()
+    assert len(whole.splitlines()) == 6
+    log.unlink()
+
+    calls = []
+
+    def crashing_train(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return train(*args)
+
+    monkeypatch.setattr(cli, "train", crashing_train)
+    with pytest.raises(KeyboardInterrupt):
+        main(hpo)
+    assert log.read_bytes() == b"".join(whole.splitlines(keepends=True)[:2])
+    monkeypatch.setattr(cli, "train", train)
+
+    log.write_bytes(log.read_bytes()[:-20])     # an append torn by the crash
+    assert main(hpo) == 0
+    assert log.read_bytes() == whole
+    capsys.readouterr()
 
 
 def test_prepare_is_deterministic_and_reports_counts(tmp_path, capsys):

@@ -211,3 +211,29 @@ def test_tpe_config_validation():
         TpeConfig(gamma=0.0)
     with pytest.raises(ValueError):
         TpeConfig(n_trials=10, n_startup=10)
+
+
+@pytest.mark.parametrize("n_startup", [0, 1])
+def test_tiny_startup_draws_from_the_prior_until_both_sets_fill(n_startup):
+    cfg = TpeConfig(n_trials=6, n_startup=n_startup, seed=14)
+    for n_complete in (0, 1):
+        hist = make_history(Rng(15), n_complete)
+        assert suggest(hist, SPACE, cfg, Rng(16)) == SPACE.sample_prior(Rng(16))
+    _, hist = optimize(bowl, SPACE, cfg)
+    assert [t.status for t in hist] == ["complete"] * 6
+
+
+def test_negative_startup_is_rejected():
+    with pytest.raises(ValueError, match="n_startup must be >= 0"):
+        TpeConfig(n_trials=10, n_startup=-1)
+
+
+def test_torn_last_line_of_a_history_is_dropped(tmp_path):
+    hist = make_history(Rng(17), 3)
+    path = tmp_path / "trials.jsonl"
+    save_history(path, hist)
+    text = path.read_text()
+    path.write_text(text[:-20])
+    assert [t.to_record() for t in load_history(path)] == [t.to_record() for t in hist[:2]]
+    path.write_text(text[:-1])          # only the newline lost: the record is whole
+    assert len(load_history(path)) == 3

@@ -5,6 +5,7 @@ import pytest
 from helpers import ScalarBag
 
 from grnn.network import LayerSpec, NetworkParams, NetworkSpec
+from grnn import optim
 from grnn.numerics import Rng, ShapeError
 from grnn.optim import (
     DEFAULT_LEARNING_RATES,
@@ -179,3 +180,45 @@ def test_unknown_kind_and_bad_lr_rejected():
         OptimizerState(kind="adamw", learning_rate=0.1)
     with pytest.raises(ValueError):
         OptimizerState(kind="sgd", learning_rate=0.0)
+
+
+def run_blocked_and_single_block(kind, monkeypatch, grads_steps, theta0):
+    """(params, m, v) after the steps, with BLOCK as shipped and with one block."""
+    out = []
+    for block in (optim.BLOCK, theta0.size):
+        monkeypatch.setattr(optim, "BLOCK", block)
+        theta, state = ScalarBag(theta0.copy()), OptimizerState.create(kind)
+        for g in grads_steps:
+            apply(state, theta, ScalarBag(g.copy()))
+        out.append((theta.value, state.m, state.v))
+    return out
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_blocked_apply_equals_one_block(kind, monkeypatch):
+    n = optim.BLOCK * 5 // 2
+    rng = np.random.Generator(np.random.Philox(key=13))
+    theta0 = rng.standard_normal(n)
+    grad_steps = [rng.standard_normal(n) * scale for scale in (1.0, 0.1, 3.0)]
+    blocked, single = run_blocked_and_single_block(kind, monkeypatch, grad_steps, theta0)
+    for got, want in zip(blocked, single):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
+def test_nan_in_last_block_updates_nothing_and_names_its_tensor():
+    spec = NetworkSpec(layers=(LayerSpec("lstm", 128),), input_dim=8)
+    params, grads = NetworkParams.init(spec, Rng(2)), NetworkParams.zeros(spec)
+    assert params.flat.size > 2 * optim.BLOCK
+    grads.flat[:] = 0.01
+    state = OptimizerState.create("nadam")
+    apply(state, params, grads)
+    before = [params.flat.copy(), state.m.copy(), state.v.copy()]
+    grads.head_w[0, -1] = np.nan              # the last block holds the head
+    with pytest.raises(NonFiniteGradient, match="head.w"):
+        apply(state, params, grads)
+    for got, want in zip((params.flat, state.m, state.v), before):
+        np.testing.assert_array_equal(got, want)
+    assert state.step_count == 1

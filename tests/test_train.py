@@ -1,12 +1,14 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grnn.data import NormalizationParams, WindowedDataset
 from grnn.metrics import evaluate
-from grnn.network import LayerSpec, NetworkSpec
-from grnn.numerics import FLOAT
+from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
+from grnn.numerics import FLOAT, Rng
+from grnn.optim import OptimizerState, apply
 from grnn.train import (
     RunArchive,
     TrainConfig,
@@ -160,3 +162,69 @@ def test_metric_samples_pull_retained_only(sine_dataset):
     samples = archive.metric_samples("r2")
     assert samples.size == len(archive.retained)
     assert np.all(samples > 0.90)
+
+
+def reference_train(spec, data, cfg):
+    """`train`'s loop with no workspace and a fresh gradient vector per step."""
+    seed_rng = Rng(cfg.seed)
+    params = NetworkParams.init(spec, seed_rng.child(0))
+    shuffle_rng = seed_rng.child(1)
+    opt = OptimizerState.create(cfg.optimizer, cfg.learning_rate)
+    n = data.train_x.shape[0]
+    losses, best, best_loss = [], params.copy(), np.inf
+    for _ in range(cfg.max_epochs):
+        order = shuffle_rng.permutation(n)
+        sq_err_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            preds, tape = forward_batch(spec, params, data.train_x[idx])
+            err = preds[:, 0] - data.train_y[idx]
+            batch_loss = float(np.mean(err * err))
+            sq_err_sum += batch_loss * idx.size
+            apply(opt, params, backward(spec, params, tape, (2.0 * err / idx.size)[:, None]))
+        losses.append(sq_err_sum / n)
+        if losses[-1] < best_loss - 1e-12:
+            best_loss, best = losses[-1], params.copy()
+    return best, losses
+
+
+@pytest.mark.parametrize("layers", [
+    (LayerSpec("lstm", 9),),
+    (LayerSpec("gru", 7),),
+    (LayerSpec("gru", 6), LayerSpec("lstm", 5)),
+    (LayerSpec("lstm", 6, "relu"), LayerSpec("gru", 5, "relu")),
+])
+def test_train_with_workspace_is_byte_identical_to_fresh_arrays(sine_dataset, layers):
+    spec = NetworkSpec(layers=layers, input_dim=1)
+    cfg = TrainConfig(batch_size=15, max_epochs=3, patience=10, learning_rate=0.01, seed=8)
+    assert sine_dataset.train_x.shape[0] % cfg.batch_size != 0    # a short last batch
+    result = train(spec, sine_dataset, cfg)
+    best, losses = reference_train(spec, sine_dataset, cfg)
+    assert result.best_params.flat.tobytes() == best.flat.tobytes()
+    assert np.array(result.epoch_losses).tobytes() == np.array(losses).tobytes()
+
+
+def test_steady_training_step_allocates_less_than_one_gate_block():
+    steps, batch, features, units = 10, 46, 8, 47          # the c09 shape
+    spec = NetworkSpec(layers=(LayerSpec("lstm", units),), input_dim=features)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((batch, steps, features))
+    y = rng.standard_normal(batch)
+    params, grads = NetworkParams.init(spec, Rng(3)), NetworkParams.zeros(spec)
+    opt, ws = OptimizerState.create("nadam", 1e-3), {}
+
+    def step():
+        preds, tape = forward_batch(spec, params, x, ws)
+        backward(spec, params, tape, (2.0 * (preds[:, 0] - y) / batch)[:, None], grads, ws)
+        apply(opt, params, grads)
+
+    step()
+    step()
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < steps * batch * 4 * units * 8

@@ -10,8 +10,8 @@ from .cells import LayerParams, gru_backward, gru_forward, lstm_backward, lstm_f
 from .data import NormalizationParams, TimeSeriesFrame, WindowedDataset, ema, ingest, macd, normalize, rsi, window
 from .hpo import IntUniform, LogUniform, SearchSpace, TpeConfig, Trial, optimize, suggest
 from .metrics import EvalReport, evaluate, mape, r2, rmse
-from .network import LayerSpec, NetworkParams, NetworkSpec, backward, forward, forward_batch, load_model, predict_batch, save_model
-from .numerics import Rng, glorot_uniform, relu, sigmoid, tanh
+from .network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch, load_model, predict_batch, save_model
+from .numerics import Rng, glorot_uniform
 from .optim import OptimizerState, apply, clip_gradients
 from .stats import compare_architectures, dagostino_pearson, welch_t
 from .train import RunArchive, TrainConfig, TrainResult, run_experiment, train

@@ -10,7 +10,9 @@ flat parameter vector (see `network.py`):
 
 Column block k (columns k*H to (k+1)*H) of all three belongs to gate k, in
 the order f, i, o, c for LSTM (G = 4) and r, z, c for GRU (G = 3); c is the
-candidate.  Gradients use the same layout.  With [.]_g the block of gate g:
+candidate.  Gradients use the same layout.  A layer computes in the dtype
+of its kernel, float32 or float64: inputs, dh, tape and gradients follow
+it.  With [.]_g the block of gate g:
 
     LSTM:  f, i, o = sig([x_t K + h_{t-1} R + b]_{f,i,o})
            c~  = act([x_t K + h_{t-1} R + b]_c)
@@ -53,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import FLOAT, ShapeError, sigmoid_grad
+from .numerics import ShapeError, sigmoid_grad
 
 LSTM_GATES = ("f", "i", "o", "c")
 GRU_GATES = ("r", "z", "c")
@@ -101,11 +103,11 @@ def _activation_grad(name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def buffer(ws: dict, name: str, shape) -> np.ndarray:
-    """Uninitialised float64 array `ws[name]`, reallocated only when its shape changes."""
+def buffer(ws: dict, name: str, shape, dtype) -> np.ndarray:
+    """Uninitialised array `ws[name]`, reallocated only when its shape or dtype changes."""
     arr = ws.get(name)
-    if arr is None or arr.shape != shape:
-        arr = ws[name] = np.empty(shape, dtype=FLOAT)
+    if arr is None or arr.shape != shape or arr.dtype != dtype:
+        arr = ws[name] = np.empty(shape, dtype=dtype)
     return arr
 
 
@@ -119,14 +121,14 @@ def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str,
     """Check shapes; return (x, T, B, H, gate pre-activations x K + b as (T, B, G*H))."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
-    x = np.ascontiguousarray(x, dtype=FLOAT)
+    x = np.ascontiguousarray(x, dtype=p.kernel.dtype)
     units = p.recurrent.shape[0]
     if x.ndim != 3:
         raise ShapeError(f"{what}: x must be (T, B, D), got shape {x.shape}")
     if p.kernel.shape != (x.shape[2], n_gates * units) or p.bias.shape != (n_gates * units,):
         raise ShapeError(f"{what}: kernel {p.kernel.shape} does not take inputs of width {x.shape[2]}")
     steps, batch, width = x.shape
-    pre = buffer(ws, "gates", (steps, batch, n_gates * units))
+    pre = buffer(ws, "gates", (steps, batch, n_gates * units), x.dtype)
     np.matmul(x.reshape(steps * batch, width), p.kernel, out=pre.reshape(steps * batch, -1))
     pre += p.bias
     return x, steps, batch, units, pre
@@ -144,16 +146,16 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     x, steps, batch, units, gates = _project_inputs(p, x, 4, activation, "lstm_forward", ws)
     n_sig = 3 * units
     gates[..., :n_sig] *= 0.5
-    rec = buffer(ws, "rec", p.recurrent.shape)
+    rec = buffer(ws, "rec", p.recurrent.shape, x.dtype)
     np.copyto(rec, p.recurrent)
     rec[:, :n_sig] *= 0.5           # halving is exact, so the step GEMM needs no rescale
     kept = steps if keep_tape else 1
-    h = buffer(ws, "h", (steps + 1, batch, units))
-    c = buffer(ws, "c", (kept + 1, batch, units))
+    h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
+    c = buffer(ws, "c", (kept + 1, batch, units), x.dtype)
     h[0] = 0.0
     c[0] = 0.0
-    act_c = buffer(ws, "act_c", (kept, batch, units))
-    hr = buffer(ws, "hr", (batch, 4 * units))
+    act_c = buffer(ws, "act_c", (kept, batch, units), x.dtype)
+    hr = buffer(ws, "hr", (batch, 4 * units), x.dtype)
     for t in range(steps):
         c_prev, c_new, a = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], act_c[t % kept]
         g = gates[t]
@@ -186,7 +188,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     ws = {} if ws is None else ws
     x, h, c, gates, act_c, activation = tape
     steps, batch, units = act_c.shape
-    dh = np.asarray(dh, dtype=FLOAT)
+    dh = np.asarray(dh, dtype=p.kernel.dtype)
     if dh.shape != act_c.shape:
         raise ShapeError(f"lstm_backward: dh shape {dh.shape}, expected {act_c.shape}")
     n_sig = 3 * units
@@ -194,18 +196,19 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
 
     # the factors of dz that do not depend on the recursion, for the whole window:
     # dz = [dcell, dcell, dh_t, dcell] * q, blockwise
-    q = sigmoid_grad(gates, buffer(ws, "q", gates.shape))   # candidate block overwritten below
+    q = sigmoid_grad(gates, buffer(ws, "q", gates.shape, x.dtype))   # candidate block: below
     for k, factor in enumerate((c[:-1], cand, act_c)):
         q[..., k * units:(k + 1) * units] *= factor
     q_cand = _activation_grad(activation, cand, q[..., n_sig:])
     q_cand *= i
-    cell_from_h = _activation_grad(activation, act_c, buffer(ws, "cell_from_h", act_c.shape))
+    cell_from_h = _activation_grad(activation, act_c,
+                                   buffer(ws, "cell_from_h", act_c.shape, x.dtype))
     cell_from_h *= o
 
-    dz = buffer(ws, "dz", gates.shape)
-    rec_t = buffer(ws, "rec_t", p.recurrent.shape[::-1])
+    dz = buffer(ws, "dz", gates.shape, x.dtype)
+    rec_t = buffer(ws, "rec_t", p.recurrent.shape[::-1], x.dtype)
     np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
-    dh_rec, dc, dh_t, dcell = (buffer(ws, name, (batch, units))
+    dh_rec, dc, dh_t, dcell = (buffer(ws, name, (batch, units), x.dtype)
                                for name in ("dh_rec", "dc", "dh_t", "dcell"))
     dh_rec[...] = 0.0
     dc[...] = 0.0
@@ -233,15 +236,15 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     x, steps, batch, units, gates = _project_inputs(p, x, 3, activation, "gru_forward", ws)
     n_sig = 2 * units
     gates[..., :n_sig] *= 0.5
-    rec_rz = buffer(ws, "rec_rz", (units, n_sig))
+    rec_rz = buffer(ws, "rec_rz", (units, n_sig), x.dtype)
     np.multiply(p.recurrent[:, :n_sig], 0.5, out=rec_rz)     # exact halving, as in lstm_forward
     rec_c = p.recurrent[:, n_sig:]
-    h = buffer(ws, "h", (steps + 1, batch, units))
+    h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
     h[0] = 0.0
     kept = steps if keep_tape else 1
-    rh = buffer(ws, "rh", (kept, batch, units))
-    hr_rz = buffer(ws, "hr_rz", (batch, n_sig))
-    hr_c = buffer(ws, "hr_c", (batch, units))
+    rh = buffer(ws, "rh", (kept, batch, units), x.dtype)
+    hr_rz = buffer(ws, "hr_rz", (batch, n_sig), x.dtype)
+    hr_c = buffer(ws, "hr_c", (batch, units), x.dtype)
     for t in range(steps):
         rz, cand, rh_t = gates[t, :, :n_sig], gates[t, :, n_sig:], rh[t % kept]
         if t:
@@ -266,7 +269,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     ws = {} if ws is None else ws
     x, h, gates, rh, activation = tape
     steps, batch, units = rh.shape
-    dh = np.asarray(dh, dtype=FLOAT)
+    dh = np.asarray(dh, dtype=p.kernel.dtype)
     if dh.shape != rh.shape:
         raise ShapeError(f"gru_backward: dh shape {dh.shape}, expected {rh.shape}")
     n_sig = 2 * units
@@ -275,21 +278,21 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
 
     # factors of dz that do not depend on the recursion, for the whole window:
     # q_r = h_prev sig'(r), q_z = (h~ - h_prev) sig'(z), q_c = z act'(h~), keep = 1 - z
-    q_r = sigmoid_grad(r, buffer(ws, "q_r", rh.shape))
+    q_r = sigmoid_grad(r, buffer(ws, "q_r", rh.shape, x.dtype))
     q_r *= h_prev
-    q_z = sigmoid_grad(z, buffer(ws, "q_z", rh.shape))
-    keep = np.subtract(cand, h_prev, out=buffer(ws, "keep", rh.shape))
+    q_z = sigmoid_grad(z, buffer(ws, "q_z", rh.shape, x.dtype))
+    keep = np.subtract(cand, h_prev, out=buffer(ws, "keep", rh.shape, x.dtype))
     q_z *= keep
-    q_c = _activation_grad(activation, cand, buffer(ws, "q_c", rh.shape))
+    q_c = _activation_grad(activation, cand, buffer(ws, "q_c", rh.shape, x.dtype))
     q_c *= z
     np.subtract(1.0, z, out=keep)
 
-    dz = buffer(ws, "dz", gates.shape)
-    rec_rz_t = buffer(ws, "rec_rz_t", (n_sig, units))
+    dz = buffer(ws, "dz", gates.shape, x.dtype)
+    rec_rz_t = buffer(ws, "rec_rz_t", (n_sig, units), x.dtype)
     np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
-    rec_c_t = buffer(ws, "rec_c_t", (units, units))
+    rec_c_t = buffer(ws, "rec_c_t", (units, units), x.dtype)
     np.copyto(rec_c_t, p.recurrent[:, n_sig:].T)
-    dh_rec, dh_t, d_rh, dh_rz = (buffer(ws, name, (batch, units))
+    dh_rec, dh_t, d_rh, dh_rz = (buffer(ws, name, (batch, units), x.dtype)
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
     dh_rec[...] = 0.0
     for t in reversed(range(steps)):
@@ -320,11 +323,11 @@ def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs, ws
     for inp, cols in recurrent_inputs:
         np.matmul(inp.reshape(rows, -1).T, dz[:, cols], out=grad.recurrent[:, cols])
     np.matmul(x.reshape(rows, -1).T, dz, out=grad.kernel)
-    ones = buffer(ws, "ones", (rows,))
+    ones = buffer(ws, "ones", (rows,), dz.dtype)
     ones[...] = 1.0
     np.matmul(ones, dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
     if not input_grad:
         return None
-    dx = buffer(ws, "dx", x.shape)
+    dx = buffer(ws, "dx", x.shape, x.dtype)
     np.matmul(dz, p.kernel.T, out=dx.reshape(rows, -1))
     return dx

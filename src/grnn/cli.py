@@ -232,7 +232,7 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
     tc = replace(cfg.train, batch_size=batch, learning_rate=lr)
     dataset = load_prepared(cfg, out)
     info(f"{label}: units={units} lr={lr} batch={batch} repeats={n_runs} "
-         f"seed={tc.seed} activation={cfg.train.activation}")
+         f"seed={tc.seed} activation={cfg.train.activation} dtype={tc.dtype}")
 
     def on_run(record):
         r2_txt = f"R2={record.report.r2:.4f}" if record.report else f"failed: {record.error}"

@@ -6,15 +6,16 @@ followed by one dense linear unit applied to the top layer's hidden state
 at the final timestep.  Initial hidden/cell states are zero for every
 window; windows are independent samples, not a continuous stream.
 
-Parameters live in one contiguous float64 vector, `NetworkParams.flat`,
-laid out as
+Parameters live in one contiguous vector, `NetworkParams.flat`, laid out as
 
     for each layer: kernel (D, G*H), recurrent (H, G*H), bias (G*H,)
     then:           head_w (output_dim, H_top), head_b (output_dim,)
 
 each row-major (see `cells.py` for the fused gate layout).  Gradients are
 a second NetworkParams with the same layout, so an optimizer step is a few
-ufuncs over flat arrays.
+ufuncs over flat arrays.  The dtype of `flat`, float32 or float64 (one of
+DTYPES), is the network's compute dtype: the windows, the tape, dL/dpred
+and the gradients are all cast to it or made in it.
 
 `forward_batch` runs a (batch, lookback, features) stack of windows one
 layer at a time over the whole window and records a ForwardTape, which
@@ -38,8 +39,11 @@ flat vector:
     layer{l}.b_g  (H,)     bias[block g]
     head.w, head.b
 
-with g running over f, i, o, c (LSTM) or r, z, c (GRU).  Round-trips are
-bit-exact.
+with g running over f, i, o, c (LSTM) or r, z, c (GRU).  float32 weights
+are written upcast, which is exact, and the header's `extra` records
+`"dtype": "float32"` so that they load back in float32.  A header without
+that key loads as float64, so float64 checkpoints keep the bytes they had
+before float32 existed.  Round-trips are bit-exact in both dtypes.
 """
 
 from __future__ import annotations
@@ -61,13 +65,14 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
-from .numerics import FLOAT, Rng, ShapeError, glorot_uniform
+from .numerics import Rng, ShapeError, glorot_uniform
 
 MODEL_FORMAT = "grnn-model"
 MODEL_VERSION = 1
 
 CELL_KINDS = ("lstm", "gru")
 GATES = {"lstm": LSTM_GATES, "gru": GRU_GATES}
+DTYPES = {"float32": np.dtype(np.float32), "float64": np.dtype(np.float64)}
 
 
 class ModelFormatError(ValueError):
@@ -123,22 +128,25 @@ def _tensor_shapes(spec: NetworkSpec):
 
 
 class NetworkParams:
-    """All weights of a network in one flat float64 vector.
+    """All weights of a network in one flat vector, float32 or float64.
 
     `layers[l]` is a LayerParams of views into `flat`, and `head_w`
     (output_dim, top_units) and `head_b` (output_dim,) are views too, so
     writing through any of them changes `flat`.  Gradients are a second
-    NetworkParams of the same spec.  Only the spec and `flat` are pickled;
-    the views are rebuilt on unpickling.
+    NetworkParams of the same spec and dtype.  Without `flat` the vector is
+    zeros of `dtype`; a given `flat` brings its own dtype.  Only the spec
+    and `flat` are pickled; the views are rebuilt on unpickling.
     """
 
-    def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
+    def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None,
+                 dtype=np.float64):
         shapes = list(_tensor_shapes(spec))
         size = sum(map(math.prod, shapes))
         if flat is None:
-            flat = np.zeros(size, dtype=FLOAT)
-        if flat.shape != (size,) or flat.dtype != FLOAT:
-            raise ShapeError(f"flat parameters {flat.dtype}{flat.shape}, expected float64 ({size},)")
+            flat = np.zeros(size, dtype=dtype)
+        if flat.shape != (size,) or flat.dtype not in DTYPES.values():
+            raise ShapeError(f"flat parameters {flat.dtype}{flat.shape}, "
+                             f"expected float32 or float64 ({size},)")
         self.spec = spec
         self.flat = flat
         views, offset = [], 0
@@ -155,17 +163,18 @@ class NetworkParams:
         self.__init__(state["spec"], state["flat"])
 
     @classmethod
-    def zeros(cls, spec: NetworkSpec) -> "NetworkParams":
-        return cls(spec)
+    def zeros(cls, spec: NetworkSpec, dtype=np.float64) -> "NetworkParams":
+        return cls(spec, dtype=dtype)
 
     @classmethod
-    def init(cls, spec: NetworkSpec, rng: Rng) -> "NetworkParams":
+    def init(cls, spec: NetworkSpec, rng: Rng, dtype=np.float64) -> "NetworkParams":
         """Glorot-uniform weights, zero biases.
 
         Draws follow `tensors()` order (per layer and gate: V, then W; then
-        the head), so a seed pins the weights.
+        the head), so a seed pins the weights.  The draws are float64 in
+        every dtype and rounded on assignment.
         """
-        params = cls(spec)
+        params = cls(spec, dtype=dtype)
         for _, arr in params.tensors():
             if arr.ndim == 2:           # (fan_out, fan_in)
                 arr[...] = glorot_uniform(rng, arr.shape[1], arr.shape[0])
@@ -208,9 +217,9 @@ class ForwardTape:
     h_last: np.ndarray                # (batch, top_units), head input
 
 
-def _time_major(spec: NetworkSpec, windows) -> np.ndarray:
+def _time_major(spec: NetworkSpec, windows, dtype) -> np.ndarray:
     """Check a (batch, lookback, features) stack; return it as (lookback, batch, features)."""
-    windows = np.asarray(windows, dtype=FLOAT)
+    windows = np.asarray(windows, dtype=dtype)
     if windows.ndim != 3:
         raise ShapeError(f"windows: expected (batch, lookback, features), got {windows.shape}")
     if windows.shape[2] != spec.input_dim:
@@ -238,7 +247,7 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
     valid only until the next forward on the same workspace.
     """
     ws = {} if ws is None else ws
-    x = _time_major(spec, windows)
+    x = _time_major(spec, windows, params.flat.dtype)
     tapes = []
     for l, (layer, p) in enumerate(zip(spec.layers, params.layers)):
         x, tape = _layer_forward(layer, p, x, ws=_layer_ws(ws, l))
@@ -248,25 +257,17 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
     return preds, ForwardTape(layers=tapes, h_last=h_last)
 
 
-def forward(spec: NetworkSpec, params: NetworkParams, window) -> tuple[np.ndarray, ForwardTape]:
-    """Run a single (lookback, features) window. Returns (prediction vector, tape)."""
-    window = np.asarray(window, dtype=FLOAT)
-    if window.ndim != 2:
-        raise ShapeError(f"window: expected (lookback, features), got shape {window.shape}")
-    preds, tape = forward_batch(spec, params, window[None, :, :])
-    return preds[0], tape
-
-
 def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarray:
     """Predictions for many windows, with no tape. Returns (n, output_dim).
 
     Each layer keeps only its input, its outputs, its x K + b block (the
     gates are computed in place there) and one step of state.
     """
-    windows = np.asarray(windows, dtype=FLOAT)
+    dtype = params.flat.dtype
+    windows = np.asarray(windows, dtype=dtype)
     if windows.size == 0:
-        return np.zeros((0, spec.output_dim), dtype=FLOAT)
-    x = _time_major(spec, windows)
+        return np.zeros((0, spec.output_dim), dtype=dtype)
+    x = _time_major(spec, windows, dtype)
     for layer, p in zip(spec.layers, params.layers):
         x, _ = _layer_forward(layer, p, x, keep_tape=False)
     return x[-1] @ params.head_w.T + params.head_b
@@ -283,21 +284,22 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
     forward does not use.  The tape must come from the latest forward on
     its workspace.
     """
-    dpred = np.asarray(dpred, dtype=FLOAT)
+    dtype = params.flat.dtype
+    dpred = np.asarray(dpred, dtype=dtype)
     if dpred.ndim == 1:
         dpred = dpred[None, :]
     batch = tape.h_last.shape[0]
     if dpred.shape != (batch, spec.output_dim):
         raise ShapeError(f"dpred shape {dpred.shape}, expected {(batch, spec.output_dim)}")
     if grads is None:
-        grads = NetworkParams(spec)
-    elif grads.spec != spec:
-        raise ShapeError("grads were built for a different network spec")
+        grads = NetworkParams.zeros(spec, dtype)
+    elif grads.spec != spec or grads.flat.dtype != dtype:
+        raise ShapeError("grads were built for a different network spec or dtype")
     ws = {} if ws is None else ws
 
     np.matmul(dpred.T, tape.h_last, out=grads.head_w)
     np.sum(dpred, axis=0, out=grads.head_b)
-    dh = buffer(ws, "dh_top", tape.layers[-1].h[1:].shape)
+    dh = buffer(ws, "dh_top", tape.layers[-1].h[1:].shape, dtype)
     dh[:-1] = 0.0
     np.matmul(dpred, params.head_w, out=dh[-1])
     for l in reversed(range(len(spec.layers))):
@@ -308,8 +310,14 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
 
 
 def save_model(path, spec: NetworkSpec, params: NetworkParams, extra: dict | None = None) -> None:
-    """Write a self-describing checkpoint; see the module docstring for the layout."""
+    """Write a self-describing checkpoint; see the module docstring for the layout.
+
+    `extra["dtype"]` is set from the parameters (left out for float64).
+    """
     params.validate(spec)
+    extra = {k: v for k, v in (extra or {}).items() if k != "dtype"}
+    if params.flat.dtype != np.float64:
+        extra["dtype"] = params.flat.dtype.name
     manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in params.tensors()]
     header = {
         "format": MODEL_FORMAT,
@@ -322,7 +330,7 @@ def save_model(path, spec: NetworkSpec, params: NetworkParams, extra: dict | Non
                 for l in spec.layers
             ],
         },
-        "extra": extra or {},
+        "extra": extra,
         "tensors": manifest,
     }
     with open(path, "wb") as fh:
@@ -335,7 +343,9 @@ def save_model(path, spec: NetworkSpec, params: NetworkParams, extra: dict | Non
 def load_model(path) -> tuple[NetworkSpec, NetworkParams, dict]:
     """Read a checkpoint written by save_model. Returns (spec, params, extra).
 
-    Anything that is not such a checkpoint raises ModelFormatError naming the file.
+    The parameters come back in the dtype `extra` records (float64 when it
+    records none).  Anything that is not such a checkpoint raises
+    ModelFormatError naming the file.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -363,15 +373,19 @@ def load_model(path) -> tuple[NetworkSpec, NetworkParams, dict]:
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise ModelFormatError(f"{path}: header 'extra' is not a JSON object")
+    dtype = extra.get("dtype", "float64")
+    if not isinstance(dtype, str) or dtype not in DTYPES:
+        raise ModelFormatError(f"{path}: dtype {dtype!r} is not one of {sorted(DTYPES)}")
 
-    params = NetworkParams.zeros(spec)
+    params = NetworkParams.zeros(spec, DTYPES[dtype])
     expected = [(name, arr.shape) for name, arr in params.tensors()]
     if manifest != expected:
         raise ModelFormatError(f"{path}: tensor manifest does not match the network spec")
-    if len(blob) != params.flat.nbytes:
-        problem = "truncated" if len(blob) < params.flat.nbytes else "trailing bytes"
+    nbytes = params.flat.size * 8           # float64 on disk in every dtype
+    if len(blob) != nbytes:
+        problem = "truncated" if len(blob) < nbytes else "trailing bytes"
         raise ModelFormatError(f"{path}: {problem}: {len(blob)} bytes of tensor data, "
-                               f"expected {params.flat.nbytes}")
+                               f"expected {nbytes}")
     data = np.frombuffer(blob, dtype="<f8")
     offset = 0
     for _, arr in params.tensors():

@@ -1,9 +1,11 @@
-"""Dense float64 linear algebra, activations, and seeded RNG.
+"""Shared numerics: the float64 dtype FLOAT, ShapeError, a seeded RNG and Glorot init.
 
-Everything downstream (cells, networks, optimizers, TPE) works on plain
-``numpy.float64`` arrays: matrices are 2-D row-major, vectors are 1-D.
-All randomness flows through :class:`Rng`, a Philox-backed counter-based
-generator, so that any run is replayable from a single 64-bit seed.
+Data, normalisation, metrics, statistics and TPE work on plain
+``numpy.float64`` (FLOAT) arrays: matrices are 2-D row-major, vectors are
+1-D.  Networks compute in the dtype of their parameters, float32 or
+float64 (see `network.py`), and do not read FLOAT.  All randomness flows
+through :class:`Rng`, a Philox-backed counter-based generator, so that any
+run is replayable from a single 64-bit seed.
 """
 
 from __future__ import annotations
@@ -15,25 +17,6 @@ FLOAT = np.float64
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's precondition."""
-
-
-def sigmoid(x):
-    """Logistic function, stable for any finite input.
-
-    Branches on the sign of x so exp() never sees a large positive
-    argument (overflow starts near x = -710 otherwise).
-    """
-    x = np.asarray(x, dtype=FLOAT)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=FLOAT))
-
-
-def relu(x):
-    return np.maximum(np.asarray(x, dtype=FLOAT), 0.0)
 
 
 def sigmoid_grad(y, out=None):

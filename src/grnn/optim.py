@@ -1,17 +1,19 @@
 """First-order optimizers: SGD, AdaGrad, RMSProp, Adam, Nadam.
 
-All five update in place a container's flat float64 vector ``flat``; the
-gradients come in a second container of the same layout (network params
-and gradients are both NetworkParams).  A step first checks that every
-gradient is finite (on failure ``tensors()`` names the offending tensor
-and nothing is updated), then runs a few in-place ufuncs over blocks of
-BLOCK elements: ``m`` and ``v`` hold the moments, and two preallocated
-scratch rows of one block take every intermediate.  A block's
-parameters, gradients, moments and scratch rows (six rows of 256 KiB)
-stay in a 2 MB L2 cache across those ufuncs, where whole vectors of a
-large network would stream through memory once per ufunc.  The arithmetic
-per element does not depend on the blocking.  Update rules, with g the
-gradient, lr the learning rate and t the 1-based step count:
+All five update in place a container's flat vector ``flat``, float32 or
+float64; the gradients come in a second container of the same layout and
+dtype (network params and gradients are both NetworkParams), and the
+moments and scratch rows are made in that dtype too.  A step first checks
+that every gradient is finite (on failure ``tensors()`` names the
+offending tensor and nothing is updated), then runs a few in-place ufuncs
+over blocks of BLOCK elements: ``m`` and ``v`` hold the moments, and two
+preallocated scratch rows of one block take every intermediate.  A
+block's parameters, gradients, moments and scratch rows (six rows of
+256 KiB in float64, half that in float32) stay in a 2 MB L2 cache across
+those ufuncs, where whole vectors of a large network would stream through
+memory once per ufunc.  The arithmetic per element does not depend on the
+blocking.  Update rules, with g the gradient, lr the learning rate and t
+the 1-based step count:
 
     sgd      theta -= lr * g
     adagrad  G += g^2;                      theta -= lr * g / (sqrt(G) + eps)
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FLOAT, ShapeError
+from .numerics import ShapeError
 
 OPTIMIZER_KINDS = ("sgd", "adagrad", "rmsprop", "adam", "nadam")
 
@@ -98,16 +100,18 @@ def apply(state: OptimizerState, params, grads) -> None:
     A non-finite gradient raises NonFiniteGradient before anything is updated.
     """
     p, g = params.flat, grads.flat
-    if p.shape != g.shape:
-        raise ShapeError(f"params/grads mismatch: {p.shape} vs {g.shape}")
+    if p.shape != g.shape or p.dtype != g.dtype:
+        raise ShapeError(f"params/grads mismatch: {p.dtype}{p.shape} vs {g.dtype}{g.shape}")
     _check_finite(grads)
     width = min(p.size, BLOCK)
     if state.scratch is None:
-        state.scratch = np.empty((2, width), dtype=FLOAT)
+        state.scratch = np.empty((2, width), dtype=p.dtype)
         state.m = np.zeros_like(p) if state.kind in ("adam", "nadam") else None
         state.v = np.zeros_like(p) if state.kind != "sgd" else None
-    elif state.scratch.shape[1] != width or (state.v is not None and state.v.size != p.size):
-        raise ShapeError(f"optimizer state was made for another parameter count than {p.size}")
+    elif (state.scratch.shape[1] != width or state.scratch.dtype != p.dtype
+          or (state.v is not None and state.v.size != p.size)):
+        raise ShapeError(f"optimizer state was made for other parameters "
+                         f"than {p.dtype}({p.size},)")
 
     state.step_count += 1
     m, v = state.m, state.v
@@ -161,7 +165,12 @@ def _update(state: OptimizerState, p, g, m, v, scratch) -> None:
 def global_norm(grads) -> float:
     """L2 norm over all gradient tensors taken together."""
     g = grads.flat
-    return math.sqrt(float(np.dot(g, g)))
+    with np.errstate(over="ignore"):
+        sq = float(np.dot(g, g))
+    if math.isinf(sq) and g.dtype != np.float64 and np.isfinite(g).all():
+        g = g.astype(np.float64)          # float32 squares overflow near a norm of 1.8e19
+        sq = float(np.dot(g, g))
+    return math.sqrt(sq)
 
 
 def clip_gradients(grads, max_norm: float):

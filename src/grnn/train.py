@@ -6,10 +6,15 @@ second stream of the same seed.  The monitored quantity is the training
 MSE; early stopping fires when the best loss so far has not improved by
 at least 1e-12 for `patience` consecutive epochs (the test split never
 influences stopping).  The weights with the lowest monitored loss are the
-returned model.  A run keeps one workspace for the tapes and the
-backward's arrays and one gradient vector, so its steps reuse memory
-instead of allocating it; only the epoch's short last batch, whose shape
-differs, reallocates the workspace's arrays.
+returned model.  The network computes in `TrainConfig.dtype` (float32 by
+default): the weights, the gradients, the optimizer's moments and the
+training windows take it, while the loss, its sum over the epoch and early
+stopping stay float64.  A non-finite loss or gradient ends the run with
+TrainingDiverged (in float32 the gradient usually overflows first).  A run
+keeps one workspace for the tapes and the backward's arrays and one
+gradient vector, so its steps reuse memory instead of allocating it; only
+the epoch's short last batch, whose shape differs, reallocates the
+workspace's arrays.
 
 `run_experiment` trains with seeds seed, seed+1, ... and evaluates each
 run on the held-out test split, retaining runs whose test R^2 clears the
@@ -30,7 +35,7 @@ import numpy as np
 
 from .data import DataError, WindowedDataset, read_jsonl
 from .metrics import EvalReport, evaluate
-from .network import NetworkParams, NetworkSpec, backward, forward_batch
+from .network import DTYPES, NetworkParams, NetworkSpec, backward, forward_batch
 from .numerics import FLOAT, Rng
 from .optim import NonFiniteGradient, OptimizerState, apply, clip_gradients
 
@@ -39,7 +44,7 @@ R2_RETENTION_BAR = 0.90
 
 
 class TrainingDiverged(RuntimeError):
-    """Training loss became non-finite; the run is recorded as failed."""
+    """Training loss or gradient became non-finite; the run is recorded as failed."""
 
 
 @dataclass
@@ -52,6 +57,7 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
     clip_norm: float | None = None
+    dtype: str = "float32"          # the network's compute dtype, a key of DTYPES
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -60,6 +66,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
 
 
 @dataclass
@@ -76,7 +84,8 @@ class TrainResult:
 
 def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainResult:
     """Fit one network; see the module docstring for the protocol."""
-    xs, ys = data.train_x, data.train_y
+    dtype = DTYPES[cfg.dtype]
+    xs, ys = data.train_x.astype(dtype, copy=False), data.train_y
     n = xs.shape[0]
     if n == 0:
         raise ValueError("training split is empty")
@@ -84,11 +93,11 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
         raise ValueError(f"dataset features {xs.shape[2]} != spec input_dim {spec.input_dim}")
 
     seed_rng = Rng(cfg.seed)
-    params = NetworkParams.init(spec, seed_rng.child(0))
+    params = NetworkParams.init(spec, seed_rng.child(0), dtype)
     shuffle_rng = seed_rng.child(1)
     opt = OptimizerState.create(cfg.optimizer, cfg.learning_rate)
     ws: dict = {}
-    grads = NetworkParams(spec)
+    grads = NetworkParams.zeros(spec, dtype)
 
     best_loss = np.inf
     best_params = params.copy()
@@ -102,20 +111,24 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             bx, by = xs[idx], ys[idx]
-            # overflow surfaces through the explicit finite-loss check
+            # overflow surfaces through the explicit finite checks of loss and gradient
             with np.errstate(over="ignore", invalid="ignore"):
                 preds, tape = forward_batch(spec, params, bx, ws)
                 err = preds[:, 0] - by
                 batch_loss = float(np.mean(err * err))
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"non-finite training loss at epoch {epoch} (seed {cfg.seed})")
-            sq_err_sum += batch_loss * idx.size
-            dpred = (2.0 * err / idx.size)[:, None]
-            backward(spec, params, tape, dpred, grads, ws)
-            if cfg.clip_norm is not None:
-                clip_gradients(grads, cfg.clip_norm)
-            apply(opt, params, grads)
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged(
+                        f"non-finite training loss at epoch {epoch} (seed {cfg.seed})")
+                sq_err_sum += batch_loss * idx.size
+                dpred = (2.0 * err / idx.size)[:, None]
+                backward(spec, params, tape, dpred, grads, ws)
+                if cfg.clip_norm is not None:
+                    clip_gradients(grads, cfg.clip_norm)
+                try:
+                    apply(opt, params, grads)
+                except NonFiniteGradient as exc:
+                    raise TrainingDiverged(f"non-finite gradient at epoch {epoch} "
+                                           f"(seed {cfg.seed}): {exc}") from None
         epoch_loss = sq_err_sum / n
         epoch_losses.append(epoch_loss)
         stopped_epoch = epoch
@@ -195,7 +208,7 @@ def _run_one(args):
                            train_loss=result.best_loss, report=report,
                            retained=report.r2 > r2_bar)
         return record, result
-    except (TrainingDiverged, NonFiniteGradient) as exc:
+    except TrainingDiverged as exc:
         return RunRecord(seed=cfg.seed, status="failed", error=str(exc)), None
 
 

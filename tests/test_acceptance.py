@@ -39,7 +39,7 @@ from grnn.network import (
     NetworkParams,
     NetworkSpec,
     backward,
-    forward,
+    forward_batch,
     save_model,
 )
 from grnn.numerics import Rng
@@ -71,7 +71,7 @@ def criterion(num: int, desc: str):
 
 def _fd_grads(spec, params, win, target):
     """Central differences over the flat parameter vector, by tensor name."""
-    flat = central_differences(lambda: mse(forward(spec, params, win)[0], target),
+    flat = central_differences(lambda: mse(forward_batch(spec, params, win[None])[0], target),
                                params.flat)
     return dict(NetworkParams(spec, flat).tensors())
 
@@ -105,7 +105,7 @@ def test_c01_bptt_gradients_match_finite_differences():
                         arr[:] = rng.uniform(-0.4, 0.4, size=arr.shape)
                 win = rng.standard_normal((lookback, input_dim))
                 target = rng.standard_normal(1)
-                pred, tape = forward(spec, params, win)
+                pred, tape = forward_batch(spec, params, win[None])
                 analytic = backward(spec, params, tape, 2.0 * (pred - target))
                 numeric = _fd_grads(spec, params, win, target)
                 for name, a in analytic.tensors():

@@ -115,6 +115,7 @@ def one_error_line(capsys) -> str:
     ("hpo.max_epochs=0", "[hpo] max_epochs must be >= 1"),
     ("hpo.n_trials=0", "[hpo] n_trials must be >= 1"),
     ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
+    ("train.dtype=float16", "[train] dtype must be one of ['float32', 'float64']"),
 ])
 def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
     path = write_sine_config(tmp_path)      # nothing prepared under out/
@@ -322,6 +323,24 @@ def test_full_pipeline_train_evaluate_compare_report(tmp_path, capsys):
     archive_lines = [json.loads(l) for l in archive_path.read_text().splitlines()[1:]]
     retained = sum(1 for rec in archive_lines if rec["retained"])
     assert len(metrics) == 3 * retained + 1
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_evaluate_reproduces_the_archived_report(tmp_path, capsys, dtype):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    assert main(["train", "--config", str(path), "--arch", "lstm1", "--repeats", "2",
+                 "--set", f"train.dtype={dtype}"]) == 0
+    ckpt = tmp_path / "out" / "train" / "lstm1" / "best.grnn"
+    _, params, extra = load_model(ckpt)
+    assert params.flat.dtype == np.dtype(dtype)
+    assert extra.get("dtype", "float64") == dtype
+    archive = [json.loads(line) for line in
+               (tmp_path / "out" / "train" / "lstm1" / "archive.jsonl").read_text().splitlines()]
+    best = next(rec for rec in archive[1:] if rec.get("seed") == extra["seed"])
+    assert main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "out" / "eval" / "lstm1.json").read_text()) == best["report"]
 
 
 def test_train_rerun_is_byte_identical(tmp_path):

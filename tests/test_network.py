@@ -12,7 +12,6 @@ from grnn.network import (
     NetworkParams,
     NetworkSpec,
     backward,
-    forward,
     forward_batch,
     load_model,
     predict_batch,
@@ -28,8 +27,8 @@ def small_spec(*layers, input_dim=2):
 def test_zero_params_predict_zero():
     spec = small_spec(LayerSpec("lstm", 4), input_dim=3)
     params = NetworkParams.zeros(spec)
-    pred, _ = forward(spec, params, np.ones((5, 3)))
-    assert np.array_equal(pred, np.zeros(1))
+    pred, _ = forward_batch(spec, params, np.ones((1, 5, 3)))
+    assert np.array_equal(pred, np.zeros((1, 1)))
 
 
 def test_single_layer_lookback_one_equals_cell_plus_head():
@@ -37,9 +36,9 @@ def test_single_layer_lookback_one_equals_cell_plus_head():
     spec = small_spec(LayerSpec("lstm", 3), input_dim=2)
     params = NetworkParams.init(spec, rng)
     x = rng.standard_normal(2)
-    pred, _ = forward(spec, params, x[None, :])
+    pred, _ = forward_batch(spec, params, x[None, None, :])
     h, _ = lstm_forward(params.layers[0], x[None, None, :])
-    expected = h[-1, 0] @ params.head_w.T + params.head_b
+    expected = h[-1] @ params.head_w.T + params.head_b
     np.testing.assert_array_equal(pred, expected)
 
 
@@ -48,8 +47,8 @@ def test_hybrid_forward_shapes_and_tape():
     spec = small_spec(LayerSpec("gru", 2), LayerSpec("lstm", 3), input_dim=4)
     params = NetworkParams.init(spec, rng)
     window = rng.standard_normal((6, 4))
-    pred, tape = forward(spec, params, window)
-    assert pred.shape == (1,) and np.isfinite(pred).all()
+    pred, tape = forward_batch(spec, params, window[None])
+    assert pred.shape == (1, 1) and np.isfinite(pred).all()
     assert len(tape.layers) == 2
     assert tape.layers[0].h.shape == (7, 1, 2) and tape.layers[0].gates.shape == (6, 1, 6)
     assert tape.layers[1].h.shape == (7, 1, 3) and tape.layers[1].gates.shape == (6, 1, 12)
@@ -60,15 +59,15 @@ def test_backward_zero_gradient():
     rng = Rng(4)
     spec = small_spec(LayerSpec("lstm", 2), LayerSpec("gru", 2))
     params = NetworkParams.init(spec, rng)
-    _, tape = forward(spec, params, rng.standard_normal((3, 2)))
+    _, tape = forward_batch(spec, params, rng.standard_normal((1, 3, 2)))
     grads = backward(spec, params, tape, np.zeros(1))
     assert all(np.all(arr == 0) for _, arr in grads.tensors())
 
 
 def fd_network_grads(spec, params, window, target):
     """Central differences over the flat vector, as a NetworkParams."""
-    flat = central_differences(lambda: mse(forward(spec, params, window)[0], target),
-                               params.flat)
+    flat = central_differences(
+        lambda: mse(forward_batch(spec, params, window[None])[0], target), params.flat)
     return dict(NetworkParams(spec, flat).tensors())
 
 
@@ -88,7 +87,7 @@ def test_bptt_matches_finite_differences(layers):
     params = NetworkParams.init(spec, rng)
     window = rng.standard_normal((3, 2))
     target = np.array([0.4])
-    pred, tape = forward(spec, params, window)
+    pred, tape = forward_batch(spec, params, window[None])
     analytic = backward(spec, params, tape, 2.0 * (pred - target))
     numeric = fd_network_grads(spec, params, window, target)
     for name, a in analytic.tensors():
@@ -107,7 +106,7 @@ def test_predict_batch_contracts():
     preds = predict_batch(spec, params, windows)
     assert np.array_equal(preds[3], preds[1])
 
-    singles = np.array([forward(spec, params, w)[0] for w in windows])
+    singles = np.array([forward_batch(spec, params, w[None])[0][0] for w in windows])
     np.testing.assert_allclose(preds, singles, rtol=1e-12, atol=1e-15)
 
     # without a tape, the same arithmetic as the training forward pass
@@ -126,8 +125,8 @@ def test_batched_forward_matches_single():
     windows = rng.standard_normal((4, 5, 3))
     batch_preds, _ = forward_batch(spec, params, windows)
     for i in range(4):
-        single, _ = forward(spec, params, windows[i])
-        np.testing.assert_allclose(batch_preds[i], single, rtol=1e-12, atol=1e-15)
+        single, _ = forward_batch(spec, params, windows[i][None])
+        np.testing.assert_allclose(batch_preds[i], single[0], rtol=1e-12, atol=1e-15)
 
 
 def test_hybrid_with_zeroed_lstm_block_reduces_to_head_bias():
@@ -137,8 +136,8 @@ def test_hybrid_with_zeroed_lstm_block_reduces_to_head_bias():
     for arr in params.layers[1]:
         arr[...] = 0.0
     params.head_b[:] = 0.77
-    pred, _ = forward(spec, params, rng.standard_normal((4, 2)))
-    assert pred[0] == pytest.approx(0.77, abs=0)
+    pred, _ = forward_batch(spec, params, rng.standard_normal((1, 4, 2)))
+    assert pred[0, 0] == pytest.approx(0.77, abs=0)
 
 
 def test_model_serialization_round_trip_is_bit_exact(tmp_path):
@@ -181,9 +180,9 @@ def test_forward_rejects_bad_shapes():
     spec = small_spec(LayerSpec("lstm", 2), input_dim=3)
     params = NetworkParams.zeros(spec)
     with pytest.raises(ShapeError):
-        forward(spec, params, np.zeros((4, 2)))
+        forward_batch(spec, params, np.zeros((1, 4, 2)))
     with pytest.raises(ShapeError):
-        forward(spec, params, np.zeros(3))
+        forward_batch(spec, params, np.zeros((4, 3)))
 
 
 def per_gate_predict(spec, arrays, window):
@@ -250,7 +249,7 @@ def test_checkpoint_v1_from_per_gate_arrays_loads_and_resaves_byte_identical(tmp
     for name, view in params.tensors():
         np.testing.assert_array_equal(view, arrays[name], err_msg=name)
     window = rng.standard_normal((5, 2))
-    np.testing.assert_allclose(forward(spec, params, window)[0],
+    np.testing.assert_allclose(forward_batch(spec, params, window[None])[0][0],
                                per_gate_predict(spec, arrays, window), rtol=1e-12, atol=1e-14)
 
     again = tmp_path / "again.grnn"
@@ -288,3 +287,88 @@ def test_pickled_params_keep_their_views_on_flat():
     copy = params.copy()
     copy.head_w[0, 0] = 99.0
     assert params.head_w[0, 0] != 99.0 and copy.flat[-4] == 99.0
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("kinds", [("lstm",), ("gru",), ("gru", "lstm"), ("lstm", "gru")],
+                         ids="-".join)
+def test_float32_gradients_match_float64(kinds, activation):
+    """Same weights and windows, exact in float32: the float32 compute stays
+    within rtol 1e-3 of float64, tensor by tensor."""
+    rng = Rng(31)
+    spec = small_spec(*(LayerSpec(kind, 5, activation) for kind in kinds), input_dim=3)
+    params = NetworkParams.init(spec, rng)
+    for name, arr in params.tensors():
+        if ".b_" in name or name == "head.b":       # keep relu pre-activations off the kink
+            arr[...] = rng.uniform(-0.4, 0.4, size=arr.shape)
+    params.flat[:] = params.flat.astype(np.float32)
+    windows = rng.standard_normal((4, 6, 3)).astype(np.float32)
+    target = rng.standard_normal((4, 1))
+
+    grads = {}
+    for dtype in (np.float64, np.float32):
+        p = NetworkParams(spec, params.flat.astype(dtype))
+        pred, tape = forward_batch(spec, p, windows)
+        assert pred.dtype == dtype
+        g = backward(spec, p, tape, 2.0 * (pred - target))
+        assert g.flat.dtype == dtype
+        grads[dtype] = dict(g.tensors())
+    for name, want in grads[np.float64].items():
+        np.testing.assert_allclose(grads[np.float32][name], want, rtol=1e-3, atol=0,
+                                   err_msg=name)
+
+
+def test_float32_checkpoint_is_the_float64_one_upcast(tmp_path):
+    spec = small_spec(LayerSpec("gru", 3), LayerSpec("lstm", 4, "relu"), input_dim=2)
+    params32 = NetworkParams.init(spec, Rng(14), np.float32)
+    assert params32.flat.dtype == np.float32
+    params64 = NetworkParams(spec, params32.flat.astype(np.float64))
+    extra = {"lookback": 5}
+    path32, path64 = tmp_path / "f32.grnn", tmp_path / "f64.grnn"
+    save_model(path32, spec, params32, extra)
+    save_model(path64, spec, params64, extra)
+
+    header32, blob32 = path32.read_bytes().split(b"\n", 1)
+    header64, blob64 = path64.read_bytes().split(b"\n", 1)
+    assert blob32 == blob64
+    assert json.loads(header32)["extra"] == {"lookback": 5, "dtype": "float32"}
+    assert json.loads(header64)["extra"] == {"lookback": 5}
+    header32 = json.loads(header32)
+    del header32["extra"]["dtype"]
+    assert header32 == json.loads(header64)
+
+    spec2, loaded, extra2 = load_model(path32)
+    assert spec2 == spec and extra2 == {"lookback": 5, "dtype": "float32"}
+    assert loaded.flat.dtype == np.float32
+    assert loaded.flat.tobytes() == params32.flat.tobytes()
+    again = tmp_path / "again.grnn"
+    save_model(again, spec2, loaded, extra2)
+    assert again.read_bytes() == path32.read_bytes()
+    assert load_model(path64)[1].flat.dtype == np.float64
+
+
+def test_checkpoint_dtype_errors(tmp_path):
+    spec = small_spec(LayerSpec("lstm", 2))
+    path = tmp_path / "m.grnn"
+    save_model(path, spec, NetworkParams.init(spec, Rng(15), np.float32))
+    blob = path.read_bytes()
+    for bad in (b'"float16"', b'["float32"]'):
+        path.write_bytes(blob.replace(b'"float32"', bad))
+        with pytest.raises(ModelFormatError, match="dtype"):
+            load_model(path)
+    path.write_bytes(blob + b"\0" * 4)        # a float32-sized tail is still a tail
+    with pytest.raises(ModelFormatError, match="trailing bytes"):
+        load_model(path)
+
+
+def test_dtype_is_checked_where_params_meet():
+    spec = small_spec(LayerSpec("lstm", 2))
+    with pytest.raises(ShapeError):
+        NetworkParams(spec, np.zeros(NetworkParams.zeros(spec).flat.size, dtype=np.float16))
+    params = NetworkParams.init(spec, Rng(16), np.float32)
+    pred, tape = forward_batch(spec, params, np.ones((2, 3, 2)))
+    assert tape.layers[0].x.dtype == np.float32
+    assert predict_batch(spec, params, np.ones((2, 3, 2))).dtype == np.float32
+    assert backward(spec, params, tape, np.ones((2, 1))).flat.dtype == np.float32
+    with pytest.raises(ShapeError, match="dtype"):
+        backward(spec, params, tape, np.ones((2, 1)), NetworkParams.zeros(spec))

@@ -3,17 +3,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grnn.numerics import (
-    Rng,
-    ShapeError,
-    glorot_uniform,
-    relu,
-    sigmoid,
-    sigmoid_grad,
-    tanh,
-)
+from grnn.cells import LayerParams, lstm_forward
+from grnn.numerics import Rng, ShapeError, glorot_uniform, sigmoid_grad
 
 moderate = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
+
+
+def cell_activations(x: float, activation: str = "tanh") -> tuple[float, float]:
+    """(sigmoid(x), act(x)) as an LSTM cell computes them: one unit, one step,
+    every kernel weight 1 and nothing else, so each gate's pre-activation is x."""
+    params = LayerParams(np.ones((1, 4)), np.zeros((1, 4)), np.zeros(4))
+    _, tape = lstm_forward(params, [[[x]]], activation)
+    forget, _, _, candidate = tape.gates[0, 0]
+    return float(forget), float(candidate)
+
+
+def sigmoid(x: float) -> float:
+    return cell_activations(x)[0]
+
+
+def tanh(x: float) -> float:
+    return cell_activations(x, "tanh")[1]
+
+
+def relu(x: float) -> float:
+    return cell_activations(x, "relu")[1]
 
 
 def test_activation_point_values():
@@ -31,7 +45,7 @@ def test_sigmoid_complement(x):
 @pytest.mark.parametrize("x", [-800.0, -710.0, 710.0, 800.0, 1e6, -1e6])
 def test_sigmoid_saturates_without_overflow(x):
     with np.errstate(over="raise"):
-        y = float(sigmoid(x))
+        y = sigmoid(x)
     assert 0.0 <= y <= 1.0
     assert np.isfinite(y)
 

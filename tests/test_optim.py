@@ -222,3 +222,28 @@ def test_nan_in_last_block_updates_nothing_and_names_its_tensor():
     for got, want in zip((params.flat, state.m, state.v), before):
         np.testing.assert_array_equal(got, want)
     assert state.step_count == 1
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_state_takes_the_dtype_of_the_parameters(kind):
+    spec = NetworkSpec(layers=(LayerSpec("lstm", 3),), input_dim=2)
+    params = NetworkParams.init(spec, Rng(4), np.float32)
+    grads = NetworkParams.zeros(spec, np.float32)
+    grads.flat[:] = 0.25
+    state = OptimizerState.create(kind)
+    apply(state, params, grads)
+    assert params.flat.dtype == np.float32
+    assert state.scratch.dtype == np.float32
+    for moment in (state.m, state.v):
+        assert moment is None or moment.dtype == np.float32
+    with pytest.raises(ShapeError):
+        apply(state, params, NetworkParams.zeros(spec))
+    with pytest.raises(ShapeError):
+        apply(state, NetworkParams.init(spec, Rng(4)), NetworkParams.zeros(spec))
+
+
+def test_float32_global_norm_does_not_overflow():
+    g = ScalarBag(np.full(4, 1e20, dtype=np.float32))
+    assert global_norm(g) == pytest.approx(2e20, rel=1e-6)
+    clip_gradients(g, 1.0)
+    np.testing.assert_allclose(g.value, 0.5, rtol=1e-6)

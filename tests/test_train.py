@@ -1,4 +1,5 @@
 import datetime as dt
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from grnn.data import NormalizationParams, WindowedDataset
 from grnn.metrics import evaluate
-from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
+from grnn.network import DTYPES, LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
 from grnn.numerics import FLOAT, Rng
 from grnn.optim import OptimizerState, apply
 from grnn.train import (
@@ -54,14 +55,33 @@ def test_decreasing_loss_runs_to_max_epochs(sine_dataset):
 
 
 def test_train_is_deterministic(sine_dataset):
-    cfg = TrainConfig(batch_size=16, max_epochs=8, patience=5,
-                      learning_rate=3e-3, seed=7)
-    r1 = train(SINE_SPEC, sine_dataset, cfg)
-    r2 = train(SINE_SPEC, sine_dataset, cfg)
-    assert r1.epoch_losses == r2.epoch_losses
-    for (n1, a1), (n2, a2) in zip(r1.best_params.tensors(), r2.best_params.tensors()):
-        assert n1 == n2
-        assert np.array_equal(a1, a2)
+    for dtype in ("float32", "float64"):
+        cfg = TrainConfig(batch_size=16, max_epochs=8, patience=5,
+                          learning_rate=3e-3, seed=7, dtype=dtype)
+        r1 = train(SINE_SPEC, sine_dataset, cfg)
+        r2 = train(SINE_SPEC, sine_dataset, cfg)
+        assert r1.best_params.flat.dtype == np.dtype(dtype)
+        assert np.array(r1.epoch_losses).tobytes() == np.array(r2.epoch_losses).tobytes()
+        assert r1.best_params.flat.tobytes() == r2.best_params.flat.tobytes()
+
+
+def test_float32_is_the_default_and_others_are_rejected():
+    assert TrainConfig().dtype == "float32"
+    with pytest.raises(ValueError, match="dtype must be one of"):
+        TrainConfig(dtype="float16")
+
+
+def test_nonfinite_gradient_is_reported_as_divergence(sine_dataset, monkeypatch):
+    train_module = importlib.import_module("grnn.train")    # grnn.train is also the function
+
+    def poisoned_backward(spec, params, tape, dpred, grads, ws):
+        backward(spec, params, tape, dpred, grads, ws)
+        grads.head_b[0] = np.inf
+
+    monkeypatch.setattr(train_module, "backward", poisoned_backward)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, seed=4)
+    with pytest.raises(TrainingDiverged, match=r"gradient at epoch 1 \(seed 4\).*head.b"):
+        train(SINE_SPEC, sine_dataset, cfg)
 
 
 def test_sine_smoke_reaches_low_loss(sine_dataset):
@@ -165,9 +185,10 @@ def test_metric_samples_pull_retained_only(sine_dataset):
 
 
 def reference_train(spec, data, cfg):
-    """`train`'s loop with no workspace and a fresh gradient vector per step."""
+    """`train`'s loop with no workspace, a fresh gradient vector per step and
+    each batch cast to the compute dtype on its own."""
     seed_rng = Rng(cfg.seed)
-    params = NetworkParams.init(spec, seed_rng.child(0))
+    params = NetworkParams.init(spec, seed_rng.child(0), DTYPES[cfg.dtype])
     shuffle_rng = seed_rng.child(1)
     opt = OptimizerState.create(cfg.optimizer, cfg.learning_rate)
     n = data.train_x.shape[0]

@@ -8,11 +8,12 @@ float64.  `gru-lstm1` is capped at 40 epochs in both dtypes to keep its
 1.77 M parameters affordable; every other run uses the profile's 200
 epochs.  Early stopping (patience 5) applies to all.
 
-    python scripts/compare_dtypes.py [--seeds 10] [--workers 2] [--log dtype_runs.jsonl]
+    python scripts/compare_dtypes.py [--seeds 10] [--log dtype_runs.jsonl]
 
 Each finished (architecture, dtype) group is appended to --log, and a rerun
-skips the groups already there, so an interrupted comparison resumes.  With
---workers > 1 the seeds run in worker processes with one BLAS thread each.
+skips the groups already there, so an interrupted comparison resumes.  The
+seeds run as `grnn train` runs them: `run_experiment` spreads them over
+one-BLAS-thread workers, as many as the cores (GRNN_THREADS caps it).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ HYBRID, HYBRID_EPOCHS = "gru-lstm1", 40
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=10, help="seeds per architecture and dtype")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--log", default="dtype_runs.jsonl", help="per-group results (resumable)")
     return ap.parse_args(argv)
 
@@ -47,7 +47,7 @@ def market_dataset(cfg):
     return window(norm_frame, cfg.lookback, norm, split=cfg.split, target=cfg.target)
 
 
-def run_group(cfg, dataset, label, dtype, args) -> dict:
+def run_group(cfg, dataset, label, dtype, seeds: int) -> dict:
     from dataclasses import replace
 
     from grnn.network import LayerSpec, NetworkSpec
@@ -61,8 +61,8 @@ def run_group(cfg, dataset, label, dtype, args) -> dict:
                  batch_size=arch.batch_size)
     if label == HYBRID:
         tc = replace(tc, max_epochs=HYBRID_EPOCHS)
-    archive = run_experiment(spec, dataset, tc, repeats=args.seeds, architecture=label,
-                             r2_bar=cfg.train.r2_bar, workers=args.workers)
+    archive = run_experiment(spec, dataset, tc, repeats=seeds, architecture=label,
+                             r2_bar=cfg.train.r2_bar)
     return {"architecture": label, "dtype": dtype, "max_epochs": tc.max_epochs,
             "runs": [run.to_record() for run in archive.runs]}
 
@@ -86,9 +86,6 @@ def welch_row(label, metric, groups) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.workers > 1:
-        # before numpy loads: each worker gets one BLAS thread, not one per core
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from grnn.config import load_config
 
@@ -105,7 +102,7 @@ def main(argv=None) -> int:
             if (label, dtype) in done:
                 continue
             print(f"training {label} in {dtype} ...", file=sys.stderr, flush=True)
-            rec = done[label, dtype] = run_group(cfg, dataset, label, dtype, args)
+            rec = done[label, dtype] = run_group(cfg, dataset, label, dtype, args.seeds)
             with open(args.log, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

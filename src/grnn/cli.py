@@ -11,8 +11,9 @@
 Any config key can be overridden with repeated `--set section.key=value`.
 Results and tables go to stdout; progress and diagnostics go to stderr.
 Commands are deterministic: identical inputs and seeds write byte-identical
-artifacts.  `GRNN_THREADS` caps seed-parallel training workers when
---parallel is given.
+artifacts.  `train` with more than one repeat runs its seeds in worker
+processes with one BLAS thread each, as many as the cores, at most
+`GRNN_THREADS` (see grnn.train); --parallel is accepted and does nothing.
 """
 
 from __future__ import annotations
@@ -205,14 +206,6 @@ def _resolve_hyperparams(cfg: PipelineConfig, arch: ArchDef,
     return list(arch.units), float(lr), int(batch)
 
 
-def _workers(parallel: bool, repeats: int) -> int:
-    if not parallel:
-        return 1
-    cap = os.environ.get("GRNN_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, repeats))
-
-
 def _report_row_header() -> str:
     return (f"{'Model':<10} {'Layers':>6} {'R2':>9} {'MAPE(%)':>11} "
             f"{'RMSE':>12} {'RMSE(ND)':>9} {'MAPE(frac)':>12}")
@@ -224,7 +217,7 @@ def _report_row(model: str, n_layers: int, rep: EvalReport) -> str:
 
 
 def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
-              repeats: int | None, out: str | None, parallel: bool) -> int:
+              repeats: int | None, out: str | None) -> int:
     arch = cfg.arch(label)
     units, lr, batch = _resolve_hyperparams(cfg, arch, hyperparams_path)
     spec = _network_spec(cfg, arch, units)
@@ -239,8 +232,7 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
         info(f"  seed {record.seed}: {record.status} epochs={record.stopped_epoch} {r2_txt}")
 
     archive = run_experiment(spec, dataset, tc, repeats=n_runs, architecture=label,
-                             r2_bar=cfg.train.r2_bar,
-                             workers=_workers(parallel, n_runs), on_run=on_run)
+                             r2_bar=cfg.train.r2_bar, on_run=on_run)
     outdir = _outdir(cfg, out, "train", label)
     save_archive(os.path.join(outdir, "archive.jsonl"), archive)
 
@@ -406,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--hyperparams", default=None, help="best.json from hpo")
     p_train.add_argument("--repeats", type=int, default=None)
     p_train.add_argument("--parallel", action="store_true",
-                         help="run seeds in worker processes (GRNN_THREADS caps)")
+                         help="accepted and ignored: seeds always run in a pool of "
+                              "one-BLAS-thread workers (GRNN_THREADS caps it)")
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on the test split")
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
@@ -429,8 +422,7 @@ def main(argv=None) -> int:
         if args.command == "hpo":
             return cmd_hpo(cfg, args.arch, args.out)
         if args.command == "train":
-            return cmd_train(cfg, args.arch, args.hyperparams, args.repeats,
-                             args.out, args.parallel)
+            return cmd_train(cfg, args.arch, args.hyperparams, args.repeats, args.out)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.checkpoint, args.out)
         if args.command == "compare":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +298,23 @@ def window(frame: TimeSeriesFrame, lookback: int, norm: NormalizationParams,
         norm=norm, feature_order=names, target_name=target, lookback=lookback,
         train_dates=train_dates, test_dates=test_dates,
     )
+
+
+def write_atomic(path, write, mode: str = "w") -> None:
+    """Call `write(fh)` on a temp file beside `path`, then move it over `path`.
+
+    A reader, or a rerun after a crash, sees the old file or the whole new
+    one, never a partial write.  `mode` is "w" (UTF-8 text) or "wb".
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_frame_csv(path, frame: TimeSeriesFrame, date_column: str = "Date") -> None:

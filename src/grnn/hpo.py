@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import read_jsonl
+from .data import read_jsonl, write_atomic
 from .numerics import FLOAT, Rng
 
 
@@ -237,29 +236,44 @@ def suggest(history: list[Trial], space: SearchSpace, cfg: TpeConfig, rng: Rng) 
     return out
 
 
+def _values_key(values: dict) -> tuple:
+    return tuple(sorted(values.items()))
+
+
 def optimize(objective, space: SearchSpace, cfg: TpeConfig,
              history: list[Trial] | None = None, on_trial=None):
     """Run suggest->evaluate cycles until the history holds cfg.n_trials.
 
     `objective` maps a values dict to a float loss; exceptions and
-    non-finite returns mark the trial failed.  Returns (best trial or
+    non-finite returns mark the trial failed.  The objective must be
+    deterministic: an exact repeat of a finished trial's values takes that
+    trial's outcome instead of calling it again.  Returns (best trial or
     None if nothing completed, full history).  Passing a partial history
     resumes it; trial k always draws from stream k of cfg.seed, so the
     resumed run matches the uninterrupted one.
     """
     history = list(history) if history else []
     base = Rng(cfg.seed)
+    finished = {}
+    for t in history:
+        finished.setdefault(_values_key(t.values), t)
     while len(history) < cfg.n_trials:
         trial_id = len(history)
         values = suggest(history, space, cfg, base.child(trial_id))
-        try:
-            result = float(objective(values))
-            if not math.isfinite(result):
-                raise ValueError(f"objective returned {result}")
-            trial = Trial(trial_id, values, result, "complete")
-        except Exception as exc:
-            trial = Trial(trial_id, values, None, "failed",
-                          error=f"{type(exc).__name__}: {exc}")
+        key = _values_key(values)
+        if key in finished:
+            same = finished[key]
+            trial = Trial(trial_id, values, same.objective, same.status, same.error)
+        else:
+            try:
+                result = float(objective(values))
+                if not math.isfinite(result):
+                    raise ValueError(f"objective returned {result}")
+                trial = Trial(trial_id, values, result, "complete")
+            except Exception as exc:
+                trial = Trial(trial_id, values, None, "failed",
+                              error=f"{type(exc).__name__}: {exc}")
+            finished[key] = trial
         history.append(trial)
         if on_trial is not None:
             on_trial(trial)
@@ -274,11 +288,8 @@ def trial_line(trial: Trial) -> str:
 
 
 def save_history(path, history: list[Trial]) -> None:
-    """Write a whole trial log atomically: a temp file, then os.replace."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(trial_line(t) for t in history)
-    os.replace(tmp, path)
+    """Write a whole trial log atomically (`data.write_atomic`)."""
+    write_atomic(path, lambda fh: fh.writelines(trial_line(t) for t in history))
 
 
 def load_history(path, space: SearchSpace | None = None) -> list[Trial]:

@@ -65,6 +65,7 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
+from .data import write_atomic
 from .numerics import Rng, ShapeError, glorot_uniform
 
 MODEL_FORMAT = "grnn-model"
@@ -310,7 +311,8 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
 
 
 def save_model(path, spec: NetworkSpec, params: NetworkParams, extra: dict | None = None) -> None:
-    """Write a self-describing checkpoint; see the module docstring for the layout.
+    """Write a self-describing checkpoint atomically; see the module docstring
+    for the layout.
 
     `extra["dtype"]` is set from the parameters (left out for float64).
     """
@@ -333,11 +335,14 @@ def save_model(path, spec: NetworkSpec, params: NetworkParams, extra: dict | Non
         "extra": extra,
         "tensors": manifest,
     }
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for _, arr in params.tensors():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+    write_atomic(path, write, "wb")
 
 
 def load_model(path) -> tuple[NetworkSpec, NetworkParams, dict]:

@@ -19,21 +19,42 @@ workspace's arrays.
 `run_experiment` trains with seeds seed, seed+1, ... and evaluates each
 run on the held-out test split, retaining runs whose test R^2 clears the
 configured bar (0.90 by default).  Every run -- retained, discarded, or
-diverged -- stays in the archive for statistical testing.  Runs are
-independent, so they may execute in worker processes; results are always
-collected in seed order, making the archive identical however it was
-scheduled.
+diverged -- stays in the archive for statistical testing.  Runs come back
+in seed order.
+
+Where the runs execute follows one rule.  A single run trains in-process
+at the process's BLAS threads.  Every run of a multi-seed experiment
+trains on one BLAS thread: the seeds are spread over `pool_size(repeats)`
+= min(cores, GRNN_THREADS, repeats) workers forked from this process, so
+the dataset reaches them by copy-on-write, and each worker caps its BLAS
+to one thread when it starts.  With one worker the seeds run in-process
+with BLAS capped to one thread and restored afterwards; if numpy's BLAS
+has no thread setter, they run in-process with its threads as they are.
+At the paper's shapes a second BLAS thread barely pays and a second seed
+doubles the work done, and the rule has a cost worth knowing: one and two
+BLAS threads round float32 differently at the c09 shape (lstm1, 47 units,
+batch 46), so a multi-seed archive can differ from single runs of the same
+seeds.  In exchange it depends neither on the worker count nor on the
+machine's core count.  A worker that dies fails the runs it had in flight
+("worker died") and the remaining seeds still run.  On Python >= 3.12,
+forking while BLAS threads are alive raises a DeprecationWarning.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import DataError, WindowedDataset, read_jsonl
+from .data import DataError, WindowedDataset, read_jsonl, write_atomic
 from .metrics import EvalReport, evaluate
 from .network import DTYPES, NetworkParams, NetworkSpec, backward, forward_batch
 from .numerics import FLOAT, Rng
@@ -197,58 +218,156 @@ class RunArchive:
         return np.array([getattr(r.report, metric) for r in self.retained], dtype=FLOAT)
 
 
-def _run_one(args):
-    spec, data, cfg, label, r2_bar = args
+def _run_one(job, seed: int):
+    spec, data, cfg, label, r2_bar = job
+    cfg = replace(cfg, seed=seed)
     try:
         result = train(spec, data, cfg)
         report = evaluate(spec, result.best_params, data, split="test",
-                          seed=cfg.seed, architecture=label)
-        record = RunRecord(seed=cfg.seed, status="complete",
+                          seed=seed, architecture=label)
+        record = RunRecord(seed=seed, status="complete",
                            stopped_epoch=result.stopped_epoch,
                            train_loss=result.best_loss, report=report,
                            retained=report.r2 > r2_bar)
         return record, result
     except TrainingDiverged as exc:
-        return RunRecord(seed=cfg.seed, status="failed", error=str(exc)), None
+        return RunRecord(seed=seed, status="failed", error=str(exc)), None
+
+
+_BLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the BLAS thread count of numpy's BLAS, or None without a setter.
+
+    dlsym on numpy's extension module also searches the BLAS it links.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in _BLAS_SYMBOLS:
+        try:
+            return (getattr(lib, f"{prefix}get_num_threads{suffix}"),
+                    getattr(lib, f"{prefix}set_num_threads{suffix}"))
+        except AttributeError:
+            continue
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    get, set_ = _blas_thread_calls()
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def pool_size(repeats: int) -> int:
+    """Workers for a multi-seed run: min(cores, GRNN_THREADS, repeats)."""
+    workers = len(os.sched_getaffinity(0))
+    cap = os.environ.get("GRNN_THREADS")
+    if cap:
+        if not cap.strip().isdigit():
+            raise ValueError(f"GRNN_THREADS must be a whole number, got {cap!r}")
+        workers = min(workers, int(cap))
+    return max(1, min(workers, repeats))
+
+
+_worker_job = None             # (spec, data, cfg, label, r2_bar), set in each pool worker
+
+
+def _init_worker(*job) -> None:
+    global _worker_job
+    _worker_job = job
+    _blas_thread_calls()[1](1)
+
+
+def _worker_run(seed: int):
+    return _run_one(_worker_job, seed)
+
+
+def _run_pooled(job, seeds: list, workers: int, finish) -> None:
+    """Run `seeds` in forked one-BLAS-thread workers; `finish(seed, outcome)`
+    as each ends.  A worker that dies fails the seeds in flight, and a fresh
+    pool takes the rest."""
+    pending = list(seeds)
+    fork = multiprocessing.get_context("fork")
+    while pending:
+        # fork: the job reaches each worker by copy-on-write, not pickled
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker,
+                                 initargs=job) as pool:
+            running = {}
+            while pending or running:
+                while pending and len(running) < workers:
+                    try:
+                        fut = pool.submit(_worker_run, pending[0])
+                    except BrokenProcessPool:
+                        break
+                    running[fut] = pending.pop(0)
+                if not running:
+                    break               # this pool broke: a fresh one takes the rest
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    seed = running.pop(fut)
+                    try:
+                        outcome = fut.result()
+                    except BrokenProcessPool:
+                        outcome = RunRecord(seed=seed, status="failed",
+                                            error="worker died"), None
+                    finish(seed, outcome)
 
 
 def run_experiment(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig,
                    repeats: int = 48, architecture: str = "",
-                   r2_bar: float = R2_RETENTION_BAR, workers: int = 1,
+                   r2_bar: float = R2_RETENTION_BAR, workers: int | None = None,
                    on_run=None) -> RunArchive:
     """Train `repeats` times with seeds cfg.seed, cfg.seed+1, ...
 
-    Runs with test R^2 > r2_bar are retained; all runs are archived.
-    workers > 1 executes runs in processes, in deterministic seed order.
+    Runs with test R^2 > r2_bar are retained; all runs are archived in
+    seed order, and `on_run(record)` is called for each, in seed order.
+    See the module docstring for where the runs execute; `workers`
+    defaults to `pool_size(repeats)`.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    jobs = [(spec, data, replace(cfg, seed=cfg.seed + k), architecture, r2_bar)
-            for k in range(repeats)]
+    job = (spec, data, cfg, architecture, r2_bar)
+    seeds = [cfg.seed + k for k in range(repeats)]
     archive = RunArchive(architecture=architecture, runs=[])
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, jobs))
-    else:
-        outcomes = []
-        for job in jobs:
-            outcomes.append(_run_one(job))
+    early = {}                  # outcomes that finished before an earlier seed
+
+    def finish(seed, outcome):
+        early[seed] = outcome
+        while len(archive.runs) < repeats and seeds[len(archive.runs)] in early:
+            record, result = early.pop(seeds[len(archive.runs)])
+            archive.runs.append(record)
+            if result is not None:
+                archive.results[record.seed] = result
             if on_run is not None:
-                on_run(outcomes[-1][0])
-    for record, result in outcomes:
-        archive.runs.append(record)
-        if result is not None:
-            archive.results[record.seed] = result
+                on_run(record)
+
+    workers = min(pool_size(repeats) if workers is None else workers, repeats)
+    one_thread = repeats > 1 and _blas_thread_calls() is not None
+    if one_thread and workers > 1:
+        _run_pooled(job, seeds, workers, finish)
+        return archive
+    with _one_blas_thread() if one_thread else contextlib.nullcontext():
+        for seed in seeds:
+            finish(seed, _run_one(job, seed))
     return archive
 
 
 def save_archive(path, archive: RunArchive) -> None:
-    """Line-delimited records, one per run, preceded by an archive header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"architecture": archive.architecture,
-                             "n_runs": len(archive.runs)}, sort_keys=True) + "\n")
-        for run in archive.runs:
-            fh.write(json.dumps(run.to_record(), sort_keys=True) + "\n")
+    """Line-delimited records, one per run, preceded by an archive header;
+    written atomically."""
+    header = {"architecture": archive.architecture, "n_runs": len(archive.runs)}
+    lines = [header] + [run.to_record() for run in archive.runs]
+    write_atomic(path, lambda fh: fh.writelines(
+        json.dumps(line, sort_keys=True) + "\n" for line in lines))
 
 
 def load_archive(path) -> RunArchive:

@@ -66,7 +66,8 @@ def test_config_loading_and_overrides(tmp_path):
     assert cfg2.train.seed == 99 and cfg2.lookback == 4
 
 
-PROFILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "profiles", "*.ini")))
+PROFILES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "profiles")
+PROFILES = sorted(glob.glob(os.path.join(PROFILES_DIR, "*.ini")))
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=os.path.basename)
@@ -485,11 +486,41 @@ def test_compare_requires_two_archives(tmp_path, capsys):
 
 
 def test_env_var_caps_parallel_workers(monkeypatch):
-    from grnn.cli import _workers
+    from grnn.train import pool_size
 
-    assert _workers(parallel=False, repeats=48) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.delenv("GRNN_THREADS", raising=False)
+    assert pool_size(repeats=48) == 4
+    assert pool_size(repeats=1) == 1
     monkeypatch.setenv("GRNN_THREADS", "3")
-    assert _workers(parallel=True, repeats=48) == 3
-    assert _workers(parallel=True, repeats=2) == 2
+    assert pool_size(repeats=48) == 3
+    assert pool_size(repeats=2) == 2
+    monkeypatch.setenv("GRNN_THREADS", "8")
+    assert pool_size(repeats=48) == 4
     monkeypatch.setenv("GRNN_THREADS", "1")
-    assert _workers(parallel=True, repeats=48) == 1
+    assert pool_size(repeats=48) == 1
+    monkeypatch.setenv("GRNN_THREADS", "two")
+    with pytest.raises(ValueError, match="GRNN_THREADS must be a whole number"):
+        pool_size(repeats=48)
+
+
+def test_worker_count_does_not_change_multi_seed_artifacts(tmp_path, monkeypatch, capsys):
+    """At the c09 shape one and two BLAS threads round float32 differently
+    (the sine shape cannot tell them apart); every seed of a multi-seed run
+    trains on one, in-process or in a pool."""
+    monkeypatch.chdir(tmp_path)
+    write_bundle(tmp_path / "data" / "synthetic", seed=0)
+    base = ["--config", os.path.join(PROFILES_DIR, "synthetic-market.ini"), "--out", "out"]
+    assert main(["prepare", *base]) == 0
+    train_argv = ["train", *base, "--arch", "lstm1", "--repeats", "2",
+                  "--set", "train.max_epochs=3", "--set", "train.r2_bar=0"]
+    outdir = tmp_path / "out" / "train" / "lstm1"
+    artifacts = []
+    for threads, extra in (("1", []), ("2", ["--parallel"])):
+        monkeypatch.setenv("GRNN_THREADS", threads)
+        assert main(train_argv + extra) == 0
+        artifacts.append(((outdir / "archive.jsonl").read_bytes(),
+                          (outdir / "best.grnn").read_bytes()))
+        assert sorted(os.listdir(outdir)) == ["archive.jsonl", "best.grnn"]
+    assert artifacts[0] == artifacts[1]
+    capsys.readouterr()

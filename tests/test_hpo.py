@@ -189,6 +189,31 @@ def test_optimize_resume_matches_uninterrupted(tmp_path):
     assert [t.objective for t in resumed] == [t.objective for t in full]
 
 
+def test_a_repeated_trial_takes_the_recorded_outcome():
+    space = SearchSpace((IntUniform("units", 4, 6),))
+    calls = []
+
+    def objective(values):
+        calls.append(values["units"])
+        if values["units"] == 6:
+            raise RuntimeError("too wide")
+        return float(values["units"])
+
+    cfg = TpeConfig(n_trials=10, n_startup=2, seed=3)
+    _, hist = optimize(objective, space, cfg)
+    first = {}
+    for t in hist:
+        seen = first.setdefault(t.values["units"], t)
+        assert (t.objective, t.status, t.error) == (seen.objective, seen.status, seen.error)
+    assert sorted(calls) == sorted(first)          # each distinct value ran once
+    assert {t.status for t in hist} == {"complete", "failed"}
+
+    calls.clear()
+    _, resumed = optimize(objective, space, cfg, history=hist[:len(hist) - 1])
+    assert calls == []                  # the last trial repeats an earlier one
+    assert [t.to_record() for t in resumed] == [t.to_record() for t in hist]
+
+
 def test_history_file_roundtrip(tmp_path):
     rng = Rng(13)
     hist = make_history(rng, 15, fail_every=5)

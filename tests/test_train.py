@@ -1,5 +1,6 @@
 import datetime as dt
 import importlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from grnn.train import (
 )
 
 SINE_SPEC = NetworkSpec(layers=(LayerSpec("lstm", 16),), input_dim=1)
+train_module = importlib.import_module("grnn.train")    # grnn.train is also the function
 
 
 def zero_dataset(n=12, lookback=3):
@@ -72,8 +74,6 @@ def test_float32_is_the_default_and_others_are_rejected():
 
 
 def test_nonfinite_gradient_is_reported_as_divergence(sine_dataset, monkeypatch):
-    train_module = importlib.import_module("grnn.train")    # grnn.train is also the function
-
     def poisoned_backward(spec, params, tape, dpred, grads, ws):
         backward(spec, params, tape, dpred, grads, ws)
         grads.head_b[0] = np.inf
@@ -168,10 +168,52 @@ def test_archive_roundtrip_and_byte_determinism(tmp_path, sine_dataset):
 def test_parallel_workers_match_sequential(sine_dataset):
     cfg = TrainConfig(batch_size=16, max_epochs=25, patience=5,
                       learning_rate=3e-3, seed=21)
-    seq = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, architecture="x")
+    seq = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, architecture="x",
+                         workers=1)
     par = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, architecture="x",
                          workers=2)
     assert [r.to_record() for r in seq.runs] == [r.to_record() for r in par.runs]
+
+
+def test_in_process_seeds_run_on_one_blas_thread_then_restore_it(sine_dataset):
+    calls = train_module._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no thread setter")
+    get_threads, _ = calls
+    before = get_threads()
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=51)
+    seen = []
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, workers=1,
+                             on_run=lambda record: seen.append(get_threads()))
+    assert seen == [1, 1]
+    assert get_threads() == before
+    assert [r.seed for r in archive.runs] == [51, 52]
+
+    def interrupt(record):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, workers=1, on_run=interrupt)
+    assert get_threads() == before
+
+
+def test_a_dead_worker_fails_its_seeds_and_the_rest_still_run(sine_dataset, monkeypatch):
+    def dying(spec, data, cfg):
+        if cfg.seed == 60:
+            os._exit(1)
+        return train(spec, data, cfg)
+
+    monkeypatch.setattr(train_module, "train", dying)
+    cfg = TrainConfig(batch_size=16, max_epochs=5, patience=5, learning_rate=3e-3, seed=60)
+    seen = []
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=4, workers=2,
+                             on_run=seen.append)
+    assert [r.seed for r in archive.runs] == [60, 61, 62, 63]
+    assert seen == archive.runs
+    assert (archive.runs[0].status, archive.runs[0].error) == ("failed", "worker died")
+    # seed 61 shared the pool that broke; seeds 62 and 63 ran in a fresh one
+    assert [r.status for r in archive.runs[2:]] == ["complete", "complete"]
+    assert sorted(archive.results) == [r.seed for r in archive.runs if r.status == "complete"]
 
 
 def test_metric_samples_pull_retained_only(sine_dataset):

@@ -1,12 +1,16 @@
 """Time multi-seed training in-process and in the worker pool; write BENCH_pool.json.
 
-Two cases, each trained through `run_experiment` on a dataset that
+Three cases, each trained through `run_experiment` on a dataset that
 `grnn prepare` builds from the synthetic inputs the benchmark uses:
 
-    c09   lstm1 of profiles/synthetic-market.ini (47 units, batch 46) on the
-          synthetic market bundle, 8 seeds x 12 epochs (perfbench train-lstm1)
-    sine  lstm1 of profiles/smoke-sine.ini (16 units, batch 16), 2 seeds x 15
-          epochs (the train command of perfbench pipeline-sine)
+    c09        lstm1 of profiles/synthetic-market.ini (47 units, batch 46) on
+               the synthetic market bundle, 8 seeds x 12 epochs (perfbench
+               train-lstm1)
+    sine       lstm1 of profiles/smoke-sine.ini (16 units, batch 16), 2 seeds
+               x 15 epochs (the train command of perfbench pipeline-sine)
+    gru-lstm1  gru-lstm1 of profiles/synthetic-market.ini (498 and 311 units,
+               batch 46), 2 seeds x 2 epochs: the GEMM-bound shape, where a
+               second BLAS thread speeds one seed up most
 
 Three ways of running the same seeds alternate, round by round, so drift
 of a shared host hits them alike:
@@ -17,8 +21,10 @@ of a shared host hits them alike:
     pooled      `workers=pool_size(repeats)`: forked one-BLAS-thread workers
 
 Each reports the min and median of its raw wall seconds over --rounds.
-The result records the peak RSS of this process and of the pool's workers
-(RUSAGE_CHILDREN) and the machine (perfbench/envinfo.py).
+After each case the result records the peak RSS so far of this process and
+of the largest pool worker (RUSAGE_CHILDREN); the cases run from the
+smallest network to the largest, so each reading is its own case's.  The
+machine is recorded with perfbench/envinfo.py.
 
     python scripts/bench_pool.py [--rounds 5] [--out BENCH_pool.json]
 """
@@ -44,14 +50,14 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import envinfo  # noqa: E402
 from grnn import cli  # noqa: E402
 from grnn.config import load_config  # noqa: E402
-from grnn.network import LayerSpec, NetworkSpec  # noqa: E402
 from grnn.synthetic import write_bundle, write_sine  # noqa: E402
 from grnn.train import pool_size, run_experiment  # noqa: E402
 
-# name: (profile, inputs, seeds, epochs)
+# name: (profile, inputs, architecture, seeds, epochs)
 CASES = {
-    "c09": ("synthetic-market.ini", "market", 8, 12),
-    "sine": ("smoke-sine.ini", "sine", 2, 15),
+    "c09": ("synthetic-market.ini", "market", "lstm1", 8, 12),
+    "sine": ("smoke-sine.ini", "sine", "lstm1", 2, 15),
+    "gru-lstm1": ("synthetic-market.ini", "market", "gru-lstm1", 2, 2),
 }
 MODES = ("serial", "in_process", "pooled")
 
@@ -77,10 +83,9 @@ def prepared(profile: str, inputs: str):
             os.chdir(cwd)
 
 
-def runner(cfg, dataset, seeds: int, epochs: int):
-    arch = cfg.arch("lstm1")
-    spec = NetworkSpec((LayerSpec("lstm", arch.units[0], cfg.train.activation),),
-                       input_dim=len(dataset.feature_order))
+def runner(cfg, dataset, label: str, seeds: int, epochs: int):
+    arch = cfg.arch(label)
+    spec = cli._network_spec(cfg, arch, arch.units)
     tc = replace(cfg.train, batch_size=arch.batch_size, learning_rate=arch.learning_rate,
                  max_epochs=epochs, patience=epochs)
 
@@ -95,8 +100,8 @@ def runner(cfg, dataset, seeds: int, epochs: int):
 
 
 def bench_case(name: str, rounds: int) -> dict:
-    profile, inputs, seeds, epochs = CASES[name]
-    run = runner(*prepared(profile, inputs), seeds, epochs)
+    profile, inputs, label, seeds, epochs = CASES[name]
+    run = runner(*prepared(profile, inputs), label, seeds, epochs)
     times = {mode: [] for mode in MODES}
     for _ in range(rounds):
         for mode in MODES:
@@ -110,7 +115,13 @@ def bench_case(name: str, rounds: int) -> dict:
     out["median_speedup_pooled_vs_in_process"] = (out["in_process"]["median_s"]
                                                   / out["pooled"]["median_s"])
     out["median_speedup_pooled_vs_serial"] = out["serial"]["median_s"] / out["pooled"]["median_s"]
+    out["peak_rss_mb_so_far"] = peak_rss_mb()
     return out
+
+
+def peak_rss_mb() -> dict:
+    return {"self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "largest_worker": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
 
 
 def main(argv=None) -> int:
@@ -123,13 +134,9 @@ def main(argv=None) -> int:
               "environment": envinfo.record(ROOT), "cases": {}}
     for name in CASES:
         case = result["cases"][name] = bench_case(name, args.rounds)
-        print(f"{name:<5} " + " | ".join(
+        print(f"{name:<9} " + " | ".join(
             f"{mode} min {case[mode]['min_s']:6.2f} s median {case[mode]['median_s']:6.2f} s"
             for mode in MODES))
-    result["peak_rss_mb"] = {
-        "self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "workers": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
-    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -30,14 +30,22 @@ the dataset reaches them by copy-on-write, and each worker caps its BLAS
 to one thread when it starts.  With one worker the seeds run in-process
 with BLAS capped to one thread and restored afterwards; if numpy's BLAS
 has no thread setter, they run in-process with its threads as they are.
-At the paper's shapes a second BLAS thread barely pays and a second seed
-doubles the work done, and the rule has a cost worth knowing: one and two
-BLAS threads round float32 differently at the c09 shape (lstm1, 47 units,
-batch 46), so a multi-seed archive can differ from single runs of the same
-seeds.  In exchange it depends neither on the worker count nor on the
-machine's core count.  A worker that dies fails the runs it had in flight
-("worker died") and the remaining seeds still run.  On Python >= 3.12,
-forking while BLAS threads are alive raises a DeprecationWarning.
+A second BLAS thread speeds one seed up by less than a second seed adds
+work: on 2 cores, not at all for c09's lstm1 and about 1.2x for gru-lstm1
+(498 and 311 units, the roster's largest GEMMs), so two pooled seeds
+finish 1.9x (c09) and 1.45x (gru-lstm1) sooner than two seeds one after
+the other at two threads (scripts/bench_pool.py, BENCH_pool.json).  Each
+worker holds its own network, workspace and optimizer, so memory grows
+with the worker count: about 150 MB per gru-lstm1 worker.  The rule has a
+cost worth knowing: one and two BLAS threads round float32 differently at
+the c09 shape (lstm1, 47 units, batch 46), so a multi-seed archive can
+differ from single runs of the same seeds.  In exchange it depends neither
+on the worker count nor on the machine's core count.  Each run is scored
+where it trained; `grnn evaluate` scores at the process's BLAS threads,
+and at the c09 test split one and two threads give the same report.  A
+worker that dies fails the runs it had in flight ("worker died") and the
+remaining seeds still run.  On Python >= 3.12, forking while BLAS threads
+are alive raises a DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -268,8 +276,15 @@ def _one_blas_thread():
 
 
 def pool_size(repeats: int) -> int:
-    """Workers for a multi-seed run: min(cores, GRNN_THREADS, repeats)."""
-    workers = len(os.sched_getaffinity(0))
+    """Workers for a multi-seed run: min(cores, GRNN_THREADS, repeats).
+
+    The cores are those this process may run on, or all of the machine's
+    where the platform cannot tell (no os.sched_getaffinity).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     cap = os.environ.get("GRNN_THREADS")
     if cap:
         if not cap.strip().isdigit():
@@ -350,11 +365,12 @@ def run_experiment(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig,
             if on_run is not None:
                 on_run(record)
 
-    workers = min(pool_size(repeats) if workers is None else workers, repeats)
     one_thread = repeats > 1 and _blas_thread_calls() is not None
-    if one_thread and workers > 1:
-        _run_pooled(job, seeds, workers, finish)
-        return archive
+    if one_thread:
+        workers = min(pool_size(repeats) if workers is None else workers, repeats)
+        if workers > 1:
+            _run_pooled(job, seeds, workers, finish)
+            return archive
     with _one_blas_thread() if one_thread else contextlib.nullcontext():
         for seed in seeds:
             finish(seed, _run_one(job, seed))

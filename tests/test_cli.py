@@ -504,10 +504,31 @@ def test_env_var_caps_parallel_workers(monkeypatch):
         pool_size(repeats=48)
 
 
+def test_train_runs_where_the_platform_has_no_sched_getaffinity(tmp_path, monkeypatch,
+                                                                 capsys):
+    from grnn.train import pool_size
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delenv("GRNN_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pool_size(repeats=48) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)     # cannot tell
+    assert pool_size(repeats=48) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    for repeats in ("1", "2"):
+        assert main(["train", "--config", str(path), "--arch", "lstm1",
+                     "--repeats", repeats]) == 0
+    capsys.readouterr()
+
+
 def test_worker_count_does_not_change_multi_seed_artifacts(tmp_path, monkeypatch, capsys):
     """At the c09 shape one and two BLAS threads round float32 differently
     (the sine shape cannot tell them apart); every seed of a multi-seed run
-    trains on one, in-process or in a pool."""
+    trains and is scored on one, in-process or in a pool.  `grnn evaluate`
+    scores at the process's BLAS threads and must still reproduce the
+    archived report of best.grnn."""
     monkeypatch.chdir(tmp_path)
     write_bundle(tmp_path / "data" / "synthetic", seed=0)
     base = ["--config", os.path.join(PROFILES_DIR, "synthetic-market.ini"), "--out", "out"]
@@ -522,5 +543,11 @@ def test_worker_count_does_not_change_multi_seed_artifacts(tmp_path, monkeypatch
         artifacts.append(((outdir / "archive.jsonl").read_bytes(),
                           (outdir / "best.grnn").read_bytes()))
         assert sorted(os.listdir(outdir)) == ["archive.jsonl", "best.grnn"]
+        assert main(["evaluate", *base, "--checkpoint", str(outdir / "best.grnn")]) == 0
+        _, _, extra = load_model(outdir / "best.grnn")
+        archived = next(json.loads(line)["report"] for line in
+                        artifacts[-1][0].decode().splitlines()[1:]
+                        if json.loads(line)["seed"] == extra["seed"])
+        assert json.loads((tmp_path / "out" / "eval" / "lstm1.json").read_text()) == archived
     assert artifacts[0] == artifacts[1]
     capsys.readouterr()

@@ -197,6 +197,16 @@ def test_in_process_seeds_run_on_one_blas_thread_then_restore_it(sine_dataset):
     assert get_threads() == before
 
 
+def test_a_single_seed_run_sizes_no_pool(sine_dataset, monkeypatch):
+    def no_pool(repeats):
+        raise AssertionError("a single seed needs no pool")
+
+    monkeypatch.setattr(train_module, "pool_size", no_pool)
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=5, learning_rate=3e-3, seed=55)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=1)
+    assert [r.status for r in archive.runs] == ["complete"]
+
+
 def test_a_dead_worker_fails_its_seeds_and_the_rest_still_run(sine_dataset, monkeypatch):
     def dying(spec, data, cfg):
         if cfg.seed == 60:

@@ -38,6 +38,7 @@ from .data import (
     read_frame_csv,
     read_json,
     window,
+    write_atomic,
     write_frame_csv,
 )
 from .hpo import (IntUniform, LogUniform, SearchSpace, load_history, optimize, save_history,
@@ -86,6 +87,11 @@ def _prepare_frame(cfg: PipelineConfig):
     return add_indicators(frame, cfg.target, cfg.indicators)
 
 
+def _write_json(path, record: dict) -> None:
+    """One indented, key-sorted JSON object, written atomically."""
+    write_atomic(path, lambda fh: fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n"))
+
+
 def _summary_table(frame) -> str:
     names = frame.feature_order
     width = max(len(n) for n in names) + 2
@@ -109,9 +115,7 @@ def cmd_prepare(cfg: PipelineConfig, out: str | None) -> int:
         "target": cfg.target,
         "feature_order": frame.feature_order,
     }
-    with open(os.path.join(outdir, NORM_SIDECAR), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, NORM_SIDECAR), sidecar)
     n = frame.n_rows
     n_train = int(np.floor(cfg.split * n))
     print(f"prepared {n} rows ({n_train} train / {n - n_train} test) "
@@ -184,9 +188,7 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
         "objective_rmse_nd": best.objective,
         "trial_id": best.trial_id,
     }
-    with open(os.path.join(outdir, "best.json"), "w", encoding="utf-8") as fh:
-        json.dump(best_payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "best.json"), best_payload)
     print(json.dumps(best_payload, sort_keys=True))
     return 0
 
@@ -282,9 +284,7 @@ def cmd_evaluate(cfg: PipelineConfig, checkpoint: str, out: str | None) -> int:
     print(_report_row(model, n_layers, report))
     outdir = _outdir(cfg, out, "eval")
     path = os.path.join(outdir, f"{label}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_record(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, report.to_record())
     info(f"wrote {path}")
     return 0
 
@@ -318,7 +318,8 @@ def cmd_compare(cfg: PipelineConfig, labels: list[str], out: str | None) -> int:
     print(render_pairwise_table(results))
     outdir = _outdir(cfg, out, "compare")
     path = os.path.join(outdir, "comparison.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         for res in results:
             record = {
                 "metric": res.metric,
@@ -334,6 +335,8 @@ def cmd_compare(cfg: PipelineConfig, labels: list[str], out: str | None) -> int:
                     for (a, b), r in res.pairwise.items()],
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    write_atomic(path, write)
     info(f"wrote {path}")
     return 0
 
@@ -355,20 +358,26 @@ def cmd_report(cfg: PipelineConfig, label: str, out: str | None) -> int:
 
     outdir = _outdir(cfg, out, "report")
     scatter_path = os.path.join(outdir, f"{label}_scatter.csv")
-    with open(scatter_path, "w", newline="", encoding="utf-8") as fh:
+
+    def write_scatter(fh):
         writer = csv.writer(fh)
         writer.writerow(["date", "actual", "predicted"])
         for d, a, p in zip(dataset.test_dates, actual, predicted):
             writer.writerow([d.isoformat(), repr(float(a)), repr(float(p))])
 
+    write_atomic(scatter_path, write_scatter)
+
     metrics_path = os.path.join(outdir, f"{label}_metrics.csv")
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
+
+    def write_metrics(fh):
         writer = csv.writer(fh)
         writer.writerow(["architecture", "seed", "metric", "value"])
         for run in archive.retained:
             for metric in ("rmse", "mape", "r2"):
                 writer.writerow([label, run.seed, metric,
                                  repr(float(getattr(run.report, metric)))])
+
+    write_atomic(metrics_path, write_metrics)
     print(f"scatter: {scatter_path} ({len(actual)} rows)")
     print(f"metrics: {metrics_path} ({3 * len(archive.retained)} rows)")
     return 0

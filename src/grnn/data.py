@@ -2,11 +2,18 @@
 chronological splitting, and sliding-window supervised framing.
 
 Input sources are comma-separated files with a header row, an ISO-8601
-`Date` column, and one price column per source.  Sources trade on
-different calendars, so ingestion inner-joins on date: only days present
-in every source survive.  MACD (12-day EMA minus 26-day EMA) and Wilder's
-14-day RSI are computed from the target column; the first 25 rows, where
-MACD is undefined, are trimmed before any split.
+`Date` column, and one price column per source.  Rows are read as
+`csv.DictReader` reads them (blank rows skipped, a repeated header name
+resolving to its last column), but each file is parsed column-wise rather
+than into one dict per row.  A date or value that does not parse, or a
+value that is not finite, is a DataError naming the file and line, even on
+a date that the join would drop.  Sources trade on different calendars, so
+ingestion inner-joins on date: only days present in every source survive.
+MACD (12-day EMA minus 26-day EMA) and Wilder's 14-day RSI are computed
+from the target column; the first 25 rows, where MACD is undefined, are
+trimmed before any split.  `write_frame_csv` writes `repr` of every value
+(exact round trip) through `write_atomic`, so a crash mid-write leaves the
+previous file in place.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -100,28 +109,60 @@ class WindowedDataset:
     test_dates: list
 
 
+def _csv_rows(path, fh):
+    """The rows of `csv.reader(fh)`.  A row that csv cannot read, such as one
+    with a field over `csv.field_size_limit()`, is a DataError naming the
+    file and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_series_csv(path, column: str, date_column: str = "Date"):
-    """Read (dates, values) from one delimited source file."""
-    dates, values = [], []
+    """Read (dates, values) from one delimited source file.
+
+    Rows are read as a `csv.DictReader` would: blank rows are skipped and
+    not counted in line numbers, a short row has no value (None) for its
+    missing fields, and a header name given twice resolves to its last
+    column.  An unparseable or non-finite value is a DataError naming the
+    file and line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or date_column not in reader.fieldnames:
-            raise DataError(f"{path}: missing {date_column!r} column")
-        if column not in reader.fieldnames:
-            raise DataError(f"{path}: missing value column {column!r}")
-        for lineno, row in enumerate(reader, start=2):
-            raw_date, raw_val = row.get(date_column), row.get(column)
-            try:
-                date = dt.date.fromisoformat((raw_date or "").strip())
-                value = float(raw_val)
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path}:{lineno}: cannot parse date={raw_date!r} value={raw_val!r}"
-                ) from None
-            dates.append(date)
-            values.append(value)
-    if not dates:
+        rows = list(_csv_rows(path, fh))
+    # a repeated name maps to its last column, as in DictReader's dicts
+    index = {name: i for i, name in enumerate(rows[0] if rows else [])}
+    if date_column not in index:
+        raise DataError(f"{path}: missing {date_column!r} column")
+    if column not in index:
+        raise DataError(f"{path}: missing value column {column!r}")
+    rows = list(filter(None, rows[1:]))     # DictReader skips blank rows
+    if not rows:
         raise DataError(f"{path}: no data rows")
+    d_idx, v_idx = index[date_column], index[column]
+    try:        # whole columns at once; any bad row leaves it to the row scan below
+        dates = list(map(dt.date.fromisoformat, map(str.strip, map(itemgetter(d_idx), rows))))
+        values = list(map(float, map(itemgetter(v_idx), rows)))
+        if all(map(math.isfinite, values)):
+            return dates, values
+    except (IndexError, ValueError):
+        pass
+    dates, values = [], []
+    for lineno, row in enumerate(rows, start=2):
+        raw_date = row[d_idx] if d_idx < len(row) else None
+        raw_val = row[v_idx] if v_idx < len(row) else None
+        try:
+            date = dt.date.fromisoformat((raw_date or "").strip())
+            value = float(raw_val)
+        except (TypeError, ValueError):
+            raise DataError(
+                f"{path}:{lineno}: cannot parse date={raw_date!r} value={raw_val!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value={raw_val!r}")
+        dates.append(date)
+        values.append(value)
     return dates, values
 
 
@@ -137,16 +178,19 @@ def ingest(sources: dict, date_column: str = "Date") -> TimeSeriesFrame:
     common: set | None = None
     for name, (path, column) in sources.items():
         dates, values = read_series_csv(path, column, date_column)
-        mapping = dict(zip(dates, values))
-        if len(mapping) != len(dates):
+        seen = set(dates)
+        if len(seen) != len(dates):
             raise DataError(f"{path}: duplicate dates")
-        per_feature[name] = mapping
-        common = set(mapping) if common is None else common & set(mapping)
+        per_feature[name] = dates, values
+        common = seen if common is None else common & seen
     if not common:
         raise DataError("date intersection across sources is empty")
     ordered = sorted(common)
-    columns = {name: np.array([per_feature[name][d] for d in ordered], dtype=FLOAT)
-               for name in sources}
+    columns = {}
+    for name, (dates, values) in per_feature.items():
+        if dates != ordered:        # sources on one calendar need no lookup
+            values = list(map(dict(zip(dates, values)).__getitem__, ordered))
+        columns[name] = np.array(values, dtype=FLOAT)
     return TimeSeriesFrame(ordered, columns)
 
 
@@ -304,11 +348,14 @@ def write_atomic(path, write, mode: str = "w") -> None:
     """Call `write(fh)` on a temp file beside `path`, then move it over `path`.
 
     A reader, or a rerun after a crash, sees the old file or the whole new
-    one, never a partial write.  `mode` is "w" (UTF-8 text) or "wb".
+    one, never a partial write.  `mode` is "w" (UTF-8 text, written with no
+    newline translation, so its bytes are the same on every platform) or "wb".
     """
     tmp = f"{os.fspath(path)}.tmp"
+    text = "b" not in mode
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -318,19 +365,23 @@ def write_atomic(path, write, mode: str = "w") -> None:
 
 
 def write_frame_csv(path, frame: TimeSeriesFrame, date_column: str = "Date") -> None:
-    """Write a frame as delimited text (dates plus every column, full precision)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([date_column] + frame.feature_order)
-        cols = [frame.columns[c] for c in frame.feature_order]
-        for idx, date in enumerate(frame.dates):
-            writer.writerow([date.isoformat()] + [repr(float(c[idx])) for c in cols])
+    """Write a frame atomically as delimited text: dates plus every column at
+    full precision (`repr`), in the bytes of `csv.writer` (CRLF row ends)."""
+    def write(fh):
+        csv.writer(fh).writerow([date_column] + frame.feature_order)
+        # a float's repr holds no comma, quote or line break, so csv.writer
+        # would write each data field as it is
+        fields = [map(repr, frame.columns[c].tolist()) for c in frame.feature_order]
+        dates = [d.isoformat() for d in frame.dates]
+        fh.write("".join([",".join(row) + "\r\n" for row in zip(dates, *fields)]))
+
+    write_atomic(path, write)
 
 
 def read_frame_csv(path, date_column: str = "Date") -> TimeSeriesFrame:
     """Read a frame written by write_frame_csv."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, None)
         if not header or header[0] != date_column:
             raise DataError(f"{path}: expected leading {date_column!r} column")

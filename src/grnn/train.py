@@ -51,13 +51,9 @@ are alive raises a DeprecationWarning.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import json
-import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -251,6 +247,8 @@ def _blas_thread_calls():
 
     dlsym on numpy's extension module also searches the BLAS it links.
     """
+    import ctypes
+
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
@@ -310,6 +308,11 @@ def _run_pooled(job, seeds: list, workers: int, finish) -> None:
     """Run `seeds` in forked one-BLAS-thread workers; `finish(seed, outcome)`
     as each ends.  A worker that dies fails the seeds in flight, and a fresh
     pool takes the rest."""
+    # imported here, so that commands which start no pool never load them
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     pending = list(seeds)
     fork = multiprocessing.get_context("fork")
     while pending:

@@ -1,6 +1,9 @@
+import datetime as dt
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +146,8 @@ def test_train_rejects_malformed_hyperparams(tmp_path, capsys, name, content, na
 @pytest.mark.parametrize("name, mangle, named", [
     ("norm_params.json", lambda text: "{}\n", "missing key 'columns'"),
     ("prepared.csv", lambda text: text.splitlines()[0] + "\n", "no data rows"),
+    ("prepared.csv", lambda text: text + "2099-01-01," + "1" * 200_000 + "\n",
+     "prepared.csv:262: field larger than field limit"),
 ])
 def test_train_rejects_malformed_prepared_data(tmp_path, capsys, name, mangle, named):
     path = write_sine_config(tmp_path)
@@ -257,6 +262,52 @@ def test_prepare_is_deterministic_and_reports_counts(tmp_path, capsys):
     assert main(["prepare", "--config", str(path)]) == 0
     assert (tmp_path / "out" / "prepared.csv").read_bytes() == prepared
     assert (tmp_path / "out" / "norm_params.json").read_bytes() == sidecar
+
+
+def test_prepare_that_fails_midway_keeps_the_old_prepared_csv(tmp_path, capsys,
+                                                               monkeypatch):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    before = {name: (out / name).read_bytes() for name in ("prepared.csv", "norm_params.json")}
+
+    class FailingDate(dt.date):
+        def isoformat(self):
+            raise OSError("No space left on device")
+
+    real_normalize = cli.normalize
+
+    def normalize(*args, **kwargs):
+        frame, norm = real_normalize(*args, **kwargs)
+        k = len(frame.dates) // 2      # the header is written, the rows are not
+        frame.dates[k] = FailingDate(frame.dates[k].year, frame.dates[k].month,
+                                     frame.dates[k].day)
+        return frame, norm
+
+    monkeypatch.setattr(cli, "normalize", normalize)
+    assert main(["prepare", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.strip().endswith("error: No space left on device")
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(os.listdir(out)) == ["norm_params.json", "prepared.csv"]
+
+
+def test_prepare_loads_no_process_pool_modules(tmp_path):
+    """The pool's modules load only when a multi-seed run starts a pool."""
+    path = write_sine_config(tmp_path)
+    script = ("import sys\n"
+              "import grnn.cli\n"
+              "pool = ('multiprocessing', 'concurrent.futures')\n"
+              "print(sorted(m for m in pool if m in sys.modules))\n"
+              "code = grnn.cli.main(['prepare', '--config', sys.argv[1]])\n"
+              "print(code, sorted(m for m in pool if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
 def test_prepare_missing_file_fails_with_name(tmp_path, capsys):

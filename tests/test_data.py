@@ -2,7 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_frame
@@ -15,11 +15,14 @@ from grnn.data import (
     macd,
     normalize,
     read_frame_csv,
+    read_series_csv,
     rsi,
     window,
     write_frame_csv,
 )
 from grnn.numerics import Rng
+from grnn.synthetic import write_bundle, write_sine
+from helpers import reference_read_series_csv, reference_write_frame_csv
 
 TABLE_NIFTY_MIN = 2573.15
 TABLE_NIFTY_MAX = 21778.3
@@ -70,9 +73,11 @@ def test_ingest_partial_overlap_keeps_intersection(tmp_path):
 
 def test_ingest_unparseable_row_names_file_and_line(tmp_path):
     path = tmp_path / "bad.csv"
-    write_csv(path, [("2020-01-01", 1.0), ("2020-01-02", "oops")])
-    with pytest.raises(DataError, match=r"bad\.csv:3"):
-        ingest({"A": (path, "Close")})
+    for bad, named in (("oops", "cannot parse date='2020-01-02' value='oops'"),
+                       ("1" * 200_000, "field larger than field limit")):   # a csv.Error
+        write_csv(path, [("2020-01-01", 1.0), ("2020-01-02", bad)])
+        with pytest.raises(DataError, match=rf"bad\.csv:3: {named}"):
+            ingest({"A": (path, "Close")})
 
 
 def test_ingest_missing_column(tmp_path):
@@ -80,6 +85,80 @@ def test_ingest_missing_column(tmp_path):
     write_csv(path, [("2020-01-01", 1.0)])
     with pytest.raises(DataError, match="Price"):
         ingest({"A": (path, "Price")})
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
+def test_non_finite_source_value_names_file_and_line(tmp_path, bad):
+    d = days("2020-01-01", 4)
+    write_csv(tmp_path / "a.csv", list(zip(d, [1.0, 2.0, 3.0, 4.0])))
+    # the bad value sits on a date that the other source lacks, which the
+    # inner join would otherwise drop without a word
+    write_csv(tmp_path / "b.csv", list(zip(d[:3] + days("2021-01-01", 1),
+                                           [5.0, 6.0, 7.0, bad])))
+    with pytest.raises(DataError, match=rf"b\.csv:5: non-finite value='{bad}'"):
+        ingest({"A": (tmp_path / "a.csv", "Close"), "B": (tmp_path / "b.csv", "Close")})
+
+
+def test_source_rows_read_like_dictreader(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text('Close,Date,Close\r\n\r\n1,2020-01-02 ,3\r\n"4",\r\n'
+                    '\r\n5, 2020-01-04,6,extra\r\n', encoding="utf-8")
+    with pytest.raises(DataError, match=r"s\.csv:3: cannot parse date='' value=None"):
+        read_series_csv(path, "Close")
+    path.write_text("Close,Date,Close\n\n1,2020-01-02 ,3\n\n5, 2020-01-04,6,x\n",
+                    encoding="utf-8")
+    assert read_series_csv(path, "Close") == (
+        [dt.date(2020, 1, 2), dt.date(2020, 1, 4)], [3.0, 6.0])
+
+
+GOOD_DATES = ["2020-01-02", " 2020-01-03", "2020-01-04 ", '"2020-01-05"']
+BAD_DATES = ["2020-13-01", "x", ""]
+GOOD_VALUES = ["1.5", " 2 ", "-3e2", "0", '"7"', "1_0"]
+BAD_VALUES = ["nan", "inf", "1e400", "abc", "", '"4,5"']
+
+
+@st.composite
+def source_csvs(draw):
+    """Source-file text: blank, short and long rows, repeated header names,
+    padded dates, quoted fields and now and then a bad field or a missing column."""
+    def field(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 15)) == 0 else good))
+
+    extra = draw(st.lists(st.sampled_from(["Close", "Date", "X", ""]), max_size=2))
+    header = draw(st.permutations(["Date", "Close", *extra]))
+    if draw(st.integers(0, 15)) == 0:
+        header = header[1:]
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["full"] * 6 + ["blank", "short", "long"]))
+        row = [field(GOOD_DATES, BAD_DATES) if name == "Date"
+               else field(GOOD_VALUES, BAD_VALUES) for name in header]
+        if kind == "blank":
+            row = []
+        elif kind == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif kind == "long":
+            row.append(field(GOOD_VALUES, BAD_VALUES))
+        lines.append(row)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join(line) + newline for line in lines)
+
+
+@settings(max_examples=300)
+@given(text=source_csvs())
+def test_source_reader_matches_the_dictreader_reference(tmp_path_factory, text):
+    """The same (dates, values) as one DictReader dict per row, or the same
+    DataError text."""
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(text.encode())
+
+    def outcome(read):
+        try:
+            return read(path, "Close")
+        except DataError as exc:
+            return str(exc)
+
+    assert outcome(read_series_csv) == outcome(reference_read_series_csv)
 
 
 # --- indicators ------------------------------------------------------------
@@ -299,6 +378,31 @@ def test_frame_csv_roundtrip_is_exact(tmp_path):
     assert back.dates == frame.dates
     for name in frame.columns:
         np.testing.assert_array_equal(back.columns[name], frame.columns[name])
+
+
+def prepared_frame(sources, target, indicators):
+    frame = add_indicators(ingest(sources), target, indicators)
+    return normalize(frame, fit_on="full")[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_frame_writer_bytes_match_the_row_writer_on_the_market_bundle(tmp_path, seed):
+    manifest = write_bundle(tmp_path / "mkt", seed=seed)
+    frame = prepared_frame(manifest, "NIFTY", ("MACD", "RSI"))
+    write_frame_csv(tmp_path / "new.csv", frame)
+    reference_write_frame_csv(tmp_path / "ref.csv", frame)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_frame_writer_bytes_match_the_row_writer_on_sine_and_odd_names(tmp_path):
+    csv_path, column = write_sine(tmp_path / "sine.csv")
+    frames = [prepared_frame({"SINE": (csv_path, column)}, "SINE", ()),
+              TimeSeriesFrame(random_frame(3, n=20).dates,
+                              {'a,"b"': np.array([-0.0, 1e-300, 2.5e16] * 6 + [1.0, 2.0])})]
+    for frame in frames:
+        write_frame_csv(tmp_path / "new.csv", frame, date_column="Day")
+        reference_write_frame_csv(tmp_path / "ref.csv", frame, date_column="Day")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_frame_csv_with_only_a_header_is_a_data_error(tmp_path):

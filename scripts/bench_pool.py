@@ -1,4 +1,5 @@
-"""Time multi-seed training in-process and in the worker pool; write BENCH_pool.json.
+"""Time multi-seed training one seed after another and in the worker pool; write
+BENCH_pool.json.
 
 Three cases, each trained through `run_experiment` on a dataset that
 `grnn prepare` builds from the synthetic inputs the benchmark uses:
@@ -17,8 +18,8 @@ of a shared host hits them alike:
 
     serial      one `run_experiment(repeats=1)` per seed: in-process at the
                 process's BLAS threads, as multi-seed runs trained before
-    in_process  `workers=1`: in-process, BLAS capped to one thread
-    pooled      `workers=pool_size(repeats)`: forked one-BLAS-thread workers
+    one_worker  `GRNN_THREADS=1`: a pool of one forked one-BLAS-thread worker
+    pooled      `pool_size(repeats)` forked one-BLAS-thread workers
 
 Each reports the min and median of its raw wall seconds over --rounds.
 After each case the result records the peak RSS so far of this process and
@@ -42,6 +43,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -59,7 +61,7 @@ CASES = {
     "sine": ("smoke-sine.ini", "sine", "lstm1", 2, 15),
     "gru-lstm1": ("synthetic-market.ini", "market", "gru-lstm1", 2, 2),
 }
-MODES = ("serial", "in_process", "pooled")
+MODES = ("serial", "one_worker", "pooled")
 
 
 def prepared(profile: str, inputs: str):
@@ -93,8 +95,9 @@ def runner(cfg, dataset, label: str, seeds: int, epochs: int):
         if mode == "serial":
             return [run_experiment(spec, dataset, replace(tc, seed=tc.seed + k),
                                    repeats=1).runs[0] for k in range(seeds)]
-        workers = 1 if mode == "in_process" else pool_size(seeds)
-        return run_experiment(spec, dataset, tc, repeats=seeds, workers=workers).runs
+        one_worker = {"GRNN_THREADS": "1"} if mode == "one_worker" else {}
+        with mock.patch.dict(os.environ, one_worker):
+            return run_experiment(spec, dataset, tc, repeats=seeds).runs
 
     return run
 
@@ -112,7 +115,7 @@ def bench_case(name: str, rounds: int) -> dict:
     out = {"seeds": seeds, "epochs": epochs, "workers": pool_size(seeds), "rounds": rounds}
     for mode, ts in times.items():
         out[mode] = {"min_s": min(ts), "median_s": statistics.median(ts), "all_s": ts}
-    out["median_speedup_pooled_vs_in_process"] = (out["in_process"]["median_s"]
+    out["median_speedup_pooled_vs_one_worker"] = (out["one_worker"]["median_s"]
                                                   / out["pooled"]["median_s"])
     out["median_speedup_pooled_vs_serial"] = out["serial"]["median_s"] / out["pooled"]["median_s"]
     out["peak_rss_mb_so_far"] = peak_rss_mb()
@@ -130,7 +133,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_pool.json"))
     args = ap.parse_args(argv)
     result = {"what": "raw wall seconds of one multi-seed run_experiment; before = "
-                      "in_process (one BLAS thread, one seed after another), after = pooled",
+                      "one_worker (one BLAS thread, one seed after another), after = pooled",
               "environment": envinfo.record(ROOT), "cases": {}}
     for name in CASES:
         case = result["cases"][name] = bench_case(name, args.rounds)

@@ -11,9 +11,11 @@
 Any config key can be overridden with repeated `--set section.key=value`.
 Results and tables go to stdout; progress and diagnostics go to stderr.
 Commands are deterministic: identical inputs and seeds write byte-identical
-artifacts.  `train` with more than one repeat runs its seeds in worker
-processes with one BLAS thread each, as many as the cores, at most
-`GRNN_THREADS` (see grnn.train); --parallel is accepted and does nothing.
+artifacts.  `train` runs a single repeat in-process, and several repeats in
+a pool of forked worker processes with one BLAS thread each: as many as
+the cores, at most `GRNN_THREADS`, at least one (see grnn.train).  The
+parent process never sets its BLAS threads.  --parallel is accepted and
+does nothing.
 """
 
 from __future__ import annotations
@@ -245,7 +247,6 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
         info(f"no qualifying run: best achieved R2 = {best_r2:.4f} "
              f"(bar {cfg.train.r2_bar})")
         return 1
-    result = archive.results.get(best.seed)
     extra = {
         "architecture": label,
         "lookback": cfg.lookback,
@@ -259,7 +260,7 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
         "learning_rate": lr,
         "batch_size": batch,
     }
-    save_model(os.path.join(outdir, "best.grnn"), spec, result.best_params, extra)
+    save_model(os.path.join(outdir, "best.grnn"), spec, archive.best_params, extra)
     model, n_layers = _model_row_labels(label)
     rep = best.report
     print(_report_row_header())

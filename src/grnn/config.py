@@ -139,12 +139,7 @@ def _names(raw: str) -> tuple:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _bool(raw: str) -> bool:
-    return {"true": True, "false": False, "1": True, "0": False}[raw.lower()]
-
-
-_TYPE_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
-                 "float | None": float}
+_TYPE_PARSERS = {"int": int, "float": float, "str": str, "float | None": float}
 
 
 def _field_parsers(cls) -> dict:
@@ -177,7 +172,7 @@ def _read(cp, section: str, parsers: dict) -> dict:
             continue
         try:
             out[key] = parse(raw)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
     return out
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import json
 import math
 import os
@@ -29,6 +30,8 @@ from operator import itemgetter
 import numpy as np
 
 from .numerics import FLOAT
+
+_FRAME_BLOCK = 512         # rows that read_frame_csv parses at once
 
 
 class DataError(ValueError):
@@ -74,18 +77,10 @@ class NormalizationParams:
 
     bounds: dict            # name -> (x_min, x_max)
 
-    def scale(self, column: str, values: np.ndarray) -> np.ndarray:
-        lo, hi = self._get(column)
-        return (np.asarray(values, dtype=FLOAT) - lo) / (hi - lo)
-
     def unscale(self, column: str, values: np.ndarray) -> np.ndarray:
         """Map normalized values back to raw units: x = z*(max-min) + min."""
         lo, hi = self._get(column)
         return np.asarray(values, dtype=FLOAT) * (hi - lo) + lo
-
-    def column_range(self, column: str) -> float:
-        lo, hi = self._get(column)
-        return hi - lo
 
     def _get(self, column: str):
         if column not in self.bounds:
@@ -379,26 +374,43 @@ def write_frame_csv(path, frame: TimeSeriesFrame, date_column: str = "Date") -> 
 
 
 def read_frame_csv(path, date_column: str = "Date") -> TimeSeriesFrame:
-    """Read a frame written by write_frame_csv."""
+    """Read a frame written by write_frame_csv, column by column.
+
+    The header leads with `date_column`, and every row has exactly the
+    header's field count.  A short or long row, a bad date or a bad value
+    is a DataError naming the file and line.  Rows are parsed in blocks of
+    _FRAME_BLOCK, so that the text of the whole file is never held at once.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv_rows(path, fh)
         header = next(reader, None)
         if not header or header[0] != date_column:
             raise DataError(f"{path}: expected leading {date_column!r} column")
-        names = header[1:]
-        dates, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+        dates, columns = [], [[] for _ in header[1:]]
+        for first in itertools.count(2, _FRAME_BLOCK):
+            rows = list(itertools.islice(reader, _FRAME_BLOCK))
+            if not rows:
+                break
+            for lineno, row in enumerate(rows, start=first):
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+            fields = zip(*rows)
             try:
-                dates.append(dt.date.fromisoformat(row[0]))
-                rows.append([float(v) for v in row[1:]])
+                dates += map(dt.date.fromisoformat, next(fields))
+                for column, raw in zip(columns, fields):
+                    column.append(np.array(list(map(float, raw)), dtype=FLOAT))
             except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable row") from None
-    if not rows:
+                for lineno, row in enumerate(rows, start=first):
+                    try:
+                        dt.date.fromisoformat(row[0])
+                        list(map(float, row[1:]))
+                    except ValueError:
+                        raise DataError(f"{path}:{lineno}: unparseable row") from None
+                raise
+    if not dates:
         raise DataError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=FLOAT)
-    return TimeSeriesFrame(dates, {name: arr[:, j].copy() for j, name in enumerate(names)})
+    return TimeSeriesFrame(dates, {name: np.concatenate(column)
+                                   for name, column in zip(header[1:], columns)})
 
 
 def _parse_json(where: str, text: str, parse):

@@ -80,19 +80,6 @@ def _gamma_contfrac(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - gammaln(a))
 
 
-def gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("gammainc_lower requires a > 0")
-    if x < 0.0:
-        raise ValueError("gammainc_lower requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_contfrac(a, x)
-
-
 def chi2_sf(x: float, k: float) -> float:
     """Survival function of the chi-square distribution with k dof."""
     if x <= 0.0:

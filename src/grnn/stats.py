@@ -5,8 +5,8 @@ Two procedures, matching the usual published forms:
 * D'Agostino-Pearson omnibus normality test: the sample skewness and
   kurtosis are mapped through their normalizing transforms
   (D'Agostino 1970; Anscombe & Glynn 1983), combined as K2 = Z1^2 + Z2^2,
-  and referred to a chi-square with 2 dof.  Requires n >= 20; the
-  transforms are unreliable below that.
+  and referred to a chi-square with 2 dof.  Requires n >= MIN_NORMALITY_N
+  (20); the transforms are unreliable below that.
 * Welch's two-sample t-test with Welch-Satterthwaite degrees of freedom
   and a two-sided p-value from the t survival function.
 
@@ -25,6 +25,7 @@ from .numerics import FLOAT
 from .special import chi2_sf, t_sf
 
 ALPHA = 0.05
+MIN_NORMALITY_N = 20
 
 
 @dataclass
@@ -92,7 +93,7 @@ def _kurtosis_z(x: np.ndarray) -> float:
 
 def dagostino_pearson(sample) -> NormalityResult:
     """Omnibus K2 normality test; small p rejects normality."""
-    x = _clean_sample(sample, 20, "dagostino_pearson")
+    x = _clean_sample(sample, MIN_NORMALITY_N, "dagostino_pearson")
     z1 = _skew_z(x)
     z2 = _kurtosis_z(x)
     k2 = z1 * z1 + z2 * z2
@@ -123,8 +124,7 @@ class ComparisonResult:
     pairwise: dict          # (label_a, label_b) -> WelchResult | str marker
 
 
-def compare_architectures(samples_by_label: dict, metric: str,
-                          min_normality_n: int = 20) -> ComparisonResult:
+def compare_architectures(samples_by_label: dict, metric: str) -> ComparisonResult:
     """Normality per label plus pairwise Welch tests over metric samples.
 
     `samples_by_label` maps an architecture label to the per-run values of
@@ -137,7 +137,7 @@ def compare_architectures(samples_by_label: dict, metric: str,
     normality = {}
     for label in labels:
         values = np.asarray(samples_by_label[label], dtype=FLOAT)
-        if values.size < min_normality_n or float(np.var(values)) == 0.0:
+        if values.size < MIN_NORMALITY_N or float(np.var(values)) == 0.0:
             normality[label] = "insufficient data"
         else:
             normality[label] = dagostino_pearson(values)

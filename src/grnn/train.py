@@ -22,39 +22,39 @@ configured bar (0.90 by default).  Every run -- retained, discarded, or
 diverged -- stays in the archive for statistical testing.  Runs come back
 in seed order.
 
-Where the runs execute follows one rule.  A single run trains in-process
-at the process's BLAS threads.  Every run of a multi-seed experiment
-trains on one BLAS thread: the seeds are spread over `pool_size(repeats)`
-= min(cores, GRNN_THREADS, repeats) workers forked from this process, so
-the dataset reaches them by copy-on-write, and each worker caps its BLAS
-to one thread when it starts.  With one worker the seeds run in-process
-with BLAS capped to one thread and restored afterwards; if numpy's BLAS
-has no thread setter, they run in-process with its threads as they are.
-A second BLAS thread speeds one seed up by less than a second seed adds
-work: on 2 cores, not at all for c09's lstm1 and about 1.2x for gru-lstm1
-(498 and 311 units, the roster's largest GEMMs), so two pooled seeds
-finish 1.9x (c09) and 1.45x (gru-lstm1) sooner than two seeds one after
-the other at two threads (scripts/bench_pool.py, BENCH_pool.json).  Each
-worker holds its own network, workspace and optimizer, so memory grows
-with the worker count: about 150 MB per gru-lstm1 worker.  The rule has a
-cost worth knowing: one and two BLAS threads round float32 differently at
-the c09 shape (lstm1, 47 units, batch 46), so a multi-seed archive can
-differ from single runs of the same seeds.  In exchange it depends neither
-on the worker count nor on the machine's core count.  Each run is scored
-where it trained; `grnn evaluate` scores at the process's BLAS threads,
-and at the c09 test split one and two threads give the same report.  A
-worker that dies fails the runs it had in flight ("worker died") and the
-remaining seeds still run.  On Python >= 3.12, forking while BLAS threads
-are alive raises a DeprecationWarning.
+Where the runs execute follows one rule with two paths.  A single run
+trains in-process at the process's BLAS threads.  Every run of a
+multi-seed experiment trains in a pool of `pool_size(repeats)` =
+min(cores, GRNN_THREADS, repeats) workers forked from this process, even
+when that is one worker, so the dataset reaches them by copy-on-write;
+each worker caps its BLAS to one thread when it starts, where numpy's
+BLAS has a thread setter (where it has none, the pool has one worker).
+The parent never sets its BLAS threads.  A second BLAS thread speeds one
+seed up by less than a second seed adds work: on 2 cores, not at all for
+c09's lstm1 and about 1.2x for gru-lstm1 (498 and 311 units, the roster's
+largest GEMMs), so two pooled seeds finish 2.0x (c09) and 1.5x
+(gru-lstm1) sooner than two seeds one after the other at two threads
+(scripts/bench_pool.py, BENCH_pool.json).  Each worker holds its own
+network, workspace and optimizer, so memory grows with the worker count:
+about 150 MB per gru-lstm1 worker.  The parent keeps the weights of the
+best run so far only.  The rule has a cost worth knowing: one and two
+BLAS threads round float32 differently at the c09 shape (lstm1, 47 units,
+batch 46), so a multi-seed archive can differ from single runs of the
+same seeds.  In exchange it depends neither on the worker count nor on
+the machine's core count.  Each run is scored where it trained; `grnn
+evaluate` scores at the process's BLAS threads, and at the c09 test split
+one and two threads give the same report.  A worker that dies fails the
+runs it had in flight ("worker died") and the remaining seeds still run.
+On Python >= 3.12, forking while BLAS threads are alive raises a
+DeprecationWarning.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     optimizer: str = "nadam"
     seed: int = 0
-    shuffle: bool = True
     clip_norm: float | None = None
     dtype: str = "float32"          # the network's compute dtype, a key of DTYPES
 
@@ -131,7 +130,7 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
     stopped_epoch = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         sq_err_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -204,7 +203,7 @@ class RunArchive:
 
     architecture: str
     runs: list                       # RunRecord, in seed order
-    results: dict = field(default_factory=dict)   # seed -> TrainResult (in-memory only)
+    best_params: NetworkParams | None = None    # weights of best(); in memory only
 
     @property
     def retained(self) -> list:
@@ -233,7 +232,7 @@ def _run_one(job, seed: int):
                            stopped_epoch=result.stopped_epoch,
                            train_loss=result.best_loss, report=report,
                            retained=report.r2 > r2_bar)
-        return record, result
+        return record, result.best_params
     except TrainingDiverged as exc:
         return RunRecord(seed=seed, status="failed", error=str(exc)), None
 
@@ -242,8 +241,8 @@ _BLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_",
 
 
 @functools.cache
-def _blas_thread_calls():
-    """(get, set) of the BLAS thread count of numpy's BLAS, or None without a setter.
+def _blas_thread_setter():
+    """The BLAS thread-count setter of numpy's BLAS, or None where it has none.
 
     dlsym on numpy's extension module also searches the BLAS it links.
     """
@@ -254,30 +253,20 @@ def _blas_thread_calls():
     except (AttributeError, OSError):
         return None
     for prefix, suffix in _BLAS_SYMBOLS:
-        try:
-            return (getattr(lib, f"{prefix}get_num_threads{suffix}"),
-                    getattr(lib, f"{prefix}set_num_threads{suffix}"))
-        except AttributeError:
-            continue
+        setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
     return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    get, set_ = _blas_thread_calls()
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def pool_size(repeats: int) -> int:
     """Workers for a multi-seed run: min(cores, GRNN_THREADS, repeats).
 
     The cores are those this process may run on, or all of the machine's
-    where the platform cannot tell (no os.sched_getaffinity).
+    where the platform cannot tell (no os.sched_getaffinity).  Where
+    numpy's BLAS has no thread setter the workers could not cap it, so the
+    pool has one worker.
     """
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
@@ -288,6 +277,8 @@ def pool_size(repeats: int) -> int:
         if not cap.strip().isdigit():
             raise ValueError(f"GRNN_THREADS must be a whole number, got {cap!r}")
         workers = min(workers, int(cap))
+    if _blas_thread_setter() is None:
+        workers = 1
     return max(1, min(workers, repeats))
 
 
@@ -297,16 +288,18 @@ _worker_job = None             # (spec, data, cfg, label, r2_bar), set in each p
 def _init_worker(*job) -> None:
     global _worker_job
     _worker_job = job
-    _blas_thread_calls()[1](1)
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def _worker_run(seed: int):
     return _run_one(_worker_job, seed)
 
 
-def _run_pooled(job, seeds: list, workers: int, finish) -> None:
-    """Run `seeds` in forked one-BLAS-thread workers; `finish(seed, outcome)`
-    as each ends.  A worker that dies fails the seeds in flight, and a fresh
+def _run_pooled(job, seeds: list, workers: int):
+    """Run `seeds` in forked workers; yield each (record, best_params) in
+    seed order.  A worker that dies fails the seeds in flight, and a fresh
     pool takes the rest."""
     # imported here, so that commands which start no pool never load them
     import multiprocessing
@@ -314,6 +307,8 @@ def _run_pooled(job, seeds: list, workers: int, finish) -> None:
     from concurrent.futures.process import BrokenProcessPool
 
     pending = list(seeds)
+    early = {}                  # outcomes that finished before an earlier seed
+    next_seed = 0
     fork = multiprocessing.get_context("fork")
     while pending:
         # fork: the job reaches each worker by copy-on-write, not pickled
@@ -333,50 +328,40 @@ def _run_pooled(job, seeds: list, workers: int, finish) -> None:
                 for fut in done:
                     seed = running.pop(fut)
                     try:
-                        outcome = fut.result()
+                        early[seed] = fut.result()
                     except BrokenProcessPool:
-                        outcome = RunRecord(seed=seed, status="failed",
-                                            error="worker died"), None
-                    finish(seed, outcome)
+                        early[seed] = RunRecord(seed=seed, status="failed",
+                                                error="worker died"), None
+                while next_seed < len(seeds) and seeds[next_seed] in early:
+                    yield early.pop(seeds[next_seed])
+                    next_seed += 1
 
 
 def run_experiment(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig,
                    repeats: int = 48, architecture: str = "",
-                   r2_bar: float = R2_RETENTION_BAR, workers: int | None = None,
-                   on_run=None) -> RunArchive:
+                   r2_bar: float = R2_RETENTION_BAR, on_run=None) -> RunArchive:
     """Train `repeats` times with seeds cfg.seed, cfg.seed+1, ...
 
     Runs with test R^2 > r2_bar are retained; all runs are archived in
     seed order, and `on_run(record)` is called for each, in seed order.
-    See the module docstring for where the runs execute; `workers`
-    defaults to `pool_size(repeats)`.
+    The archive keeps the weights of its best run only.  See the module
+    docstring for where the runs execute.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     job = (spec, data, cfg, architecture, r2_bar)
-    seeds = [cfg.seed + k for k in range(repeats)]
+    if repeats == 1:
+        outcomes = [_run_one(job, cfg.seed)]
+    else:
+        outcomes = _run_pooled(job, [cfg.seed + k for k in range(repeats)],
+                               pool_size(repeats))
     archive = RunArchive(architecture=architecture, runs=[])
-    early = {}                  # outcomes that finished before an earlier seed
-
-    def finish(seed, outcome):
-        early[seed] = outcome
-        while len(archive.runs) < repeats and seeds[len(archive.runs)] in early:
-            record, result = early.pop(seeds[len(archive.runs)])
-            archive.runs.append(record)
-            if result is not None:
-                archive.results[record.seed] = result
-            if on_run is not None:
-                on_run(record)
-
-    one_thread = repeats > 1 and _blas_thread_calls() is not None
-    if one_thread:
-        workers = min(pool_size(repeats) if workers is None else workers, repeats)
-        if workers > 1:
-            _run_pooled(job, seeds, workers, finish)
-            return archive
-    with _one_blas_thread() if one_thread else contextlib.nullcontext():
-        for seed in seeds:
-            finish(seed, _run_one(job, seed))
+    for record, params in outcomes:
+        archive.runs.append(record)
+        if archive.best() is record:
+            archive.best_params = params
+        if on_run is not None:
+            on_run(record)
     return archive
 
 

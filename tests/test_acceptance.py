@@ -44,7 +44,7 @@ from grnn.network import (
 )
 from grnn.numerics import Rng
 from grnn.optim import OPTIMIZER_KINDS, OptimizerState, apply
-from grnn.special import betainc, chi2_sf, gammainc_lower, t_sf
+from grnn.special import betainc, chi2_sf, t_sf
 from grnn.stats import dagostino_pearson, welch_t
 from grnn.synthetic import make_sources
 from grnn.train import TrainConfig, run_experiment, save_archive, train
@@ -347,7 +347,8 @@ def test_c07_rmse_nd_identity():
         frame = add_indicators(frame, "NIFTY", ("MACD", "RSI"))
         norm_frame, norm = normalize(frame, fit_on="full")
         ds = window(norm_frame, lookback=6, norm=norm, split=0.80, target="NIFTY")
-        span = norm.column_range("NIFTY")
+        lo, hi = norm.bounds["NIFTY"]
+        span = hi - lo
         for case in range(20):
             layers = (LayerSpec("lstm", int(rng.integers(2, 8))),) \
                 if case % 2 else (LayerSpec("gru", int(rng.integers(2, 8))),)
@@ -377,7 +378,7 @@ def test_c08_statistics_oracles():
 
         refs = [
             (betainc(2.0, 3.0, 0.5), 0.6875),
-            (gammainc_lower(3.5, 2.0), 0.22022259152428406),
+            (1.0 - chi2_sf(4.0, 7.0), 0.22022259152428406),     # P(3.5, 2.0)
             (t_sf(2.5, 3.7), 0.035911011455913376),
             (chi2_sf(5.99146, 2), 0.05000011367782876),
         ]
@@ -453,12 +454,12 @@ def test_c10_byte_identical_reruns(tmp_path):
             save_archive(arc_path, archive)
             ckpt_path = tmp_path / f"best{run}.grnn"
             best = archive.best()
-            save_model(ckpt_path, spec, archive.results[best.seed].best_params,
+            save_model(ckpt_path, spec, archive.best_params,
                        {"architecture": "lstm1", "seed": best.seed})
             best_trial, history = optimize(_objective_2d, SPACE_2D, TpeConfig(seed=9))
             hist_path = tmp_path / f"trials{run}.jsonl"
             save_history(hist_path, history)
-            report = evaluate(spec, archive.results[best.seed].best_params, ds,
+            report = evaluate(spec, archive.best_params, ds,
                               split="test", seed=best.seed, architecture="lstm1")
             pairs.append((arc_path.read_bytes(), ckpt_path.read_bytes(),
                           hist_path.read_bytes(), repr(report.to_record())))

@@ -411,3 +411,19 @@ def test_frame_csv_with_only_a_header_is_a_data_error(tmp_path):
     path.write_text(path.read_text().splitlines()[0] + "\n")
     with pytest.raises(DataError, match="no data rows"):
         read_frame_csv(path)
+
+
+@pytest.mark.parametrize("mangle, named", [
+    (lambda row: row.rsplit(",", 1)[0], "expected 4 fields"),            # a short row
+    (lambda row: row.replace(",", ",x", 1), "unparseable row"),         # a bad float
+    (lambda row: "2021-02-30" + row[10:], "unparseable row"),             # a bad date
+])
+@pytest.mark.parametrize("lineno", [7, 600])        # in the first block of rows and a later one
+def test_frame_csv_bad_row_names_file_and_line(tmp_path, mangle, named, lineno):
+    path = tmp_path / "frame.csv"
+    write_frame_csv(path, random_frame(4, n=700, n_cols=3))
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = mangle(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"frame\.csv:{lineno}: {named}"):
+        read_frame_csv(path)

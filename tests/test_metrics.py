@@ -64,7 +64,8 @@ def test_evaluate_consistency_and_rmse_identity(market_dataset):
 
     preds = predict_batch(spec, params, ds.test_x)[:, 0]
     assert report.rmse_nd == pytest.approx(rmse(ds.test_y, preds), rel=1e-15)
-    span = ds.norm.column_range("NIFTY")
+    lo, hi = ds.norm.bounds["NIFTY"]
+    span = hi - lo
     assert report.rmse == pytest.approx(report.rmse_nd * span, rel=1e-9)
     assert report.mape_pct == pytest.approx(100.0 * report.mape, rel=1e-15)
     assert report.n == ds.test_y.size

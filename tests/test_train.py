@@ -2,6 +2,7 @@ import datetime as dt
 import importlib
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,36 +166,55 @@ def test_archive_roundtrip_and_byte_determinism(tmp_path, sine_dataset):
     assert [r.to_record() for r in back.runs] == [r.to_record() for r in archive.runs]
 
 
-def test_parallel_workers_match_sequential(sine_dataset):
+def test_parallel_workers_match_sequential(sine_dataset, monkeypatch):
     cfg = TrainConfig(batch_size=16, max_epochs=25, patience=5,
                       learning_rate=3e-3, seed=21)
-    seq = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, architecture="x",
-                         workers=1)
-    par = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, architecture="x",
-                         workers=2)
+    archives = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GRNN_THREADS", threads)
+        archives.append(run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
+                                       architecture="x"))
+    seq, par = archives
     assert [r.to_record() for r in seq.runs] == [r.to_record() for r in par.runs]
 
 
-def test_in_process_seeds_run_on_one_blas_thread_then_restore_it(sine_dataset):
-    calls = train_module._blas_thread_calls()
-    if calls is None:
+def test_one_worker_trains_every_seed_and_the_parent_never_sets_blas(sine_dataset,
+                                                                      monkeypatch, tmp_path):
+    setter = train_module._blas_thread_setter()
+    if setter is None:
         pytest.skip("numpy's BLAS has no thread setter")
-    get_threads, _ = calls
-    before = get_threads()
+    log = tmp_path / "blas_calls"
+
+    def logged_setter(n):        # a file, because a pool worker is another process
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {n}\n")
+        setter(n)
+
+    monkeypatch.setattr(train_module, "_blas_thread_setter", lambda: logged_setter)
+    monkeypatch.setenv("GRNN_THREADS", "1")
     cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=51)
-    seen = []
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, workers=1,
-                             on_run=lambda record: seen.append(get_threads()))
-    assert seen == [1, 1]
-    assert get_threads() == before
-    assert [r.seed for r in archive.runs] == [51, 52]
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert len(calls) == 1                              # one worker capped its BLAS once
+    assert calls[0][1] == "1" and int(calls[0][0]) != os.getpid()
+    # at the sine shape one and two BLAS threads agree, so the pooled seeds
+    # match single-seed runs, which train in this process
+    singles = [run_experiment(SINE_SPEC, sine_dataset, replace(cfg, seed=seed), repeats=1)
+               for seed in (51, 52)]
+    assert [r.to_record() for r in archive.runs] == [a.runs[0].to_record() for a in singles]
+    assert len(log.read_text().splitlines()) == 1        # nor does a single seed set BLAS
 
-    def interrupt(record):
-        raise KeyboardInterrupt
 
-    with pytest.raises(KeyboardInterrupt):
-        run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2, workers=1, on_run=interrupt)
-    assert get_threads() == before
+def test_the_archive_keeps_the_best_runs_weights_only(sine_dataset):
+    cfg = TrainConfig(batch_size=16, max_epochs=6, patience=5, learning_rate=3e-3, seed=88)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3)
+    best = archive.best()
+    assert best.seed == 89          # neither the first nor the last run
+    want = train(SINE_SPEC, sine_dataset, replace(cfg, seed=best.seed)).best_params
+    assert archive.best_params.flat.tobytes() == want.flat.tobytes()
+    held = [value for obj in (archive, *archive.runs) for value in vars(obj).values()
+            if isinstance(value, NetworkParams)]
+    assert held == [archive.best_params]
 
 
 def test_a_single_seed_run_sizes_no_pool(sine_dataset, monkeypatch):
@@ -216,14 +236,13 @@ def test_a_dead_worker_fails_its_seeds_and_the_rest_still_run(sine_dataset, monk
     monkeypatch.setattr(train_module, "train", dying)
     cfg = TrainConfig(batch_size=16, max_epochs=5, patience=5, learning_rate=3e-3, seed=60)
     seen = []
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=4, workers=2,
-                             on_run=seen.append)
+    monkeypatch.setenv("GRNN_THREADS", "2")
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=4, on_run=seen.append)
     assert [r.seed for r in archive.runs] == [60, 61, 62, 63]
     assert seen == archive.runs
     assert (archive.runs[0].status, archive.runs[0].error) == ("failed", "worker died")
     # seed 61 shared the pool that broke; seeds 62 and 63 ran in a fresh one
     assert [r.status for r in archive.runs[2:]] == ["complete", "complete"]
-    assert sorted(archive.results) == [r.seed for r in archive.runs if r.status == "complete"]
 
 
 def test_metric_samples_pull_retained_only(sine_dataset):

@@ -270,13 +270,37 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
     return 0
 
 
-def cmd_evaluate(cfg: PipelineConfig, checkpoint: str, out: str | None) -> int:
-    spec, params, extra = load_model(checkpoint)
-    cfg = replace(cfg, lookback=int(extra.get("lookback", cfg.lookback)))
-    dataset = load_prepared(cfg, out)
-    if extra.get("feature_order") and extra["feature_order"] != dataset.feature_order:
-        raise DataError(f"checkpoint features {extra['feature_order']} != dataset "
+def _load_checkpoint(cfg: PipelineConfig, path: str, out: str | None):
+    """(spec, params, extra, dataset): the model at `path` and the prepared
+    dataset windowed at the model's lookback.
+
+    The header fields the commands read are checked here: `lookback` is an
+    integer >= 1, `architecture` a plain file name (evaluate writes
+    eval/<architecture>.json) and `feature_order` a list of names that must
+    match the dataset's.  A malformed one raises ModelFormatError naming
+    `path`.
+    """
+    spec, params, extra = load_model(path)
+    lookback = extra.get("lookback", cfg.lookback)
+    if isinstance(lookback, bool) or not isinstance(lookback, int) or lookback < 1:
+        raise ModelFormatError(f"{path}: lookback {lookback!r} is not an integer >= 1")
+    label = extra.get("architecture", "model")
+    if (not isinstance(label, str) or label in ("", ".", "..")
+            or any(sep in label for sep in ("/", os.sep))):
+        raise ModelFormatError(f"{path}: architecture {label!r} is not a plain file name")
+    features = extra.get("feature_order")
+    if features is not None and not (isinstance(features, list)
+                                     and all(isinstance(f, str) for f in features)):
+        raise ModelFormatError(f"{path}: feature_order {features!r} is not a list of names")
+    dataset = load_prepared(replace(cfg, lookback=lookback), out)
+    if features and features != dataset.feature_order:
+        raise DataError(f"checkpoint features {features} != dataset "
                         f"features {dataset.feature_order}")
+    return spec, params, extra, dataset
+
+
+def cmd_evaluate(cfg: PipelineConfig, checkpoint: str, out: str | None) -> int:
+    spec, params, extra, dataset = _load_checkpoint(cfg, checkpoint, out)
     label = extra.get("architecture", "model")
     report = evaluate(spec, params, dataset, split="test",
                       seed=extra.get("seed"), architecture=label)
@@ -348,9 +372,7 @@ def cmd_report(cfg: PipelineConfig, label: str, out: str | None) -> int:
     arc_path = os.path.join(base, "train", label, "archive.jsonl")
     if not os.path.exists(ckpt) or not os.path.exists(arc_path):
         raise DataError(f"train artifacts for {label!r} missing under {base}/train/{label}")
-    spec, params, extra = load_model(ckpt)
-    cfg = replace(cfg, lookback=int(extra.get("lookback", cfg.lookback)))
-    dataset = load_prepared(cfg, out)
+    spec, params, _, dataset = _load_checkpoint(cfg, ckpt, out)
     archive = load_archive(arc_path)
 
     preds_nd = predict_batch(spec, params, dataset.test_x)[:, 0]

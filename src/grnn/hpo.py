@@ -36,6 +36,8 @@ import numpy as np
 from .data import read_jsonl, write_atomic
 from .numerics import FLOAT, Rng
 
+BANDWIDTH_FLOOR = 0.01      # least kernel width, as a fraction of the native range
+
 
 @dataclass(frozen=True)
 class IntUniform:
@@ -141,7 +143,6 @@ class TpeConfig:
     n_startup: int = 20
     gamma: float = 0.25
     n_ei_candidates: int = 24
-    bandwidth_floor: float = 0.01      # fraction of the native range
     seed: int = 0
 
     def __post_init__(self):
@@ -162,12 +163,12 @@ def split_good_bad(complete: list[Trial], gamma: float):
     return ordered[:n_good], ordered[n_good:]
 
 
-def _bandwidths(sorted_obs: np.ndarray, lo: float, hi: float, floor_frac: float) -> np.ndarray:
+def _bandwidths(sorted_obs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Per-point kernel widths: the larger gap to the sorted neighbours.
 
     Clipped below by span/(n+1) -- wide kernels while evidence is thin,
-    tightening as the set grows -- and by the configured floor fraction of
-    the range; capped at the full range.
+    tightening as the set grows -- and by BANDWIDTH_FLOOR of the range;
+    capped at the full range.
     """
     span = hi - lo
     n = sorted_obs.size
@@ -178,7 +179,7 @@ def _bandwidths(sorted_obs: np.ndarray, lo: float, hi: float, floor_frac: float)
         left = np.concatenate(([gaps[0]], gaps))
         right = np.concatenate((gaps, [gaps[-1]]))
         bw = np.maximum(left, right)
-    floor = max(floor_frac * span, span / (n + 1.0))
+    floor = max(BANDWIDTH_FLOOR * span, span / (n + 1.0))
     return np.clip(bw, floor, span)
 
 
@@ -202,8 +203,8 @@ def _suggest_dim(dist, good_native: np.ndarray, bad_native: np.ndarray,
     lo, hi = dist.native_bounds()
     g_sorted = np.sort(good_native)
     b_sorted = np.sort(bad_native)
-    g_bw = _bandwidths(g_sorted, lo, hi, cfg.bandwidth_floor)
-    b_bw = _bandwidths(b_sorted, lo, hi, cfg.bandwidth_floor)
+    g_bw = _bandwidths(g_sorted, lo, hi)
+    b_bw = _bandwidths(b_sorted, lo, hi)
 
     # component good_n means "draw from the uniform prior"
     idx = rng.integers(0, g_sorted.size, size=(n, cfg.n_ei_candidates))

@@ -34,7 +34,7 @@ seed up by less than a second seed adds work: on 2 cores, not at all for
 c09's lstm1 and about 1.2x for gru-lstm1 (498 and 311 units, the roster's
 largest GEMMs), so two pooled seeds finish 2.0x (c09) and 1.5x
 (gru-lstm1) sooner than two seeds one after the other at two threads
-(scripts/bench_pool.py, BENCH_pool.json).  Each worker holds its own
+(scripts/bench.py pool, BENCH_pool.json).  Each worker holds its own
 network, workspace and optimizer, so memory grows with the worker count:
 about 150 MB per gru-lstm1 worker.  The parent keeps the weights of the
 best run so far only.  The rule has a cost worth knowing: one and two

@@ -121,6 +121,7 @@ def one_error_line(capsys) -> str:
     ("hpo.n_trials=0", "[hpo] n_trials must be >= 1"),
     ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
     ("train.dtype=float16", "[train] dtype must be one of ['float32', 'float64']"),
+    ("hpo.bandwidth_floor=0.02", "[hpo] unknown key 'bandwidth_floor'"),
 ])
 def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
     path = write_sine_config(tmp_path)      # nothing prepared under out/
@@ -501,6 +502,10 @@ def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
     save_model(good, spec, NetworkParams.init(spec, Rng(1)), {"lookback": 8})
     header_line, blob = good.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
+
+    def with_extra(**extra):
+        return json.dumps({**header, "extra": extra}).encode() + b"\n" + blob
+
     cases = {
         "truncated": header_line + b"\n" + blob[:-12],
         "nan_tensor": header_line + b"\n" + np.array([np.nan]).astype("<f8").tobytes() + blob[8:],
@@ -510,14 +515,39 @@ def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
         "no_tensors": json.dumps({k: v for k, v in header.items() if k != "tensors"}).encode()
                       + b"\n" + blob,
     }
-    for name, content in cases.items():
-        bad = tmp_path / f"{name}.grnn"
-        bad.write_bytes(content)
-        assert main(["evaluate", "--config", str(path), "--checkpoint", str(bad)]) == 1, name
+    bad_extras = {
+        "lookback_list": with_extra(lookback=[1]),
+        "lookback_null": with_extra(lookback=None),
+        "lookback_zero": with_extra(lookback=0),
+        "architecture_int": with_extra(lookback=8, architecture=5),
+        "architecture_path": with_extra(lookback=8, architecture="../x"),
+        "feature_order_str": with_extra(lookback=8, feature_order="NIFTY"),
+    }
+    out = tmp_path / "out"
+    trained = out / "train" / "lstm1"
+    trained.mkdir(parents=True)
+    for name in ("archive.jsonl", "best.grnn"):
+        (trained / name).write_bytes(b"")
+    for name, content in {**cases, **bad_extras}.items():
+        (tmp_path / f"{name}.grnn").write_bytes(content)
+    written = set(tmp_path.rglob("*"))
+
+    def fails_naming(argv, bad, name):
+        assert main(argv) == 1, name
         err = capsys.readouterr().err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (name, err)
         assert str(bad) in lines[0], name
+
+    for name in {**cases, **bad_extras}:
+        bad = tmp_path / f"{name}.grnn"
+        fails_naming(["evaluate", "--config", str(path), "--checkpoint", str(bad),
+                      "--out", str(out)], bad, name)
+    for name, content in bad_extras.items():
+        (trained / "best.grnn").write_bytes(content)
+        fails_naming(["report", "--config", str(path), "--arch", "lstm1", "--out", str(out)],
+                     trained / "best.grnn", name)
+    assert set(tmp_path.rglob("*")) == written
 
 
 def test_override_that_does_not_parse_is_a_config_error(tmp_path, capsys):

@@ -5,13 +5,12 @@ BENCH_<case>.json for each case.
 
 Cases, each with a fixed amount of work per round:
 
-    step   one training step as `train` runs it per batch (forward_batch,
-           backward, a nadam apply; one workspace and one gradient vector),
-           float64 and float32 steps alternating, after two warm-up steps:
-           300 at c09 (lstm1, 47 units, 10,576 parameters) and 20 at
-           gru-lstm1 (GRU 498 into LSTM 311, 1.77 M); batch 46, lookback 10,
-           8 features.  Keys <shape>/<dtype>; digests: the weights after the
-           last step.
+    step   one float32 training step as `train` runs it per batch
+           (forward_batch, backward, a nadam apply; one workspace and one
+           gradient vector), after two warm-up steps: 300 at c09 (lstm1, 47
+           units, 10,576 parameters) and 20 at gru-lstm1 (GRU 498 into LSTM
+           311, 1.77 M); batch 46, lookback 10, 8 features.  Keys
+           <shape>/float32; digests: the weights after the last step.
     setup  command start-up on the synthetic market bundle under
            profiles/synthetic-market.ini: fresh-process `import grnn.cli`
            (import) and `grnn prepare` (prepare), then each prepare stage 5
@@ -38,9 +37,12 @@ alternating from round to round so that drift of a shared host hits both
 alike.  Each BENCH_<case>.json holds the machine (perfbench/envinfo.py),
 the rounds and, per tree, its commit, its digests and each key's median,
 min and sample count; with --against also, per key, the ratio of the
-medians (change over parent) and the number of pairs (same round, same
-repeat) in which this tree was faster, and whether both trees' digests
-agree.
+medians (change over parent) and the number of rounds in which this tree's
+median of the round was the lower, and whether both trees' digests agree.
+The timings of one child process are not independent of each other, so
+rounds, not single timings, are the pairs: a speed claim needs the change
+to win 9 of 10 rounds.  The case code runs on both trees, so it calls only
+names that both have.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = "import sys, bench; bench.child(*sys.argv[1:])"
 
 BATCH, LOOKBACK, FEATURES = 46, 10, 8
-STEP_SHAPES = {                  # name: (layers, timed steps per dtype and round)
+STEP_SHAPES = {                  # name: (layers, timed steps per round)
     "c09": ((("lstm", 47),), 300),
     "gru-lstm1": ((("gru", 498), ("lstm", 311)), 20),
 }
@@ -87,46 +89,35 @@ def file_sha1(path: str) -> str:
 
 def step_case(tree: str) -> dict:
     import numpy as np
-    from grnn.network import (DTYPES, LayerSpec, NetworkParams, NetworkSpec, backward,
-                              forward_batch)
+    from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
     from grnn.numerics import Rng
     from grnn.optim import OptimizerState, apply
-
-    def stepper(spec, dtype: str, x, y):
-        """(step, params): a closure running one training step in `dtype`, and
-        the weights it updates."""
-        params = NetworkParams.init(spec, Rng(3), DTYPES[dtype])
-        grads = NetworkParams.zeros(spec, DTYPES[dtype])
-        opt, ws = OptimizerState.create("nadam", 1e-4), {}
-        x = x.astype(DTYPES[dtype])
-
-        def step():
-            preds, tape = forward_batch(spec, params, x, ws)
-            backward(spec, params, tape, (2.0 * (preds[:, 0] - y) / BATCH)[:, None], grads, ws)
-            apply(opt, params, grads)
-
-        return step, params
 
     times, digests = {}, {}
     for name, (layers, k) in STEP_SHAPES.items():
         spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
                            input_dim=FEATURES)
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((BATCH, LOOKBACK, FEATURES))
+        x = rng.standard_normal((BATCH, LOOKBACK, FEATURES)).astype(np.float32)
         y = rng.standard_normal(BATCH)
-        steps = {f"{name}/{dtype}": stepper(spec, dtype, x, y)
-                 for dtype in ("float64", "float32")}
-        times.update({key: [] for key in steps})
-        for step, _ in steps.values():
-            step()
-            step()
+        params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
+        grads = NetworkParams.zeros(spec, np.dtype(np.float32))
+        opt, ws = OptimizerState.create("nadam", 1e-4), {}
+
+        def step():
+            preds, tape = forward_batch(spec, params, x, ws)
+            backward(spec, params, tape, (2.0 * (preds[:, 0] - y) / BATCH)[:, None], grads, ws)
+            apply(opt, params, grads)
+
+        key = f"{name}/float32"
+        times[key] = []
+        step()
+        step()
         for _ in range(k):
-            for key, (step, _) in steps.items():
-                started = time.perf_counter()
-                step()
-                times[key].append(time.perf_counter() - started)
-        for key, (_, params) in steps.items():
-            digests[key] = sha1(params.flat.tobytes())
+            started = time.perf_counter()
+            step()
+            times[key].append(time.perf_counter() - started)
+        digests[key] = sha1(params.flat.tobytes())
     return {"times": times, "digests": digests}
 
 
@@ -278,9 +269,11 @@ def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict)
         result["change_vs_parent"] = {
             key: {"median_ratio": (trees["change"]["times"][key]["median_s"]
                                    / trees["parent"]["times"][key]["median_s"]),
-                  "pairs_faster": sum(a < b for a, b in zip(ts, times["parent"][key])),
-                  "pairs": len(ts)}
-            for key, ts in times["change"].items()}
+                  "rounds_faster": sum(
+                      statistics.median(a["times"][key]) < statistics.median(b["times"][key])
+                      for a, b in zip(runs["change"], runs["parent"])),
+                  "rounds": len(runs["change"])}
+            for key in times["change"]}
     return result
 
 
@@ -325,7 +318,7 @@ def main(argv=None) -> int:
             if "change_vs_parent" in result:
                 vs = result["change_vs_parent"][key]
                 line += (f" | x{vs['median_ratio']:.3f}, faster in "
-                         f"{vs['pairs_faster']}/{vs['pairs']}")
+                         f"{vs['rounds_faster']}/{vs['rounds']} rounds")
             print(f"{case}/{key:<22} {line}")
         path = os.path.join(args.out_dir, f"BENCH_{case}.json")
         with open(path, "w", encoding="utf-8") as fh:

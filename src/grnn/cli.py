@@ -3,19 +3,20 @@
     grnn prepare  --config cfg.ini [--out DIR]
     grnn hpo      --config cfg.ini --arch lstm1 [--seed S] [--out DIR]
     grnn train    --config cfg.ini --arch lstm1 [--hyperparams F] [--repeats N]
-                  [--seed S] [--out DIR] [--parallel]
+                  [--seed S] [--out DIR]
     grnn evaluate --config cfg.ini --checkpoint F [--out DIR]
     grnn compare  --config cfg.ini [--arch L ...] [--out DIR]
     grnn report   --config cfg.ini --arch lstm1 [--out DIR]
 
 Any config key can be overridden with repeated `--set section.key=value`.
-Results and tables go to stdout; progress and diagnostics go to stderr.
 Commands are deterministic: identical inputs and seeds write byte-identical
-artifacts.  `train` runs a single repeat in-process, and several repeats in
-a pool of forked worker processes with one BLAS thread each: as many as
-the cores, at most `GRNN_THREADS`, at least one (see grnn.train).  The
-parent process never sets its BLAS threads.  --parallel is accepted and
-does nothing.
+artifacts.  `train` runs one repeat in-process and more in a pool of forked
+one-BLAS-thread workers, at most `GRNN_THREADS` of them (see grnn.train).
+Results and tables go to stdout; diagnostics go to stderr, and so do the
+progress lines that benchmarks time `train` and `hpo` by: `train` prints
+`  seed <n>: ...` once per run, in archive order, and `hpo` prints
+`trial <k>: ...` once per logged trial, in log order.  No other line starts
+so, and none carries wall-clock text, so a rerun prints them byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .data import (
     NormalizationParams,
     WindowedDataset,
     add_indicators,
+    check_type,
     ingest,
     normalize,
     read_frame_csv,
@@ -135,7 +137,8 @@ def load_prepared(cfg: PipelineConfig, out: str | None) -> WindowedDataset:
         raise DataError(f"prepared dataset missing under {outdir}; run `grnn prepare` first")
     frame = read_frame_csv(csv_path, cfg.date_column)
     norm = read_json(sidecar_path, lambda sidecar: NormalizationParams(
-        {name: (v["min"], v["max"]) for name, v in sidecar["columns"].items()}))
+        {name: tuple(check_type(v[k], float, f"{name} {k}") for k in ("min", "max"))
+         for name, v in check_type(sidecar["columns"], dict, "'columns'").items()}))
     return window(frame, cfg.lookback, norm, split=cfg.split, target=cfg.target)
 
 
@@ -199,9 +202,9 @@ def _resolve_hyperparams(cfg: PipelineConfig, arch: ArchDef,
                          hyperparams_path: str | None):
     if hyperparams_path:
         return read_json(hyperparams_path, lambda best: (
-            list(best["units"]),
-            float(best.get("learning_rate", cfg.train.learning_rate)),
-            int(best.get("batch_size", cfg.train.batch_size))))
+            [check_type(u, int, "units") for u in best["units"]],
+            float(check_type(best.get("learning_rate", cfg.train.learning_rate), float, "learning_rate")),
+            check_type(best.get("batch_size", cfg.train.batch_size), int, "batch_size")))
     if arch.units is None:
         raise ConfigError(
             f"{arch.label}: no units configured; add [arch.{arch.label}] or pass --hyperparams")
@@ -229,7 +232,7 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
     tc = replace(cfg.train, batch_size=batch, learning_rate=lr)
     dataset = load_prepared(cfg, out)
     info(f"{label}: units={units} lr={lr} batch={batch} repeats={n_runs} "
-         f"seed={tc.seed} activation={cfg.train.activation} dtype={tc.dtype}")
+         f"seed={tc.seed} activation={cfg.train.activation}")
 
     def on_run(record):
         r2_txt = f"R2={record.report.r2:.4f}" if record.report else f"failed: {record.error}"
@@ -429,9 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train, arch=True, arch_required=True)
     p_train.add_argument("--hyperparams", default=None, help="best.json from hpo")
     p_train.add_argument("--repeats", type=int, default=None)
-    p_train.add_argument("--parallel", action="store_true",
-                         help="accepted and ignored: seeds always run in a pool of "
-                              "one-BLAS-thread workers (GRNN_THREADS caps it)")
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on the test split")
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)

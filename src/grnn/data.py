@@ -460,3 +460,15 @@ def read_jsonl(path, parse, first=None, drop_torn_tail: bool = False) -> list:
                 fn = parse if first is None or out else first
                 out.append(_parse_json(f"{path}:{lineno}", line, fn))
     return out
+
+
+_JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (dict, "an object")}
+
+
+def check_type(value, kind: type, what: str):
+    """`value` if JSON gave it as a `kind`: an int, a float (an int counts
+    too) or a dict, and never a bool; else TypeError naming `what`."""
+    types, noun = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{what} is not {noun}: {value!r}")
+    return value

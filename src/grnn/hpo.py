@@ -1,7 +1,7 @@
 """Tree-structured Parzen Estimator search over flat hyperparameter spaces.
 
-The search space is a list of independent dimensions: quantized integer
-ranges (units per layer, batch size) and log-uniform continuous ranges
+The search space is a list of independent dimensions: integer ranges
+(units per layer, batch size) and log-uniform continuous ranges
 (learning rate).  Until `n_startup` trials have completed, and while
 the good or the bad set below would be empty, values come from the
 prior.  After that each dimension is proposed independently:
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import read_jsonl, write_atomic
+from .data import check_type, read_jsonl, write_atomic
 from .numerics import FLOAT, Rng
 
 BANDWIDTH_FLOOR = 0.01      # least kernel width, as a fraction of the native range
@@ -41,28 +41,24 @@ BANDWIDTH_FLOOR = 0.01      # least kernel width, as a fraction of the native ra
 
 @dataclass(frozen=True)
 class IntUniform:
-    """Quantized uniform integers on [low, high] with the given step."""
+    """Uniform integers on [low, high]."""
 
     name: str
     low: int
     high: int
-    step: int = 1
 
     def __post_init__(self):
         if not self.low < self.high:
             raise ValueError(f"{self.name}: low must be < high, got [{self.low}, {self.high}]")
-        if self.step < 1 or (self.high - self.low) % self.step != 0:
-            raise ValueError(f"{self.name}: step {self.step} does not tile [{self.low}, {self.high}]")
 
     def sample_prior(self, rng: Rng):
-        k = (self.high - self.low) // self.step
-        return int(self.low + self.step * rng.integers(0, k))
+        return int(self.low + rng.integers(0, self.high - self.low))
 
     def to_native(self, value) -> float:
         return float(value)
 
     def from_native(self, x: float):
-        snapped = self.low + self.step * np.round((np.asarray(x) - self.low) / self.step)
+        snapped = self.low + np.round(np.asarray(x) - self.low)
         return np.clip(snapped, self.low, self.high).astype(np.int64)
 
     def native_bounds(self):
@@ -109,12 +105,9 @@ class SearchSpace:
     def check(self, values) -> None:
         """Raise KeyError, TypeError or ValueError unless `values` holds a
         finite number for every dimension."""
-        if not isinstance(values, dict):
-            raise TypeError(f"'values' is not an object: {values!r}")
+        check_type(values, dict, "'values'")
         for d in self.dims:
-            value = values[d.name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"value of {d.name!r} is not a number: {value!r}")
+            value = check_type(values[d.name], float, f"value of {d.name!r}")
             if not math.isfinite(d.to_native(value)):
                 raise ValueError(f"value of {d.name!r} is not finite: {value!r}")
 
@@ -132,6 +125,9 @@ class Trial:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Trial":
+        if rec["status"] == "complete" and not math.isfinite(
+                check_type(rec["objective"], float, "objective")):
+            raise ValueError(f"objective {rec['objective']!r} of a complete trial is not finite")
         return cls(trial_id=rec["trial_id"], values=rec["values"],
                    objective=rec["objective"], status=rec["status"],
                    error=rec.get("error", ""))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import WindowedDataset
+from .data import WindowedDataset, check_type
 from .network import NetworkParams, NetworkSpec, predict_batch
 from .numerics import FLOAT, ShapeError
 
@@ -66,9 +66,10 @@ class EvalReport:
 
     @classmethod
     def from_record(cls, rec: dict) -> "EvalReport":
-        return cls(r2=rec["r2"], rmse=rec["rmse"], mape=rec["mape"],
-                   mape_pct=rec["mape_pct"], rmse_nd=rec["rmse_nd"],
-                   n=rec["n"], seed=rec.get("seed"), architecture=rec.get("architecture", ""))
+        return cls(**{key: check_type(rec[key], float, key)
+                      for key in ("r2", "rmse", "mape", "mape_pct", "rmse_nd")},
+                   n=check_type(rec["n"], int, "n"), seed=rec.get("seed"),
+                   architecture=rec.get("architecture", ""))
 
 
 def evaluate(spec: NetworkSpec, params: NetworkParams, dataset: WindowedDataset,

@@ -65,7 +65,7 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
-from .data import write_atomic
+from .data import check_type, write_atomic
 from .numerics import Rng, ShapeError, glorot_uniform
 
 MODEL_FORMAT = "grnn-model"
@@ -89,7 +89,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.cell_kind not in CELL_KINDS:
             raise ValueError(f"cell_kind must be one of {CELL_KINDS}, got {self.cell_kind!r}")
-        if self.units < 1:
+        if check_type(self.units, int, "units") < 1:
             raise ValueError(f"units must be >= 1, got {self.units}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
@@ -105,7 +105,8 @@ class NetworkSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("a network needs at least one recurrent layer")
-        if self.input_dim < 1 or self.output_dim < 1:
+        if min(check_type(self.input_dim, int, "input_dim"),
+               check_type(self.output_dim, int, "output_dim")) < 1:
             raise ValueError("input_dim and output_dim must be >= 1")
 
     def layer_input_dims(self):

@@ -6,12 +6,11 @@ second stream of the same seed.  The monitored quantity is the training
 MSE; early stopping fires when the best loss so far has not improved by
 at least 1e-12 for `patience` consecutive epochs (the test split never
 influences stopping).  The weights with the lowest monitored loss are the
-returned model.  The network computes in `TrainConfig.dtype` (float32 by
-default): the weights, the gradients, the optimizer's moments and the
-training windows take it, while the loss, its sum over the epoch and early
-stopping stay float64.  A non-finite loss or gradient ends the run with
-TrainingDiverged (in float32 the gradient usually overflows first).  A run
-keeps one workspace for the tapes and the backward's arrays and one
+returned model.  Training computes in float32 (TRAIN_DTYPE): the weights,
+gradients, optimizer moments and training windows; the loss, its sum over
+the epoch and early stopping stay float64.  A non-finite loss or gradient
+ends the run with TrainingDiverged (the gradient usually overflows first).
+A run keeps one workspace for the tapes and the backward's arrays and one
 gradient vector, so its steps reuse memory instead of allocating it; only
 the epoch's short last batch, whose shape differs, reallocates the
 workspace's arrays.
@@ -30,18 +29,14 @@ when that is one worker, so the dataset reaches them by copy-on-write;
 each worker caps its BLAS to one thread when it starts, where numpy's
 BLAS has a thread setter (where it has none, the pool has one worker).
 The parent never sets its BLAS threads.  A second BLAS thread speeds one
-seed up by less than a second seed adds work: on 2 cores, not at all for
-c09's lstm1 and about 1.2x for gru-lstm1 (498 and 311 units, the roster's
-largest GEMMs), so two pooled seeds finish 2.0x (c09) and 1.5x
-(gru-lstm1) sooner than two seeds one after the other at two threads
-(scripts/bench.py pool, BENCH_pool.json).  Each worker holds its own
-network, workspace and optimizer, so memory grows with the worker count:
-about 150 MB per gru-lstm1 worker.  The parent keeps the weights of the
-best run so far only.  The rule has a cost worth knowing: one and two
-BLAS threads round float32 differently at the c09 shape (lstm1, 47 units,
-batch 46), so a multi-seed archive can differ from single runs of the
-same seeds.  In exchange it depends neither on the worker count nor on
-the machine's core count.  Each run is scored where it trained; `grnn
+seed up by less than a second seed adds work, so pooled seeds finish
+sooner than serial ones (README; scripts/bench.py pool, BENCH_pool.json).
+Each worker holds its own network, workspace and optimizer, about 150 MB
+at gru-lstm1; the parent keeps the best run's weights only.  The cost:
+one and two BLAS threads round float32 differently at the c09 shape
+(lstm1, 47 units, batch 46), so a multi-seed archive can differ from
+single runs of the same seeds, though it depends on neither the worker
+count nor the core count.  Each run is scored where it trained; `grnn
 evaluate` scores at the process's BLAS threads, and at the c09 test split
 one and two threads give the same report.  A worker that dies fails the
 runs it had in flight ("worker died") and the remaining seeds still run.
@@ -60,12 +55,13 @@ import numpy as np
 
 from .data import DataError, WindowedDataset, read_jsonl, write_atomic
 from .metrics import EvalReport, evaluate
-from .network import DTYPES, NetworkParams, NetworkSpec, backward, forward_batch
+from .network import NetworkParams, NetworkSpec, backward, forward_batch
 from .numerics import FLOAT, Rng
 from .optim import NonFiniteGradient, OptimizerState, apply, clip_gradients
 
 IMPROVEMENT_EPS = 1e-12
 R2_RETENTION_BAR = 0.90
+TRAIN_DTYPE = np.dtype(np.float32)
 
 
 class TrainingDiverged(RuntimeError):
@@ -81,7 +77,6 @@ class TrainConfig:
     optimizer: str = "nadam"
     seed: int = 0
     clip_norm: float | None = None
-    dtype: str = "float32"          # the network's compute dtype, a key of DTYPES
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -90,8 +85,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
 
 
 @dataclass
@@ -108,8 +101,7 @@ class TrainResult:
 
 def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainResult:
     """Fit one network; see the module docstring for the protocol."""
-    dtype = DTYPES[cfg.dtype]
-    xs, ys = data.train_x.astype(dtype, copy=False), data.train_y
+    xs, ys = data.train_x.astype(TRAIN_DTYPE, copy=False), data.train_y
     n = xs.shape[0]
     if n == 0:
         raise ValueError("training split is empty")
@@ -117,11 +109,11 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
         raise ValueError(f"dataset features {xs.shape[2]} != spec input_dim {spec.input_dim}")
 
     seed_rng = Rng(cfg.seed)
-    params = NetworkParams.init(spec, seed_rng.child(0), dtype)
+    params = NetworkParams.init(spec, seed_rng.child(0), TRAIN_DTYPE)
     shuffle_rng = seed_rng.child(1)
     opt = OptimizerState.create(cfg.optimizer, cfg.learning_rate)
     ws: dict = {}
-    grads = NetworkParams.zeros(spec, dtype)
+    grads = NetworkParams.zeros(spec, TRAIN_DTYPE)
 
     best_loss = np.inf
     best_params = params.copy()

@@ -28,5 +28,6 @@ def test_bench_setup_against_head(tmp_path):
         assert set(tree["times"]) == SETUP_KEYS
         assert set(tree["digests"]) == {"prepared.csv", "norm_params.json"}
     assert set(result["change_vs_parent"]) == SETUP_KEYS
-    assert all(vs["pairs"] >= 1 for vs in result["change_vs_parent"].values())
+    assert all(vs["rounds"] == 1 and vs["rounds_faster"] in (0, 1)
+               for vs in result["change_vs_parent"].values())
     assert result["artifacts_identical"] is True

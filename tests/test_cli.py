@@ -120,7 +120,7 @@ def one_error_line(capsys) -> str:
     ("hpo.max_epochs=0", "[hpo] max_epochs must be >= 1"),
     ("hpo.n_trials=0", "[hpo] n_trials must be >= 1"),
     ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
-    ("train.dtype=float16", "[train] dtype must be one of ['float32', 'float64']"),
+    ("train.dtype=float16", "[train] unknown key 'dtype'"),
     ("hpo.bandwidth_floor=0.02", "[hpo] unknown key 'bandwidth_floor'"),
 ])
 def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
@@ -134,6 +134,10 @@ def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
 @pytest.mark.parametrize("name, content, named", [
     ("no_units", {"learning_rate": 0.003, "batch_size": 16}, "missing key 'units'"),
     ("a_list", [16, 0.003, 16], "expected a JSON object"),
+    ("units_true", {"units": [True], "learning_rate": 0.003, "batch_size": 16},
+     "units is not an integer: True"),
+    ("batch_float", {"units": [16], "learning_rate": 0.003, "batch_size": 2.7},
+     "batch_size is not an integer: 2.7"),
 ])
 def test_train_rejects_malformed_hyperparams(tmp_path, capsys, name, content, named):
     path = write_sine_config(tmp_path)
@@ -145,8 +149,20 @@ def test_train_rejects_malformed_hyperparams(tmp_path, capsys, name, content, na
     assert str(best) in line and named in line
 
 
+def with_sine_min(value):
+    """A norm_params.json mangler that sets the SINE column's min to `value`."""
+    def mangle(text):
+        sidecar = json.loads(text)
+        sidecar["columns"]["SINE"]["min"] = value
+        return json.dumps(sidecar)
+    return mangle
+
+
 @pytest.mark.parametrize("name, mangle, named", [
     ("norm_params.json", lambda text: "{}\n", "missing key 'columns'"),
+    ("norm_params.json", with_sine_min("x"), "SINE min is not a number: 'x'"),
+    ("norm_params.json", with_sine_min(None), "SINE min is not a number: None"),
+    ("norm_params.json", lambda text: '{"columns": "abc"}', "'columns' is not an object"),
     ("prepared.csv", lambda text: text.splitlines()[0] + "\n", "no data rows"),
     ("prepared.csv", lambda text: text + "2099-01-01," + "1" * 200_000 + "\n",
      "prepared.csv:262: field larger than field limit"),
@@ -172,14 +188,25 @@ def test_train_rejects_malformed_prepared_data(tmp_path, capsys, name, mangle, n
     (['{"architecture": "lstm1", "n_runs": 1}',
       '{"seed": 1, "status": "complete", "retained": true}'],
      "archive.jsonl:2: a retained run needs a report"),
+    (['{"architecture": "lstm1", "n_runs": 1}',
+      '{"seed": 1, "status": "complete", "retained": true, "report": {"r2": null, '
+      '"rmse": 1.0, "mape": 0.1, "mape_pct": 10.0, "rmse_nd": 0.1, "n": 44}}'],
+     "archive.jsonl:2: r2 is not a number: None"),
 ])
 def test_compare_rejects_malformed_archive(tmp_path, capsys, lines, named):
+    """`compare` and `report` both read the archive."""
     path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
     archive = tmp_path / "out" / "train" / "lstm1" / "archive.jsonl"
     archive.parent.mkdir(parents=True)
     archive.write_text("".join(line + "\n" for line in lines))
-    assert main(["compare", "--config", str(path), "--arch", "lstm1"]) == 1
-    assert named in one_error_line(capsys)
+    spec = NetworkSpec(layers=(LayerSpec("lstm", 3),), input_dim=1)
+    save_model(archive.parent / "best.grnn", spec, NetworkParams.init(spec, Rng(1)),
+               {"architecture": "lstm1", "lookback": 8})
+    capsys.readouterr()
+    for command in ("compare", "report"):
+        assert main([command, "--config", str(path), "--arch", "lstm1"]) == 1
+        assert named in one_error_line(capsys), command
 
 
 def test_hpo_bad_search_bounds_fail_before_data_loads(tmp_path, capsys):
@@ -194,10 +221,16 @@ def test_hpo_resume_rejects_trial_without_objective(tmp_path, capsys):
     assert main(["prepare", "--config", str(path)]) == 0
     log = tmp_path / "out" / "hpo" / "lstm1" / "trials.jsonl"
     log.parent.mkdir(parents=True)
-    log.write_text('{"trial_id": 0, "values": {}, "status": "complete"}\n')
-    capsys.readouterr()
-    assert main(["hpo", "--config", str(path), "--arch", "lstm1"]) == 1
-    assert "trials.jsonl:1: missing key 'objective'" in one_error_line(capsys)
+    for objective, named in (("", "missing key 'objective'"),
+                             ('"objective": "x", ', "objective is not a number: 'x'"),
+                             ('"objective": null, ', "objective is not a number: None")):
+        text = ('{"trial_id": 0, "values": {"units_0": 8, "learning_rate": 0.003, '
+                f'"batch_size": 16}}, {objective}"status": "complete"}}\n')
+        log.write_text(text)
+        capsys.readouterr()
+        assert main(["hpo", "--config", str(path), "--arch", "lstm1"]) == 1
+        assert f"trials.jsonl:1: {named}" in one_error_line(capsys)
+        assert log.read_text() == text
 
 
 @pytest.mark.parametrize("values, named", [
@@ -379,22 +412,48 @@ def test_full_pipeline_train_evaluate_compare_report(tmp_path, capsys):
     assert len(metrics) == 3 * retained + 1
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_evaluate_reproduces_the_archived_report(tmp_path, capsys, dtype):
+def test_evaluate_reproduces_the_archived_report(tmp_path, capsys):
     path = write_sine_config(tmp_path)
     assert main(["prepare", "--config", str(path)]) == 0
-    assert main(["train", "--config", str(path), "--arch", "lstm1", "--repeats", "2",
-                 "--set", f"train.dtype={dtype}"]) == 0
+    assert main(["train", "--config", str(path), "--arch", "lstm1", "--repeats", "2"]) == 0
     ckpt = tmp_path / "out" / "train" / "lstm1" / "best.grnn"
     _, params, extra = load_model(ckpt)
-    assert params.flat.dtype == np.dtype(dtype)
-    assert extra.get("dtype", "float64") == dtype
+    assert params.flat.dtype == np.float32
+    assert extra["dtype"] == "float32"
     archive = [json.loads(line) for line in
                (tmp_path / "out" / "train" / "lstm1" / "archive.jsonl").read_text().splitlines()]
     best = next(rec for rec in archive[1:] if rec.get("seed") == extra["seed"])
     assert main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
     capsys.readouterr()
     assert json.loads((tmp_path / "out" / "eval" / "lstm1.json").read_text()) == best["report"]
+
+
+def test_progress_lines_pair_with_archived_runs_and_logged_trials(tmp_path, capsys,
+                                                                   monkeypatch):
+    """perfbench times `train` and `hpo` at their progress lines, the stderr
+    lines its PROGRESS pattern matches: one per archived run, in archive
+    order, and one per logged trial, the same on every rerun."""
+    monkeypatch.syspath_prepend(os.path.join(PROFILES_DIR, "..", "perfbench"))
+    from workloads import PROGRESS
+
+    path = write_sine_config(tmp_path)
+    printed = []
+    for rerun in range(2):
+        out = tmp_path / f"out{rerun}"
+        base = ["--config", str(path), "--out", str(out)]
+        assert main(["prepare", *base]) == 0
+        assert main(["train", *base, "--arch", "lstm1", "--repeats", "2",
+                     "--set", "train.max_epochs=15"]) == 0
+        assert main(["hpo", *base, "--arch", "lstm1", "--set", "hpo.n_trials=3"]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if PROGRESS.match(line)]
+        archive = (out / "train" / "lstm1" / "archive.jsonl").read_text().splitlines()[1:]
+        trials = load_history(out / "hpo" / "lstm1" / "trials.jsonl")
+        assert [line.split(":")[0].split() for line in lines] == (
+            [["seed", str(json.loads(run)["seed"])] for run in archive]
+            + [["trial", str(t.trial_id)] for t in trials])
+        printed.append(lines)
+    assert printed[0] == printed[1]
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
@@ -506,6 +565,11 @@ def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
     def with_extra(**extra):
         return json.dumps({**header, "extra": extra}).encode() + b"\n" + blob
 
+    def with_spec(layer_units=3, input_dim=1):
+        spec_rec = {**header["spec"], "input_dim": input_dim,
+                    "layers": [{**header["spec"]["layers"][0], "units": layer_units}]}
+        return json.dumps({**header, "spec": spec_rec}).encode() + b"\n" + blob
+
     cases = {
         "truncated": header_line + b"\n" + blob[:-12],
         "nan_tensor": header_line + b"\n" + np.array([np.nan]).astype("<f8").tobytes() + blob[8:],
@@ -514,6 +578,10 @@ def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
                    + b"\n" + blob,
         "no_tensors": json.dumps({k: v for k, v in header.items() if k != "tensors"}).encode()
                       + b"\n" + blob,
+        "units_float": with_spec(layer_units=1.5),
+        "units_true": with_spec(layer_units=True),
+        "input_dim_float": with_spec(input_dim=1.5),
+        "input_dim_true": with_spec(input_dim=True),
     }
     bad_extras = {
         "lookback_list": with_extra(lookback=[1]),
@@ -622,9 +690,9 @@ def test_worker_count_does_not_change_multi_seed_artifacts(tmp_path, monkeypatch
                   "--set", "train.max_epochs=3", "--set", "train.r2_bar=0"]
     outdir = tmp_path / "out" / "train" / "lstm1"
     artifacts = []
-    for threads, extra in (("1", []), ("2", ["--parallel"])):
+    for threads in ("1", "2"):
         monkeypatch.setenv("GRNN_THREADS", threads)
-        assert main(train_argv + extra) == 0
+        assert main(train_argv) == 0
         artifacts.append(((outdir / "archive.jsonl").read_bytes(),
                           (outdir / "best.grnn").read_bytes()))
         assert sorted(os.listdir(outdir)) == ["archive.jsonl", "best.grnn"]

@@ -65,15 +65,6 @@ def test_degenerate_distributions_rejected():
         LogUniform("x", 1e-3, 1e-3)
     with pytest.raises(ValueError):
         LogUniform("x", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        IntUniform("x", 0, 10, step=3)      # step does not tile the range
-
-
-def test_int_step_quantization():
-    dist = IntUniform("x", 10, 50, step=10)
-    rng = Rng(3)
-    draws = {dist.sample_prior(rng) for _ in range(2000)}
-    assert draws == {10, 20, 30, 40, 50}
 
 
 # --- suggest ----------------------------------------------------------------

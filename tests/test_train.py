@@ -9,10 +9,11 @@ import pytest
 
 from grnn.data import NormalizationParams, WindowedDataset
 from grnn.metrics import evaluate
-from grnn.network import DTYPES, LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
+from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
 from grnn.numerics import FLOAT, Rng
 from grnn.optim import OptimizerState, apply
 from grnn.train import (
+    TRAIN_DTYPE,
     RunArchive,
     TrainConfig,
     TrainingDiverged,
@@ -58,20 +59,13 @@ def test_decreasing_loss_runs_to_max_epochs(sine_dataset):
 
 
 def test_train_is_deterministic(sine_dataset):
-    for dtype in ("float32", "float64"):
-        cfg = TrainConfig(batch_size=16, max_epochs=8, patience=5,
-                          learning_rate=3e-3, seed=7, dtype=dtype)
-        r1 = train(SINE_SPEC, sine_dataset, cfg)
-        r2 = train(SINE_SPEC, sine_dataset, cfg)
-        assert r1.best_params.flat.dtype == np.dtype(dtype)
-        assert np.array(r1.epoch_losses).tobytes() == np.array(r2.epoch_losses).tobytes()
-        assert r1.best_params.flat.tobytes() == r2.best_params.flat.tobytes()
-
-
-def test_float32_is_the_default_and_others_are_rejected():
-    assert TrainConfig().dtype == "float32"
-    with pytest.raises(ValueError, match="dtype must be one of"):
-        TrainConfig(dtype="float16")
+    cfg = TrainConfig(batch_size=16, max_epochs=8, patience=5,
+                      learning_rate=3e-3, seed=7)
+    r1 = train(SINE_SPEC, sine_dataset, cfg)
+    r2 = train(SINE_SPEC, sine_dataset, cfg)
+    assert r1.best_params.flat.dtype == np.float32
+    assert np.array(r1.epoch_losses).tobytes() == np.array(r2.epoch_losses).tobytes()
+    assert r1.best_params.flat.tobytes() == r2.best_params.flat.tobytes()
 
 
 def test_nonfinite_gradient_is_reported_as_divergence(sine_dataset, monkeypatch):
@@ -259,7 +253,7 @@ def reference_train(spec, data, cfg):
     """`train`'s loop with no workspace, a fresh gradient vector per step and
     each batch cast to the compute dtype on its own."""
     seed_rng = Rng(cfg.seed)
-    params = NetworkParams.init(spec, seed_rng.child(0), DTYPES[cfg.dtype])
+    params = NetworkParams.init(spec, seed_rng.child(0), TRAIN_DTYPE)
     shuffle_rng = seed_rng.child(1)
     opt = OptimizerState.create(cfg.optimizer, cfg.learning_rate)
     n = data.train_x.shape[0]

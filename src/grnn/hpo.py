@@ -104,10 +104,11 @@ class SearchSpace:
 
     def check(self, values) -> None:
         """Raise KeyError, TypeError or ValueError unless `values` holds a
-        finite number for every dimension."""
+        finite number for every dimension, an int for an integer one."""
         check_type(values, dict, "'values'")
         for d in self.dims:
-            value = check_type(values[d.name], float, f"value of {d.name!r}")
+            kind = int if isinstance(d, IntUniform) else float
+            value = check_type(values[d.name], kind, f"value of {d.name!r}")
             if not math.isfinite(d.to_native(value)):
                 raise ValueError(f"value of {d.name!r} is not finite: {value!r}")
 

@@ -238,6 +238,8 @@ def test_hpo_resume_rejects_trial_without_objective(tmp_path, capsys):
     ('{"units_0": 8, "batch_size": 16}', "missing key 'learning_rate'"),
     ('{"units_0": 8, "learning_rate": "fast", "batch_size": 16}',
      "value of 'learning_rate' is not a number"),
+    ('{"units_0": 8.5, "learning_rate": 0.003, "batch_size": 16}',
+     "value of 'units_0' is not an integer"),
 ])
 def test_hpo_resume_rejects_malformed_trial_values(tmp_path, capsys, values, named):
     path = write_sine_config(tmp_path)

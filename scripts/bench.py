@@ -11,6 +11,12 @@ Cases, each with a fixed amount of work per round:
            units, 10,576 parameters) and 20 at gru-lstm1 (GRU 498 into LSTM
            311, 1.77 M); batch 46, lookback 10, 8 features.  Keys
            <shape>/float32; digests: the weights after the last step.
+    layer  one LSTM and one GRU layer, float32, at 47 and 512 units: forward
+           then backward (with dL/dx, as a layer above the first runs it),
+           on one workspace reused as `train` reuses it, after two warm-up
+           calls: 300 at 47 units and 20 at 512; batch 46, lookback 10, 8
+           inputs.  Keys <kind><units>/forward and <kind><units>/backward;
+           digests: the outputs, the weight gradients and dL/dx.
     setup  command start-up on the synthetic market bundle under
            profiles/synthetic-market.ini: fresh-process `import grnn.cli`
            (import) and `grnn prepare` (prepare), then each prepare stage 5
@@ -34,9 +40,13 @@ temporary work directory.  With --against REV, `git archive REV` is
 unpacked into a temporary tree too.  Each round runs every case in a fresh
 process per tree, with PYTHONPATH=<tree>/src, the trees' order
 alternating from round to round so that drift of a shared host hits both
-alike.  Each BENCH_<case>.json holds the machine (perfbench/envinfo.py),
-the rounds and, per tree, its commit, its digests and each key's median,
-min and sample count; with --against also, per key, the ratio of the
+alike.  Before each child, this process times perfbench/probe.py's
+host-speed probe PROBE_READINGS times and keeps the median, so a set of
+rounds taken on a busy host shows as such.  Each BENCH_<case>.json holds
+the machine (perfbench/envinfo.py), the rounds, the probe's time on a fast
+host (probe_ref_s) and, per tree, its commit, its digests, each round's
+probe reading (probe_s) and each key's median, min and sample count; with
+--against also, per key, the ratio of the
 medians (change over parent) and the number of rounds in which this tree's
 median of the round was the lower, and whether both trees' digests agree.
 The timings of one child process are not independent of each other, so
@@ -67,6 +77,13 @@ STEP_SHAPES = {                  # name: (layers, timed steps per round)
     "c09": ((("lstm", 47),), 300),
     "gru-lstm1": ((("gru", 498), ("lstm", 311)), 20),
 }
+LAYER_SHAPES = {                 # name: (kind, units, timed calls per round)
+    "lstm47": ("lstm", 47, 300),
+    "gru47": ("gru", 47, 300),
+    "lstm512": ("lstm", 512, 20),
+    "gru512": ("gru", 512, 20),
+}
+PROBE_READINGS = 5
 STAGE_REPEATS = 5
 STAGES = ("ingest", "add_indicators", "normalize", "write_frame_csv", "read_frame_csv",
           "window")
@@ -118,6 +135,38 @@ def step_case(tree: str) -> dict:
             step()
             times[key].append(time.perf_counter() - started)
         digests[key] = sha1(params.flat.tobytes())
+    return {"times": times, "digests": digests}
+
+
+def layer_case(tree: str) -> dict:
+    import numpy as np
+    from grnn import cells
+
+    times, digests = {}, {}
+    for name, (kind, units, k) in LAYER_SHAPES.items():
+        forward, backward = ((cells.lstm_forward, cells.lstm_backward) if kind == "lstm"
+                             else (cells.gru_forward, cells.gru_backward))
+        width = (4 if kind == "lstm" else 3) * units
+        rng = np.random.default_rng(0)
+        limit = np.sqrt(6.0 / (FEATURES + units + width))
+        p = cells.LayerParams(*(rng.uniform(-limit, limit, shape).astype(np.float32)
+                                for shape in ((FEATURES, width), (units, width), (width,))))
+        grad = cells.LayerParams(*(np.empty_like(a) for a in p))
+        x = rng.standard_normal((LOOKBACK, BATCH, FEATURES)).astype(np.float32)
+        dh = (rng.standard_normal((LOOKBACK, BATCH, units)) / BATCH).astype(np.float32)
+        ws = {}
+        times[f"{name}/forward"], times[f"{name}/backward"] = [], []
+        for call in range(k + 2):
+            started = time.perf_counter()
+            h, tape = forward(p, x, "tanh", True, ws)
+            middle = time.perf_counter()
+            dx = backward(p, tape, dh, grad, ws, True)
+            ended = time.perf_counter()
+            if call >= 2:
+                times[f"{name}/forward"].append(middle - started)
+                times[f"{name}/backward"].append(ended - middle)
+        digests[f"{name}/forward"] = sha1(h.tobytes())
+        digests[f"{name}/backward"] = sha1(b"".join(a.tobytes() for a in (*grad, dx)))
     return {"times": times, "digests": digests}
 
 
@@ -205,6 +254,9 @@ def pool_case(tree: str) -> dict:
 
 
 CASES = {
+    "layer": (layer_case, "seconds of one LSTM or GRU layer forward, and of its backward "
+                          f"with dL/dx, float32, batch {BATCH}, lookback {LOOKBACK}, "
+                          f"{FEATURES} inputs"),
     "step": (step_case, "seconds of one training step (forward_batch + backward + nadam "
                         f"apply), batch {BATCH}, lookback {LOOKBACK}, {FEATURES} features"),
     "setup": (setup_case, "seconds of command start-up on the synthetic market bundle: "
@@ -246,16 +298,18 @@ def summary(ts: list) -> dict:
     return {"median_s": statistics.median(ts), "min_s": min(ts), "n": len(ts)}
 
 
-def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict) -> dict:
+def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
+           probe_ref_s: float) -> dict:
     """The BENCH_<case>.json record of `runs`: tree -> list of child results."""
     result = {"case": case, "what": CASES[case][1], "environment": environment,
-              "rounds": rounds, "trees": {}}
+              "rounds": rounds, "probe_ref_s": probe_ref_s, "trees": {}}
     times = {}
     for name, outs in runs.items():
         times[name] = {key: [t for out in outs for t in out["times"][key]]
                        for key in outs[0]["times"]}
         tree = result["trees"][name] = {
             "git_commit": commits[name], "digests": outs[-1]["digests"],
+            "probe_s": [out["probe_s"] for out in outs],
             "times": {key: summary(ts) for key, ts in times[name].items()}}
         if "peak_rss_mb" in outs[0]:
             tree["peak_rss_mb"] = {
@@ -292,9 +346,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import envinfo
+    import probe
     from grnn.synthetic import write_bundle, write_sine
 
     environment = envinfo.record(ROOT)
+    host_probe = probe.Probe()
     with tempfile.TemporaryDirectory() as tmp:
         trees, commits = {"change": ROOT}, {"change": environment["git_commit"]}
         if args.against:
@@ -308,10 +364,12 @@ def main(argv=None) -> int:
             order = list(trees) if r % 2 else list(trees)[::-1]
             for case in cases:
                 for name in order:
-                    runs[case][name].append(run_child(case, trees[name], work))
+                    probe_s = statistics.median(host_probe() for _ in range(PROBE_READINGS))
+                    runs[case][name].append({**run_child(case, trees[name], work),
+                                             "probe_s": probe_s})
 
     for case in cases:
-        result = report(case, environment, args.rounds, commits, runs[case])
+        result = report(case, environment, args.rounds, commits, runs[case], probe.REF_S)
         for key in result["trees"]["change"]["times"]:
             line = " | ".join(f"{name} median {tree['times'][key]['median_s'] * 1e3:9.2f} ms"
                               for name, tree in result["trees"].items())
@@ -320,6 +378,9 @@ def main(argv=None) -> int:
                 line += (f" | x{vs['median_ratio']:.3f}, faster in "
                          f"{vs['rounds_faster']}/{vs['rounds']} rounds")
             print(f"{case}/{key:<22} {line}")
+        print(f"{case}: probe median " + " | ".join(
+            f"{name} {statistics.median(tree['probe_s']) * 1e3:.2f} ms"
+            for name, tree in result["trees"].items()) + f" (fast host {probe.REF_S * 1e3} ms)")
         path = os.path.join(args.out_dir, f"BENCH_{case}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)

@@ -29,16 +29,23 @@ layer; sigmoid is evaluated as 0.5 + 0.5 tanh(x / 2), so the gates of one
 step cost one tanh call.  Initial states are zero.
 
 Inputs are time-major (T, B, D) and each forward returns the layer's
-outputs (T, B, H) plus a tape of stacked (T, B, .) arrays (none with
-keep_tape=False, for prediction).  Forward does
-one x K + b GEMM for the whole window, then one h R GEMM per step (GRU:
-h R_rz and (r * h) R_c).  Backward fills the gradients of the gate
-pre-activations, dz (T, B, G*H), step by step; its only per-step GEMMs
-carry dh back through R.  Each weight gradient is then one GEMM over the
-stacked T*B rows, written into the caller's gradient views, and the
-gradient for the layer below, dz K^T, is computed once.  Everything is
-deterministic, and the gradients are checked against central finite
-differences in the tests.
+outputs (T, B, H) plus a tape of stacked (T, ...) arrays (none with
+keep_tape=False, for prediction).  Forward does one x K + b GEMM for the
+whole window into batch-major gate rows (T, B, G*H), then one h R GEMM
+per step (GRU: h R_rz and (r * h) R_c), added to the step's rows in
+place.  The tape holds the gates gate-major, (T, G, B, H), so each gate of
+a step is one contiguous (B, H) block and the sigmoid gates are one
+block.  The step's activation reads its rows through a gate-major view
+and writes the tape: the one strided pass of a forward step.  Backward
+keeps the factors of dz that do not depend on the recursion gate-major
+too, and forms each step's gradients of the gate pre-activations in one
+(G, B, H) block.  One strided copy per step moves that block into the
+batch-major dz (T, B, G*H), held in the forward's row buffer, which every
+backward GEMM reads.  Its only per-step GEMMs carry dh back through R.
+Each weight gradient is then one GEMM over the stacked T*B rows, written
+into the caller's gradient views, and the gradient for the layer below,
+dz K^T, is computed once.  Everything is deterministic, and the gradients
+are checked against central finite differences in the tests.
 
 Every array a forward or backward writes, tape included, comes from a
 workspace: a dict from buffer name to array, passed as `ws`.  An array is
@@ -72,7 +79,7 @@ class LstmTape(NamedTuple):
     x: np.ndarray            # (T, B, D) layer input
     h: np.ndarray            # (T+1, B, H) outputs; h[0] is the zero initial state
     c: np.ndarray            # (T+1, B, H) cell states; c[0] = 0
-    gates: np.ndarray        # (T, B, 4H) f, i, o, c~ after their activations
+    gates: np.ndarray        # (T, 4, B, H) f, i, o, c~ after their activations, gate-major
     act_c: np.ndarray        # (T, B, H) act(c_t)
     activation: str
 
@@ -80,7 +87,7 @@ class LstmTape(NamedTuple):
 class GruTape(NamedTuple):
     x: np.ndarray            # (T, B, D) layer input
     h: np.ndarray            # (T+1, B, H) outputs; h[0] is the zero initial state
-    gates: np.ndarray        # (T, B, 3H) r, z, h~ after their activations
+    gates: np.ndarray        # (T, 3, B, H) r, z, h~ after their activations, gate-major
     rh: np.ndarray           # (T, B, H) r * h_{t-1}
     activation: str
 
@@ -117,8 +124,25 @@ def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
     a += 0.5
 
 
+def _by_gate(rows: np.ndarray, n_gates: int) -> np.ndarray:
+    """View batch-major gate rows (..., B, G*H) gate-major, as (..., G, B, H)."""
+    *lead, batch, width = rows.shape
+    return rows.reshape(*lead, batch, n_gates, width // n_gates).swapaxes(-3, -2)
+
+
+def _rows(ws: dict, steps: int, batch: int, width: int, dtype) -> np.ndarray:
+    """The batch-major gate rows (T, B, G*H): x K + b in forward, dz in backward."""
+    return buffer(ws, "rows", (steps, batch, width), dtype)
+
+
 def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str, ws: dict):
-    """Check shapes; return (x, T, B, H, gate pre-activations x K + b as (T, B, G*H))."""
+    """Check shapes; return (x, T, B, H, (x K + b) * scale as (T, B, G*H), scale).
+
+    `scale` (G*H,) is 0.5 on the sigmoid gates' columns and 1 on the
+    candidate's, the last block: sig(a) = 0.5 + 0.5 tanh(a / 2), and
+    scaling by 0.5 or 1 is exact.  One pass over whole rows costs less
+    than halving the sigmoid columns alone.
+    """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
     x = np.ascontiguousarray(x, dtype=p.kernel.dtype)
@@ -128,28 +152,33 @@ def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str,
     if p.kernel.shape != (x.shape[2], n_gates * units) or p.bias.shape != (n_gates * units,):
         raise ShapeError(f"{what}: kernel {p.kernel.shape} does not take inputs of width {x.shape[2]}")
     steps, batch, width = x.shape
-    pre = buffer(ws, "gates", (steps, batch, n_gates * units), x.dtype)
+    pre = _rows(ws, steps, batch, n_gates * units, x.dtype)
     np.matmul(x.reshape(steps * batch, width), p.kernel, out=pre.reshape(steps * batch, -1))
     pre += p.bias
-    return x, steps, batch, units, pre
+    scale = buffer(ws, "scale", (n_gates * units,), x.dtype)
+    scale[:-units] = 0.5
+    scale[-units:] = 1.0
+    pre *= scale
+    return x, steps, batch, units, pre, scale
 
 
 def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = True,
                  ws: dict | None = None):
     """Run an LSTM layer over a (T, B, D) window. Returns (outputs (T, B, H), LstmTape).
 
-    With keep_tape=False the cell state lives in a two-row ring and the
-    tape is None, so only the outputs and the gate block outlive a step.
-    Outputs and tape live in `ws` and stay valid until its next forward.
+    With keep_tape=False the gates and the cell state live in one-step and
+    two-row buffers and the tape is None, so only the outputs and the x K + b
+    rows outlive a step.  Outputs and tape live in `ws` and stay valid until
+    its next forward.
     """
     ws = {} if ws is None else ws
-    x, steps, batch, units, gates = _project_inputs(p, x, 4, activation, "lstm_forward", ws)
-    n_sig = 3 * units
-    gates[..., :n_sig] *= 0.5
-    rec = buffer(ws, "rec", p.recurrent.shape, x.dtype)
-    np.copyto(rec, p.recurrent)
-    rec[:, :n_sig] *= 0.5           # halving is exact, so the step GEMM needs no rescale
+    x, steps, batch, units, pre, scale = _project_inputs(p, x, 4, activation, "lstm_forward",
+                                                         ws)
+    pre_by_gate = _by_gate(pre, 4)
+    # halving is exact, so the step GEMM needs no rescale
+    rec = np.multiply(p.recurrent, scale, out=buffer(ws, "rec", p.recurrent.shape, x.dtype))
     kept = steps if keep_tape else 1
+    gates = buffer(ws, "gates", (kept, 4, batch, units), x.dtype)
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
     c = buffer(ws, "c", (kept + 1, batch, units), x.dtype)
     h[0] = 0.0
@@ -158,19 +187,20 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     hr = buffer(ws, "hr", (batch, 4 * units), x.dtype)
     for t in range(steps):
         c_prev, c_new, a = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], act_c[t % kept]
-        g = gates[t]
+        g = gates[t % kept]
         if t:
-            g += np.matmul(h[t], rec, out=hr)
+            pre[t] += np.matmul(h[t], rec, out=hr)
         if activation == "tanh":
-            np.tanh(g, out=g)              # gates and candidate in one call
+            np.tanh(pre_by_gate[t], out=g)              # gates and candidate in one call
         else:
-            np.tanh(g[:, :n_sig], out=g[:, :n_sig])
-            np.maximum(g[:, n_sig:], 0.0, out=g[:, n_sig:])
-        _sigmoid_from_half_tanh(g[:, :n_sig])
-        np.multiply(g[:, :units], c_prev, out=c_new)
-        c_new += np.multiply(g[:, units:2 * units], g[:, n_sig:], out=a)   # a is scratch here
+            np.tanh(pre_by_gate[t, :3], out=g[:3])
+            np.maximum(pre_by_gate[t, 3], 0.0, out=g[3])
+        _sigmoid_from_half_tanh(g[:3])
+        f, i, o, cand = g
+        np.multiply(f, c_prev, out=c_new)
+        c_new += np.multiply(i, cand, out=a)      # a is scratch here
         _activate(activation, c_new, a)
-        np.multiply(a, g[:, 2 * units:n_sig], out=h[t + 1])
+        np.multiply(a, o, out=h[t + 1])
     return h[1:], LstmTape(x, h, c, gates, act_c, activation) if keep_tape else None
 
 
@@ -191,21 +221,23 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     dh = np.asarray(dh, dtype=p.kernel.dtype)
     if dh.shape != act_c.shape:
         raise ShapeError(f"lstm_backward: dh shape {dh.shape}, expected {act_c.shape}")
-    n_sig = 3 * units
-    f, i, o, cand = (gates[..., k * units:(k + 1) * units] for k in range(4))
+    f, i, o, cand = gates.swapaxes(0, 1)
 
     # the factors of dz that do not depend on the recursion, for the whole window:
-    # dz = [dcell, dcell, dh_t, dcell] * q, blockwise
-    q = sigmoid_grad(gates, buffer(ws, "q", gates.shape, x.dtype))   # candidate block: below
+    # dz = [dcell, dcell, dh_t, dcell] * q, gate by gate
+    q = buffer(ws, "q", gates.shape, x.dtype)
+    sigmoid_grad(gates[:, :3], q[:, :3])
     for k, factor in enumerate((c[:-1], cand, act_c)):
-        q[..., k * units:(k + 1) * units] *= factor
-    q_cand = _activation_grad(activation, cand, q[..., n_sig:])
+        q[:, k] *= factor
+    q_cand = _activation_grad(activation, cand, q[:, 3])
     q_cand *= i
     cell_from_h = _activation_grad(activation, act_c,
                                    buffer(ws, "cell_from_h", act_c.shape, x.dtype))
     cell_from_h *= o
 
-    dz = buffer(ws, "dz", gates.shape, x.dtype)
+    dz = _rows(ws, steps, batch, 4 * units, x.dtype)
+    dz_by_gate = _by_gate(dz, 4)
+    dz_t = buffer(ws, "dz_t", (4, batch, units), x.dtype)
     rec_t = buffer(ws, "rec_t", p.recurrent.shape[::-1], x.dtype)
     np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
     dh_rec, dc, dh_t, dcell = (buffer(ws, name, (batch, units), x.dtype)
@@ -216,9 +248,9 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
         np.add(dh[t], dh_rec, out=dh_t)
         np.multiply(dh_t, cell_from_h[t], out=dcell)
         dcell += dc
-        np.multiply(q[t].reshape(batch, 4, units), dcell[:, None, :],
-                    out=dz[t].reshape(batch, 4, units))
-        np.multiply(dh_t, q[t, :, 2 * units:n_sig], out=dz[t, :, 2 * units:n_sig])
+        np.multiply(q[t], dcell, out=dz_t)
+        np.multiply(dh_t, q[t, 2], out=dz_t[2])
+        np.copyto(dz_by_gate[t], dz_t)
         if t:
             np.multiply(dcell, f[t], out=dc)
             np.matmul(dz[t], rec_t, out=dh_rec)
@@ -229,34 +261,37 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
                 ws: dict | None = None):
     """Run a GRU layer over a (T, B, D) window. Returns (outputs (T, B, H), GruTape).
 
-    With keep_tape=False r * h_{t-1} lives in a one-row buffer and the tape
-    is None.  Outputs and tape live in `ws` and stay valid until its next forward.
+    With keep_tape=False the gates and r * h_{t-1} live in one-step buffers
+    and the tape is None.  Outputs and tape live in `ws` and stay valid
+    until its next forward.
     """
     ws = {} if ws is None else ws
-    x, steps, batch, units, gates = _project_inputs(p, x, 3, activation, "gru_forward", ws)
+    x, steps, batch, units, pre, _ = _project_inputs(p, x, 3, activation, "gru_forward", ws)
     n_sig = 2 * units
-    gates[..., :n_sig] *= 0.5
+    pre_by_gate = _by_gate(pre, 3)
     rec_rz = buffer(ws, "rec_rz", (units, n_sig), x.dtype)
     np.multiply(p.recurrent[:, :n_sig], 0.5, out=rec_rz)     # exact halving, as in lstm_forward
     rec_c = p.recurrent[:, n_sig:]
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
     h[0] = 0.0
     kept = steps if keep_tape else 1
+    gates = buffer(ws, "gates", (kept, 3, batch, units), x.dtype)
     rh = buffer(ws, "rh", (kept, batch, units), x.dtype)
     hr_rz = buffer(ws, "hr_rz", (batch, n_sig), x.dtype)
     hr_c = buffer(ws, "hr_c", (batch, units), x.dtype)
     for t in range(steps):
-        rz, cand, rh_t = gates[t, :, :n_sig], gates[t, :, n_sig:], rh[t % kept]
+        g, rh_t = gates[t % kept], rh[t % kept]
+        rz, cand = g[:2], g[2]
         if t:
-            rz += np.matmul(h[t], rec_rz, out=hr_rz)
-        np.tanh(rz, out=rz)
+            pre[t, :, :n_sig] += np.matmul(h[t], rec_rz, out=hr_rz)
+        np.tanh(pre_by_gate[t, :2], out=rz)
         _sigmoid_from_half_tanh(rz)
-        np.multiply(rz[:, :units], h[t], out=rh_t)
+        np.multiply(rz[0], h[t], out=rh_t)
         if t:
-            cand += np.matmul(rh_t, rec_c, out=hr_c)
-        _activate(activation, cand, cand)
+            pre[t, :, n_sig:] += np.matmul(rh_t, rec_c, out=hr_c)
+        _activate(activation, pre_by_gate[t, 2], cand)
         np.subtract(cand, h[t], out=h[t + 1])
-        h[t + 1] *= rz[:, units:]
+        h[t + 1] *= rz[1]
         h[t + 1] += h[t]
     return h[1:], GruTape(x, h, gates, rh, activation) if keep_tape else None
 
@@ -274,20 +309,22 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
         raise ShapeError(f"gru_backward: dh shape {dh.shape}, expected {rh.shape}")
     n_sig = 2 * units
     h_prev = h[:-1]
-    r, z, cand = (gates[..., k * units:(k + 1) * units] for k in range(3))
+    r, z, cand = gates.swapaxes(0, 1)
 
-    # factors of dz that do not depend on the recursion, for the whole window:
-    # q_r = h_prev sig'(r), q_z = (h~ - h_prev) sig'(z), q_c = z act'(h~), keep = 1 - z
-    q_r = sigmoid_grad(r, buffer(ws, "q_r", rh.shape, x.dtype))
-    q_r *= h_prev
-    q_z = sigmoid_grad(z, buffer(ws, "q_z", rh.shape, x.dtype))
+    # factors of dz that do not depend on the recursion, for the whole window, gate
+    # by gate: q = [h_prev sig'(r), (h~ - h_prev) sig'(z), z act'(h~)], keep = 1 - z
+    q = buffer(ws, "q", gates.shape, x.dtype)
+    sigmoid_grad(gates[:, :2], q[:, :2])
+    q[:, 0] *= h_prev
     keep = np.subtract(cand, h_prev, out=buffer(ws, "keep", rh.shape, x.dtype))
-    q_z *= keep
-    q_c = _activation_grad(activation, cand, buffer(ws, "q_c", rh.shape, x.dtype))
-    q_c *= z
+    q[:, 1] *= keep
+    _activation_grad(activation, cand, q[:, 2])
+    q[:, 2] *= z
     np.subtract(1.0, z, out=keep)
 
-    dz = buffer(ws, "dz", gates.shape, x.dtype)
+    dz = _rows(ws, steps, batch, 3 * units, x.dtype)
+    dz_by_gate = _by_gate(dz, 3)
+    dz_t = buffer(ws, "dz_t", (3, batch, units), x.dtype)
     rec_rz_t = buffer(ws, "rec_rz_t", (n_sig, units), x.dtype)
     np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
     rec_c_t = buffer(ws, "rec_c_t", (units, units), x.dtype)
@@ -297,10 +334,11 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     dh_rec[...] = 0.0
     for t in reversed(range(steps)):
         np.add(dh[t], dh_rec, out=dh_t)
-        dz_c = np.multiply(dh_t, q_c[t], out=dz[t, :, n_sig:])
-        np.matmul(dz_c, rec_c_t, out=d_rh)
-        np.multiply(d_rh, q_r[t], out=dz[t, :, :units])
-        np.multiply(dh_t, q_z[t], out=dz[t, :, units:n_sig])
+        np.multiply(dh_t, q[t, 2], out=dz_t[2])
+        np.matmul(dz_t[2], rec_c_t, out=d_rh)
+        np.multiply(d_rh, q[t, 0], out=dz_t[0])
+        np.multiply(dh_t, q[t, 1], out=dz_t[1])
+        np.copyto(dz_by_gate[t], dz_t)
         if t:
             np.multiply(dh_t, keep[t], out=dh_rec)
             dh_rec += np.matmul(dz[t, :, :n_sig], rec_rz_t, out=dh_rz)

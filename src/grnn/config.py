@@ -18,6 +18,7 @@ section, or a value its dataclass rejects, is a ConfigError.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field, fields
 
@@ -54,6 +55,10 @@ class ArchDef:
     learning_rate: float | None = None
     batch_size: int | None = None
 
+    def __post_init__(self):
+        if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a finite number > 0")
+
 
 @dataclass
 class TrainSettings(TrainConfig):
@@ -69,6 +74,8 @@ class TrainSettings(TrainConfig):
         LayerSpec("lstm", 1, self.activation)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not math.isfinite(self.r2_bar):
+            raise ValueError("r2_bar must be a finite number")
 
 
 @dataclass
@@ -103,6 +110,10 @@ class PipelineConfig:
     hpo: HpoSettings = field(default_factory=HpoSettings)
     output_dir: str = "out"
     architectures: dict = field(default_factory=dict)   # label -> ArchDef
+
+    def __post_init__(self):
+        if not 0 < self.split < 1:
+            raise ValueError("split must be a number in (0, 1)")
 
     def arch(self, label: str) -> ArchDef:
         if label not in self.architectures:
@@ -217,13 +228,20 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     for label in labels:
         kinds = parse_arch_label(label)
         section = f"arch.{label}"
-        arch = ArchDef(label=label, cell_kinds=kinds, **_read(cp, section, ARCH_KEYS))
+        values = _read(cp, section, ARCH_KEYS)
+        try:
+            arch = ArchDef(label=label, cell_kinds=kinds, **values)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
         if arch.units is not None and len(arch.units) != len(kinds):
             raise ConfigError(
                 f"[{section}] units: {len(arch.units)} values for {len(kinds)} layers")
         architectures[label] = arch
 
     output = {f"output_{k}": v for k, v in _read(cp, "output", SECTIONS["output"]).items()}
-    return PipelineConfig(sources=sources, train=_settings(TrainSettings, cp, "train"),
-                          hpo=_settings(HpoSettings, cp, "hpo"),
-                          architectures=architectures, **data, **output)
+    train, hpo = _settings(TrainSettings, cp, "train"), _settings(HpoSettings, cp, "hpo")
+    try:
+        return PipelineConfig(sources=sources, train=train, hpo=hpo,
+                              architectures=architectures, **data, **output)
+    except ValueError as exc:
+        raise ConfigError(f"[data] {exc}") from None

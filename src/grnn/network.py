@@ -262,8 +262,8 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
 def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarray:
     """Predictions for many windows, with no tape. Returns (n, output_dim).
 
-    Each layer keeps only its input, its outputs, its x K + b block (the
-    gates are computed in place there) and one step of state.
+    Each layer keeps only its input, its outputs, its x K + b rows and one
+    step of gates and state.
     """
     dtype = params.flat.dtype
     windows = np.asarray(windows, dtype=dtype)
@@ -282,7 +282,8 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
     The gradients are written into `grads` (a fresh NetworkParams of `spec`
     when None); every element is overwritten, so a training loop can pass
     the same container each step.  `ws` is the workspace the tape's forward
-    used, or any other: backward adds its own arrays under names the
+    used, or any other: backward reuses the forward's x K + b rows, which
+    the tape does not hold, and adds its other arrays under names the
     forward does not use.  The tape must come from the latest forward on
     its workspace.
     """

@@ -73,8 +73,8 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.kind!r}; expected one of {OPTIMIZER_KINDS}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a finite number > 0")
 
     @classmethod
     def create(cls, kind: str, learning_rate: float | None = None) -> "OptimizerState":

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -85,6 +86,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be a finite number > 0")
 
 
 @dataclass

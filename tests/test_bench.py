@@ -27,6 +27,8 @@ def test_bench_setup_against_head(tmp_path):
     for tree in result["trees"].values():
         assert set(tree["times"]) == SETUP_KEYS
         assert set(tree["digests"]) == {"prepared.csv", "norm_params.json"}
+        assert len(tree["probe_s"]) == 1 and tree["probe_s"][0] > 0
+    assert result["probe_ref_s"] > 0
     assert set(result["change_vs_parent"]) == SETUP_KEYS
     assert all(vs["rounds"] == 1 and vs["rounds_faster"] in (0, 1)
                for vs in result["change_vs_parent"].values())

@@ -122,6 +122,13 @@ def one_error_line(capsys) -> str:
     ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
     ("train.dtype=float16", "[train] unknown key 'dtype'"),
     ("hpo.bandwidth_floor=0.02", "[hpo] unknown key 'bandwidth_floor'"),
+    ("train.clip_norm=0", "[train] clip_norm must be a finite number > 0"),
+    ("train.clip_norm=-1", "[train] clip_norm must be a finite number > 0"),
+    ("train.clip_norm=nan", "[train] clip_norm must be a finite number > 0"),
+    ("arch.lstm1.learning_rate=nan", "[arch.lstm1] learning_rate must be a finite number > 0"),
+    ("train.r2_bar=nan", "[train] r2_bar must be a finite number"),
+    ("train.r2_bar=inf", "[train] r2_bar must be a finite number"),
+    ("data.split=nan", "[data] split must be a number in (0, 1)"),
 ])
 def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
     path = write_sine_config(tmp_path)      # nothing prepared under out/

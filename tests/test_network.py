@@ -50,8 +50,8 @@ def test_hybrid_forward_shapes_and_tape():
     pred, tape = forward_batch(spec, params, window[None])
     assert pred.shape == (1, 1) and np.isfinite(pred).all()
     assert len(tape.layers) == 2
-    assert tape.layers[0].h.shape == (7, 1, 2) and tape.layers[0].gates.shape == (6, 1, 6)
-    assert tape.layers[1].h.shape == (7, 1, 3) and tape.layers[1].gates.shape == (6, 1, 12)
+    assert tape.layers[0].h.shape == (7, 1, 2) and tape.layers[0].gates.shape == (6, 3, 1, 2)
+    assert tape.layers[1].h.shape == (7, 1, 3) and tape.layers[1].gates.shape == (6, 4, 1, 3)
     np.testing.assert_array_equal(tape.h_last, tape.layers[1].h[-1])
 
 
@@ -372,3 +372,26 @@ def test_dtype_is_checked_where_params_meet():
     assert backward(spec, params, tape, np.ones((2, 1))).flat.dtype == np.float32
     with pytest.raises(ShapeError, match="dtype"):
         backward(spec, params, tape, np.ones((2, 1)), NetworkParams.zeros(spec))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("kinds", [("lstm",), ("gru",), ("gru", "lstm")], ids="-".join)
+def test_reused_workspace_matches_fresh_ones(kinds, activation):
+    """One workspace over batches of 5, 3 and 5 windows (the short batch
+    reallocates every buffer): predictions, tapes' outputs and gradients are
+    bit-identical to those of calls on fresh workspaces."""
+    rng = Rng(41)
+    spec = small_spec(*(LayerSpec(kind, 6, activation) for kind in kinds), input_dim=3)
+    params = NetworkParams.init(spec, rng, np.float32)
+    ws, grads = {}, NetworkParams.zeros(spec, np.float32)
+    for batch in (5, 3, 5):
+        windows = rng.standard_normal((batch, 4, 3)).astype(np.float32)
+        dpred = rng.standard_normal((batch, 1)).astype(np.float32)
+        pred, tape = forward_batch(spec, params, windows, ws)
+        fresh_pred, fresh_tape = forward_batch(spec, params, windows)
+        assert pred.tobytes() == fresh_pred.tobytes()
+        for layer, fresh in zip(tape.layers, fresh_tape.layers):
+            assert layer.h.tobytes() == fresh.h.tobytes()
+            assert layer.gates.tobytes() == fresh.gates.tobytes()
+        backward(spec, params, tape, dpred, grads, ws)
+        assert grads.flat.tobytes() == backward(spec, params, fresh_tape, dpred).flat.tobytes()

@@ -14,7 +14,7 @@ def cell_activations(x: float, activation: str = "tanh") -> tuple[float, float]:
     every kernel weight 1 and nothing else, so each gate's pre-activation is x."""
     params = LayerParams(np.ones((1, 4)), np.zeros((1, 4)), np.zeros(4))
     _, tape = lstm_forward(params, [[[x]]], activation)
-    forget, _, _, candidate = tape.gates[0, 0]
+    forget, _, _, candidate = tape.gates[0, :, 0, 0]
     return float(forget), float(candidate)
 
 

@@ -130,11 +130,6 @@ def _by_gate(rows: np.ndarray, n_gates: int) -> np.ndarray:
     return rows.reshape(*lead, batch, n_gates, width // n_gates).swapaxes(-3, -2)
 
 
-def _rows(ws: dict, steps: int, batch: int, width: int, dtype) -> np.ndarray:
-    """The batch-major gate rows (T, B, G*H): x K + b in forward, dz in backward."""
-    return buffer(ws, "rows", (steps, batch, width), dtype)
-
-
 def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str, ws: dict):
     """Check shapes; return (x, T, B, H, (x K + b) * scale as (T, B, G*H), scale).
 
@@ -152,7 +147,7 @@ def _project_inputs(p: LayerParams, x, n_gates: int, activation: str, what: str,
     if p.kernel.shape != (x.shape[2], n_gates * units) or p.bias.shape != (n_gates * units,):
         raise ShapeError(f"{what}: kernel {p.kernel.shape} does not take inputs of width {x.shape[2]}")
     steps, batch, width = x.shape
-    pre = _rows(ws, steps, batch, n_gates * units, x.dtype)
+    pre = buffer(ws, "rows", (steps, batch, n_gates * units), x.dtype)
     np.matmul(x.reshape(steps * batch, width), p.kernel, out=pre.reshape(steps * batch, -1))
     pre += p.bias
     scale = buffer(ws, "scale", (n_gates * units,), x.dtype)
@@ -166,10 +161,9 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
                  ws: dict | None = None):
     """Run an LSTM layer over a (T, B, D) window. Returns (outputs (T, B, H), LstmTape).
 
-    With keep_tape=False the gates and the cell state live in one-step and
-    two-row buffers and the tape is None, so only the outputs and the x K + b
-    rows outlive a step.  Outputs and tape live in `ws` and stay valid until
-    its next forward.
+    With keep_tape=False the gates are computed in place in the x K + b
+    rows, the cell state lives in a two-row ring and the tape is None.
+    Outputs and tape live in `ws` and stay valid until its next forward.
     """
     ws = {} if ws is None else ws
     x, steps, batch, units, pre, scale = _project_inputs(p, x, 4, activation, "lstm_forward",
@@ -178,7 +172,7 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     # halving is exact, so the step GEMM needs no rescale
     rec = np.multiply(p.recurrent, scale, out=buffer(ws, "rec", p.recurrent.shape, x.dtype))
     kept = steps if keep_tape else 1
-    gates = buffer(ws, "gates", (kept, 4, batch, units), x.dtype)
+    gates = buffer(ws, "gates", (steps, 4, batch, units), x.dtype) if keep_tape else pre_by_gate
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
     c = buffer(ws, "c", (kept + 1, batch, units), x.dtype)
     h[0] = 0.0
@@ -187,7 +181,7 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     hr = buffer(ws, "hr", (batch, 4 * units), x.dtype)
     for t in range(steps):
         c_prev, c_new, a = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], act_c[t % kept]
-        g = gates[t % kept]
+        g = gates[t]
         if t:
             pre[t] += np.matmul(h[t], rec, out=hr)
         if activation == "tanh":
@@ -235,7 +229,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
                                    buffer(ws, "cell_from_h", act_c.shape, x.dtype))
     cell_from_h *= o
 
-    dz = _rows(ws, steps, batch, 4 * units, x.dtype)
+    dz = buffer(ws, "rows", (steps, batch, 4 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 4)
     dz_t = buffer(ws, "dz_t", (4, batch, units), x.dtype)
     rec_t = buffer(ws, "rec_t", p.recurrent.shape[::-1], x.dtype)
@@ -261,9 +255,9 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
                 ws: dict | None = None):
     """Run a GRU layer over a (T, B, D) window. Returns (outputs (T, B, H), GruTape).
 
-    With keep_tape=False the gates and r * h_{t-1} live in one-step buffers
-    and the tape is None.  Outputs and tape live in `ws` and stay valid
-    until its next forward.
+    With keep_tape=False the gates are computed in place in the x K + b
+    rows, r * h_{t-1} lives in a one-row buffer and the tape is None.
+    Outputs and tape live in `ws` and stay valid until its next forward.
     """
     ws = {} if ws is None else ws
     x, steps, batch, units, pre, _ = _project_inputs(p, x, 3, activation, "gru_forward", ws)
@@ -275,12 +269,12 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
     h[0] = 0.0
     kept = steps if keep_tape else 1
-    gates = buffer(ws, "gates", (kept, 3, batch, units), x.dtype)
+    gates = buffer(ws, "gates", (steps, 3, batch, units), x.dtype) if keep_tape else pre_by_gate
     rh = buffer(ws, "rh", (kept, batch, units), x.dtype)
     hr_rz = buffer(ws, "hr_rz", (batch, n_sig), x.dtype)
     hr_c = buffer(ws, "hr_c", (batch, units), x.dtype)
     for t in range(steps):
-        g, rh_t = gates[t % kept], rh[t % kept]
+        g, rh_t = gates[t], rh[t % kept]
         rz, cand = g[:2], g[2]
         if t:
             pre[t, :, :n_sig] += np.matmul(h[t], rec_rz, out=hr_rz)
@@ -322,7 +316,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     q[:, 2] *= z
     np.subtract(1.0, z, out=keep)
 
-    dz = _rows(ws, steps, batch, 3 * units, x.dtype)
+    dz = buffer(ws, "rows", (steps, batch, 3 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 3)
     dz_t = buffer(ws, "dz_t", (3, batch, units), x.dtype)
     rec_rz_t = buffer(ws, "rec_rz_t", (n_sig, units), x.dtype)

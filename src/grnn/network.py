@@ -262,8 +262,8 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
 def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarray:
     """Predictions for many windows, with no tape. Returns (n, output_dim).
 
-    Each layer keeps only its input, its outputs, its x K + b rows and one
-    step of gates and state.
+    Each layer keeps only its input, its outputs, its x K + b block (the
+    gates are computed in place there) and one step of state.
     """
     dtype = params.flat.dtype
     windows = np.asarray(windows, dtype=dtype)

@@ -185,7 +185,7 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
         if t:
             pre[t] += np.matmul(h[t], rec, out=hr)
         if activation == "tanh":
-            np.tanh(pre_by_gate[t], out=g)              # gates and candidate in one call
+            np.tanh(pre_by_gate[t], out=g)     # gates and candidate in one call
         else:
             np.tanh(pre_by_gate[t, :3], out=g[:3])
             np.maximum(pre_by_gate[t, 3], 0.0, out=g[3])

@@ -17,6 +17,13 @@ Cases, each with a fixed amount of work per round:
            calls: 300 at 47 units and 20 at 512; batch 46, lookback 10, 8
            inputs.  Keys <kind><units>/forward and <kind><units>/backward;
            digests: the outputs, the weight gradients and dL/dx.
+    predict
+           `predict_batch` on 720 windows (the synthetic market bundle's
+           test split), lookback 10, 8 features, with float32 weights, after
+           one warm-up call: 30 calls at c09, 5 at gru-lstm1 and 5 at a
+           512-unit LSTM.  Keys are the shapes; digests: the predictions.
+           After the timed calls one more call runs under tracemalloc, and
+           its peak is the key's peak_alloc_mb.
     setup  command start-up on the synthetic market bundle under
            profiles/synthetic-market.ini: fresh-process `import grnn.cli`
            (import) and `grnn prepare` (prepare), then each prepare stage 5
@@ -45,10 +52,11 @@ host-speed probe PROBE_READINGS times and keeps the median, so a set of
 rounds taken on a busy host shows as such.  Each BENCH_<case>.json holds
 the machine (perfbench/envinfo.py), the rounds, the probe's time on a fast
 host (probe_ref_s) and, per tree, its commit, its digests, each round's
-probe reading (probe_s) and each key's median, min and sample count; with
---against also, per key, the ratio of the
-medians (change over parent) and the number of rounds in which this tree's
-median of the round was the lower, and whether both trees' digests agree.
+probe reading (probe_s), each key's median, min and sample count and, for
+pool and predict, the largest memory reading of any round; with --against
+also, per key, the ratio of the medians (change over parent) and the number
+of rounds in which this tree's median of the round was the lower, and
+whether both trees' digests agree.
 The timings of one child process are not independent of each other, so
 rounds, not single timings, are the pairs: a speed claim needs the change
 to win 9 of 10 rounds.  The case code runs on both trees, so it calls only
@@ -82,6 +90,12 @@ LAYER_SHAPES = {                 # name: (kind, units, timed calls per round)
     "gru47": ("gru", 47, 300),
     "lstm512": ("lstm", 512, 20),
     "gru512": ("gru", 512, 20),
+}
+PREDICT_WINDOWS = 720
+PREDICT_SHAPES = {               # name: (layers, timed calls per round)
+    "c09": ((("lstm", 47),), 30),
+    "gru-lstm1": ((("gru", 498), ("lstm", 311)), 5),
+    "lstm512": ((("lstm", 512),), 5),
 }
 PROBE_READINGS = 5
 STAGE_REPEATS = 5
@@ -168,6 +182,35 @@ def layer_case(tree: str) -> dict:
         digests[f"{name}/forward"] = sha1(h.tobytes())
         digests[f"{name}/backward"] = sha1(b"".join(a.tobytes() for a in (*grad, dx)))
     return {"times": times, "digests": digests}
+
+
+def predict_case(tree: str) -> dict:
+    import tracemalloc
+
+    import numpy as np
+    from grnn.network import LayerSpec, NetworkParams, NetworkSpec, predict_batch
+    from grnn.numerics import Rng
+
+    times, digests, peak_alloc_mb = {}, {}, {}
+    windows = np.random.default_rng(0).standard_normal((PREDICT_WINDOWS, LOOKBACK, FEATURES))
+    for name, (layers, k) in PREDICT_SHAPES.items():
+        spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
+                           input_dim=FEATURES)
+        params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
+        preds = predict_batch(spec, params, windows)
+        times[name] = []
+        for _ in range(k):
+            started = time.perf_counter()
+            predict_batch(spec, params, windows)
+            times[name].append(time.perf_counter() - started)
+        tracemalloc.start()
+        try:
+            predict_batch(spec, params, windows)
+            peak_alloc_mb[name] = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+        digests[name] = sha1(preds.tobytes())
+    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
 
 
 def timed(argv: list) -> float:
@@ -257,6 +300,8 @@ CASES = {
     "layer": (layer_case, "seconds of one LSTM or GRU layer forward, and of its backward "
                           f"with dL/dx, float32, batch {BATCH}, lookback {LOOKBACK}, "
                           f"{FEATURES} inputs"),
+    "predict": (predict_case, f"seconds of one predict_batch call on {PREDICT_WINDOWS} "
+                              f"windows, float32, lookback {LOOKBACK}, {FEATURES} features"),
     "step": (step_case, "seconds of one training step (forward_batch + backward + nadam "
                         f"apply), batch {BATCH}, lookback {LOOKBACK}, {FEATURES} features"),
     "setup": (setup_case, "seconds of command start-up on the synthetic market bundle: "
@@ -316,6 +361,9 @@ def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
                 shape: {what: max(out["peak_rss_mb"][shape][what] for out in outs)
                         for what in outs[0]["peak_rss_mb"][shape]}
                 for shape in outs[0]["peak_rss_mb"]}
+        if "peak_alloc_mb" in outs[0]:
+            tree["peak_alloc_mb"] = {key: max(out["peak_alloc_mb"][key] for out in outs)
+                                     for key in outs[0]["peak_alloc_mb"]}
     if "parent" in runs:
         trees = result["trees"]
         result["artifacts_identical"] = (trees["change"]["digests"]
@@ -377,6 +425,10 @@ def main(argv=None) -> int:
                 vs = result["change_vs_parent"][key]
                 line += (f" | x{vs['median_ratio']:.3f}, faster in "
                          f"{vs['rounds_faster']}/{vs['rounds']} rounds")
+            if "peak_alloc_mb" in result["trees"]["change"]:
+                line += " | peak " + " / ".join(
+                    f"{tree['peak_alloc_mb'][key]:.1f}" for tree in result["trees"].values())
+                line += " MB"
             print(f"{case}/{key:<22} {line}")
         print(f"{case}: probe median " + " | ".join(
             f"{name} {statistics.median(tree['probe_s']) * 1e3:.2f} ms"

@@ -52,8 +52,13 @@ workspace: a dict from buffer name to array, passed as `ws`.  An array is
 reallocated only when its shape changes, so a training loop that passes
 the same workspace each step allocates nothing of the tape's size after
 the first step.  A tape is therefore valid only until the next forward on
-the same workspace.  Called without one, each function makes a fresh
-workspace and allocates as it goes.
+the same workspace.  Two arrays that are never live at once share a
+buffer: the x K + b rows double as backward's dz, and one "rec" buffer
+holds forward's halved recurrent matrix (the GRU's r and z columns) and,
+viewed in the transposed shape, backward's transposed copy of it.  That
+copy goes in strips where the matrix's row stride is a multiple of 4 KiB,
+which would make a one-pass transpose thrash the cache.  Called without a
+workspace, each function makes a fresh one and allocates as it goes.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from .numerics import ShapeError, sigmoid_grad
 LSTM_GATES = ("f", "i", "o", "c")
 GRU_GATES = ("r", "z", "c")
 ACTIVATIONS = ("tanh", "relu")
+COPY_STRIP = 64          # source rows per strip of a cache-aliased transposed copy
 
 
 class LayerParams(NamedTuple):
@@ -116,6 +122,26 @@ def buffer(ws: dict, name: str, shape, dtype) -> np.ndarray:
     if arr is None or arr.shape != shape or arr.dtype != dtype:
         arr = ws[name] = np.empty(shape, dtype=dtype)
     return arr
+
+
+def _rec_buffer(ws: dict, shape, dtype) -> np.ndarray:
+    """The layer's one recurrent-matrix buffer, viewed as `shape`.
+
+    Forward holds the halved recurrent matrix in it and backward its
+    transposed copy; the two are never live at once.
+    """
+    return buffer(ws, "rec", (shape[0] * shape[1],), dtype).reshape(shape)
+
+
+def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src.T.  A one-pass copy reads src down its columns; where the
+    row stride is a multiple of 4 KiB those reads all map to the same cache
+    sets, so the copy goes in strips of COPY_STRIP source rows instead."""
+    if src.strides[0] % 4096:
+        np.copyto(dst, src.T)
+        return
+    for start in range(0, src.shape[0], COPY_STRIP):
+        np.copyto(dst[:, start:start + COPY_STRIP], src[start:start + COPY_STRIP].T)
 
 
 def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
@@ -170,7 +196,7 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
                                                          ws)
     pre_by_gate = _by_gate(pre, 4)
     # halving is exact, so the step GEMM needs no rescale
-    rec = np.multiply(p.recurrent, scale, out=buffer(ws, "rec", p.recurrent.shape, x.dtype))
+    rec = np.multiply(p.recurrent, scale, out=_rec_buffer(ws, p.recurrent.shape, x.dtype))
     kept = steps if keep_tape else 1
     gates = buffer(ws, "gates", (steps, 4, batch, units), x.dtype) if keep_tape else pre_by_gate
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
@@ -232,8 +258,8 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     dz = buffer(ws, "rows", (steps, batch, 4 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 4)
     dz_t = buffer(ws, "dz_t", (4, batch, units), x.dtype)
-    rec_t = buffer(ws, "rec_t", p.recurrent.shape[::-1], x.dtype)
-    np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
+    rec_t = _rec_buffer(ws, p.recurrent.shape[::-1], x.dtype)   # the forward's rec
+    _copy_transposed(rec_t, p.recurrent)             # BLAS runs this layout faster
     dh_rec, dc, dh_t, dcell = (buffer(ws, name, (batch, units), x.dtype)
                                for name in ("dh_rec", "dc", "dh_t", "dcell"))
     dh_rec[...] = 0.0
@@ -263,7 +289,7 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     x, steps, batch, units, pre, _ = _project_inputs(p, x, 3, activation, "gru_forward", ws)
     n_sig = 2 * units
     pre_by_gate = _by_gate(pre, 3)
-    rec_rz = buffer(ws, "rec_rz", (units, n_sig), x.dtype)
+    rec_rz = _rec_buffer(ws, (units, n_sig), x.dtype)
     np.multiply(p.recurrent[:, :n_sig], 0.5, out=rec_rz)     # exact halving, as in lstm_forward
     rec_c = p.recurrent[:, n_sig:]
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
@@ -319,10 +345,10 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     dz = buffer(ws, "rows", (steps, batch, 3 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 3)
     dz_t = buffer(ws, "dz_t", (3, batch, units), x.dtype)
-    rec_rz_t = buffer(ws, "rec_rz_t", (n_sig, units), x.dtype)
-    np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
+    rec_rz_t = _rec_buffer(ws, (n_sig, units), x.dtype)        # the forward's rec_rz
+    _copy_transposed(rec_rz_t, p.recurrent[:, :n_sig])
     rec_c_t = buffer(ws, "rec_c_t", (units, units), x.dtype)
-    np.copyto(rec_c_t, p.recurrent[:, n_sig:].T)
+    _copy_transposed(rec_c_t, p.recurrent[:, n_sig:])
     dh_rec, dh_t, d_rh, dh_rz = (buffer(ws, name, (batch, units), x.dtype)
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
     dh_rec[...] = 0.0

@@ -33,3 +33,18 @@ def test_bench_setup_against_head(tmp_path):
     assert all(vs["rounds"] == 1 and vs["rounds_faster"] in (0, 1)
                for vs in result["change_vs_parent"].values())
     assert result["artifacts_identical"] is True
+
+
+def test_bench_predict_reports_peak_alloc(monkeypatch):
+    """The predict case on one small shape, in-process, and its report."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    bench = pytest.importorskip("bench")
+    monkeypatch.setattr(bench, "PREDICT_SHAPES", {"c09": ((("lstm", 47),), 2)})
+    out = bench.predict_case(ROOT)
+    assert set(out["times"]) == set(out["digests"]) == set(out["peak_alloc_mb"]) == {"c09"}
+    assert len(out["times"]["c09"]) == 2 and out["peak_alloc_mb"]["c09"] > 0
+    runs = {name: [{**out, "probe_s": 0.01}] for name in ("change", "parent")}
+    result = bench.report("predict", {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066)
+    for tree in result["trees"].values():
+        assert tree["peak_alloc_mb"] == out["peak_alloc_mb"]
+    assert result["artifacts_identical"] is True

@@ -1,10 +1,12 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import central_differences, mse
 
+from grnn import network
 from grnn.cells import lstm_forward
 from grnn.network import (
     LayerSpec,
@@ -101,6 +103,16 @@ def test_predict_batch_contracts():
     params = NetworkParams.init(spec, rng)
     assert predict_batch(spec, params, np.zeros((0, 4, 2))).shape == (0, 1)
 
+    # an empty stack is shape-checked like any other, as forward_batch checks it
+    three = small_spec(LayerSpec("lstm", 2), input_dim=3)
+    tp = NetworkParams.init(three, rng, np.float32)
+    for bad in ((5, 0, 3), (5, 4, 0), (0, 5, 7)):
+        for run in (predict_batch, forward_batch):
+            with pytest.raises(ShapeError):
+                run(three, tp, np.zeros(bad))
+    empty = predict_batch(three, tp, np.zeros((0, 5, 3)))
+    assert empty.shape == (0, 1) and empty.dtype == np.float32
+
     windows = rng.standard_normal((5, 4, 2))
     windows[3] = windows[1]
     preds = predict_batch(spec, params, windows)
@@ -116,6 +128,59 @@ def test_predict_batch_contracts():
         hp = NetworkParams.init(hybrid, rng)
         np.testing.assert_array_equal(predict_batch(hybrid, hp, windows),
                                       forward_batch(hybrid, hp, windows)[0])
+
+
+def use_chunks_of(monkeypatch, windows, spec, lookback, dtype):
+    """Set the chunk budget so that predict_batch runs `windows` per chunk."""
+    widest = max(len(network.GATES[layer.cell_kind]) * layer.units for layer in spec.layers)
+    monkeypatch.setattr(network, "PREDICT_CHUNK_BYTES",
+                        windows * lookback * widest * np.dtype(dtype).itemsize)
+    assert network.predict_chunk(spec, lookback, dtype) == windows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kinds", [("lstm",), ("gru",), ("gru", "lstm")], ids="-".join)
+def test_chunked_predictions_are_bytes_of_one_pass(monkeypatch, kinds, dtype):
+    """Chunks change only how many rows each GEMM takes at once.  These
+    matrices are small enough that BLAS computes every row the same way
+    whatever the row count (see network.py on where it does not)."""
+    chunk = 8
+    rng = Rng(42)
+    spec = small_spec(*(LayerSpec(kind, 5) for kind in kinds), input_dim=3)
+    params = NetworkParams.init(spec, rng, dtype)
+    use_chunks_of(monkeypatch, chunk, spec, 4, dtype)
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        windows = rng.standard_normal((n, 4, 3))
+        one_pass = forward_batch(spec, params, windows)[0]
+        assert predict_batch(spec, params, windows).tobytes() == one_pass.tobytes(), n
+
+
+def test_predict_memory_does_not_grow_with_the_windows(monkeypatch):
+    chunk = 64
+    spec = small_spec(LayerSpec("gru", 24), LayerSpec("lstm", 16), input_dim=8)
+    params = NetworkParams.init(spec, Rng(43), np.float32)
+    use_chunks_of(monkeypatch, chunk, spec, 10, np.float32)
+    windows = np.random.default_rng(43).standard_normal((4 * chunk, 10, 8)).astype(np.float32)
+
+    def peak(n):
+        predict_batch(spec, params, windows[:n])
+        tracemalloc.start()
+        try:
+            predict_batch(spec, params, windows[:n])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(len(windows)) <= 1.25 * peak(chunk)
+
+
+def test_predict_chunk_bounds_the_widest_rows():
+    budget = network.PREDICT_CHUNK_BYTES
+    spec = small_spec(LayerSpec("gru", 498), LayerSpec("lstm", 311), input_dim=8)
+    assert network.predict_chunk(spec, 10, np.float32) == budget // (10 * 3 * 498 * 4)
+    assert network.predict_chunk(spec, 10, np.float64) == budget // (10 * 3 * 498 * 8)
+    wide = small_spec(LayerSpec("lstm", budget))
+    assert network.predict_chunk(wide, 10, np.float32) == 1
 
 
 def test_batched_forward_matches_single():
@@ -372,6 +437,20 @@ def test_dtype_is_checked_where_params_meet():
     assert backward(spec, params, tape, np.ones((2, 1))).flat.dtype == np.float32
     with pytest.raises(ShapeError, match="dtype"):
         backward(spec, params, tape, np.ones((2, 1)), NetworkParams.zeros(spec))
+
+
+@pytest.mark.parametrize("kind, units, gates", [("lstm", 5, 4), ("gru", 6, 2)])
+def test_layer_workspace_holds_one_recurrent_matrix(kind, units, gates):
+    """The forward's halved recurrent matrix and the backward's transposed
+    copy share one buffer."""
+    spec = small_spec(LayerSpec(kind, units), input_dim=3)
+    params = NetworkParams.init(spec, Rng(44), np.float32)
+    ws = {}
+    pred, tape = forward_batch(spec, params, np.ones((2, 4, 3)), ws)
+    backward(spec, params, tape, np.ones_like(pred), None, ws)
+    layer = ws["layer0"]
+    assert layer["rec"].shape == (units * gates * units,)
+    assert not {"rec_t", "rec_rz", "rec_rz_t"} & set(layer)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])

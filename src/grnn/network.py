@@ -285,8 +285,9 @@ def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarr
     """Predictions for many windows, with no tape. Returns (n, output_dim).
 
     The windows go through the layers in chunks of at most `predict_chunk`
-    windows, as equal in size as they can be, so the memory this takes is
-    bounded whatever n; a short last chunk would more often run another
+    windows, as equal in size as they can be, so apart from one row of
+    states per window the memory this takes is bounded whatever n; a short
+    last chunk would more often run another
     BLAS kernel than one pass over all n windows (see the module
     docstring).  Within a chunk each layer keeps only its input, its
     outputs, its x K + b rows (the gates are computed in place there) and

@@ -55,10 +55,9 @@ the first step.  A tape is therefore valid only until the next forward on
 the same workspace.  Two arrays that are never live at once share a
 buffer: the x K + b rows double as backward's dz, and one "rec" buffer
 holds forward's halved recurrent matrix (the GRU's r and z columns) and,
-viewed in the transposed shape, backward's transposed copy of it.  That
-copy goes in strips where the matrix's row stride is a multiple of 4 KiB,
-which would make a one-pass transpose thrash the cache.  Called without a
-workspace, each function makes a fresh one and allocates as it goes.
+viewed in the transposed shape, backward's transposed copy of it.
+Called without a workspace, each function makes a fresh one and
+allocates as it goes.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from .numerics import ShapeError, sigmoid_grad
 LSTM_GATES = ("f", "i", "o", "c")
 GRU_GATES = ("r", "z", "c")
 ACTIVATIONS = ("tanh", "relu")
-COPY_STRIP = 64          # source rows per strip of a cache-aliased transposed copy
 
 
 class LayerParams(NamedTuple):
@@ -131,17 +129,6 @@ def _rec_buffer(ws: dict, shape, dtype) -> np.ndarray:
     transposed copy; the two are never live at once.
     """
     return buffer(ws, "rec", (shape[0] * shape[1],), dtype).reshape(shape)
-
-
-def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst[...] = src.T.  A one-pass copy reads src down its columns; where the
-    row stride is a multiple of 4 KiB those reads all map to the same cache
-    sets, so the copy goes in strips of COPY_STRIP source rows instead."""
-    if src.strides[0] % 4096:
-        np.copyto(dst, src.T)
-        return
-    for start in range(0, src.shape[0], COPY_STRIP):
-        np.copyto(dst[:, start:start + COPY_STRIP], src[start:start + COPY_STRIP].T)
 
 
 def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
@@ -259,7 +246,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     dz_by_gate = _by_gate(dz, 4)
     dz_t = buffer(ws, "dz_t", (4, batch, units), x.dtype)
     rec_t = _rec_buffer(ws, p.recurrent.shape[::-1], x.dtype)   # the forward's rec
-    _copy_transposed(rec_t, p.recurrent)             # BLAS runs this layout faster
+    np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
     dh_rec, dc, dh_t, dcell = (buffer(ws, name, (batch, units), x.dtype)
                                for name in ("dh_rec", "dc", "dh_t", "dcell"))
     dh_rec[...] = 0.0
@@ -346,9 +333,9 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     dz_by_gate = _by_gate(dz, 3)
     dz_t = buffer(ws, "dz_t", (3, batch, units), x.dtype)
     rec_rz_t = _rec_buffer(ws, (n_sig, units), x.dtype)        # the forward's rec_rz
-    _copy_transposed(rec_rz_t, p.recurrent[:, :n_sig])
+    np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
     rec_c_t = buffer(ws, "rec_c_t", (units, units), x.dtype)
-    _copy_transposed(rec_c_t, p.recurrent[:, n_sig:])
+    np.copyto(rec_c_t, p.recurrent[:, n_sig:].T)
     dh_rec, dh_t, d_rh, dh_rz = (buffer(ws, name, (batch, units), x.dtype)
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
     dh_rec[...] = 0.0

@@ -30,15 +30,16 @@ rows take at most PREDICT_CHUNK_BYTES (20 MiB) in the widest layer, so
 scoring a split takes bounded memory however long the split: at
 gru-lstm1 on 720 windows, 24 MB instead of 66.  Every window goes through
 the same arithmetic as in one pass over the whole stack; only the number
-of rows of each GEMM changes.  Where BLAS picks its kernel by matrix
-size, that can change the last bits of a prediction.  A network narrow
-enough to need no chunk runs as one pass, and a wider one's chunks keep
-every GEMM far larger than the small-matrix sizes at which OpenBLAS
-switches kernels.  So with OpenBLAS 0.3.31's Haswell kernels, for
-example, float32 predictions match one pass at every LSTM and GRU width
-tried from 32 to 512 units on 720 windows, and at the roster's hybrid and
-two-layer shapes on 720 and 2,909; float64 ones differ at some widths
-(LSTM 95 and 311, GRU 311 and 498 on 720 windows).
+of rows of each GEMM changes, and where BLAS picks its kernel or its
+blocking by the row count, that changes the last bits of a prediction.
+A network narrow enough to need no chunk runs as one pass.  For wider
+ones, bit-equality with one pass is a measurement, not a guarantee: with
+OpenBLAS 0.3.31's Haswell kernels on 2 cores, float32 predictions matched
+one pass at every LSTM and GRU width tried from 32 to 512 units on 720
+windows (47 to 512 also on 1,000 and 2,909), and at the roster's hybrid
+and two-layer shapes on 720 and 2,909.  Float64 ones did not: LSTM 95 and
+311 and GRU 311 and 498 units differed on 720 windows, so a float64
+checkpoint can score a split a last digit differently than one pass.
 
 Checkpoints (format version 1) are a single self-describing file: a JSON
 header line (format version, layer kinds/units/activations, optional
@@ -274,33 +275,28 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
     return preds, ForwardTape(layers=tapes, h_last=h_last)
 
 
-def predict_chunk(spec: NetworkSpec, lookback: int, dtype) -> int:
-    """Most windows per chunk of predict_batch: as many as keep the x K + b
-    rows of the widest layer within PREDICT_CHUNK_BYTES."""
-    widest = max(len(GATES[layer.cell_kind]) * layer.units for layer in spec.layers)
-    return max(1, PREDICT_CHUNK_BYTES // (lookback * widest * np.dtype(dtype).itemsize))
-
-
 def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarray:
     """Predictions for many windows, with no tape. Returns (n, output_dim).
 
-    The windows go through the layers in chunks of at most `predict_chunk`
-    windows, as equal in size as they can be, so apart from one row of
-    states per window the memory this takes is bounded whatever n; a short
-    last chunk would more often run another
-    BLAS kernel than one pass over all n windows (see the module
-    docstring).  Within a chunk each layer keeps only its input, its
-    outputs, its x K + b rows (the gates are computed in place there) and
-    one step of state, and frees them when the next layer has run.  Each
-    chunk writes its top layer's last hidden states into one
-    (n, top_units) array, and the head runs once over all of it.
+    The windows go through the layers in as few chunks as keep the widest
+    layer's x K + b rows within PREDICT_CHUNK_BYTES, the chunks as equal in
+    size as they can be (a short last chunk would more often run another
+    BLAS kernel than one pass; see the module docstring).  So apart from
+    one row of states per window the memory this takes is bounded whatever
+    n.  Within a chunk each layer keeps only its input, its outputs, its
+    x K + b rows (the gates are computed in place there) and one step of
+    state, and frees them when the next layer has run.  Each chunk writes
+    its top layer's last hidden states into one (n, top_units) array, and
+    the head runs once over all of it.
     """
     dtype = params.flat.dtype
     windows = _check_windows(spec, windows, dtype)
     n, lookback = windows.shape[:2]
-    top = np.empty((n, spec.layers[-1].units), dtype=dtype)
-    chunks = -(-n // predict_chunk(spec, lookback, dtype))
+    widest = max(len(GATES[layer.cell_kind]) * layer.units for layer in spec.layers)
+    per_chunk = max(1, PREDICT_CHUNK_BYTES // (lookback * widest * dtype.itemsize))
+    chunks = -(-n // per_chunk)
     size, longer = divmod(n, max(chunks, 1))
+    top = np.empty((n, spec.layers[-1].units), dtype=dtype)
     stop = 0
     for k in range(chunks):
         start, stop = stop, stop + size + (k < longer)

@@ -7,10 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grnn.cells import (
-    COPY_STRIP,
     GruTape,
     LayerParams,
-    _copy_transposed,
     gru_backward,
     gru_forward,
     lstm_backward,
@@ -173,13 +171,3 @@ def test_shape_errors():
         lstm_backward(params, tape, np.zeros((1, 1, 3)), params)
     with pytest.raises(ValueError):
         lstm_forward(params, np.zeros((1, 1, 2)), "sigmoid")
-
-
-@pytest.mark.parametrize("shape", [(COPY_STRIP + 36, 1024), (COPY_STRIP + 36, 1000)])
-def test_transposed_copy_in_strips_is_a_copy(shape):
-    """A float32 row of 1024 is 4 KiB, so that source goes in strips, the
-    last one short; a row of 1000 goes in one pass."""
-    src = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
-    dst = np.full(shape[::-1], np.nan, dtype=np.float32)
-    _copy_transposed(dst, src)
-    assert dst.tobytes() == np.ascontiguousarray(src.T).tobytes()

@@ -130,40 +130,59 @@ def test_predict_batch_contracts():
                                       forward_batch(hybrid, hp, windows)[0])
 
 
-def use_chunks_of(monkeypatch, windows, spec, lookback, dtype):
-    """Set the chunk budget so that predict_batch runs `windows` per chunk."""
-    widest = max(len(network.GATES[layer.cell_kind]) * layer.units for layer in spec.layers)
-    monkeypatch.setattr(network, "PREDICT_CHUNK_BYTES",
-                        windows * lookback * widest * np.dtype(dtype).itemsize)
-    assert network.predict_chunk(spec, lookback, dtype) == windows
+def record_chunks(monkeypatch, budget=None, compute=True):
+    """Set the chunk budget (bytes) if given, and return the list that
+    collects the window count of every layer call predict_batch makes.
+    With compute=False the layers are stand-ins that return zeros."""
+    if budget is not None:
+        monkeypatch.setattr(network, "PREDICT_CHUNK_BYTES", budget)
+    calls = []
+    real = network._layer_forward
+
+    def layer_forward(layer, p, x, *args, **kwargs):
+        calls.append(x.shape[1])
+        if compute:
+            return real(layer, p, x, *args, **kwargs)
+        return np.zeros((x.shape[0], x.shape[1], layer.units), x.dtype), None
+
+    monkeypatch.setattr(network, "_layer_forward", layer_forward)
+    return calls
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kinds", [("lstm",), ("gru",), ("gru", "lstm")], ids="-".join)
-def test_chunked_predictions_are_bytes_of_one_pass(monkeypatch, kinds, dtype):
-    """Chunks change only how many rows each GEMM takes at once.  These
-    matrices are small enough that BLAS computes every row the same way
-    whatever the row count (see network.py on where it does not)."""
-    chunk = 8
+@pytest.mark.parametrize("layers", [(("lstm", 6),), (("gru", 8),), (("gru", 8), ("lstm", 6))],
+                         ids=lambda layers: "-".join(kind for kind, _ in layers))
+def test_chunked_predictions_are_bytes_of_one_pass(monkeypatch, layers, dtype):
+    """Chunks change only how many rows each GEMM takes at once.  At these
+    widths BLAS computes a row the same way whatever the row count; the
+    test does not cover widths, dtypes or row counts at which BLAS
+    switches kernel or blocking, where chunks can change the last bits
+    (see network.py)."""
     rng = Rng(42)
-    spec = small_spec(*(LayerSpec(kind, 5) for kind in kinds), input_dim=3)
+    spec = small_spec(*(LayerSpec(*layer) for layer in layers), input_dim=3)
     params = NetworkParams.init(spec, rng, dtype)
-    use_chunks_of(monkeypatch, chunk, spec, 4, dtype)
-    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+    # 8 windows of 4 steps of 24 gate columns, the LSTM's 4 x 6 and the GRU's 3 x 8
+    calls = record_chunks(monkeypatch, 8 * 4 * 24 * np.dtype(dtype).itemsize)
+    expected = {1: [1], 7: [7], 8: [8], 9: [5, 4], 19: [7, 6, 6]}
+    for n, sizes in expected.items():
         windows = rng.standard_normal((n, 4, 3))
         one_pass = forward_batch(spec, params, windows)[0]
+        calls.clear()
         assert predict_batch(spec, params, windows).tobytes() == one_pass.tobytes(), n
+        assert calls[::len(layers)] == sizes, n
 
 
 def test_predict_memory_does_not_grow_with_the_windows(monkeypatch):
     chunk = 64
     spec = small_spec(LayerSpec("gru", 24), LayerSpec("lstm", 16), input_dim=8)
     params = NetworkParams.init(spec, Rng(43), np.float32)
-    use_chunks_of(monkeypatch, chunk, spec, 10, np.float32)
+    # 64 windows of 10 steps of the GRU's 72 gate columns
+    calls = record_chunks(monkeypatch, chunk * 10 * 72 * 4)
     windows = np.random.default_rng(43).standard_normal((4 * chunk, 10, 8)).astype(np.float32)
 
     def peak(n):
         predict_batch(spec, params, windows[:n])
+        calls.clear()
         tracemalloc.start()
         try:
             predict_batch(spec, params, windows[:n])
@@ -171,16 +190,25 @@ def test_predict_memory_does_not_grow_with_the_windows(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak(len(windows)) <= 1.25 * peak(chunk)
+    four = peak(len(windows))
+    assert calls[::2] == [chunk] * 4
+    assert four <= 1.25 * peak(chunk)
 
 
-def test_predict_chunk_bounds_the_widest_rows():
-    budget = network.PREDICT_CHUNK_BYTES
+def test_widest_layer_sets_the_chunks(monkeypatch):
+    """720 test windows at gru-lstm1, whose GRU 498 has the widest x K + b
+    rows, go as 3 chunks in float32 and 5 in float64 under the 20 MiB
+    budget; a layer whose one window exceeds the budget runs window by window."""
     spec = small_spec(LayerSpec("gru", 498), LayerSpec("lstm", 311), input_dim=8)
-    assert network.predict_chunk(spec, 10, np.float32) == budget // (10 * 3 * 498 * 4)
-    assert network.predict_chunk(spec, 10, np.float64) == budget // (10 * 3 * 498 * 8)
-    wide = small_spec(LayerSpec("lstm", budget))
-    assert network.predict_chunk(wide, 10, np.float32) == 1
+    calls = record_chunks(monkeypatch, compute=False)
+    windows = np.zeros((720, 10, 8))
+    for dtype, sizes in ((np.float32, [240] * 3), (np.float64, [144] * 5)):
+        calls.clear()
+        predict_batch(spec, NetworkParams.zeros(spec, dtype), windows)
+        assert calls[::2] == sizes
+    calls = record_chunks(monkeypatch, budget=1, compute=False)
+    predict_batch(spec, NetworkParams.zeros(spec, np.float32), windows[:3])
+    assert calls[::2] == [1, 1, 1]
 
 
 def test_batched_forward_matches_single():

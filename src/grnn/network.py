@@ -35,10 +35,11 @@ blocking by the row count, that changes the last bits of a prediction.
 A network narrow enough to need no chunk runs as one pass.  For wider
 ones, bit-equality with one pass is a measurement, not a guarantee: with
 OpenBLAS 0.3.31's Haswell kernels on 2 cores, float32 predictions matched
-one pass at every LSTM and GRU width tried from 32 to 512 units on 720
-windows (47 to 512 also on 1,000 and 2,909), and at the roster's hybrid
-and two-layer shapes on 720 and 2,909.  Float64 ones did not: LSTM 95 and
-311 and GRU 311 and 498 units differed on 720 windows, so a float64
+one pass at every LSTM and GRU width from 32 to 512 units on 720 windows,
+at every seventh width on 2,909, and at the roster's hybrid and
+two-layer shapes on 720 and 2,909.  Float64 ones did not: on 720
+windows, 170 of the 421 LSTM widths that need chunks (the odd widths
+93-99 and 181-511) and 333 of the 391 GRU ones differed, so a float64
 checkpoint can score a split a last digit differently than one pass.
 
 Checkpoints (format version 1) are a single self-describing file: a JSON

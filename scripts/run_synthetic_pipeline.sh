@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end pipeline on the bundled synthetic market data: prepare the
-# dataset, search hyperparameters for one architecture, train the four
-# single-layer architectures, compare them, and export plot data.
+# dataset, train the four single-layer architectures with the
+# hyperparameters in the profile, compare them, and export plot data.
+# It runs no hyperparameter search; `grnn hpo` does that.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -343,10 +343,12 @@ def write_atomic(path, write, mode: str = "w") -> None:
     """Call `write(fh)` on a temp file beside `path`, then move it over `path`.
 
     A reader, or a rerun after a crash, sees the old file or the whole new
-    one, never a partial write.  `mode` is "w" (UTF-8 text, written with no
-    newline translation, so its bytes are the same on every platform) or "wb".
+    one, never a partial write.  The temp name carries the process id, so
+    processes writing the same artifact do not write into one temp file.
+    `mode` is "w" (UTF-8 text, written with no newline translation, so its
+    bytes are the same on every platform) or "wb".
     """
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     text = "b" not in mode
     try:
         with open(tmp, mode, encoding="utf-8" if text else None,

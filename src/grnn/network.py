@@ -1,65 +1,35 @@
 """Stacked recurrent networks with a linear head and full BPTT.
 
-A network is an ordered stack of LSTM/GRU layers (hybrids freely mix the
-two; a "single-layer" GRU-LSTM hybrid is the two-layer stack [GRU, LSTM])
-followed by one dense linear unit applied to the top layer's hidden state
-at the final timestep.  Initial hidden/cell states are zero for every
-window; windows are independent samples, not a continuous stream.
+A network is a stack of LSTM/GRU layers (hybrids mix the two) and one
+dense unit on the top layer's hidden state at the last timestep; every
+window starts from zero states.
 
-Parameters live in one contiguous vector, `NetworkParams.flat`, laid out as
+Parameters: one contiguous vector, `NetworkParams.flat`, laid out as
 
     for each layer: kernel (D, G*H), recurrent (H, G*H), bias (G*H,)
     then:           head_w (output_dim, H_top), head_b (output_dim,)
 
-each row-major (see `cells.py` for the fused gate layout).  Gradients are
-a second NetworkParams with the same layout, so an optimizer step is a few
-ufuncs over flat arrays.  The dtype of `flat`, float32 or float64 (one of
-DTYPES), is the network's compute dtype: the windows, the tape, dL/dpred
-and the gradients are all cast to it or made in it.
+each row-major (gate layout in `cells.py`).  Gradients share the layout.
+The dtype of `flat` (one of DTYPES) is the network's compute dtype.
 
-`forward_batch` runs a (batch, lookback, features) stack of windows one
-layer at a time over the whole window and records a ForwardTape, which
-`backward` consumes to write exact gradients, summed over timesteps,
-straight into the gradient vector.  Both take an optional workspace (a
-dict; see `cells.py`) and give each layer its own part of it, so a
-training loop that passes one workspace to every step reuses the tape's
-and the backward's arrays; the tape is then valid until the next forward.
+Prediction: `predict_batch` runs the windows in chunks whose x K + b rows
+take at most PREDICT_CHUNK_BYTES in the widest layer, so scoring a split
+takes memory bounded by the chunk, not by the split.  Chunks change only
+the row count of each GEMM; where BLAS picks its kernel by that count, a
+prediction can differ from one pass in its last bits.
 
-`predict_batch` keeps no tape and runs the windows in chunks whose x K + b
-rows take at most PREDICT_CHUNK_BYTES (20 MiB) in the widest layer, so
-scoring a split takes bounded memory however long the split: at
-gru-lstm1 on 720 windows, 24 MB instead of 66.  Every window goes through
-the same arithmetic as in one pass over the whole stack; only the number
-of rows of each GEMM changes, and where BLAS picks its kernel or its
-blocking by the row count, that changes the last bits of a prediction.
-A network narrow enough to need no chunk runs as one pass.  For wider
-ones, bit-equality with one pass is a measurement, not a guarantee: with
-OpenBLAS 0.3.31's Haswell kernels on 2 cores, float32 predictions matched
-one pass at every LSTM and GRU width from 32 to 512 units on 720 windows,
-at every seventh width on 2,909, and at the roster's hybrid and
-two-layer shapes on 720 and 2,909.  Float64 ones did not: on 720
-windows, 170 of the 421 LSTM widths that need chunks (the odd widths
-93-99 and 181-511) and 333 of the 391 GRU ones differed, so a float64
-checkpoint can score a split a last digit differently than one pass.
-
-Checkpoints (format version 1) are a single self-describing file: a JSON
-header line (format version, layer kinds/units/activations, optional
-metadata such as lookback and feature names, tensor manifest) followed by
-the raw float64 little-endian tensor data, tensor by tensor in
-`NetworkParams.tensors()` order.  That order and its per-gate names are the
-ones of the original per-gate containers; each name maps to a view of the
-flat vector:
+Checkpoints (format version 1): one JSON header line (format version,
+layers, metadata, tensor manifest) and then the float64 little-endian
+tensors in `NetworkParams.tensors()` order, each a view of `flat`:
 
     layer{l}.v_g  (H, D)   kernel[:, block g].T
     layer{l}.w_g  (H, H)   recurrent[:, block g].T
     layer{l}.b_g  (H,)     bias[block g]
     head.w, head.b
 
-with g running over f, i, o, c (LSTM) or r, z, c (GRU).  float32 weights
-are written upcast, which is exact, and the header's `extra` records
-`"dtype": "float32"` so that they load back in float32.  A header without
-that key loads as float64, so float64 checkpoints keep the bytes they had
-before float32 existed.  Round-trips are bit-exact in both dtypes.
+with g over f, i, o, c (LSTM) or r, z, c (GRU).  float32 weights are
+written upcast and the header's `extra` records `"dtype": "float32"`; a
+header without it loads as float64.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations

@@ -1,93 +1,18 @@
-"""Self-contained special functions for the statistical tests.
+"""The regularized incomplete beta and Student's t survival function.
 
-Implements log-gamma (Lanczos), the regularized incomplete gamma (series +
-Lentz continued fraction) and incomplete beta (continued fraction), and
-the t / chi-square survival functions built on them.  Absolute error is
-below 1e-10 across the tested domain; the test suite pins these against a
-reference table.
+Welch's test needs the t tail at a real-valued number of degrees of
+freedom, which takes the incomplete beta: I_x(a, b) by its continued
+fraction (modified Lentz), with log-gamma from `math.lgamma`.  The test
+suite pins both against a frozen reference table to 1e-10.
 """
 
 from __future__ import annotations
 
 import math
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _MAX_ITER = 400
 _TINY = 1e-300
 _EPS = 1e-15
-
-
-def gammaln(x: float) -> float:
-    """log |Gamma(x)| for x > 0 (Lanczos approximation, g=7, n=9)."""
-    if x <= 0.0:
-        raise ValueError(f"gammaln requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - gammaln(1.0 - x)
-    x -= 1.0
-    a = _LANCZOS_COEFFS[0]
-    t = x + _LANCZOS_G + 0.5
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        a += _LANCZOS_COEFFS[i] / (x + i)
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(a)
-
-
-def _gamma_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) by power series (x < a+1)."""
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - gammaln(a))
-
-def _gamma_contfrac(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) by Lentz continued fraction."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - gammaln(a))
-
-
-def chi2_sf(x: float, k: float) -> float:
-    """Survival function of the chi-square distribution with k dof."""
-    if x <= 0.0:
-        return 1.0
-    a, xx = 0.5 * k, 0.5 * x
-    if xx < a + 1.0:
-        return 1.0 - _gamma_series(a, xx)
-    return _gamma_contfrac(a, xx)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -133,7 +58,7 @@ def betainc(a: float, b: float, x: float) -> float:
         raise ValueError(f"betainc requires x in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return float(x)
-    front = math.exp(gammaln(a + b) - gammaln(a) - gammaln(b)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                      + a * math.log(x) + b * math.log(1.0 - x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a

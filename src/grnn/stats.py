@@ -16,13 +16,14 @@ result per label and a Welch result per unordered label pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import FLOAT
-from .special import chi2_sf, t_sf
+from .special import t_sf
 
 ALPHA = 0.05
 MIN_NORMALITY_N = 20
@@ -43,42 +44,38 @@ class WelchResult:
     significant_at_05: bool
 
 
+class InsufficientData(ValueError):
+    """A sample too small or too constant to test; `compare_architectures`
+    marks its cells "insufficient data" instead of failing."""
+
+
 def _clean_sample(sample, min_n: int, what: str) -> np.ndarray:
+    """`sample` as a flat array, checked for size, then finiteness, then variance."""
     x = np.asarray(sample, dtype=FLOAT).ravel()
     if x.size < min_n:
-        raise ValueError(f"{what}: need at least {min_n} observations, got {x.size}")
+        raise InsufficientData(f"{what}: need at least {min_n} observations, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what}: sample contains non-finite values")
     if float(np.var(x)) == 0.0:
-        raise ValueError(f"{what}: sample has zero variance")
+        raise InsufficientData(f"{what}: sample has zero variance")
     return x
 
 
-def _skew_z(x: np.ndarray) -> float:
-    """D'Agostino (1970) normalizing transform of the sample skewness."""
-    n = x.size
-    m = x.mean()
-    m2 = np.mean((x - m) ** 2)
-    m3 = np.mean((x - m) ** 3)
-    b1 = m3 / m2 ** 1.5
+def _skew_z(b1: float, n: int) -> float:
+    """D'Agostino (1970) normalizing transform of the sample skewness b1."""
+    if b1 == 0.0:
+        return 0.0
     y = b1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
     beta2 = (3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
              / ((n - 2.0) * (n + 5.0) * (n + 7.0) * (n + 9.0)))
     w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
     delta = 1.0 / math.sqrt(0.5 * math.log(w2))
     alpha = math.sqrt(2.0 / (w2 - 1.0))
-    if y == 0.0:
-        return 0.0
     return delta * math.log(y / alpha + math.sqrt((y / alpha) ** 2 + 1.0))
 
 
-def _kurtosis_z(x: np.ndarray) -> float:
-    """Anscombe & Glynn (1983) normalizing transform of the sample kurtosis."""
-    n = x.size
-    m = x.mean()
-    m2 = np.mean((x - m) ** 2)
-    m4 = np.mean((x - m) ** 4)
-    b2 = m4 / (m2 * m2)
+def _kurtosis_z(b2: float, n: int) -> float:
+    """Anscombe & Glynn (1983) normalizing transform of the sample kurtosis b2."""
     eb2 = 3.0 * (n - 1.0) / (n + 1.0)
     vb2 = (24.0 * n * (n - 2.0) * (n - 3.0)
            / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0)))
@@ -94,10 +91,13 @@ def _kurtosis_z(x: np.ndarray) -> float:
 def dagostino_pearson(sample) -> NormalityResult:
     """Omnibus K2 normality test; small p rejects normality."""
     x = _clean_sample(sample, MIN_NORMALITY_N, "dagostino_pearson")
-    z1 = _skew_z(x)
-    z2 = _kurtosis_z(x)
+    d = x - x.mean()
+    m2, m3, m4 = (np.mean(d ** p) for p in (2, 3, 4))
+    z1 = _skew_z(m3 / m2 ** 1.5, x.size)
+    z2 = _kurtosis_z(m4 / (m2 * m2), x.size)
     k2 = z1 * z1 + z2 * z2
-    return NormalityResult(statistic=k2, p_value=chi2_sf(k2, 2.0), n=int(x.size))
+    # exp(-k2 / 2) is the chi-square survival function at 2 degrees of freedom
+    return NormalityResult(statistic=k2, p_value=math.exp(-0.5 * k2), n=int(x.size))
 
 
 def welch_t(sample_a, sample_b) -> WelchResult:
@@ -124,67 +124,52 @@ class ComparisonResult:
     pairwise: dict          # (label_a, label_b) -> WelchResult | str marker
 
 
+def _or_marker(test, *samples):
+    try:
+        return test(*samples)
+    except InsufficientData:
+        return "insufficient data"
+
+
 def compare_architectures(samples_by_label: dict, metric: str) -> ComparisonResult:
     """Normality per label plus pairwise Welch tests over metric samples.
 
     `samples_by_label` maps an architecture label to the per-run values of
-    one metric.  Cells without enough runs get the marker string
-    "insufficient data" instead of a result.
+    one metric.  Cells whose samples are too small or constant to test get
+    the marker string "insufficient data" instead of a result.
     """
     if metric not in METRIC_KEYS:
         raise ValueError(f"metric must be one of {METRIC_KEYS}, got {metric!r}")
-    labels = list(samples_by_label)
-    normality = {}
-    for label in labels:
-        values = np.asarray(samples_by_label[label], dtype=FLOAT)
-        if values.size < MIN_NORMALITY_N or float(np.var(values)) == 0.0:
-            normality[label] = "insufficient data"
-        else:
-            normality[label] = dagostino_pearson(values)
-    pairwise = {}
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1:]:
-            a = np.asarray(samples_by_label[la], dtype=FLOAT)
-            b = np.asarray(samples_by_label[lb], dtype=FLOAT)
-            if (a.size < 2 or b.size < 2
-                    or float(np.var(a, ddof=1)) == 0.0 or float(np.var(b, ddof=1)) == 0.0):
-                pairwise[(la, lb)] = "insufficient data"
-            else:
-                pairwise[(la, lb)] = welch_t(a, b)
+    normality = {label: _or_marker(dagostino_pearson, sample)
+                 for label, sample in samples_by_label.items()}
+    pairwise = {(la, lb): _or_marker(welch_t, samples_by_label[la], samples_by_label[lb])
+                for la, lb in itertools.combinations(samples_by_label, 2)}
     return ComparisonResult(metric=metric, normality=normality, pairwise=pairwise)
 
 
-def render_normality_table(results: list[ComparisonResult]) -> str:
-    """Aligned text table: per metric, K2 statistic and p-value per label."""
-    labels = list(results[0].normality) if results else []
-    width = max([len(l) for l in labels] + [10]) + 2
-    header = f"{'Metric':10s}{'':12s}" + "".join(f"{l:>{width}}" for l in labels)
-    lines = [header]
+def _render_table(results: list[ComparisonResult], cells: str, heading, min_width: int,
+                  rows: tuple) -> str:
+    """Aligned text table: per metric, one line per (name, field) of `rows`
+    and one column per key of each result's `cells` dict, headed `heading(key)`."""
+    keys = list(getattr(results[0], cells)) if results else []
+    heads = [heading(k) for k in keys]
+    width = max([len(h) for h in heads] + [min_width]) + 2
+    lines = [f"{'Metric':10s}{'':12s}" + "".join(f"{h:>{width}}" for h in heads)]
     for res in results:
-        for row_name, getter in (("K2", lambda r: r.statistic), ("p-value", lambda r: r.p_value)):
-            cells = []
-            for l in labels:
-                r = res.normality[l]
-                cells.append(f"{getter(r):>{width}.4f}" if isinstance(r, NormalityResult)
-                             else f"{'n/a':>{width}}")
-            lines.append(f"{res.metric:10s}{row_name:12s}" + "".join(cells))
+        for row_name, field in rows:
+            lines.append(f"{res.metric:10s}{row_name:12s}" + "".join(
+                f"{'n/a':>{width}}" if isinstance(r, str) else f"{getattr(r, field):>{width}.4f}"
+                for r in (getattr(res, cells)[k] for k in keys)))
     return "\n".join(lines)
+
+
+def render_normality_table(results: list[ComparisonResult]) -> str:
+    """Per metric, K2 statistic and p-value per label."""
+    return _render_table(results, "normality", str, 10,
+                         (("K2", "statistic"), ("p-value", "p_value")))
 
 
 def render_pairwise_table(results: list[ComparisonResult]) -> str:
-    """Aligned text table: per metric, Welch t and p per label pair."""
-    pairs = list(results[0].pairwise) if results else []
-    cols = [f"({a}, {b})" for a, b in pairs]
-    width = max([len(c) for c in cols] + [12]) + 2
-    header = f"{'Metric':10s}{'':12s}" + "".join(f"{c:>{width}}" for c in cols)
-    lines = [header]
-    for res in results:
-        for row_name, getter in (("t-statistic", lambda r: r.t_statistic),
-                                 ("p-value", lambda r: r.p_value)):
-            cells = []
-            for pair in pairs:
-                r = res.pairwise[pair]
-                cells.append(f"{getter(r):>{width}.4f}" if isinstance(r, WelchResult)
-                             else f"{'n/a':>{width}}")
-            lines.append(f"{res.metric:10s}{row_name:12s}" + "".join(cells))
-    return "\n".join(lines)
+    """Per metric, Welch t and p per label pair."""
+    return _render_table(results, "pairwise", lambda pair: f"({pair[0]}, {pair[1]})", 12,
+                         (("t-statistic", "t_statistic"), ("p-value", "p_value")))

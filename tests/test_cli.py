@@ -2,6 +2,7 @@ import datetime as dt
 import glob
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,10 +14,11 @@ from grnn import cli
 from grnn.cli import main
 from grnn.config import ConfigError, HpoSettings, TrainSettings, load_config, parse_arch_label
 from grnn.hpo import load_history
+from grnn.metrics import EvalReport
 from grnn.network import LayerSpec, NetworkParams, NetworkSpec, load_model, save_model
 from grnn.numerics import Rng
 from grnn.synthetic import write_bundle, write_sine
-from grnn.train import train
+from grnn.train import RunArchive, RunRecord, save_archive, train
 
 
 def write_sine_config(tmp_path, **overrides):
@@ -641,6 +643,84 @@ def test_compare_requires_two_archives(tmp_path, capsys):
     assert main(["prepare", "--config", str(path)]) == 0
     assert main(["compare", "--config", str(path)]) == 1
     assert ">= 2 archives" in capsys.readouterr().err
+
+
+def fixed_archive(label, shift, freq, n=24):
+    """`n` retained runs whose metrics are fixed smooth functions of the seed."""
+    runs = []
+    for k in range(n):
+        mape = round(0.008 - shift / 10 + 0.0011 * math.sin(1.6 * freq * k + 0.4)
+                     + 0.0003 * (k % 4), 6)
+        report = EvalReport(
+            r2=round(0.95 + shift + 0.012 * math.sin(freq * k) + 0.002 * (k % 3), 6),
+            rmse=round(110.0 - 400.0 * shift + 9.0 * math.cos(0.5 * freq * k)
+                       + 1.5 * (k % 5), 6),
+            mape=mape, mape_pct=mape * 100.0, rmse_nd=0.01, n=100, seed=k,
+            architecture=label)
+        runs.append(RunRecord(seed=k, status="complete", stopped_epoch=10,
+                              train_loss=0.001, report=report, retained=True))
+    return RunArchive(architecture=label, runs=runs)
+
+
+COMPARE_24_STDOUT = """\
+Normality (D'Agostino-Pearson K2) of per-run metrics
+Metric                       lstm1        gru1
+rmse      K2                0.7187      3.1632
+rmse      p-value           0.6981      0.2056
+mape      K2                2.9590      4.1388
+mape      p-value           0.2277      0.1263
+r2        K2                7.6789      6.9524
+r2        p-value           0.0215      0.0309
+
+Pairwise Welch two-sample t-tests
+Metric                  (lstm1, gru1)
+rmse      t-statistic          2.5938
+rmse      p-value              0.0127
+mape      t-statistic          3.6371
+mape      p-value              0.0007
+r2        t-statistic         -4.2370
+r2        p-value              0.0001
+"""
+# (metric, label or pair) -> exact statistic and p-value within 1e-12; the
+# p-values were computed by the hand-written incomplete gamma that the
+# closed form exp(-k2 / 2) replaced, and by the Lanczos-based t tail
+COMPARE_24_NORMALITY = {
+    ("rmse", "lstm1"): (0.7186631590753456, 0.6981428230941672),
+    ("rmse", "gru1"): (3.1632277510913536, 0.20564294812740813),
+    ("mape", "lstm1"): (2.9590430151831684, 0.2277466373531215),
+    ("mape", "gru1"): (4.138829347155033, 0.126259663197498),
+    ("r2", "lstm1"): (7.6789331351757575, 0.021505069787248067),
+    ("r2", "gru1"): (6.952416341120001, 0.030924449235094936),
+}
+COMPARE_24_WELCH = {      # metric -> (t, dof, p_value)
+    "rmse": (2.5938036947155805, 45.92650538564225, 0.01269426006091113),
+    "mape": (3.637142607471404, 45.81502340205736, 0.0006965805325320014),
+    "r2": (-4.2370478063845844, 45.993578981557114, 0.00010766182039041357),
+}
+
+
+def test_compare_runs_normality_on_24_run_archives(tmp_path, capsys):
+    """Two archives of 24 retained runs take the normality branch, which
+    the pipeline tests (2 seeds each) never reach; no training runs."""
+    path = write_sine_config(tmp_path)
+    for label, shift, freq in (("lstm1", 0.0, 1.3), ("gru1", 0.01, 0.9)):
+        archive = tmp_path / "out" / "train" / label / "archive.jsonl"
+        archive.parent.mkdir(parents=True)
+        save_archive(archive, fixed_archive(label, shift, freq))
+    assert main(["compare", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == COMPARE_24_STDOUT
+    lines = (tmp_path / "out" / "compare" / "comparison.jsonl").read_text().splitlines()
+    records = {rec["metric"]: rec for rec in map(json.loads, lines)}
+    assert list(records) == ["rmse", "mape", "r2"]
+    for (metric, label), (k2, p_value) in COMPARE_24_NORMALITY.items():
+        got = records[metric]["normality"][label]
+        assert got["k2"] == k2 and got["n"] == 24
+        assert abs(got["p_value"] - p_value) <= 1e-12
+    for metric, (t, dof, p_value) in COMPARE_24_WELCH.items():
+        [got] = records[metric]["pairwise"]
+        assert (got["a"], got["b"], got["t"], got["dof"]) == ("lstm1", "gru1", t, dof)
+        assert abs(got["p_value"] - p_value) <= 1e-12
+        assert got["significant_at_05"] is True
 
 
 def test_env_var_caps_parallel_workers(monkeypatch):

@@ -18,6 +18,7 @@ from grnn.data import (
     read_series_csv,
     rsi,
     window,
+    write_atomic,
     write_frame_csv,
 )
 from grnn.numerics import Rng
@@ -427,3 +428,22 @@ def test_frame_csv_bad_row_names_file_and_line(tmp_path, mangle, named, lineno):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=rf"frame\.csv:{lineno}: {named}"):
         read_frame_csv(path)
+
+
+def test_write_atomic_leaves_another_writers_temp_file_alone(tmp_path):
+    target = tmp_path / "artifact.json"
+    target.write_bytes(b"old")
+    other = tmp_path / "artifact.json.tmp"      # another writer's temp file
+    other.write_bytes(b"half of another writer's bytes")
+    write_atomic(target, lambda fh: fh.write("new\n"))
+    assert target.read_bytes() == b"new\n"
+    assert other.read_bytes() == b"half of another writer's bytes"
+
+    def fail(fh):
+        fh.write("partial")
+        raise RuntimeError("writer died")
+
+    with pytest.raises(RuntimeError):
+        write_atomic(target, fail)
+    assert target.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "artifact.json.tmp"]

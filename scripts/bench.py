@@ -11,6 +11,9 @@ Cases, each with a fixed amount of work per round:
            units, 10,576 parameters) and 20 at gru-lstm1 (GRU 498 into LSTM
            311, 1.77 M); batch 46, lookback 10, 8 features.  Keys
            <shape>/float32; digests: the weights after the last step.
+           Then a fresh workspace runs forward_batch and backward on a
+           full, a short (SHORT_BATCH) and a full batch under tracemalloc,
+           and the peak is the key's peak_alloc_mb.
     layer  one LSTM and one GRU layer, float32, at 47 and 512 units: forward
            then backward (with dL/dx, as a layer above the first runs it),
            on one workspace reused as `train` reuses it, after two warm-up
@@ -53,10 +56,10 @@ rounds taken on a busy host shows as such.  Each BENCH_<case>.json holds
 the machine (perfbench/envinfo.py), the rounds, the probe's time on a fast
 host (probe_ref_s) and, per tree, its commit, its digests, each round's
 probe reading (probe_s), each key's median, min and sample count and, for
-pool and predict, the largest memory reading of any round; with --against
-also, per key, the ratio of the medians (change over parent) and the number
-of rounds in which this tree's median of the round was the lower, and
-whether both trees' digests agree.
+pool, predict and step, the largest memory reading of any round; with
+--against also, per key, the ratio of the medians (change over parent) and
+the number of rounds in which this tree's median of the round was the
+lower, and whether both trees' digests agree.
 The timings of one child process are not independent of each other, so
 rounds, not single timings, are the pairs: a speed claim needs the change
 to win 9 of 10 rounds.  The case code runs on both trees, so it calls only
@@ -81,6 +84,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = "import sys, bench; bench.child(*sys.argv[1:])"
 
 BATCH, LOOKBACK, FEATURES = 46, 10, 8
+SHORT_BATCH = 11                 # the last of the synthetic market bundle's 2,909 train windows
 STEP_SHAPES = {                  # name: (layers, timed steps per round)
     "c09": ((("lstm", 47),), 300),
     "gru-lstm1": ((("gru", 498), ("lstm", 311)), 20),
@@ -119,12 +123,14 @@ def file_sha1(path: str) -> str:
 
 
 def step_case(tree: str) -> dict:
+    import tracemalloc
+
     import numpy as np
     from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
     from grnn.numerics import Rng
     from grnn.optim import OptimizerState, apply
 
-    times, digests = {}, {}
+    times, digests, peak_alloc_mb = {}, {}, {}
     for name, (layers, k) in STEP_SHAPES.items():
         spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
                            input_dim=FEATURES)
@@ -135,9 +141,13 @@ def step_case(tree: str) -> dict:
         grads = NetworkParams.zeros(spec, np.dtype(np.float32))
         opt, ws = OptimizerState.create("nadam", 1e-4), {}
 
+        def forward_backward(ws, rows=BATCH):
+            preds, tape = forward_batch(spec, params, x[:rows], ws)
+            backward(spec, params, tape, (2.0 * (preds[:, 0] - y[:rows]) / rows)[:, None], grads,
+                     ws)
+
         def step():
-            preds, tape = forward_batch(spec, params, x, ws)
-            backward(spec, params, tape, (2.0 * (preds[:, 0] - y) / BATCH)[:, None], grads, ws)
+            forward_backward(ws)
             apply(opt, params, grads)
 
         key = f"{name}/float32"
@@ -149,7 +159,15 @@ def step_case(tree: str) -> dict:
             step()
             times[key].append(time.perf_counter() - started)
         digests[key] = sha1(params.flat.tobytes())
-    return {"times": times, "digests": digests}
+        fresh = {}
+        tracemalloc.start()
+        try:
+            for rows in (BATCH, SHORT_BATCH, BATCH):
+                forward_backward(fresh, rows)
+            peak_alloc_mb[key] = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
 
 
 def layer_case(tree: str) -> dict:

@@ -48,20 +48,26 @@ dz K^T, is computed once.  Everything is deterministic, and the gradients
 are checked against central finite differences in the tests.
 
 Every array a forward or backward writes, tape included, comes from a
-workspace: a dict from buffer name to array, passed as `ws`.  An array is
-reallocated only when its shape changes, so a training loop that passes
-the same workspace each step allocates nothing of the tape's size after
-the first step.  A tape is therefore valid only until the next forward on
-the same workspace.  Two arrays that are never live at once share a
-buffer: the x K + b rows double as backward's dz, and one "rec" buffer
-holds forward's halved recurrent matrix (the GRU's r and z columns) and,
-viewed in the transposed shape, backward's transposed copy of it.
-Called without a workspace, each function makes a fresh one and
-allocates as it goes.
+workspace: a dict from buffer name to array, passed as `ws`.  Each name
+has one grow-only flat array, and `buffer` hands out a C-contiguous view
+of its prefix in any shape, cached until the shape or dtype asked for
+changes; the flat is reallocated only when it is too small.  So a
+training loop that passes the same workspace each step allocates nothing
+after the first full batch, and an epoch's short last batch views a
+prefix.  A tape is therefore valid only until the next forward on the
+same workspace.  The tape and dx go to `ws` itself and every other
+array, scratch that no call leaves live, to `ws["scratch"]` when there
+is one (a network's layers share it; see `network.py`), else to `ws`.
+Two arrays that are never live at once share a name: the x K + b rows
+double as backward's dz, and "rec" holds forward's halved recurrent
+matrix (the GRU's r and z columns) and, viewed in the transposed shape,
+backward's transposed copy of it.  Called without a workspace, each
+function makes a fresh one and allocates as it goes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -114,21 +120,27 @@ def _activation_grad(name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def buffer(ws: dict, name: str, shape, dtype) -> np.ndarray:
-    """Uninitialised array `ws[name]`, reallocated only when its shape or dtype changes."""
-    arr = ws.get(name)
-    if arr is None or arr.shape != shape or arr.dtype != dtype:
-        arr = ws[name] = np.empty(shape, dtype=dtype)
-    return arr
+def buffer(ws: dict, name: str, shape: tuple, dtype) -> np.ndarray:
+    """Uninitialised C-contiguous array `ws[name]` of `shape` and `dtype`.
 
-
-def _rec_buffer(ws: dict, shape, dtype) -> np.ndarray:
-    """The layer's one recurrent-matrix buffer, viewed as `shape`.
-
-    Forward holds the halved recurrent matrix in it and backward its
-    transposed copy; the two are never live at once.
+    The array is a view of the name's flat array (its `base`: numpy makes
+    a view of a view point at the owner), remade only when the shape or
+    dtype changes; the flat grows, and is never shrunk, when a view needs
+    more than it holds.
     """
-    return buffer(ws, "rec", (shape[0] * shape[1],), dtype).reshape(shape)
+    view = ws.get(name)
+    if view is None or view.shape != shape or view.dtype != dtype:
+        size = math.prod(shape)
+        flat = None if view is None else view.base
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            flat = np.empty(size, dtype=dtype)
+        view = ws[name] = flat[:size].reshape(shape)
+    return view
+
+
+def _scratch(ws: dict) -> dict:
+    """Where a layer keeps the arrays that no call leaves live; see the module docstring."""
+    return ws.get("scratch", ws)
 
 
 def _sigmoid_from_half_tanh(a: np.ndarray) -> None:
@@ -179,11 +191,12 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     Outputs and tape live in `ws` and stay valid until its next forward.
     """
     ws = {} if ws is None else ws
+    scratch = _scratch(ws)
     x, steps, batch, units, pre, scale = _project_inputs(p, x, 4, activation, "lstm_forward",
-                                                         ws)
+                                                         scratch)
     pre_by_gate = _by_gate(pre, 4)
     # halving is exact, so the step GEMM needs no rescale
-    rec = np.multiply(p.recurrent, scale, out=_rec_buffer(ws, p.recurrent.shape, x.dtype))
+    rec = np.multiply(p.recurrent, scale, out=buffer(scratch, "rec", p.recurrent.shape, x.dtype))
     kept = steps if keep_tape else 1
     gates = buffer(ws, "gates", (steps, 4, batch, units), x.dtype) if keep_tape else pre_by_gate
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
@@ -191,7 +204,7 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     h[0] = 0.0
     c[0] = 0.0
     act_c = buffer(ws, "act_c", (kept, batch, units), x.dtype)
-    hr = buffer(ws, "hr", (batch, 4 * units), x.dtype)
+    hr = buffer(scratch, "hr", (batch, 4 * units), x.dtype)
     for t in range(steps):
         c_prev, c_new, a = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], act_c[t % kept]
         g = gates[t]
@@ -223,6 +236,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     if not isinstance(tape, LstmTape):
         raise ShapeError(f"lstm_backward: got a {type(tape).__name__}")
     ws = {} if ws is None else ws
+    scratch = _scratch(ws)
     x, h, c, gates, act_c, activation = tape
     steps, batch, units = act_c.shape
     dh = np.asarray(dh, dtype=p.kernel.dtype)
@@ -232,22 +246,22 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
 
     # the factors of dz that do not depend on the recursion, for the whole window:
     # dz = [dcell, dcell, dh_t, dcell] * q, gate by gate
-    q = buffer(ws, "q", gates.shape, x.dtype)
+    q = buffer(scratch, "q", gates.shape, x.dtype)
     sigmoid_grad(gates[:, :3], q[:, :3])
     for k, factor in enumerate((c[:-1], cand, act_c)):
         q[:, k] *= factor
     q_cand = _activation_grad(activation, cand, q[:, 3])
     q_cand *= i
     cell_from_h = _activation_grad(activation, act_c,
-                                   buffer(ws, "cell_from_h", act_c.shape, x.dtype))
+                                   buffer(scratch, "cell_from_h", act_c.shape, x.dtype))
     cell_from_h *= o
 
-    dz = buffer(ws, "rows", (steps, batch, 4 * units), x.dtype)   # x K + b, no longer needed
+    dz = buffer(scratch, "rows", (steps, batch, 4 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 4)
-    dz_t = buffer(ws, "dz_t", (4, batch, units), x.dtype)
-    rec_t = _rec_buffer(ws, p.recurrent.shape[::-1], x.dtype)   # the forward's rec
+    dz_t = buffer(scratch, "dz_t", (4, batch, units), x.dtype)
+    rec_t = buffer(scratch, "rec", p.recurrent.shape[::-1], x.dtype)   # the forward's rec
     np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
-    dh_rec, dc, dh_t, dcell = (buffer(ws, name, (batch, units), x.dtype)
+    dh_rec, dc, dh_t, dcell = (buffer(scratch, name, (batch, units), x.dtype)
                                for name in ("dh_rec", "dc", "dh_t", "dcell"))
     dh_rec[...] = 0.0
     dc[...] = 0.0
@@ -273,10 +287,12 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     Outputs and tape live in `ws` and stay valid until its next forward.
     """
     ws = {} if ws is None else ws
-    x, steps, batch, units, pre, _ = _project_inputs(p, x, 3, activation, "gru_forward", ws)
+    scratch = _scratch(ws)
+    x, steps, batch, units, pre, _ = _project_inputs(p, x, 3, activation, "gru_forward",
+                                                     scratch)
     n_sig = 2 * units
     pre_by_gate = _by_gate(pre, 3)
-    rec_rz = _rec_buffer(ws, (units, n_sig), x.dtype)
+    rec_rz = buffer(scratch, "rec", (units, n_sig), x.dtype)
     np.multiply(p.recurrent[:, :n_sig], 0.5, out=rec_rz)     # exact halving, as in lstm_forward
     rec_c = p.recurrent[:, n_sig:]
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
@@ -284,8 +300,8 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     kept = steps if keep_tape else 1
     gates = buffer(ws, "gates", (steps, 3, batch, units), x.dtype) if keep_tape else pre_by_gate
     rh = buffer(ws, "rh", (kept, batch, units), x.dtype)
-    hr_rz = buffer(ws, "hr_rz", (batch, n_sig), x.dtype)
-    hr_c = buffer(ws, "hr_c", (batch, units), x.dtype)
+    hr_rz = buffer(scratch, "hr_rz", (batch, n_sig), x.dtype)
+    hr_c = buffer(scratch, "hr_c", (batch, units), x.dtype)
     for t in range(steps):
         g, rh_t = gates[t], rh[t % kept]
         rz, cand = g[:2], g[2]
@@ -309,6 +325,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     if not isinstance(tape, GruTape):
         raise ShapeError(f"gru_backward: got a {type(tape).__name__}")
     ws = {} if ws is None else ws
+    scratch = _scratch(ws)
     x, h, gates, rh, activation = tape
     steps, batch, units = rh.shape
     dh = np.asarray(dh, dtype=p.kernel.dtype)
@@ -320,23 +337,23 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
 
     # factors of dz that do not depend on the recursion, for the whole window, gate
     # by gate: q = [h_prev sig'(r), (h~ - h_prev) sig'(z), z act'(h~)], keep = 1 - z
-    q = buffer(ws, "q", gates.shape, x.dtype)
+    q = buffer(scratch, "q", gates.shape, x.dtype)
     sigmoid_grad(gates[:, :2], q[:, :2])
     q[:, 0] *= h_prev
-    keep = np.subtract(cand, h_prev, out=buffer(ws, "keep", rh.shape, x.dtype))
+    keep = np.subtract(cand, h_prev, out=buffer(scratch, "keep", rh.shape, x.dtype))
     q[:, 1] *= keep
     _activation_grad(activation, cand, q[:, 2])
     q[:, 2] *= z
     np.subtract(1.0, z, out=keep)
 
-    dz = buffer(ws, "rows", (steps, batch, 3 * units), x.dtype)   # x K + b, no longer needed
+    dz = buffer(scratch, "rows", (steps, batch, 3 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 3)
-    dz_t = buffer(ws, "dz_t", (3, batch, units), x.dtype)
-    rec_rz_t = _rec_buffer(ws, (n_sig, units), x.dtype)        # the forward's rec_rz
+    dz_t = buffer(scratch, "dz_t", (3, batch, units), x.dtype)
+    rec_rz_t = buffer(scratch, "rec", (n_sig, units), x.dtype)        # the forward's rec_rz
     np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
-    rec_c_t = buffer(ws, "rec_c_t", (units, units), x.dtype)
+    rec_c_t = buffer(scratch, "rec_c_t", (units, units), x.dtype)
     np.copyto(rec_c_t, p.recurrent[:, n_sig:].T)
-    dh_rec, dh_t, d_rh, dh_rz = (buffer(ws, name, (batch, units), x.dtype)
+    dh_rec, dh_t, d_rh, dh_rz = (buffer(scratch, name, (batch, units), x.dtype)
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
     dh_rec[...] = 0.0
     for t in reversed(range(steps)):
@@ -368,7 +385,7 @@ def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs, ws
     for inp, cols in recurrent_inputs:
         np.matmul(inp.reshape(rows, -1).T, dz[:, cols], out=grad.recurrent[:, cols])
     np.matmul(x.reshape(rows, -1).T, dz, out=grad.kernel)
-    ones = buffer(ws, "ones", (rows,), dz.dtype)
+    ones = buffer(_scratch(ws), "ones", (rows,), dz.dtype)
     ones[...] = 1.0
     np.matmul(ones, dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
     if not input_grad:

@@ -22,6 +22,7 @@ so, and none carries wall-clock text, so a rerun prints them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -53,6 +54,11 @@ from .network import (LayerSpec, ModelFormatError, NetworkSpec, load_model, pred
 from .stats import compare_architectures, render_normality_table, render_pairwise_table
 from .train import load_archive, run_experiment, save_archive, train
 
+try:
+    import fcntl
+except ImportError:         # no flock (Windows): commands take no lock there (README)
+    fcntl = None
+
 PREPARED_CSV = "prepared.csv"
 NORM_SIDECAR = "norm_params.json"
 
@@ -66,6 +72,30 @@ def _outdir(cfg: PipelineConfig, override: str | None, *parts) -> str:
     path = os.path.join(base, *parts)
     os.makedirs(path, exist_ok=True)
     return path
+
+
+@contextlib.contextmanager
+def _owned(path: str):
+    """Hold an exclusive lock on directory `path` for the block.
+
+    `prepare`, `hpo` and `train` each own the directory they write for
+    their whole life, so a second one on it fails at once instead of
+    racing the first one's writes.  The lock is an flock on the directory
+    itself: it leaves no file behind, and the kernel drops it when the
+    holder dies.
+    """
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"{path} is in use by another grnn process") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def _model_row_labels(label: str) -> tuple[str, int]:
@@ -109,17 +139,18 @@ def _summary_table(frame) -> str:
 
 def cmd_prepare(cfg: PipelineConfig, out: str | None) -> int:
     outdir = _outdir(cfg, out)
-    frame = _prepare_frame(cfg)
-    norm_frame, norm = normalize(frame, fit_on=cfg.fit_on, split=cfg.split)
-    write_frame_csv(os.path.join(outdir, PREPARED_CSV), norm_frame, cfg.date_column)
-    sidecar = {
-        "columns": {name: {"min": lo, "max": hi} for name, (lo, hi) in norm.bounds.items()},
-        "fit_on": cfg.fit_on,
-        "split": cfg.split,
-        "target": cfg.target,
-        "feature_order": frame.feature_order,
-    }
-    _write_json(os.path.join(outdir, NORM_SIDECAR), sidecar)
+    with _owned(outdir):
+        frame = _prepare_frame(cfg)
+        norm_frame, norm = normalize(frame, fit_on=cfg.fit_on, split=cfg.split)
+        write_frame_csv(os.path.join(outdir, PREPARED_CSV), norm_frame, cfg.date_column)
+        sidecar = {
+            "columns": {name: {"min": lo, "max": hi} for name, (lo, hi) in norm.bounds.items()},
+            "fit_on": cfg.fit_on,
+            "split": cfg.split,
+            "target": cfg.target,
+            "feature_order": frame.feature_order,
+        }
+        _write_json(os.path.join(outdir, NORM_SIDECAR), sidecar)
     n = frame.n_rows
     n_train = int(np.floor(cfg.split * n))
     print(f"prepared {n} rows ({n_train} train / {n - n_train} test) "
@@ -154,14 +185,6 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
     arch = cfg.arch(label)
     space = _search_space(cfg, arch)
     dataset = load_prepared(cfg, out)
-    outdir = _outdir(cfg, out, "hpo", label)
-    log_path = os.path.join(outdir, "trials.jsonl")
-
-    history = []
-    if os.path.exists(log_path):
-        history = load_history(log_path, space)
-        save_history(log_path, history)     # without a torn last line, before appending
-        info(f"resuming from {len(history)} recorded trials")
 
     def objective(values: dict) -> float:
         units = [values[f"units_{i}"] for i in range(len(arch.cell_kinds))]
@@ -173,27 +196,36 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
         report = evaluate(spec, result.best_params, dataset, split="test")
         return report.rmse_nd
 
-    with open(log_path, "a", encoding="utf-8") as log:
-        def on_trial(trial):
-            log.write(trial_line(trial))
-            log.flush()
-            info(f"trial {trial.trial_id}: {trial.status} objective={trial.objective}")
+    outdir = _outdir(cfg, out, "hpo", label)
+    log_path = os.path.join(outdir, "trials.jsonl")
+    with _owned(outdir):
+        history = []
+        if os.path.exists(log_path):
+            history = load_history(log_path, space)
+            save_history(log_path, history)     # without a torn last line, before appending
+            info(f"resuming from {len(history)} recorded trials")
 
-        best, history = optimize(objective, space, cfg.hpo, history=history,
-                                 on_trial=on_trial)
-    if best is None:
-        info("no complete trial")
-        return 1
-    best_units = [best.values[f"units_{i}"] for i in range(len(arch.cell_kinds))]
-    best_payload = {
-        "architecture": label,
-        "units": best_units,
-        "learning_rate": best.values["learning_rate"],
-        "batch_size": best.values["batch_size"],
-        "objective_rmse_nd": best.objective,
-        "trial_id": best.trial_id,
-    }
-    _write_json(os.path.join(outdir, "best.json"), best_payload)
+        with open(log_path, "a", encoding="utf-8") as log:
+            def on_trial(trial):
+                log.write(trial_line(trial))
+                log.flush()
+                info(f"trial {trial.trial_id}: {trial.status} objective={trial.objective}")
+
+            best, history = optimize(objective, space, cfg.hpo, history=history,
+                                     on_trial=on_trial)
+        if best is None:
+            info("no complete trial")
+            return 1
+        best_units = [best.values[f"units_{i}"] for i in range(len(arch.cell_kinds))]
+        best_payload = {
+            "architecture": label,
+            "units": best_units,
+            "learning_rate": best.values["learning_rate"],
+            "batch_size": best.values["batch_size"],
+            "objective_rmse_nd": best.objective,
+            "trial_id": best.trial_id,
+        }
+        _write_json(os.path.join(outdir, "best.json"), best_payload)
     print(json.dumps(best_payload, sort_keys=True))
     return 0
 
@@ -231,39 +263,40 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
     n_runs = repeats if repeats is not None else cfg.train.repeats
     tc = replace(cfg.train, batch_size=batch, learning_rate=lr)
     dataset = load_prepared(cfg, out)
-    info(f"{label}: units={units} lr={lr} batch={batch} repeats={n_runs} "
-         f"seed={tc.seed} activation={cfg.train.activation}")
 
     def on_run(record):
         r2_txt = f"R2={record.report.r2:.4f}" if record.report else f"failed: {record.error}"
         info(f"  seed {record.seed}: {record.status} epochs={record.stopped_epoch} {r2_txt}")
 
-    archive = run_experiment(spec, dataset, tc, repeats=n_runs, architecture=label,
-                             r2_bar=cfg.train.r2_bar, on_run=on_run)
     outdir = _outdir(cfg, out, "train", label)
-    save_archive(os.path.join(outdir, "archive.jsonl"), archive)
+    with _owned(outdir):
+        info(f"{label}: units={units} lr={lr} batch={batch} repeats={n_runs} "
+             f"seed={tc.seed} activation={cfg.train.activation}")
+        archive = run_experiment(spec, dataset, tc, repeats=n_runs, architecture=label,
+                                 r2_bar=cfg.train.r2_bar, on_run=on_run)
+        save_archive(os.path.join(outdir, "archive.jsonl"), archive)
 
-    best = archive.best()
-    if best is None:
-        complete = [r.report.r2 for r in archive.runs if r.report is not None]
-        best_r2 = max(complete) if complete else float("nan")
-        info(f"no qualifying run: best achieved R2 = {best_r2:.4f} "
-             f"(bar {cfg.train.r2_bar})")
-        return 1
-    extra = {
-        "architecture": label,
-        "lookback": cfg.lookback,
-        "feature_order": dataset.feature_order,
-        "target": cfg.target,
-        "split": cfg.split,
-        "fit_on": cfg.fit_on,
-        "activation": cfg.train.activation,
-        "seed": best.seed,
-        "units": [int(u) for u in units],
-        "learning_rate": lr,
-        "batch_size": batch,
-    }
-    save_model(os.path.join(outdir, "best.grnn"), spec, archive.best_params, extra)
+        best = archive.best()
+        if best is None:
+            complete = [r.report.r2 for r in archive.runs if r.report is not None]
+            best_r2 = max(complete) if complete else float("nan")
+            info(f"no qualifying run: best achieved R2 = {best_r2:.4f} "
+                 f"(bar {cfg.train.r2_bar})")
+            return 1
+        extra = {
+            "architecture": label,
+            "lookback": cfg.lookback,
+            "feature_order": dataset.feature_order,
+            "target": cfg.target,
+            "split": cfg.split,
+            "fit_on": cfg.fit_on,
+            "activation": cfg.train.activation,
+            "seed": best.seed,
+            "units": [int(u) for u in units],
+            "learning_rate": lr,
+            "batch_size": batch,
+        }
+        save_model(os.path.join(outdir, "best.grnn"), spec, archive.best_params, extra)
     model, n_layers = _model_row_labels(label)
     rep = best.report
     print(_report_row_header())

@@ -223,9 +223,14 @@ def _layer_forward(layer: LayerSpec, p: LayerParams, x, keep_tape: bool = True, 
     return forward(p, x, layer.activation, keep_tape, ws)
 
 
-def _layer_ws(ws: dict, index: int) -> dict:
-    """Layer `index`'s part of a network workspace."""
-    return ws.setdefault(f"layer{index}", {})
+def _layer_ws(ws: dict, key: str) -> dict:
+    """Part `key` of a network workspace: its own arrays, and the scratch all parts share.
+
+    Forward gives layer l the part "layer{l}", which keeps its tape.
+    Backward gives it "dx{l % 2}", which keeps only its dL/dx: layer l
+    reads layer l+1's, so the two alternate.
+    """
+    return ws.setdefault(key, {"scratch": ws.setdefault("scratch", {})})
 
 
 def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
@@ -233,13 +238,14 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
     """Run a (batch, lookback, features) stack of windows. Returns (preds, tape).
 
     The tape's arrays live in `ws` (a fresh workspace when None) and stay
-    valid only until the next forward on the same workspace.
+    valid only until the next forward on the same workspace.  The layers
+    share one set of scratch arrays, each the size the widest layer needs.
     """
     ws = {} if ws is None else ws
     x = np.ascontiguousarray(_check_windows(spec, windows, params.flat.dtype).transpose(1, 0, 2))
     tapes = []
     for l, (layer, p) in enumerate(zip(spec.layers, params.layers)):
-        x, tape = _layer_forward(layer, p, x, ws=_layer_ws(ws, l))
+        x, tape = _layer_forward(layer, p, x, ws=_layer_ws(ws, f"layer{l}"))
         tapes.append(tape)
     h_last = x[-1]
     preds = h_last @ params.head_w.T + params.head_b
@@ -285,10 +291,10 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
     The gradients are written into `grads` (a fresh NetworkParams of `spec`
     when None); every element is overwritten, so a training loop can pass
     the same container each step.  `ws` is the workspace the tape's forward
-    used, or any other: backward reuses the forward's x K + b rows, which
-    the tape does not hold, and adds its other arrays under names the
-    forward does not use.  The tape must come from the latest forward on
-    its workspace.
+    used, or any other: backward uses the layers' shared scratch (the
+    forward's x K + b rows become dz) and keeps each layer's dL/dx apart
+    from the tape (see `_layer_ws`).  The tape must come from the latest
+    forward on its workspace.
     """
     dtype = params.flat.dtype
     dpred = np.asarray(dpred, dtype=dtype)
@@ -311,7 +317,7 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
     for l in reversed(range(len(spec.layers))):
         layer_backward = lstm_backward if spec.layers[l].cell_kind == "lstm" else gru_backward
         dh = layer_backward(params.layers[l], tape.layers[l], dh, grads.layers[l],
-                            _layer_ws(ws, l), input_grad=l > 0)
+                            _layer_ws(ws, f"dx{l % 2}"), input_grad=l > 0)
     return grads
 
 

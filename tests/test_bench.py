@@ -48,3 +48,14 @@ def test_bench_predict_reports_peak_alloc(monkeypatch):
     for tree in result["trees"].values():
         assert tree["peak_alloc_mb"] == out["peak_alloc_mb"]
     assert result["artifacts_identical"] is True
+
+
+def test_bench_step_reports_peak_alloc(monkeypatch):
+    """The step case on one small shape, in-process: a fresh workspace's
+    peak over a full, a short and a full batch."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    bench = pytest.importorskip("bench")
+    monkeypatch.setattr(bench, "STEP_SHAPES", {"c09": ((("lstm", 47),), 2)})
+    out = bench.step_case(ROOT)
+    assert set(out["times"]) == set(out["digests"]) == set(out["peak_alloc_mb"]) == {"c09/float32"}
+    assert len(out["times"]["c09/float32"]) == 2 and out["peak_alloc_mb"]["c09/float32"] > 0

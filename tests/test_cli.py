@@ -297,6 +297,45 @@ def test_hpo_log_survives_a_crash_and_a_torn_line(tmp_path, capsys, monkeypatch)
     capsys.readouterr()
 
 
+@pytest.mark.skipif(cli.fcntl is None, reason="commands take no lock without fcntl")
+def test_second_hpo_on_one_out_fails_while_the_first_holds_it(tmp_path, capsys):
+    """A child process holds the search directory's lock: `grnn hpo` on the
+    same --out fails with one error: line naming the directory and writes
+    nothing.  Once the child is killed, the kernel drops the lock and the
+    same command resumes the log."""
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    hpo = ["hpo", "--config", str(path), "--arch", "lstm1", "--set", "hpo.n_startup=1"]
+    assert main([*hpo, "--set", "hpo.n_trials=2"]) == 0
+    outdir = tmp_path / "out" / "hpo" / "lstm1"
+    log = outdir / "trials.jsonl"
+    two_trials = log.read_bytes()
+    script = ("import sys, time\n"
+              "import grnn.cli\n"
+              "with grnn.cli._owned(sys.argv[1]):\n"
+              "    print('locked', flush=True)\n"
+              "    time.sleep(300)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    holder = subprocess.Popen([sys.executable, "-c", script, str(outdir)], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        capsys.readouterr()
+        assert main(hpo) == 1
+        assert str(outdir) in one_error_line(capsys)
+        assert log.read_bytes() == two_trials
+    finally:
+        holder.kill()
+        holder.wait(timeout=30)
+        holder.stdout.close()
+    assert main(hpo) == 0
+    assert "resuming from 2 recorded trials" in capsys.readouterr().err
+    assert log.read_bytes().startswith(two_trials)
+    assert len(log.read_bytes().splitlines()) == 6
+
+
 def test_prepare_is_deterministic_and_reports_counts(tmp_path, capsys):
     path = write_sine_config(tmp_path)
     assert main(["prepare", "--config", str(path)]) == 0

@@ -82,6 +82,7 @@ def fd_network_grads(spec, params, window, target):
     (LayerSpec("gru", 3, "relu"),),
     (LayerSpec("gru", 2), LayerSpec("lstm", 3)),
     (LayerSpec("lstm", 2, "relu"), LayerSpec("gru", 3, "relu")),
+    (LayerSpec("lstm", 2), LayerSpec("gru", 3), LayerSpec("lstm", 2)),
 ])
 def test_bptt_matches_finite_differences(layers):
     rng = Rng(6)
@@ -469,26 +470,40 @@ def test_dtype_is_checked_where_params_meet():
 
 @pytest.mark.parametrize("kind, units, gates", [("lstm", 5, 4), ("gru", 6, 2)])
 def test_layer_workspace_holds_one_recurrent_matrix(kind, units, gates):
-    """The forward's halved recurrent matrix and the backward's transposed
-    copy share one buffer."""
-    spec = small_spec(LayerSpec(kind, units), input_dim=3)
+    """A network's layers share one `rec`, one `rows` and one `q` buffer,
+    each sized for the widest layer (here the middle one): `rec` holds the
+    forward's halved recurrent matrix and the backward's transposed copy.
+    Each layer's own part keeps only its tape, and the two dL/dx parts only
+    dL/dx."""
+    other = "gru" if kind == "lstm" else "lstm"
+    spec = small_spec(LayerSpec(other, 3), LayerSpec(kind, units), LayerSpec(other, 2),
+                      input_dim=3)
     params = NetworkParams.init(spec, Rng(44), np.float32)
-    ws = {}
-    pred, tape = forward_batch(spec, params, np.ones((2, 4, 3)), ws)
+    steps, batch, ws = 4, 2, {}
+    pred, tape = forward_batch(spec, params, np.ones((batch, steps, 3)), ws)
     backward(spec, params, tape, np.ones_like(pred), None, ws)
-    layer = ws["layer0"]
-    assert layer["rec"].shape == (units * gates * units,)
-    assert not {"rec_t", "rec_rz", "rec_rz_t"} & set(layer)
+    assert set(ws) == {"scratch", "layer0", "layer1", "layer2", "dx0", "dx1", "dh_top"}
+    scratch = ws["scratch"]
+    assert scratch["rec"].base.size == units * gates * units
+    width = len(network.GATES[kind]) * units
+    assert scratch["rows"].base.size == scratch["q"].base.size == steps * batch * width
+    for l in range(3):
+        assert set(ws[f"layer{l}"]) <= {"scratch", "h", "c", "gates", "act_c", "rh"}
+        assert ws[f"layer{l}"]["scratch"] is scratch
+    assert set(ws["dx0"]) == set(ws["dx1"]) == {"scratch", "dx"}
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("kinds", [("lstm",), ("gru",), ("gru", "lstm")], ids="-".join)
+@pytest.mark.parametrize("kinds", [("lstm",), ("gru",), ("gru", "lstm"), ("lstm", "gru", "lstm")],
+                         ids="-".join)
 def test_reused_workspace_matches_fresh_ones(kinds, activation):
     """One workspace over batches of 5, 3 and 5 windows (the short batch
-    reallocates every buffer): predictions, tapes' outputs and gradients are
+    views a prefix of every buffer), its layers of 6, 4 and 5 units sharing
+    their scratch: predictions, tapes' outputs and gradients are
     bit-identical to those of calls on fresh workspaces."""
     rng = Rng(41)
-    spec = small_spec(*(LayerSpec(kind, 6, activation) for kind in kinds), input_dim=3)
+    spec = small_spec(*(LayerSpec(kind, units, activation)
+                        for kind, units in zip(kinds, (6, 4, 5))), input_dim=3)
     params = NetworkParams.init(spec, rng, np.float32)
     ws, grads = {}, NetworkParams.zeros(spec, np.float32)
     for batch in (5, 3, 5):

@@ -59,6 +59,19 @@ try:
 except ImportError:         # no flock (Windows): commands take no lock there (README)
     fcntl = None
 
+_locked_fds = []            # the directories this process holds locked (see _owned)
+
+
+def _close_locked_fds_in_child() -> None:
+    """A forked pool worker closes its copies of the locked directories' fds,
+    so that each lock lives exactly as long as the command's own process."""
+    while _locked_fds:
+        os.close(_locked_fds.pop())
+
+
+if fcntl is not None:
+    os.register_at_fork(after_in_child=_close_locked_fds_in_child)
+
 PREPARED_CSV = "prepared.csv"
 NORM_SIDECAR = "norm_params.json"
 
@@ -82,12 +95,14 @@ def _owned(path: str):
     their whole life, so a second one on it fails at once instead of
     racing the first one's writes.  The lock is an flock on the directory
     itself: it leaves no file behind, and the kernel drops it when the
-    holder dies.
+    holder dies.  Forked pool workers do not hold it, so workers left
+    running by a killed `train` do not keep the directory locked.
     """
     if fcntl is None:
         yield
         return
     fd = os.open(path, os.O_RDONLY)
+    _locked_fds.append(fd)
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -95,6 +110,7 @@ def _owned(path: str):
             raise OSError(f"{path} is in use by another grnn process") from None
         yield
     finally:
+        _locked_fds.remove(fd)
         os.close(fd)
 
 

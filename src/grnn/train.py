@@ -11,9 +11,8 @@ gradients, optimizer moments and training windows; the loss, its sum over
 the epoch and early stopping stay float64.  A non-finite loss or gradient
 ends the run with TrainingDiverged (the gradient usually overflows first).
 A run keeps one workspace for the tapes and the backward's arrays and one
-gradient vector, so its steps reuse memory instead of allocating it; only
-the epoch's short last batch, whose shape differs, reallocates the
-workspace's arrays.
+gradient vector, so its steps reuse memory instead of allocating it; the
+epoch's short last batch views a prefix of the workspace's arrays.
 
 `run_experiment` trains with seeds seed, seed+1, ... and evaluates each
 run on the held-out test split, retaining runs whose test R^2 clears the
@@ -31,14 +30,14 @@ BLAS has a thread setter (where it has none, the pool has one worker).
 The parent never sets its BLAS threads.  A second BLAS thread speeds one
 seed up by less than a second seed adds work, so pooled seeds finish
 sooner than serial ones (README; scripts/bench.py pool, BENCH_pool.json).
-Each worker holds its own network, workspace and optimizer, about 150 MB
-at gru-lstm1; the parent keeps the best run's weights only.  The cost:
-one and two BLAS threads round float32 differently at the c09 shape
-(lstm1, 47 units, batch 46), so a multi-seed archive can differ from
-single runs of the same seeds, though it depends on neither the worker
-count nor the core count.  Each run is scored where it trained; `grnn
-evaluate` scores at the process's BLAS threads, and at the c09 test split
-one and two threads give the same report.  A worker that dies fails the
+Each worker holds its own network, workspace and optimizer, about 123 MB
+at gru-lstm1 (BENCH_pool.json's largest worker); the parent keeps the best
+run's weights only.  The cost: one and two BLAS threads round float32
+differently at the c09 shape (lstm1, 47 units, batch 46), so a multi-seed
+archive can differ from single runs of the same seeds, though it depends
+on neither the worker count nor the core count.  Each run is scored
+where it trained; `grnn evaluate` scores at the process's BLAS threads,
+and at the c09 test split one and two threads give the same report.  A worker that dies fails the
 runs it had in flight ("worker died") and the remaining seeds still run.
 On Python >= 3.12, forking while BLAS threads are alive raises a
 DeprecationWarning.

@@ -3,9 +3,11 @@ import glob
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -334,6 +336,26 @@ def test_second_hpo_on_one_out_fails_while_the_first_holds_it(tmp_path, capsys):
     assert "resuming from 2 recorded trials" in capsys.readouterr().err
     assert log.read_bytes().startswith(two_trials)
     assert len(log.read_bytes().splitlines()) == 6
+
+
+@pytest.mark.skipif(cli.fcntl is None, reason="commands take no lock without fcntl")
+def test_forked_workers_do_not_keep_a_directory_locked(tmp_path):
+    """A pool worker forked while a command holds its directory does not
+    hold the lock, so workers left running by a killed `grnn train` do not
+    keep its directory locked."""
+    fork = multiprocessing.get_context("fork")
+    running = fork.Event()
+    with cli._owned(str(tmp_path)):
+        worker = fork.Process(target=lambda: (running.set(), time.sleep(60)))
+        worker.start()
+    try:
+        assert running.wait(timeout=30)
+        with cli._owned(str(tmp_path)):
+            assert worker.is_alive()
+    finally:
+        worker.kill()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
 
 
 def test_prepare_is_deterministic_and_reports_counts(tmp_path, capsys):

@@ -143,8 +143,8 @@ def step_case(tree: str) -> dict:
 
         def forward_backward(ws, rows=BATCH):
             preds, tape = forward_batch(spec, params, x[:rows], ws)
-            backward(spec, params, tape, (2.0 * (preds[:, 0] - y[:rows]) / rows)[:, None], grads,
-                     ws)
+            dpred = (2.0 * (preds[:, 0] - y[:rows]) / rows)[:, None]
+            backward(spec, params, tape, dpred, grads, ws)
 
         def step():
             forward_backward(ws)

@@ -228,7 +228,9 @@ def _layer_ws(ws: dict, key: str) -> dict:
 
     Forward gives layer l the part "layer{l}", which keeps its tape.
     Backward gives it "dx{l % 2}", which keeps only its dL/dx: layer l
-    reads layer l+1's, so the two alternate.
+    reads layer l+1's, so the two alternate.  (Each backward reads all of
+    dh before it writes dL/dx, so one buffer would do today; two keep that
+    from depending on the order of work inside a backward.)
     """
     return ws.setdefault(key, {"scratch": ws.setdefault("scratch", {})})
 

@@ -96,7 +96,9 @@ def _owned(path: str):
     racing the first one's writes.  The lock is an flock on the directory
     itself: it leaves no file behind, and the kernel drops it when the
     holder dies.  Forked pool workers do not hold it, so workers left
-    running by a killed `train` do not keep the directory locked.
+    running by a killed `train` do not keep the directory locked.  Where
+    the file system cannot lock a directory (NFS locks only files open for
+    writing), the command says so and runs unlocked.
     """
     if fcntl is None:
         yield
@@ -108,6 +110,8 @@ def _owned(path: str):
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise OSError(f"{path} is in use by another grnn process") from None
+        except OSError as exc:
+            info(f"{path}: cannot lock ({exc.strerror}); running without the lock")
         yield
     finally:
         _locked_fds.remove(fd)

@@ -1,4 +1,5 @@
 import datetime as dt
+import errno
 import glob
 import importlib
 import json
@@ -336,6 +337,21 @@ def test_second_hpo_on_one_out_fails_while_the_first_holds_it(tmp_path, capsys):
     assert "resuming from 2 recorded trials" in capsys.readouterr().err
     assert log.read_bytes().startswith(two_trials)
     assert len(log.read_bytes().splitlines()) == 6
+
+
+@pytest.mark.skipif(cli.fcntl is None, reason="commands take no lock without fcntl")
+def test_a_directory_the_file_system_cannot_lock_runs_unlocked(tmp_path, capsys, monkeypatch):
+    """NFS emulates flock with byte-range locks, which need a file open for
+    writing, so locking a directory there fails with EBADF: the command
+    says so and runs."""
+    def flock(fd, operation):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    monkeypatch.setattr(cli.fcntl, "flock", flock)
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    assert "cannot lock (Bad file descriptor); running without the lock" in capsys.readouterr().err
+    assert (tmp_path / "out" / "prepared.csv").exists()
 
 
 @pytest.mark.skipif(cli.fcntl is None, reason="commands take no lock without fcntl")

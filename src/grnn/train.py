@@ -22,14 +22,17 @@ in seed order.
 
 Where the runs execute follows one rule with two paths.  A single run
 trains in-process at the process's BLAS threads.  Every run of a
-multi-seed experiment trains in a pool of `pool_size(repeats)` =
-min(cores, GRNN_THREADS, repeats) workers forked from this process, even
-when that is one worker, so the dataset reaches them by copy-on-write;
-each worker caps its BLAS to one thread when it starts, where numpy's
-BLAS has a thread setter (where it has none, the pool has one worker).
-The parent never sets its BLAS threads.  A second BLAS thread speeds one
-seed up by less than a second seed adds work, so pooled seeds finish
-sooner than serial ones (README; scripts/bench.py pool, BENCH_pool.json).
+multi-seed experiment trains in one of `pool_size(repeats)` =
+min(cores, GRNN_THREADS, repeats) workers forked from this process with
+os.fork, even when that is one worker, so the dataset reaches them by
+copy-on-write; each worker caps its BLAS to one thread after the fork,
+where numpy's BLAS has a thread setter (where it has none, there is one
+worker).  The parent never sets its BLAS threads and starts no thread: it
+sends each worker one seed at a time down a pipe, waits on the workers'
+result pipes with `selectors`, and reaps only its own workers.  A second
+BLAS thread speeds one seed up by less than a second seed adds work, so
+pooled seeds finish sooner than serial ones (README; scripts/bench.py
+pool, BENCH_pool.json).
 Each worker holds its own network, workspace and optimizer, about 123 MB
 at gru-lstm1 (BENCH_pool.json's largest worker); the parent keeps the best
 run's weights only.  The cost: one and two BLAS threads round float32
@@ -37,18 +40,23 @@ differently at the c09 shape (lstm1, 47 units, batch 46), so a multi-seed
 archive can differ from single runs of the same seeds, though it depends
 on neither the worker count nor the core count.  Each run is scored
 where it trained; `grnn evaluate` scores at the process's BLAS threads,
-and at the c09 test split one and two threads give the same report.  A worker that dies fails the
-runs it had in flight ("worker died") and the remaining seeds still run.
-On Python >= 3.12, forking while BLAS threads are alive raises a
-DeprecationWarning.
+and at the c09 test split one and two threads give the same report.
+A worker exits when its seed pipe reaches EOF: when the parent has no seed
+left for it, or when the parent dies, so the workers of a killed run stop
+after their current seed.  A worker that dies fails only the seed it held
+("worker died"), and a fresh worker takes the remaining seeds.  Where
+os.fork is missing, a multi-seed run raises OSError.  On Python >= 3.12,
+forking while BLAS threads are alive raises a DeprecationWarning.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import os
+import pickle
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -276,59 +284,84 @@ def pool_size(repeats: int) -> int:
     return max(1, min(workers, repeats))
 
 
-_worker_job = None             # (spec, data, cfg, label, r2_bar), set in each pool worker
-
-
-def _init_worker(*job) -> None:
-    global _worker_job
-    _worker_job = job
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
-
-
-def _worker_run(seed: int):
-    return _run_one(_worker_job, seed)
+def _fork_worker(job, inherited: list):
+    """Fork a worker that trains each seed read from its seed pipe and writes
+    the pickled outcome to its result pipe; return its pid, the seed pipe's
+    write end and the result pipe's read end.  The worker exits at the seed
+    pipe's EOF, which also comes when this process dies, and never returns
+    into the caller: any exception ends it with os._exit(1)."""
+    seeds_r, seeds_w = os.pipe()
+    results_r, results_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for fd in (seeds_w, results_r, *inherited):      # the parent's pipe ends
+                os.close(fd)
+            setter = _blas_thread_setter()
+            if setter is not None:
+                setter(1)
+            with open(seeds_r, "rb") as seeds, open(results_w, "wb") as results:
+                for line in seeds:
+                    pickle.dump(_run_one(job, int(line)), results)
+                    results.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(seeds_r)
+    os.close(results_w)
+    return pid, seeds_w, open(results_r, "rb")
 
 
 def _run_pooled(job, seeds: list, workers: int):
-    """Run `seeds` in forked workers; yield each (record, best_params) in
-    seed order.  A worker that dies fails the seeds in flight, and a fresh
-    pool takes the rest."""
+    """Run `seeds` in `workers` forked workers; yield each (record,
+    best_params) in seed order.  A worker holds one seed at a time and is
+    sent the next when it returns one.  A worker that dies (EOF or a torn
+    pickle on its result pipe) fails only the seed it held, and a fresh
+    worker takes the rest."""
     # imported here, so that commands which start no pool never load them
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
+    import selectors
+    import signal
 
+    if not hasattr(os, "fork"):
+        raise OSError("this platform has no os.fork, so train one seed per run (--repeats 1)")
     pending = list(seeds)
     early = {}                  # outcomes that finished before an earlier seed
     next_seed = 0
-    fork = multiprocessing.get_context("fork")
-    while pending:
-        # fork: the job reaches each worker by copy-on-write, not pickled
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker,
-                                 initargs=job) as pool:
-            running = {}
-            while pending or running:
-                while pending and len(running) < workers:
-                    try:
-                        fut = pool.submit(_worker_run, pending[0])
-                    except BrokenProcessPool:
-                        break
-                    running[fut] = pending.pop(0)
-                if not running:
-                    break               # this pool broke: a fresh one takes the rest
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    seed = running.pop(fut)
-                    try:
-                        early[seed] = fut.result()
-                    except BrokenProcessPool:
-                        early[seed] = RunRecord(seed=seed, status="failed",
-                                                error="worker died"), None
-                while next_seed < len(seeds) and seeds[next_seed] in early:
-                    yield early.pop(seeds[next_seed])
-                    next_seed += 1
+    sel = selectors.DefaultSelector()    # result pipe -> [pid, seed pipe, seed held]
+
+    def send_or_retire(key, alive=True):
+        if alive and pending:
+            key.data[2] = pending.pop(0)
+            with contextlib.suppress(BrokenPipeError):   # then its result pipe shows EOF
+                os.write(key.data[1], b"%d\n" % key.data[2])
+            return
+        sel.unregister(key.fileobj)
+        key.fileobj.close()
+        os.close(key.data[1])                # the worker reads EOF and exits
+        os.waitpid(key.data[0], 0)
+
+    try:
+        while pending or sel.get_map():
+            while pending and len(sel.get_map()) < workers:
+                ours = [fd for key in sel.get_map().values() for fd in (key.fd, key.data[1])]
+                pid, seeds_w, results = _fork_worker(job, ours)
+                send_or_retire(sel.register(results, selectors.EVENT_READ, [pid, seeds_w, None]))
+            for key, _ in sel.select():
+                seed, alive = key.data[2], True
+                try:
+                    early[seed] = pickle.load(key.fileobj)
+                except (EOFError, pickle.UnpicklingError):
+                    early[seed] = RunRecord(seed=seed, status="failed", error="worker died"), None
+                    alive = False
+                send_or_retire(key, alive)
+            while next_seed < len(seeds) and seeds[next_seed] in early:
+                yield early.pop(seeds[next_seed])
+                next_seed += 1
+    finally:                                 # left early: stop the workers still running
+        for key in list(sel.get_map().values()):
+            os.kill(key.data[0], signal.SIGKILL)
+            send_or_retire(key, alive=False)
+        sel.close()
 
 
 def run_experiment(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig,

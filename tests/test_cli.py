@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -374,6 +375,70 @@ def test_forked_workers_do_not_keep_a_directory_locked(tmp_path):
     assert not worker.is_alive()
 
 
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_workers_of_a_killed_train_exit_after_their_seed(tmp_path, monkeypatch):
+    """`kill -9` of a pooled `grnn train` closes its end of each worker's
+    seed pipe, so every worker exits once it finishes the seed it holds."""
+    from grnn.train import pool_size
+
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    monkeypatch.setenv("GRNN_THREADS", "2")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    argv = [sys.executable, "-m", "grnn.cli", "train", "--config", str(path), "--arch",
+            "lstm1", "--repeats", "2", "--set", "train.max_epochs=300",
+            "--set", "train.patience=300"]      # about 1.5 s per seed
+    parent = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < pool_size(2):
+            assert parent.poll() is None and time.monotonic() < deadline, workers
+            with open(f"/proc/{parent.pid}/task/{parent.pid}/children",
+                      encoding="utf-8") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+            time.sleep(0.01)
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+    deadline = time.monotonic() + 20
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left, "workers still running 20 s after their parent was killed"
+
+
+def test_multi_seed_train_without_fork_fails_with_one_error_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    monkeypatch.delattr(os, "fork")
+    train = ["train", "--config", str(path), "--arch", "lstm1", "--set", "train.max_epochs=2",
+             "--set", "train.r2_bar=0"]
+    capsys.readouterr()
+    assert main([*train, "--repeats", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()       # the run's header line, then the error
+    assert [line for line in err if line.startswith("error:")] == err[-1:]
+    assert "os.fork" in err[-1]
+    assert main([*train, "--repeats", "1"]) == 0     # one seed trains in-process
+    capsys.readouterr()
+
+
 def test_prepare_is_deterministic_and_reports_counts(tmp_path, capsys):
     path = write_sine_config(tmp_path)
     assert main(["prepare", "--config", str(path)]) == 0
@@ -415,7 +480,8 @@ def test_prepare_that_fails_midway_keeps_the_old_prepared_csv(tmp_path, capsys,
 
 
 def test_prepare_loads_no_process_pool_modules(tmp_path):
-    """The pool's modules load only when a multi-seed run starts a pool."""
+    """No command loads them: a multi-seed `train` forks its workers with
+    os.fork (test_train.py checks that run)."""
     path = write_sine_config(tmp_path)
     script = ("import sys\n"
               "import grnn.cli\n"

@@ -1,6 +1,10 @@
 import datetime as dt
 import importlib
+import json
 import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -235,8 +239,99 @@ def test_a_dead_worker_fails_its_seeds_and_the_rest_still_run(sine_dataset, monk
     assert [r.seed for r in archive.runs] == [60, 61, 62, 63]
     assert seen == archive.runs
     assert (archive.runs[0].status, archive.runs[0].error) == ("failed", "worker died")
-    # seed 61 shared the pool that broke; seeds 62 and 63 ran in a fresh one
-    assert [r.status for r in archive.runs[2:]] == ["complete", "complete"]
+    # seed 61 trained beside the worker that died; a fresh worker took the rest
+    assert [r.status for r in archive.runs[1:]] == ["complete"] * 3
+
+
+@pytest.mark.parametrize("death", ["before_its_result", "mid_result"])
+def test_a_worker_dying_on_the_last_seed_still_reports_it(sine_dataset, monkeypatch, death):
+    """The dying seed is the last event of the run: its "worker died" record
+    still leaves the reorder buffer.  A worker dies either before it writes
+    a result (EOF on its result pipe) or halfway through one (a torn pickle)."""
+    def dying(spec, data, cfg):
+        if cfg.seed == 72 and death == "before_its_result":
+            os._exit(1)
+        return train(spec, data, cfg)
+
+    def torn_dump(outcome, file):
+        data = pickle.dumps(outcome)
+        if outcome[0].seed == 72:
+            file.write(data[:len(data) // 2])
+            file.flush()
+            os._exit(1)
+        file.write(data)
+
+    monkeypatch.setattr(train_module, "train", dying)
+    monkeypatch.setattr(train_module.pickle, "dump", torn_dump)
+    monkeypatch.setenv("GRNN_THREADS", "1")
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=70)
+    seen = []
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3, on_run=seen.append)
+    assert [(r.seed, r.status, r.error) for r in archive.runs] == [
+        (70, "complete", ""), (71, "complete", ""), (72, "failed", "worker died")]
+    assert seen == archive.runs
+
+
+def _children() -> set:
+    pid = os.getpid()
+    with open(f"/proc/{pid}/task/{pid}/children", encoding="utf-8") as fh:
+        return set(fh.read().split())
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_a_run_left_early_stops_and_reaps_its_workers(sine_dataset, monkeypatch):
+    """Closing the runner after its first outcome kills the workers still
+    training and reaps them: none is left running or as a zombie."""
+    monkeypatch.setenv("GRNN_THREADS", "2")
+    before = _children()
+    cfg = TrainConfig(batch_size=16, max_epochs=50, patience=50, learning_rate=3e-3, seed=80)
+    outcomes = train_module._run_pooled((SINE_SPEC, sine_dataset, cfg, "", 0.9),
+                                        [80, 81, 82], train_module.pool_size(3))
+    record, _ = next(outcomes)
+    assert (record.seed, record.status) == (80, "complete")
+    assert _children() - before                      # a worker holds seed 81 or 82
+    outcomes.close()
+    assert _children() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_pooled_run_starts_no_thread_and_loads_no_pool_module(sine_dataset, tmp_path):
+    """The parent of a 2-seed run starts no thread, so no thread of it ends
+    while another reader lists /proc/self/task, and it never imports
+    multiprocessing or concurrent.futures.  OpenBLAS ends its own threads
+    at every fork and starts them at its next call, so the child runs with
+    one BLAS thread: its task list is then its main thread alone."""
+    data = tmp_path / "sine.pickle"
+    data.write_bytes(pickle.dumps(sine_dataset))
+    script = ("import json, os, pickle, sys, threading\n"
+              "from grnn.network import LayerSpec, NetworkSpec\n"
+              "from grnn.train import TrainConfig, run_experiment\n"
+              "with open(sys.argv[1], 'rb') as fh:\n"
+              "    data = pickle.load(fh)\n"
+              "def threads():\n"
+              "    return threading.active_count(), sorted(os.listdir('/proc/self/task'))\n"
+              "seen = [threads()]\n"
+              "archive = run_experiment(\n"
+              "    NetworkSpec(layers=(LayerSpec('lstm', 16),), input_dim=1), data,\n"
+              "    TrainConfig(batch_size=16, max_epochs=3, learning_rate=3e-3, seed=5),\n"
+              "    repeats=2, on_run=lambda record: seen.append(threads()))\n"
+              "seen.append(threads())\n"
+              "pool = ('multiprocessing', 'concurrent.futures')\n"
+              "print(json.dumps({'seen': seen, 'status': [r.status for r in archive.runs],\n"
+              "                  'loaded': [m for m in pool if m in sys.modules]}))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(train_module.__file__)))
+    env = {**os.environ, "GRNN_THREADS": "2", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, str(data)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["status"] == ["complete", "complete"]
+    assert len(got["seen"]) == 4                     # start, two on_run calls, after
+    assert all(entry == got["seen"][0] for entry in got["seen"]), got["seen"]
+    assert got["seen"][0][0] == 1
+    assert got["loaded"] == []
 
 
 def test_metric_samples_pull_retained_only(sine_dataset):

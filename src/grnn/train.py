@@ -33,7 +33,7 @@ result pipes with `selectors`, and reaps only its own workers.  A second
 BLAS thread speeds one seed up by less than a second seed adds work, so
 pooled seeds finish sooner than serial ones (README; scripts/bench.py
 pool, BENCH_pool.json).
-Each worker holds its own network, workspace and optimizer, about 123 MB
+Each worker holds its own network, workspace and optimizer, about 98 MB
 at gru-lstm1 (BENCH_pool.json's largest worker); the parent keeps the best
 run's weights only.  The cost: one and two BLAS threads round float32
 differently at the c09 shape (lstm1, 47 units, batch 46), so a multi-seed
@@ -378,17 +378,18 @@ def run_experiment(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig,
         raise ValueError("repeats must be >= 1")
     job = (spec, data, cfg, architecture, r2_bar)
     if repeats == 1:
-        outcomes = [_run_one(job, cfg.seed)]
-    else:
-        outcomes = _run_pooled(job, [cfg.seed + k for k in range(repeats)],
-                               pool_size(repeats))
+        outcomes = contextlib.nullcontext([_run_one(job, cfg.seed)])
+    else:       # closed on the way out, so an exception from on_run stops the workers
+        outcomes = contextlib.closing(_run_pooled(
+            job, [cfg.seed + k for k in range(repeats)], pool_size(repeats)))
     archive = RunArchive(architecture=architecture, runs=[])
-    for record, params in outcomes:
-        archive.runs.append(record)
-        if archive.best() is record:
-            archive.best_params = params
-        if on_run is not None:
-            on_run(record)
+    with outcomes as runs:
+        for record, params in runs:
+            archive.runs.append(record)
+            if archive.best() is record:
+                archive.best_params = params
+            if on_run is not None:
+                on_run(record)
     return archive
 
 

@@ -281,18 +281,22 @@ def _children() -> set:
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="needs /proc/<pid>/task/<pid>/children")
 def test_a_run_left_early_stops_and_reaps_its_workers(sine_dataset, monkeypatch):
-    """Closing the runner after its first outcome kills the workers still
-    training and reaps them: none is left running or as a zombie."""
+    """An exception from on_run stops the workers still training and reaps
+    them before it leaves run_experiment, even while the caller holds its
+    traceback: no worker is left running or as a zombie."""
+    class Stop(Exception):
+        pass
+
+    def stop(record):
+        assert _children() - before                  # a worker holds seed 81 or 82
+        raise Stop
+
     monkeypatch.setenv("GRNN_THREADS", "2")
     before = _children()
     cfg = TrainConfig(batch_size=16, max_epochs=50, patience=50, learning_rate=3e-3, seed=80)
-    outcomes = train_module._run_pooled((SINE_SPEC, sine_dataset, cfg, "", 0.9),
-                                        [80, 81, 82], train_module.pool_size(3))
-    record, _ = next(outcomes)
-    assert (record.seed, record.status) == (80, "complete")
-    assert _children() - before                      # a worker holds seed 81 or 82
-    outcomes.close()
-    assert _children() == before
+    with pytest.raises(Stop) as stopped:
+        run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3, on_run=stop)
+    assert stopped.traceback and _children() == before
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -300,8 +304,8 @@ def test_a_pooled_run_starts_no_thread_and_loads_no_pool_module(sine_dataset, tm
     """The parent of a 2-seed run starts no thread, so no thread of it ends
     while another reader lists /proc/self/task, and it never imports
     multiprocessing or concurrent.futures.  OpenBLAS ends its own threads
-    at every fork and starts them at its next call, so the child runs with
-    one BLAS thread: its task list is then its main thread alone."""
+    at every fork and starts them at its next call, so the script runs
+    with one BLAS thread: its task list is then its main thread alone."""
     data = tmp_path / "sine.pickle"
     data.write_bytes(pickle.dumps(sine_dataset))
     script = ("import json, os, pickle, sys, threading\n"

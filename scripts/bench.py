@@ -27,6 +27,13 @@ Cases, each with a fixed amount of work per round:
            512-unit LSTM.  Keys are the shapes; digests: the predictions.
            After the timed calls one more call runs under tracemalloc, and
            its peak is the key's peak_alloc_mb.
+    suggest
+           one TPE `suggest` on a fixed 60-trial history, after one warm-up
+           call: 200 calls in the lstm1 space (units, learning rate, batch
+           size) and 200 in the gru-lstm1 space (two units dimensions), at
+           the [hpo] default bounds and TPE settings.  The history's values
+           are prior draws from one seed, scored by a fixed bowl.  Keys are
+           the spaces; digests: the proposals.
     setup  command start-up on the synthetic market bundle under
            profiles/synthetic-market.ini: fresh-process `import grnn.cli`
            (import) and `grnn prepare` (prepare), then each prepare stage 5
@@ -101,6 +108,11 @@ PREDICT_SHAPES = {               # name: (layers, timed calls per round)
     "gru-lstm1": ((("gru", 498), ("lstm", 311)), 5),
     "lstm512": ((("lstm", 512),), 5),
 }
+SUGGEST_SPACES = {               # name: (units dimensions, timed calls per round)
+    "lstm1": (1, 200),
+    "gru-lstm1": (2, 200),
+}
+SUGGEST_HISTORY = 60
 PROBE_READINGS = 5
 STAGE_REPEATS = 5
 STAGES = ("ingest", "add_indicators", "normalize", "write_frame_csv", "read_frame_csv",
@@ -231,6 +243,40 @@ def predict_case(tree: str) -> dict:
     return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
 
 
+def suggest_case(tree: str) -> dict:
+    from grnn.config import HpoSettings
+    from grnn.hpo import IntUniform, LogUniform, SearchSpace, Trial, suggest
+    from grnn.numerics import Rng
+
+    hpo = HpoSettings()
+    times, digests = {}, {}
+    for name, (layers, k) in SUGGEST_SPACES.items():
+        space = SearchSpace((
+            *(IntUniform(f"units_{i}", hpo.units_low, hpo.units_high) for i in range(layers)),
+            LogUniform("learning_rate", hpo.lr_low, hpo.lr_high),
+            IntUniform("batch_size", hpo.batch_low, hpo.batch_high)))
+
+        def bowl(values):
+            total = 0.0
+            for d in space.dims:
+                lo, hi = d.native_bounds()
+                total += ((d.to_native(values[d.name]) - lo) / (hi - lo) - 0.3) ** 2
+            return total
+
+        rng, history = Rng(0), []
+        for i in range(SUGGEST_HISTORY):
+            values = space.sample_prior(rng)
+            history.append(Trial(i, values, bowl(values), "complete"))
+        suggest(history, space, hpo, Rng(1).child(k))
+        times[name], proposals = [], []
+        for call in range(k):
+            started = time.perf_counter()
+            proposals.append(suggest(history, space, hpo, Rng(1).child(call)))
+            times[name].append(time.perf_counter() - started)
+        digests[name] = sha1(json.dumps(proposals, sort_keys=True).encode())
+    return {"times": times, "digests": digests}
+
+
 def timed(argv: list) -> float:
     started = time.perf_counter()
     subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -322,6 +368,8 @@ CASES = {
                               f"windows, float32, lookback {LOOKBACK}, {FEATURES} features"),
     "step": (step_case, "seconds of one training step (forward_batch + backward + nadam "
                         f"apply), batch {BATCH}, lookback {LOOKBACK}, {FEATURES} features"),
+    "suggest": (suggest_case, f"seconds of one TPE suggest on a {SUGGEST_HISTORY}-trial "
+                              "history at the [hpo] default bounds"),
     "setup": (setup_case, "seconds of command start-up on the synthetic market bundle: "
                           "fresh-process `import grnn.cli` and `grnn prepare`, and each "
                           "prepare stage in-process"),

@@ -39,20 +39,21 @@ from .data import (
     add_indicators,
     check_type,
     ingest,
+    json_line,
     normalize,
     read_frame_csv,
     read_json,
     window,
     write_atomic,
     write_frame_csv,
+    write_jsonl,
 )
-from .hpo import (IntUniform, LogUniform, SearchSpace, load_history, optimize, save_history,
-                  trial_line)
+from .hpo import IntUniform, LogUniform, SearchSpace, load_history, optimize, save_history
 from .metrics import EvalReport, evaluate
 from .network import (LayerSpec, ModelFormatError, NetworkSpec, load_model, predict_batch,
                       save_model)
 from .stats import compare_architectures, render_normality_table, render_pairwise_table
-from .train import load_archive, run_experiment, save_archive, train
+from .train import TrainingDiverged, load_archive, run_experiment, save_archive
 
 try:
     import fcntl
@@ -212,9 +213,11 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
         tc = replace(cfg.train, batch_size=int(values["batch_size"]),
                      learning_rate=float(values["learning_rate"]),
                      max_epochs=cfg.hpo.max_epochs, seed=cfg.hpo.train_seed)
-        result = train(spec, dataset, tc)
-        report = evaluate(spec, result.best_params, dataset, split="test")
-        return report.rmse_nd
+        record = run_experiment(spec, dataset, tc, repeats=1, architecture=label,
+                                r2_bar=cfg.train.r2_bar).runs[0]
+        if record.report is None:
+            raise TrainingDiverged(record.error)
+        return record.report.rmse_nd
 
     outdir = _outdir(cfg, out, "hpo", label)
     log_path = os.path.join(outdir, "trials.jsonl")
@@ -227,7 +230,7 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
 
         with open(log_path, "a", encoding="utf-8") as log:
             def on_trial(trial):
-                log.write(trial_line(trial))
+                log.write(json_line(trial.to_record()))
                 log.flush()
                 info(f"trial {trial.trial_id}: {trial.status} objective={trial.objective}")
 
@@ -236,10 +239,9 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
         if best is None:
             info("no complete trial")
             return 1
-        best_units = [best.values[f"units_{i}"] for i in range(len(arch.cell_kinds))]
         best_payload = {
             "architecture": label,
-            "units": best_units,
+            "units": [best.values[f"units_{i}"] for i in range(len(arch.cell_kinds))],
             "learning_rate": best.values["learning_rate"],
             "batch_size": best.values["batch_size"],
             "objective_rmse_nd": best.objective,
@@ -400,24 +402,19 @@ def cmd_compare(cfg: PipelineConfig, labels: list[str], out: str | None) -> int:
     outdir = _outdir(cfg, out, "compare")
     path = os.path.join(outdir, "comparison.jsonl")
 
-    def write(fh):
-        for res in results:
-            record = {
-                "metric": res.metric,
-                "normality": {
-                    label: (r if isinstance(r, str)
-                            else {"k2": r.statistic, "p_value": r.p_value, "n": r.n})
-                    for label, r in res.normality.items()},
-                "pairwise": [
-                    {"a": a, "b": b,
-                     **({"marker": r} if isinstance(r, str) else
-                        {"t": r.t_statistic, "dof": r.dof, "p_value": r.p_value,
-                         "significant_at_05": r.significant_at_05})}
-                    for (a, b), r in res.pairwise.items()],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    write_atomic(path, write)
+    write_jsonl(path, [{
+        "metric": res.metric,
+        "normality": {
+            label: (r if isinstance(r, str)
+                    else {"k2": r.statistic, "p_value": r.p_value, "n": r.n})
+            for label, r in res.normality.items()},
+        "pairwise": [
+            {"a": a, "b": b,
+             **({"marker": r} if isinstance(r, str) else
+                {"t": r.t_statistic, "dof": r.dof, "p_value": r.p_value,
+                 "significant_at_05": r.significant_at_05})}
+            for (a, b), r in res.pairwise.items()],
+    } for res in results])
     info(f"wrote {path}")
     return 0
 

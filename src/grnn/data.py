@@ -464,6 +464,16 @@ def read_jsonl(path, parse, first=None, drop_torn_tail: bool = False) -> list:
     return out
 
 
+def json_line(record) -> str:
+    """`record` as one line of a JSON-lines file: key-sorted, newline-ended."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def write_jsonl(path, records) -> None:
+    """Write `records` as a JSON-lines file, atomically (`write_atomic`)."""
+    write_atomic(path, lambda fh: fh.writelines(map(json_line, records)))
+
+
 _JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (dict, "an object")}
 
 

@@ -17,8 +17,11 @@ neighbours, floored at 1% of the native range and capped at the full
 range.  Following the adaptive Parzen construction, each estimator also
 carries the uniform prior as one extra equal-weight mixture component;
 without it the good-set kernels collapse onto an early cluster and the
-search stops exploring.  Proposals are clamped to their bounds, so a
-suggestion can never leave its range.
+search stops exploring.  It also floors a mixture of n kernels at
+1/((n+1)(hi-lo)), so the density cannot underflow, and BANDWIDTH_FLOOR
+bounds each kernel's peak: the density is summed directly, one exp per
+kernel and one log, with no log-sum-exp max and shift.  Proposals are
+clamped to their bounds, so a suggestion can never leave its range.
 
 Trial histories serialize to line-delimited JSON and runs can resume from
 a partial file; each trial draws from an independent seed-derived stream,
@@ -27,13 +30,12 @@ so a resumed run reproduces the uninterrupted one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import check_type, read_jsonl, write_atomic
+from .data import check_type, read_jsonl, write_jsonl
 from .numerics import FLOAT, Rng
 
 BANDWIDTH_FLOOR = 0.01      # least kernel width, as a fraction of the native range
@@ -182,16 +184,14 @@ def _bandwidths(sorted_obs: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def _kde_logpdf(x: np.ndarray, mus: np.ndarray, sigmas: np.ndarray,
                 lo: float, hi: float) -> np.ndarray:
-    """log density of the Gaussian mixture plus the uniform prior component.
-
-    All len(mus)+1 components carry equal weight.
-    """
-    z = (x[:, None] - mus[None, :]) / sigmas[None, :]
-    logs = -0.5 * z * z - np.log(sigmas[None, :]) - 0.5 * math.log(2.0 * math.pi)
-    prior = np.full((x.size, 1), -math.log(hi - lo))
-    logs = np.concatenate([logs, prior], axis=1)
-    peak = logs.max(axis=1, keepdims=True)
-    return peak[:, 0] + np.log(np.mean(np.exp(logs - peak), axis=1))
+    """log density of the Gaussian mixture plus the uniform prior component,
+    all len(mus)+1 of equal weight (summed directly; see the module docstring)."""
+    z = np.subtract.outer(x, mus)
+    z /= sigmas
+    z *= z
+    z *= -0.5
+    dens = np.exp(z, out=z) @ (1.0 / (sigmas * math.sqrt(2.0 * math.pi)))
+    return np.log((dens + 1.0 / (hi - lo)) / (mus.size + 1))
 
 
 def _suggest_dim(dist, good_native: np.ndarray, bad_native: np.ndarray,
@@ -280,14 +280,9 @@ def optimize(objective, space: SearchSpace, cfg: TpeConfig,
     return best, history
 
 
-def trial_line(trial: Trial) -> str:
-    """One line of a trial log."""
-    return json.dumps(trial.to_record(), sort_keys=True) + "\n"
-
-
 def save_history(path, history: list[Trial]) -> None:
-    """Write a whole trial log atomically (`data.write_atomic`)."""
-    write_atomic(path, lambda fh: fh.writelines(trial_line(t) for t in history))
+    """Write a whole trial log atomically (`data.write_jsonl`)."""
+    write_jsonl(path, [t.to_record() for t in history])
 
 
 def load_history(path, space: SearchSpace | None = None) -> list[Trial]:

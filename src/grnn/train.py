@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 import os
 import pickle
@@ -61,7 +60,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import DataError, WindowedDataset, read_jsonl, write_atomic
+from .data import DataError, WindowedDataset, read_jsonl, write_jsonl
 from .metrics import EvalReport, evaluate
 from .network import NetworkParams, NetworkSpec, backward, forward_batch
 from .numerics import FLOAT, Rng
@@ -397,9 +396,7 @@ def save_archive(path, archive: RunArchive) -> None:
     """Line-delimited records, one per run, preceded by an archive header;
     written atomically."""
     header = {"architecture": archive.architecture, "n_runs": len(archive.runs)}
-    lines = [header] + [run.to_record() for run in archive.runs]
-    write_atomic(path, lambda fh: fh.writelines(
-        json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    write_jsonl(path, [header] + [run.to_record() for run in archive.runs])
 
 
 def load_archive(path) -> RunArchive:

@@ -1,5 +1,8 @@
-"""scripts/bench.py end to end: one round of the setup case against HEAD."""
+"""scripts/bench.py end to end: one round of the setup case against HEAD;
+its in-process cases; and the names perfbench's tracer times."""
 
+import importlib
+import importlib.util
 import json
 import os
 import shutil
@@ -48,6 +51,37 @@ def test_bench_predict_reports_peak_alloc(monkeypatch):
     for tree in result["trees"].values():
         assert tree["peak_alloc_mb"] == out["peak_alloc_mb"]
     assert result["artifacts_identical"] is True
+
+
+def test_bench_suggest_times_each_space(monkeypatch):
+    """The suggest case with two timed calls per space, in-process, and its report."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    bench = pytest.importorskip("bench")
+    monkeypatch.setattr(bench, "SUGGEST_SPACES", {"lstm1": (1, 2), "gru-lstm1": (2, 2)})
+    out = bench.suggest_case(ROOT)
+    assert set(out["times"]) == set(out["digests"]) == {"lstm1", "gru-lstm1"}
+    assert all(len(ts) == 2 for ts in out["times"].values())
+    assert out["digests"]["lstm1"] != out["digests"]["gru-lstm1"]
+    assert bench.suggest_case(ROOT)["digests"] == out["digests"]
+    runs = {name: [{**out, "probe_s": 0.01}] for name in ("change", "parent")}
+    result = bench.report("suggest", {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066)
+    assert set(result["change_vs_parent"]) == {"lstm1", "gru-lstm1"}
+    assert result["artifacts_identical"] is True
+
+
+def test_every_traced_name_is_a_function_of_its_grnn_module():
+    """perfbench's tracer reports a name it cannot find as absent, and the
+    workload's result line then carries null metrics; so every name in its
+    TARGETS stays a callable at module level in grnn.<module>."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, names in tracer.TARGETS.items():
+        found = importlib.import_module(f"grnn.{module}")
+        for name in names:
+            assert callable(getattr(found, name, None)), f"grnn.{module}.{name}"
 
 
 def test_bench_step_reports_peak_alloc(monkeypatch):

@@ -289,11 +289,12 @@ def test_hpo_log_survives_a_crash_and_a_torn_line(tmp_path, capsys, monkeypatch)
             raise KeyboardInterrupt
         return train(*args)
 
-    monkeypatch.setattr(cli, "train", crashing_train)
+    train_module = importlib.import_module("grnn.train")
+    monkeypatch.setattr(train_module, "train", crashing_train)
     with pytest.raises(KeyboardInterrupt):
         main(hpo)
     assert log.read_bytes() == b"".join(whole.splitlines(keepends=True)[:2])
-    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(train_module, "train", train)
 
     log.write_bytes(log.read_bytes()[:-20])     # an append torn by the crash
     assert main(hpo) == 0

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grnn.hpo import (
+    BANDWIDTH_FLOOR,
     IntUniform,
     LogUniform,
     SearchSpace,
     TpeConfig,
     Trial,
+    _kde_logpdf,
     load_history,
     optimize,
     save_history,
@@ -115,6 +117,33 @@ def test_suggest_bounds_under_fuzzed_histories(seed, n_hist):
     assert 32 <= values["units"] <= 512
     assert 1e-4 <= values["learning_rate"] <= 1e-2
     assert 16 <= values["batch_size"] <= 128
+
+
+def _kde_logpdf_by_logsumexp(x, mus, sigmas, lo, hi):
+    """The mixture's log density through log-sum-exp over its components."""
+    z = (x[:, None] - mus[None, :]) / sigmas[None, :]
+    logs = -0.5 * z * z - np.log(sigmas[None, :]) - 0.5 * math.log(2.0 * math.pi)
+    prior = np.full((x.size, 1), -math.log(hi - lo))
+    logs = np.concatenate([logs, prior], axis=1)
+    peak = logs.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.mean(np.exp(logs - peak), axis=1))
+
+
+@pytest.mark.parametrize("dim", [UNITS, LR, BATCH], ids=lambda d: d.name)
+def test_kde_logpdf_matches_logsumexp(dim):
+    """Random mixtures of 1 to 60 kernels, some bandwidths at the floor,
+    candidates spread over the range and at both bounds."""
+    lo, hi = dim.native_bounds()
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 61))
+        mus = rng.uniform(lo, hi, n)
+        sigmas = rng.uniform(BANDWIDTH_FLOOR, 1.0, n) * (hi - lo)
+        sigmas[rng.random(n) < 0.5] = BANDWIDTH_FLOOR * (hi - lo)
+        x = np.concatenate([[lo, hi], mus, rng.uniform(lo, hi, 100)])
+        np.testing.assert_allclose(_kde_logpdf(x, mus, sigmas, lo, hi),
+                                   _kde_logpdf_by_logsumexp(x, mus, sigmas, lo, hi),
+                                   rtol=0, atol=1e-12)
 
 
 # --- optimize ---------------------------------------------------------------

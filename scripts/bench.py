@@ -38,8 +38,10 @@ Cases, each with a fixed amount of work per round:
            profiles/synthetic-market.ini: fresh-process `import grnn.cli`
            (import) and `grnn prepare` (prepare), then each prepare stage 5
            times in-process: ingest, add_indicators, normalize,
-           write_frame_csv, read_frame_csv and window.  Digests:
-           prepared.csv and norm_params.json.
+           write_frame_csv, read_frame_csv and window.  Then one untimed
+           pass runs each stage under its own tracemalloc, and the peak is
+           the stage's peak_alloc_mb.  Digests: prepared.csv,
+           norm_params.json and window's train_x, test_x, train_y, test_y.
     pool   one multi-seed `run_experiment` three ways: serial (one
            `repeats=1` run per seed, in-process at the process's BLAS
            threads), one_worker (GRNN_THREADS=1: a pool of one forked
@@ -51,6 +53,18 @@ Cases, each with a fixed amount of work per round:
            peak RSS so far of the process and of its largest pool worker is
            read; the shapes run from the smallest network to the largest,
            so each reading is its own shape's.
+    rss    each of `grnn prepare`, then the train-lstm1 and train-gru-lstm1
+           commands of perfbench (lstm1: 8 seeds x 12 epochs, patience 12;
+           gru-lstm1: 1 seed x 1 epoch) in a fresh process on the synthetic
+           market bundle.  Keys are the commands; rss_mb is the process's
+           own ru_maxrss (RUSAGE_SELF, so not its pool workers'); perfbench's
+           peak_rss_mb reads it the same way, over one process that runs
+           prepare and then the train command.  Digests: each command's
+           exit code and every file written.
+    optim  one nadam `apply` on fixed float32 gradients, after two warm-up
+           calls: 1000 at c09 (10,576 parameters) and 100 at gru-lstm1
+           (1.77 M).  Keys are the shapes; digests: the weights after the
+           last call.
 
 The synthetic market bundle and the sine CSV are written once into a
 temporary work directory.  With --against REV, `git archive REV` is
@@ -63,10 +77,12 @@ rounds taken on a busy host shows as such.  Each BENCH_<case>.json holds
 the machine (perfbench/envinfo.py), the rounds, the probe's time on a fast
 host (probe_ref_s) and, per tree, its commit, its digests, each round's
 probe reading (probe_s), each key's median, min and sample count and, for
-pool, predict and step, the largest memory reading of any round; with
---against also, per key, the ratio of the medians (change over parent) and
-the number of rounds in which this tree's median of the round was the
-lower, and whether both trees' digests agree.
+pool, predict, setup and step, the largest memory reading of any round
+(for rss, every round's reading and their median); with --against also,
+per key, the ratio of the medians (change over parent) and the number of
+rounds in which this tree's median of the round was the lower (for rss
+also its reading: rss_change_vs_parent), and whether both trees' digests
+agree.
 The timings of one child process are not independent of each other, so
 rounds, not single timings, are the pairs: a speed claim needs the change
 to win 9 of 10 rounds.  The case code runs on both trees, so it calls only
@@ -113,6 +129,10 @@ SUGGEST_SPACES = {               # name: (units dimensions, timed calls per roun
     "gru-lstm1": (2, 200),
 }
 SUGGEST_HISTORY = 60
+OPTIM_SHAPES = {                 # name: (layers, timed calls per round)
+    "c09": ((("lstm", 47),), 1000),
+    "gru-lstm1": ((("gru", 498), ("lstm", 311)), 100),
+}
 PROBE_READINGS = 5
 STAGE_REPEATS = 5
 STAGES = ("ingest", "add_indicators", "normalize", "write_frame_csv", "read_frame_csv",
@@ -123,6 +143,17 @@ POOL_SHAPES = {                  # name: (profile, architecture, seeds, epochs)
     "gru-lstm1": ("synthetic-market.ini", "gru-lstm1", 2, 2),
 }
 MODES = ("serial", "one_worker", "pooled")
+RSS_COMMANDS = {                 # name: grnn arguments, as perfbench's market workloads run them
+    "prepare": ("prepare",),
+    "train-lstm1": ("train", "--arch", "lstm1", "--repeats", "8",
+                    "--set", "train.max_epochs=12", "--set", "train.patience=12"),
+    "train-gru-lstm1": ("train", "--arch", "gru-lstm1", "--repeats", "1",
+                        "--set", "train.max_epochs=1"),
+}
+# one grnn command in this process; its exit code and this process's own peak RSS
+RSS_CHILD = ("import json, resource, sys; from grnn.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
 
 
 def sha1(data: bytes) -> str:
@@ -284,6 +315,8 @@ def timed(argv: list) -> float:
 
 
 def setup_case(tree: str) -> dict:
+    import tracemalloc
+
     profile = os.path.join(tree, "profiles", "synthetic-market.ini")
     times = {"import": [timed([sys.executable, "-c", "import grnn.cli"])]}
     with tempfile.TemporaryDirectory(dir=".") as out:
@@ -297,14 +330,24 @@ def setup_case(tree: str) -> dict:
         cfg = load_config(profile)
         path = os.path.join(out, "stages.csv")
         times.update({name: [] for name in STAGES})
+        peak_alloc_mb = {}
 
-        def stage(name, fn, *args, **kwargs):
+        def timed_stage(name, fn, *args, **kwargs):
             started = time.perf_counter()
             value = fn(*args, **kwargs)
             times[name].append(time.perf_counter() - started)
             return value
 
-        for _ in range(STAGE_REPEATS):
+        def traced_stage(name, fn, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                value = fn(*args, **kwargs)
+                peak_alloc_mb[name] = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+            finally:
+                tracemalloc.stop()
+            return value
+
+        def stages(stage):
             frame = stage("ingest", data.ingest, cfg.sources, cfg.date_column)
             frame = stage("add_indicators", data.add_indicators, frame, cfg.target,
                           cfg.indicators)
@@ -312,9 +355,15 @@ def setup_case(tree: str) -> dict:
                                 split=cfg.split)
             stage("write_frame_csv", data.write_frame_csv, path, frame, cfg.date_column)
             frame = stage("read_frame_csv", data.read_frame_csv, path, cfg.date_column)
-            stage("window", data.window, frame, cfg.lookback, norm, split=cfg.split,
-                  target=cfg.target)
-    return {"times": times, "digests": digests}
+            return stage("window", data.window, frame, cfg.lookback, norm, split=cfg.split,
+                         target=cfg.target)
+
+        for _ in range(STAGE_REPEATS):
+            dataset = stages(timed_stage)
+        digests.update({name: sha1(getattr(dataset, name).tobytes())
+                        for name in ("train_x", "test_x", "train_y", "test_y")})
+        stages(traced_stage)
+    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
 
 
 def pool_case(tree: str) -> dict:
@@ -360,6 +409,52 @@ def pool_case(tree: str) -> dict:
     return {"times": times, "digests": digests, "peak_rss_mb": peak_rss_mb}
 
 
+def rss_case(tree: str) -> dict:
+    profile = os.path.join(tree, "profiles", "synthetic-market.ini")
+    times, digests, rss_mb = {}, {}, {}
+    with tempfile.TemporaryDirectory(dir=".") as out:
+        for name, args in RSS_COMMANDS.items():
+            started = time.perf_counter()
+            done = subprocess.run([sys.executable, "-c", RSS_CHILD, *args, "--config", profile,
+                                   "--out", out], check=True, capture_output=True, text=True)
+            times[name] = [time.perf_counter() - started]
+            code, maxrss_kb = json.loads(done.stdout.splitlines()[-1])
+            if code not in (0, 1):      # 1: no run cleared the R2 bar
+                raise SystemExit(f"grnn {name} exited {code}: {done.stderr}")
+            rss_mb[name] = maxrss_kb / 1024.0
+            digests[f"{name}/exit"] = code
+        for folder, _, files in os.walk(out):
+            for file in files:
+                path = os.path.join(folder, file)
+                digests[os.path.relpath(path, out)] = file_sha1(path)
+    return {"times": times, "digests": digests, "rss_mb": rss_mb}
+
+
+def optim_case(tree: str) -> dict:
+    import numpy as np
+    from grnn.network import LayerSpec, NetworkParams, NetworkSpec
+    from grnn.numerics import Rng
+    from grnn.optim import OptimizerState, apply
+
+    times, digests = {}, {}
+    for name, (layers, k) in OPTIM_SHAPES.items():
+        spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
+                           input_dim=FEATURES)
+        params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
+        grads = NetworkParams.zeros(spec, np.dtype(np.float32))
+        grads.flat[:] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e-2
+        opt = OptimizerState.create("nadam", 1e-4)
+        apply(opt, params, grads)
+        apply(opt, params, grads)
+        times[name] = []
+        for _ in range(k):
+            started = time.perf_counter()
+            apply(opt, params, grads)
+            times[name].append(time.perf_counter() - started)
+        digests[name] = sha1(params.flat.tobytes())
+    return {"times": times, "digests": digests}
+
+
 CASES = {
     "layer": (layer_case, "seconds of one LSTM or GRU layer forward, and of its backward "
                           f"with dL/dx, float32, batch {BATCH}, lookback {LOOKBACK}, "
@@ -375,6 +470,9 @@ CASES = {
                           "prepare stage in-process"),
     "pool": (pool_case, "raw wall seconds of one multi-seed run_experiment: serial, "
                         "one_worker and pooled"),
+    "rss": (rss_case, "raw wall seconds of one grnn command in a fresh process on the "
+                      "synthetic market bundle; rss_mb: that process's own peak RSS"),
+    "optim": (optim_case, "seconds of one nadam apply on fixed float32 gradients"),
 }
 
 
@@ -430,6 +528,11 @@ def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
         if "peak_alloc_mb" in outs[0]:
             tree["peak_alloc_mb"] = {key: max(out["peak_alloc_mb"][key] for out in outs)
                                      for key in outs[0]["peak_alloc_mb"]}
+        if "rss_mb" in outs[0]:
+            tree["rss_mb"] = {}
+            for key in outs[0]["rss_mb"]:
+                mbs = [out["rss_mb"][key] for out in outs]
+                tree["rss_mb"][key] = {"median": statistics.median(mbs), "rounds": mbs}
     if "parent" in runs:
         trees = result["trees"]
         result["artifacts_identical"] = (trees["change"]["digests"]
@@ -442,6 +545,14 @@ def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
                       for a, b in zip(runs["change"], runs["parent"])),
                   "rounds": len(runs["change"])}
             for key in times["change"]}
+        if "rss_mb" in trees["change"]:
+            result["rss_change_vs_parent"] = {
+                key: {"median_ratio": (trees["change"]["rss_mb"][key]["median"]
+                                       / trees["parent"]["rss_mb"][key]["median"]),
+                      "rounds_lower": sum(a["rss_mb"][key] < b["rss_mb"][key]
+                                          for a, b in zip(runs["change"], runs["parent"])),
+                      "rounds": len(runs["change"])}
+                for key in trees["change"]["rss_mb"]}
     return result
 
 
@@ -491,10 +602,16 @@ def main(argv=None) -> int:
                 vs = result["change_vs_parent"][key]
                 line += (f" | x{vs['median_ratio']:.3f}, faster in "
                          f"{vs['rounds_faster']}/{vs['rounds']} rounds")
-            if "peak_alloc_mb" in result["trees"]["change"]:
+            trees = result["trees"].values()
+            if key in result["trees"]["change"].get("peak_alloc_mb", {}):
                 line += " | peak " + " / ".join(
-                    f"{tree['peak_alloc_mb'][key]:.1f}" for tree in result["trees"].values())
-                line += " MB"
+                    f"{tree['peak_alloc_mb'][key]:.2f}" for tree in trees) + " MB"
+            if key in result["trees"]["change"].get("rss_mb", {}):
+                line += " | rss median " + " / ".join(
+                    f"{tree['rss_mb'][key]['median']:.2f}" for tree in trees) + " MB"
+                if "rss_change_vs_parent" in result:
+                    vs = result["rss_change_vs_parent"][key]
+                    line += f", lower in {vs['rounds_lower']}/{vs['rounds']} rounds"
             print(f"{case}/{key:<22} {line}")
         print(f"{case}: probe median " + " | ".join(
             f"{name} {statistics.median(tree['probe_s']) * 1e3:.2f} ms"

@@ -13,7 +13,11 @@ MACD (12-day EMA minus 26-day EMA) and Wilder's 14-day RSI are computed
 from the target column; the first 25 rows, where MACD is undefined, are
 trimmed before any split.  `write_frame_csv` writes `repr` of every value
 (exact round trip) through `write_atomic`, so a crash mid-write leaves the
-previous file in place.
+previous file in place; it formats, and `read_frame_csv` parses, _FRAME_BLOCK
+rows at a time, so neither holds the whole file as text.  `window` copies
+no window: its windows are read-only views over one normalized (rows,
+features) float64 matrix, and the casts to the compute dtype happen per
+batch in `train` and per chunk in `predict_batch`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .numerics import FLOAT
 
-_FRAME_BLOCK = 512         # rows that read_frame_csv parses at once
+_FRAME_BLOCK = 512         # rows that write_frame_csv formats, and read_frame_csv parses, at once
 
 
 class DataError(ValueError):
@@ -90,7 +94,14 @@ class NormalizationParams:
 
 @dataclass
 class WindowedDataset:
-    """Supervised (window, next-step target) pairs after normalization."""
+    """Supervised (window, next-step target) pairs after normalization.
+
+    `train_x` and `test_x` are read-only float64 views over one (rows,
+    features) matrix, not copies: window i of a side is that side's rows
+    [i, i + lookback).  Writing into them raises ValueError.  `train` casts
+    each batch it gathers, and `predict_batch` each chunk, to the network's
+    dtype; nothing casts or copies a whole split.
+    """
 
     train_x: np.ndarray     # (n_train, lookback, features)
     train_y: np.ndarray     # (n_train,)
@@ -306,7 +317,8 @@ def window(frame: TimeSeriesFrame, lookback: int, norm: NormalizationParams,
     The chronological split comes first, at floor(split*N) rows; windows
     are then built within each side independently, so no window straddles
     the boundary.  Sample i is (rows [i, i+lookback), target at row
-    i+lookback) -- the target is always strictly after its window.
+    i+lookback) -- the target is always strictly after its window.  The
+    windows are read-only views of the frame's matrix (see WindowedDataset).
     """
     if lookback < 1:
         raise DataError("lookback must be >= 1")
@@ -321,21 +333,14 @@ def window(frame: TimeSeriesFrame, lookback: int, norm: NormalizationParams,
     data = frame.matrix()
     names = frame.feature_order
     t_idx = names.index(target)
-
-    def build(lo: int, hi: int):
-        rows = data[lo:hi]
-        count = (hi - lo) - lookback
-        xs = np.stack([rows[i:i + lookback] for i in range(count)])
-        ys = rows[lookback:, t_idx].copy()
-        dates = frame.dates[lo + lookback:hi]
-        return xs, ys, dates
-
-    train_x, train_y, train_dates = build(0, n_train)
-    test_x, test_y, test_dates = build(n_train, n)
+    # windows[i] is rows [i, i + lookback) of `data`: a read-only view, no copy
+    windows = np.lib.stride_tricks.sliding_window_view(data, lookback, axis=0)
+    windows = windows.transpose(0, 2, 1)
     return WindowedDataset(
-        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
+        train_x=windows[:n_train - lookback], train_y=data[lookback:n_train, t_idx].copy(),
+        test_x=windows[n_train:n - lookback], test_y=data[n_train + lookback:, t_idx].copy(),
         norm=norm, feature_order=names, target_name=target, lookback=lookback,
-        train_dates=train_dates, test_dates=test_dates,
+        train_dates=frame.dates[lookback:n_train], test_dates=frame.dates[n_train + lookback:],
     )
 
 
@@ -364,13 +369,16 @@ def write_atomic(path, write, mode: str = "w") -> None:
 def write_frame_csv(path, frame: TimeSeriesFrame, date_column: str = "Date") -> None:
     """Write a frame atomically as delimited text: dates plus every column at
     full precision (`repr`), in the bytes of `csv.writer` (CRLF row ends)."""
+    columns = [frame.columns[c] for c in frame.feature_order]
+
     def write(fh):
         csv.writer(fh).writerow([date_column] + frame.feature_order)
         # a float's repr holds no comma, quote or line break, so csv.writer
         # would write each data field as it is
-        fields = [map(repr, frame.columns[c].tolist()) for c in frame.feature_order]
-        dates = [d.isoformat() for d in frame.dates]
-        fh.write("".join([",".join(row) + "\r\n" for row in zip(dates, *fields)]))
+        for lo in range(0, frame.n_rows, _FRAME_BLOCK):
+            fields = [map(repr, column[lo:lo + _FRAME_BLOCK].tolist()) for column in columns]
+            dates = [d.isoformat() for d in frame.dates[lo:lo + _FRAME_BLOCK]]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(dates, *fields)]))
 
     write_atomic(path, write)
 

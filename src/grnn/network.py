@@ -14,9 +14,10 @@ The dtype of `flat` (one of DTYPES) is the network's compute dtype.
 
 Prediction: `predict_batch` runs the windows in chunks whose x K + b rows
 take at most PREDICT_CHUNK_BYTES in the widest layer, so scoring a split
-takes memory bounded by the chunk, not by the split.  Chunks change only
-the row count of each GEMM; where BLAS picks its kernel by that count, a
-prediction can differ from one pass in its last bits.
+takes memory bounded by the chunk, not by the split; the first layer casts
+each chunk to the network's dtype, and the split is never cast whole.
+Chunks change only the row count of each GEMM; where BLAS picks its kernel
+by that count, a prediction can differ from one pass in its last bits.
 
 Checkpoints (format version 1): one JSON header line (format version,
 layers, metadata, tensor manifest) and then the float64 little-endian
@@ -206,8 +207,8 @@ class ForwardTape:
     h_last: np.ndarray                # (batch, top_units), head input
 
 
-def _check_windows(spec: NetworkSpec, windows, dtype) -> np.ndarray:
-    """Check a (batch, lookback, features) stack; return it as an array of `dtype`."""
+def _check_windows(spec: NetworkSpec, windows, dtype=None) -> np.ndarray:
+    """Check a (batch, lookback, features) stack; return it as an array (of `dtype`, if given)."""
     windows = np.asarray(windows, dtype=dtype)
     if windows.ndim != 3:
         raise ShapeError(f"windows: expected (batch, lookback, features), got {windows.shape}")
@@ -269,7 +270,7 @@ def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarr
     the head runs once over all of it.
     """
     dtype = params.flat.dtype
-    windows = _check_windows(spec, windows, dtype)
+    windows = _check_windows(spec, windows)
     n, lookback = windows.shape[:2]
     widest = max(len(GATES[layer.cell_kind]) * layer.units for layer in spec.layers)
     per_chunk = max(1, PREDICT_CHUNK_BYTES // (lookback * widest * dtype.itemsize))
@@ -279,7 +280,7 @@ def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarr
     stop = 0
     for k in range(chunks):
         start, stop = stop, stop + size + (k < longer)
-        x = windows[start:stop].transpose(1, 0, 2)
+        x = windows[start:stop].transpose(1, 0, 2)    # the first layer casts the chunk
         for layer, p in zip(spec.layers, params.layers):
             x, _ = _layer_forward(layer, p, x, keep_tape=False)
         top[start:stop] = x[-1]

@@ -7,9 +7,11 @@ MSE; early stopping fires when the best loss so far has not improved by
 at least 1e-12 for `patience` consecutive epochs (the test split never
 influences stopping).  The weights with the lowest monitored loss are the
 returned model.  Training computes in float32 (TRAIN_DTYPE): the weights,
-gradients, optimizer moments and training windows; the loss, its sum over
-the epoch and early stopping stay float64.  A non-finite loss or gradient
-ends the run with TrainingDiverged (the gradient usually overflows first).
+gradients, optimizer moments and each batch of windows, which
+`forward_batch` casts as it takes it (the dataset's windows stay float64
+views); the loss, its sum over the epoch and early stopping stay float64.
+A non-finite loss or gradient ends the run with TrainingDiverged (the
+gradient usually overflows first).
 A run keeps one workspace for the tapes and the backward's arrays and one
 gradient vector, so its steps reuse memory instead of allocating it; the
 epoch's short last batch views a prefix of the workspace's arrays.
@@ -110,7 +112,7 @@ class TrainResult:
 
 def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainResult:
     """Fit one network; see the module docstring for the protocol."""
-    xs, ys = data.train_x.astype(TRAIN_DTYPE, copy=False), data.train_y
+    xs, ys = data.train_x, data.train_y      # forward_batch casts each batch
     n = xs.shape[0]
     if n == 0:
         raise ValueError("training split is empty")

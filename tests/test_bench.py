@@ -29,7 +29,10 @@ def test_bench_setup_against_head(tmp_path):
     assert set(result["trees"]) == {"change", "parent"}
     for tree in result["trees"].values():
         assert set(tree["times"]) == SETUP_KEYS
-        assert set(tree["digests"]) == {"prepared.csv", "norm_params.json"}
+        assert set(tree["digests"]) == {"prepared.csv", "norm_params.json", "train_x", "test_x",
+                                        "train_y", "test_y"}
+        assert set(tree["peak_alloc_mb"]) == SETUP_KEYS - {"import", "prepare"}
+        assert all(mb > 0 for mb in tree["peak_alloc_mb"].values())
         assert len(tree["probe_s"]) == 1 and tree["probe_s"][0] > 0
     assert result["probe_ref_s"] > 0
     assert set(result["change_vs_parent"]) == SETUP_KEYS
@@ -93,3 +96,44 @@ def test_bench_step_reports_peak_alloc(monkeypatch):
     out = bench.step_case(ROOT)
     assert set(out["times"]) == set(out["digests"]) == set(out["peak_alloc_mb"]) == {"c09/float32"}
     assert len(out["times"]["c09/float32"]) == 2 and out["peak_alloc_mb"]["c09/float32"] > 0
+
+
+def test_bench_rss_reports_each_commands_own_peak(monkeypatch, tmp_path):
+    """The rss case on prepare and a one-epoch train, in-process, and its report."""
+    from grnn.synthetic import write_bundle
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    bench = pytest.importorskip("bench")
+    monkeypatch.setattr(bench, "RSS_COMMANDS", {
+        "prepare": ("prepare",),
+        "train": ("train", "--arch", "lstm1", "--repeats", "1", "--set", "train.max_epochs=1")})
+    monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+    monkeypatch.chdir(tmp_path)
+    write_bundle(tmp_path / "data" / "synthetic", seed=0)
+    out = bench.rss_case(ROOT)
+    assert set(out["times"]) == set(out["rss_mb"]) == {"prepare", "train"}
+    assert all(mb > 0 for mb in out["rss_mb"].values())
+    assert out["digests"]["prepare/exit"] == 0 and out["digests"]["train/exit"] in (0, 1)
+    assert {"prepared.csv", "norm_params.json", "train/lstm1/archive.jsonl"} <= set(out["digests"])
+    assert os.listdir(tmp_path) == ["data"]
+    runs = {name: [{**out, "probe_s": 0.01}] for name in ("change", "parent")}
+    result = bench.report("rss", {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066)
+    for tree in result["trees"].values():
+        assert tree["rss_mb"]["train"] == {"median": out["rss_mb"]["train"],
+                                           "rounds": [out["rss_mb"]["train"]]}
+    assert result["rss_change_vs_parent"]["train"] == {"median_ratio": 1.0, "rounds_lower": 0,
+                                                       "rounds": 1}
+    assert result["artifacts_identical"] is True
+
+
+def test_bench_optim_times_apply_and_digests_the_weights(monkeypatch):
+    """The optim case with three timed calls on the c09 shape, in-process."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    bench = pytest.importorskip("bench")
+    monkeypatch.setattr(bench, "OPTIM_SHAPES", {"c09": ((("lstm", 47),), 3)})
+    out = bench.optim_case(ROOT)
+    assert set(out["times"]) == set(out["digests"]) == {"c09"}
+    assert len(out["times"]["c09"]) == 3 and all(t > 0 for t in out["times"]["c09"])
+    assert bench.optim_case(ROOT)["digests"] == out["digests"]
+    monkeypatch.setattr(bench, "OPTIM_SHAPES", {"c09": ((("lstm", 47),), 4)})
+    assert bench.optim_case(ROOT)["digests"] != out["digests"]     # each call moves the weights

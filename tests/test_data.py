@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import random_frame
 from grnn.data import (
     DataError,
     TimeSeriesFrame,
+    _FRAME_BLOCK,
     add_indicators,
     ema,
     ingest,
@@ -21,8 +23,10 @@ from grnn.data import (
     write_atomic,
     write_frame_csv,
 )
+from grnn.network import LayerSpec, NetworkSpec
 from grnn.numerics import Rng
 from grnn.synthetic import write_bundle, write_sine
+from grnn.train import TrainConfig, train
 from helpers import reference_read_series_csv, reference_write_frame_csv
 
 TABLE_NIFTY_MIN = 2573.15
@@ -360,6 +364,76 @@ def test_window_errors_when_side_too_short():
         window(scaled, lookback=5, norm=norm, split=0.80, target="C0")
 
 
+def stacked_windows(frame, lookback, split):
+    """The windows as np.stack copies, one per window: the reference for `window`."""
+    data = frame.matrix()
+    n_train = int(np.floor(split * frame.n_rows))
+
+    def build(lo, hi):
+        return np.stack([data[i:i + lookback] for i in range(lo, hi - lookback)])
+
+    return build(0, n_train), build(n_train, frame.n_rows)
+
+
+@pytest.mark.parametrize("n, n_cols, lookback, split", [
+    (50, 2, 4, 0.80),
+    (60, 3, 1, 0.80),        # lookback 1
+    (4, 1, 1, 0.50),         # both sides lookback + 1 rows long, the shortest allowed
+    (10, 2, 4, 0.50),
+    (23, 5, 3, 0.70),
+    (3649, 8, 10, 0.80),     # the published shape
+])
+def test_window_views_equal_stacked_copies(n, n_cols, lookback, split):
+    frame = random_frame(13, n=n, n_cols=n_cols)
+    scaled, norm = normalize(frame, fit_on="full")
+    ds = window(scaled, lookback=lookback, norm=norm, split=split, target="C0")
+    train_x, test_x = stacked_windows(scaled, lookback, split)
+    for got, want in ((ds.train_x, train_x), (ds.test_x, test_x)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    n_train = int(np.floor(split * n))
+    np.testing.assert_array_equal(ds.train_y, scaled.columns["C0"][lookback:n_train])
+    np.testing.assert_array_equal(ds.test_y, scaled.columns["C0"][n_train + lookback:])
+
+
+def test_windows_are_read_only_views_of_one_matrix():
+    frame = random_frame(14, n=50, n_cols=3)
+    scaled, norm = normalize(frame, fit_on="full")
+    ds = window(scaled, lookback=4, norm=norm, split=0.80, target="C1")
+
+    def owner(a):
+        while getattr(a, "base", None) is not None:
+            a = a.base
+        return a
+
+    matrix = owner(ds.train_x)
+    assert owner(ds.test_x) is matrix
+    np.testing.assert_array_equal(matrix, scaled.matrix())
+    assert np.shares_memory(ds.train_x, matrix) and np.shares_memory(ds.test_x, matrix)
+    for xs in (ds.train_x, ds.test_x):
+        with pytest.raises(ValueError, match="read-only"):
+            xs[0, 0, 0] = 1.0
+    np.testing.assert_array_equal(matrix, scaled.matrix())
+
+
+@pytest.mark.parametrize("layers, batch_size, learning_rate", [
+    ((("lstm", 47),), 46, 0.00486),               # c09: 2,909 windows end in a batch of 11
+    ((("gru", 12), ("lstm", 7)), 64, 0.002),      # two layers; a last batch of 29
+])
+def test_train_on_window_views_matches_contiguous_copies(market_dataset, layers, batch_size,
+                                                         learning_rate):
+    ds = market_dataset
+    assert ds.train_x.shape[0] % batch_size != 0
+    spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers), input_dim=8)
+    cfg = TrainConfig(batch_size=batch_size, max_epochs=2, patience=2,
+                      learning_rate=learning_rate, seed=7)
+    got = train(spec, ds, cfg)
+    for copy in (np.ascontiguousarray(ds.train_x), ds.train_x.astype(np.float32)):
+        want = train(spec, replace(ds, train_x=copy), cfg)
+        assert got.epoch_losses == want.epoch_losses
+        assert got.best_params.flat.tobytes() == want.best_params.flat.tobytes()
+
+
 def test_frame_invariants():
     dates = [dt.date(2020, 1, 2), dt.date(2020, 1, 1)]
     with pytest.raises(DataError, match="increasing"):
@@ -404,6 +478,25 @@ def test_frame_writer_bytes_match_the_row_writer_on_sine_and_odd_names(tmp_path)
         write_frame_csv(tmp_path / "new.csv", frame, date_column="Day")
         reference_write_frame_csv(tmp_path / "ref.csv", frame, date_column="Day")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def joined_frame_csv(path, frame, date_column="Date"):
+    """`write_frame_csv`'s bytes from one join over all rows: the reference
+    for the block-wise writer."""
+    fields = [map(repr, frame.columns[c].tolist()) for c in frame.feature_order]
+    dates = [d.isoformat() for d in frame.dates]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join([date_column] + frame.feature_order) + "\r\n")
+        fh.write("".join([",".join(row) + "\r\n" for row in zip(dates, *fields)]))
+
+
+@pytest.mark.parametrize("n", [_FRAME_BLOCK - 1, _FRAME_BLOCK, _FRAME_BLOCK + 1,
+                               2 * _FRAME_BLOCK + 1])
+def test_frame_writer_bytes_match_one_join_at_block_edges(tmp_path, n):
+    frame = random_frame(15, n=n, n_cols=3)
+    write_frame_csv(tmp_path / "new.csv", frame)
+    joined_frame_csv(tmp_path / "ref.csv", frame)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_frame_csv_with_only_a_header_is_a_data_error(tmp_path):

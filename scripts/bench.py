@@ -2,6 +2,7 @@
 BENCH_<case>.json for each case.
 
     python scripts/bench.py CASE [CASE ...] [--rounds 5] [--against REV] [--out-dir DIR]
+    python scripts/bench.py layer [--rounds 5] --against REV --interleave
 
 Cases, each with a fixed amount of work per round:
 
@@ -14,12 +15,14 @@ Cases, each with a fixed amount of work per round:
            Then a fresh workspace runs forward_batch and backward on a
            full, a short (SHORT_BATCH) and a full batch under tracemalloc,
            and the peak is the key's peak_alloc_mb.
-    layer  one LSTM and one GRU layer, float32, at 47 and 512 units: forward
-           then backward (with dL/dx, as a layer above the first runs it),
-           on one workspace reused as `train` reuses it, after two warm-up
-           calls: 300 at 47 units and 20 at 512; batch 46, lookback 10, 8
-           inputs.  Keys <kind><units>/forward and <kind><units>/backward;
-           digests: the outputs, the weight gradients and dL/dx.
+    layer  one LSTM and one GRU layer, float32: forward then backward (with
+           dL/dx, as a layer above the first runs it), on one workspace
+           reused as `train` reuses it, after two warm-up calls: 300 at 16
+           units on smoke-sine.ini's shape (batch 16, lookback 8, 1 input),
+           300 at 47 units and 20 at 512 (batch 46, lookback 10, 8
+           inputs).  Keys <kind><units>/forward and <kind><units>/backward;
+           digests: the outputs, the weight gradients and dL/dx.  With
+           --interleave, see below.
     predict
            `predict_batch` on 720 windows (the synthetic market bundle's
            test split), lookback 10, 8 features, with float32 weights, after
@@ -112,12 +115,16 @@ STEP_SHAPES = {                  # name: (layers, timed steps per round)
     "c09": ((("lstm", 47),), 300),
     "gru-lstm1": ((("gru", 498), ("lstm", 311)), 20),
 }
-LAYER_SHAPES = {                 # name: (kind, units, timed calls per round)
-    "lstm47": ("lstm", 47, 300),
-    "gru47": ("gru", 47, 300),
-    "lstm512": ("lstm", 512, 20),
-    "gru512": ("gru", 512, 20),
+LAYER_SHAPES = {     # name: (kind, units, batch, lookback, inputs, timed calls per round)
+    "lstm16": ("lstm", 16, 16, 8, 1, 300),                  # smoke-sine.ini's shape
+    "gru16": ("gru", 16, 16, 8, 1, 300),
+    "lstm47": ("lstm", 47, BATCH, LOOKBACK, FEATURES, 300),
+    "gru47": ("gru", 47, BATCH, LOOKBACK, FEATURES, 300),
+    "lstm512": ("lstm", 512, BATCH, LOOKBACK, FEATURES, 20),
+    "gru512": ("gru", 512, BATCH, LOOKBACK, FEATURES, 20),
 }
+LAYER_PARTS = ("forward", "backward")
+LAYER_BLOCKS = 10    # interleaved blocks per round and key
 PREDICT_WINDOWS = 720
 PREDICT_SHAPES = {               # name: (layers, timed calls per round)
     "c09": ((("lstm", 47),), 30),
@@ -213,36 +220,105 @@ def step_case(tree: str) -> dict:
     return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
 
 
-def layer_case(tree: str) -> dict:
+def layer_calls(cells, kind: str, units: int, batch: int, lookback: int, inputs: int):
+    """One layer of `cells` on fixed float32 inputs and one workspace.
+
+    Returns (call, digests): call() runs forward then backward (with dL/dx)
+    and returns their seconds; digests() hashes the last call's outputs,
+    and its weight gradients with dL/dx.  Both follow LAYER_PARTS' order.
+    """
     import numpy as np
+
+    forward, backward = ((cells.lstm_forward, cells.lstm_backward) if kind == "lstm"
+                         else (cells.gru_forward, cells.gru_backward))
+    width = (4 if kind == "lstm" else 3) * units
+    rng = np.random.default_rng(0)
+    limit = np.sqrt(6.0 / (inputs + units + width))
+    p = cells.LayerParams(*(rng.uniform(-limit, limit, shape).astype(np.float32)
+                            for shape in ((inputs, width), (units, width), (width,))))
+    grad = cells.LayerParams(*(np.empty_like(a) for a in p))
+    x = rng.standard_normal((lookback, batch, inputs)).astype(np.float32)
+    dh = (rng.standard_normal((lookback, batch, units)) / batch).astype(np.float32)
+    ws, last = {}, []
+
+    def call():
+        started = time.perf_counter()
+        h, tape = forward(p, x, "tanh", True, ws)
+        middle = time.perf_counter()
+        dx = backward(p, tape, dh, grad, ws, True)
+        ended = time.perf_counter()
+        last[:] = h, dx
+        return middle - started, ended - middle
+
+    def digests():
+        h, dx = last
+        return sha1(h.tobytes()), sha1(b"".join(a.tobytes() for a in (*grad, dx)))
+    return call, digests
+
+
+def layer_case(tree: str) -> dict:
     from grnn import cells
 
     times, digests = {}, {}
-    for name, (kind, units, k) in LAYER_SHAPES.items():
-        forward, backward = ((cells.lstm_forward, cells.lstm_backward) if kind == "lstm"
-                             else (cells.gru_forward, cells.gru_backward))
-        width = (4 if kind == "lstm" else 3) * units
-        rng = np.random.default_rng(0)
-        limit = np.sqrt(6.0 / (FEATURES + units + width))
-        p = cells.LayerParams(*(rng.uniform(-limit, limit, shape).astype(np.float32)
-                                for shape in ((FEATURES, width), (units, width), (width,))))
-        grad = cells.LayerParams(*(np.empty_like(a) for a in p))
-        x = rng.standard_normal((LOOKBACK, BATCH, FEATURES)).astype(np.float32)
-        dh = (rng.standard_normal((LOOKBACK, BATCH, units)) / BATCH).astype(np.float32)
-        ws = {}
-        times[f"{name}/forward"], times[f"{name}/backward"] = [], []
-        for call in range(k + 2):
-            started = time.perf_counter()
-            h, tape = forward(p, x, "tanh", True, ws)
-            middle = time.perf_counter()
-            dx = backward(p, tape, dh, grad, ws, True)
-            ended = time.perf_counter()
-            if call >= 2:
-                times[f"{name}/forward"].append(middle - started)
-                times[f"{name}/backward"].append(ended - middle)
-        digests[f"{name}/forward"] = sha1(h.tobytes())
-        digests[f"{name}/backward"] = sha1(b"".join(a.tobytes() for a in (*grad, dx)))
+    for name, (*shape, k) in LAYER_SHAPES.items():
+        call, digest = layer_calls(cells, *shape)
+        call()
+        call()
+        spent = [call() for _ in range(k)]
+        for part, (what, value) in enumerate(zip(LAYER_PARTS, digest())):
+            times[f"{name}/{what}"] = [s[part] for s in spent]
+            digests[f"{name}/{what}"] = value
     return {"times": times, "digests": digests}
+
+
+def load_grnn(tree: str, name: str):
+    """The grnn package of `tree`, imported as package `name` beside any other grnn."""
+    import importlib.util
+
+    package = os.path.join(tree, "src", "grnn")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def layer_interleaved(trees: dict) -> dict:
+    """The layer case for the trees ({"change": path, "parent": path}) in this process.
+
+    The trees load, and per key set up, in the order given.  Per key, each
+    tree warms up with two calls, which are digested; then LAYER_BLOCKS
+    blocks of k // LAYER_BLOCKS calls alternate between the trees, the tree
+    that goes first flipping every block.  Returns each tree's per-call
+    times and digests, and per key each block's summed seconds as
+    [change, parent].
+    """
+    import importlib
+
+    order = list(trees)
+    cells = {tree: importlib.import_module(f"{load_grnn(path, 'grnn_' + tree).__name__}.cells")
+             for tree, path in trees.items()}
+    out = {tree: {"times": {}, "digests": {}} for tree in order}
+    blocks = {}
+    for name, (*shape, k) in LAYER_SHAPES.items():
+        keys = [f"{name}/{what}" for what in LAYER_PARTS]
+        calls = {tree: layer_calls(cells[tree], *shape) for tree in order}
+        for tree, (call, digest) in calls.items():
+            call()
+            call()
+            out[tree]["digests"].update(zip(keys, digest()))
+            out[tree]["times"].update({key: [] for key in keys})
+        blocks.update({key: [] for key in keys})
+        for block in range(LAYER_BLOCKS):
+            summed = {}
+            for tree in order[block % 2:] + order[:block % 2]:
+                spent = [calls[tree][0]() for _ in range(max(1, k // LAYER_BLOCKS))]
+                summed[tree] = [sum(part) for part in zip(*spent)]
+                for key, part in zip(keys, zip(*spent)):
+                    out[tree]["times"][key] += part
+            for part, key in enumerate(keys):
+                blocks[key].append([summed["change"][part], summed["parent"][part]])
+    return {"trees": out, "blocks": blocks}
 
 
 def predict_case(tree: str) -> dict:
@@ -476,16 +552,22 @@ CASES = {
 }
 
 
-def child(case: str, tree: str) -> None:
-    """Run one case with the grnn on sys.path; print its result as one JSON line."""
+INTERLEAVED = {"layer": layer_interleaved}
+
+
+def child(case: str, *trees: str) -> None:
+    """Run one case with the grnn of sys.path (one tree path), or interleaved
+    over NAME=PATH trees in the order given; print its result as one JSON line."""
     with contextlib.redirect_stdout(sys.stderr):
-        result = CASES[case][0](tree)
+        result = (CASES[case][0](*trees) if len(trees) == 1
+                  else INTERLEAVED[case](dict(tree.split("=", 1) for tree in trees)))
     print(json.dumps(result))
 
 
-def run_child(case: str, tree: str, work: str) -> dict:
-    path = os.pathsep.join([os.path.join(tree, "src"), os.path.join(ROOT, "scripts")])
-    done = subprocess.run([sys.executable, "-c", CHILD, case, tree], cwd=work, check=True,
+def run_child(case: str, work: str, *trees: str) -> dict:
+    src = [os.path.join(trees[0], "src")] if len(trees) == 1 else []
+    path = os.pathsep.join(src + [os.path.join(ROOT, "scripts")])
+    done = subprocess.run([sys.executable, "-c", CHILD, case, *trees], cwd=work, check=True,
                           env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE,
                           text=True)
     return json.loads(done.stdout)
@@ -508,10 +590,21 @@ def summary(ts: list) -> dict:
 
 
 def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
-           probe_ref_s: float) -> dict:
-    """The BENCH_<case>.json record of `runs`: tree -> list of child results."""
+           probe_ref_s: float, blocks: list | None = None) -> dict:
+    """The BENCH_<case>.json record of `runs`: tree -> list of child results;
+    with `blocks`, each interleaved child's [change, parent] block seconds per key."""
     result = {"case": case, "what": CASES[case][1], "environment": environment,
               "rounds": rounds, "probe_ref_s": probe_ref_s, "trees": {}}
+    if blocks:
+        result["interleaved"] = {}
+        for key in blocks[0]:
+            pairs = [pair for child_blocks in blocks for pair in child_blocks[key]]
+            ratios = [change / parent for change, parent in pairs]
+            q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+            result["interleaved"][key] = {
+                "median_ratio": median, "ratio_q1": q1, "ratio_q3": q3,
+                "blocks_faster": sum(change < parent for change, parent in pairs),
+                "blocks": len(pairs)}
     times = {}
     for name, outs in runs.items():
         times[name] = {key: [t for out in outs for t in out["times"][key]]
@@ -563,9 +656,14 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--against", metavar="REV", help="also time this git revision")
     ap.add_argument("--out-dir", default=ROOT, help="where BENCH_<case>.json go")
+    ap.add_argument("--interleave", action="store_true",
+                    help="run both trees in one child per round, alternating blocks of calls "
+                         f"(cases: {', '.join(INTERLEAVED)}; needs --against)")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
+    if args.interleave and (not args.against or set(args.cases) - set(INTERLEAVED)):
+        ap.error(f"--interleave needs --against and takes only {', '.join(INTERLEAVED)}")
     cases = list(dict.fromkeys(args.cases))
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -585,16 +683,25 @@ def main(argv=None) -> int:
         os.makedirs(os.path.join(work, "data", "sine"))
         write_sine(os.path.join(work, "data", "sine", "sine.csv"))
         runs = {case: {name: [] for name in trees} for case in cases}
+        blocks = {case: [] for case in cases}
         for r in range(args.rounds):
             order = list(trees) if r % 2 else list(trees)[::-1]
             for case in cases:
+                if args.interleave:
+                    probe_s = statistics.median(host_probe() for _ in range(PROBE_READINGS))
+                    out = run_child(case, work, *(f"{name}={trees[name]}" for name in order))
+                    for name in trees:
+                        runs[case][name].append({**out["trees"][name], "probe_s": probe_s})
+                    blocks[case].append(out["blocks"])
+                    continue
                 for name in order:
                     probe_s = statistics.median(host_probe() for _ in range(PROBE_READINGS))
-                    runs[case][name].append({**run_child(case, trees[name], work),
+                    runs[case][name].append({**run_child(case, work, trees[name]),
                                              "probe_s": probe_s})
 
     for case in cases:
-        result = report(case, environment, args.rounds, commits, runs[case], probe.REF_S)
+        result = report(case, environment, args.rounds, commits, runs[case], probe.REF_S,
+                        blocks[case])
         for key in result["trees"]["change"]["times"]:
             line = " | ".join(f"{name} median {tree['times'][key]['median_s'] * 1e3:9.2f} ms"
                               for name, tree in result["trees"].items())
@@ -602,6 +709,10 @@ def main(argv=None) -> int:
                 vs = result["change_vs_parent"][key]
                 line += (f" | x{vs['median_ratio']:.3f}, faster in "
                          f"{vs['rounds_faster']}/{vs['rounds']} rounds")
+            if "interleaved" in result:
+                vs = result["interleaved"][key]
+                line += (f" | blocks x{vs['median_ratio']:.3f} [{vs['ratio_q1']:.3f}-"
+                         f"{vs['ratio_q3']:.3f}], faster in {vs['blocks_faster']}/{vs['blocks']}")
             trees = result["trees"].values()
             if key in result["trees"]["change"].get("peak_alloc_mb", {}):
                 line += " | peak " + " / ".join(

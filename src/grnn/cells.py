@@ -37,11 +37,18 @@ place.  The tape holds the gates gate-major, (T, G, B, H), so each gate of
 a step is one contiguous (B, H) block and the sigmoid gates are one
 block.  The step's activation reads its rows through a gate-major view
 and writes the tape: the one strided pass of a forward step.  Backward
-keeps the factors of dz that do not depend on the recursion gate-major
-too, and forms each step's gradients of the gate pre-activations in one
-(G, B, H) block.  One strided copy per step moves that block into the
-batch-major dz (T, B, G*H), held in the forward's row buffer, which every
-backward GEMM reads.  Its only per-step GEMMs carry dh back through R.
+runs its steps in spans, the last span first: a span is as many whole
+steps as fit their (G, B, H) gate blocks in SPAN_BYTES (512 KiB, about a
+quarter of a 2 MiB L2), at least one and at most the window.  Before a
+span's steps it forms, gate-major, the span's factors of dz that do not
+depend on the recursion (q, and the LSTM's cell_from_h or the GRU's
+keep), in scratch sized for one span, so that scratch is bounded by the
+span and not by the window.  The arithmetic per element is the same
+whatever the span.  Each step forms its gradients of the gate
+pre-activations in one (G, B, H) block.  One strided copy per step moves
+that block into the batch-major dz (T, B, G*H), held in the forward's row
+buffer, which every backward GEMM reads.  Its only per-step GEMMs carry
+dh back through R.
 Each weight gradient is then one GEMM over the stacked T*B rows, written
 into the caller's gradient views, and the gradient for the layer below,
 dz K^T, is computed once.  Everything is deterministic, and the gradients
@@ -77,6 +84,7 @@ from .numerics import ShapeError, sigmoid_grad
 LSTM_GATES = ("f", "i", "o", "c")
 GRU_GATES = ("r", "z", "c")
 ACTIVATIONS = ("tanh", "relu")
+SPAN_BYTES = 512 << 10     # most bytes of one backward span's gate-major factors of dz
 
 
 class LayerParams(NamedTuple):
@@ -113,10 +121,10 @@ def _activate(name: str, a: np.ndarray, out: np.ndarray) -> None:
 def _activation_grad(name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write d act / d pre, from the activation's output y, into `out`."""
     if name == "tanh":
-        np.multiply(y, y, out=out)
-        np.subtract(1.0, out, out=out)
+        np.multiply(y, y, out)
+        np.subtract(1.0, out, out)
     else:
-        np.greater(y, 0.0, out=out)
+        np.greater(y, 0.0, out)
     return out
 
 
@@ -136,6 +144,13 @@ def buffer(ws: dict, name: str, shape: tuple, dtype) -> np.ndarray:
             flat = np.empty(size, dtype=dtype)
         view = ws[name] = flat[:size].reshape(shape)
     return view
+
+
+def _span_steps(steps: int, n_gates: int, batch: int, units: int, dtype) -> int:
+    """Steps per backward span: as many as fit their (G, B, H) gate blocks in
+    SPAN_BYTES, at least one and at most the window."""
+    block = n_gates * batch * units * np.dtype(dtype).itemsize
+    return min(steps, max(1, SPAN_BYTES // block))
 
 
 def _scratch(ws: dict) -> dict:
@@ -242,39 +257,47 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     dh = np.asarray(dh, dtype=p.kernel.dtype)
     if dh.shape != act_c.shape:
         raise ShapeError(f"lstm_backward: dh shape {dh.shape}, expected {act_c.shape}")
-    f, i, o, cand = gates.swapaxes(0, 1)
-
-    # the factors of dz that do not depend on the recursion, for the whole window:
-    # dz = [dcell, dcell, dh_t, dcell] * q, gate by gate
-    q = buffer(scratch, "q", gates.shape, x.dtype)
-    sigmoid_grad(gates[:, :3], q[:, :3])
-    for k, factor in enumerate((c[:-1], cand, act_c)):
-        q[:, k] *= factor
-    q_cand = _activation_grad(activation, cand, q[:, 3])
-    q_cand *= i
-    cell_from_h = _activation_grad(activation, act_c,
-                                   buffer(scratch, "cell_from_h", act_c.shape, x.dtype))
-    cell_from_h *= o
-
+    span = _span_steps(steps, 4, batch, units, x.dtype)
+    q_span = buffer(scratch, "q", (span, 4, batch, units), x.dtype)
+    cell_from_h_span = buffer(scratch, "cell_from_h", (span, batch, units), x.dtype)
+    f = gates[:, 0]
     dz = buffer(scratch, "rows", (steps, batch, 4 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 4)
     dz_t = buffer(scratch, "dz_t", (4, batch, units), x.dtype)
+    dz_o = dz_t[2]
     rec_t = buffer(scratch, "rec", p.recurrent.shape[::-1], x.dtype)   # the forward's rec
     np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
     dh_rec, dc, dh_t, dcell = (buffer(scratch, name, (batch, units), x.dtype)
                                for name in ("dh_rec", "dc", "dh_t", "dcell"))
     dh_rec[...] = 0.0
     dc[...] = 0.0
-    for t in reversed(range(steps)):
-        np.add(dh[t], dh_rec, out=dh_t)
-        np.multiply(dh_t, cell_from_h[t], out=dcell)
-        dcell += dc
-        np.multiply(q[t], dcell, out=dz_t)
-        np.multiply(dh_t, q[t, 2], out=dz_t[2])
-        np.copyto(dz_by_gate[t], dz_t)
-        if t:
-            np.multiply(dcell, f[t], out=dc)
-            np.matmul(dz[t], rec_t, out=dh_rec)
+    for start in reversed(range(0, steps, span)):
+        stop = min(start + span, steps)
+        # the factors of dz that do not depend on the recursion, for this span's steps:
+        # dz = [dcell, dcell, dh_t, dcell] * q, gate by gate
+        g = gates[start:stop].swapaxes(0, 1)
+        q = q_span[:stop - start]
+        q_by_gate = q.swapaxes(0, 1)
+        sigmoid_grad(g[:3], q_by_gate[:3])
+        for k, factor in enumerate((c[start:stop], g[3], act_c[start:stop])):
+            q_by_gate[k] *= factor
+        q_cand = _activation_grad(activation, g[3], q_by_gate[3])
+        q_cand *= g[1]
+        cell_from_h = _activation_grad(activation, act_c[start:stop],
+                                       cell_from_h_span[:stop - start])
+        cell_from_h *= g[2]
+        q_o = q_by_gate[2]
+        for t in reversed(range(start, stop)):
+            s = t - start
+            np.add(dh[t], dh_rec, dh_t)
+            np.multiply(dh_t, cell_from_h[s], dcell)
+            np.add(dcell, dc, dcell)
+            np.multiply(q[s], dcell, dz_t)
+            np.multiply(dh_t, q_o[s], dz_o)
+            np.copyto(dz_by_gate[t], dz_t)
+            if t:
+                np.multiply(dcell, f[t], dc)
+                np.matmul(dz[t], rec_t, dh_rec)
     return _weight_grads(p, grad, x, dz, ((h[:-1], slice(None)),), ws, input_grad)
 
 
@@ -333,22 +356,15 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
         raise ShapeError(f"gru_backward: dh shape {dh.shape}, expected {rh.shape}")
     n_sig = 2 * units
     h_prev = h[:-1]
-    r, z, cand = gates.swapaxes(0, 1)
-
-    # factors of dz that do not depend on the recursion, for the whole window, gate
-    # by gate: q = [h_prev sig'(r), (h~ - h_prev) sig'(z), z act'(h~)], keep = 1 - z
-    q = buffer(scratch, "q", gates.shape, x.dtype)
-    sigmoid_grad(gates[:, :2], q[:, :2])
-    q[:, 0] *= h_prev
-    keep = np.subtract(cand, h_prev, out=buffer(scratch, "keep", rh.shape, x.dtype))
-    q[:, 1] *= keep
-    _activation_grad(activation, cand, q[:, 2])
-    q[:, 2] *= z
-    np.subtract(1.0, z, out=keep)
-
+    r = gates[:, 0]
+    span = _span_steps(steps, 3, batch, units, x.dtype)
+    q_span = buffer(scratch, "q", (span, 3, batch, units), x.dtype)
+    keep_span = buffer(scratch, "keep", (span, batch, units), x.dtype)
     dz = buffer(scratch, "rows", (steps, batch, 3 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 3)
+    dz_rz = dz[:, :, :n_sig]
     dz_t = buffer(scratch, "dz_t", (3, batch, units), x.dtype)
+    dz_r, dz_z, dz_c = dz_t
     rec_rz_t = buffer(scratch, "rec", (n_sig, units), x.dtype)        # the forward's rec_rz
     np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
     rec_c_t = buffer(scratch, "rec_c_t", (units, units), x.dtype)
@@ -356,18 +372,34 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     dh_rec, dh_t, d_rh, dh_rz = (buffer(scratch, name, (batch, units), x.dtype)
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
     dh_rec[...] = 0.0
-    for t in reversed(range(steps)):
-        np.add(dh[t], dh_rec, out=dh_t)
-        np.multiply(dh_t, q[t, 2], out=dz_t[2])
-        np.matmul(dz_t[2], rec_c_t, out=d_rh)
-        np.multiply(d_rh, q[t, 0], out=dz_t[0])
-        np.multiply(dh_t, q[t, 1], out=dz_t[1])
-        np.copyto(dz_by_gate[t], dz_t)
-        if t:
-            np.multiply(dh_t, keep[t], out=dh_rec)
-            dh_rec += np.matmul(dz[t, :, :n_sig], rec_rz_t, out=dh_rz)
-            d_rh *= r[t]
-            dh_rec += d_rh
+    for start in reversed(range(0, steps, span)):
+        stop = min(start + span, steps)
+        # factors of dz that do not depend on the recursion, for this span's steps, gate
+        # by gate: q = [h_prev sig'(r), (h~ - h_prev) sig'(z), z act'(h~)], keep = 1 - z
+        g = gates[start:stop].swapaxes(0, 1)
+        q = q_span[:stop - start].swapaxes(0, 1)
+        h_prev_span = h_prev[start:stop]
+        sigmoid_grad(g[:2], q[:2])
+        q_r, q_z, q_c = q
+        q_r *= h_prev_span
+        keep = np.subtract(g[2], h_prev_span, keep_span[:stop - start])
+        q_z *= keep
+        _activation_grad(activation, g[2], q_c)
+        q_c *= g[1]
+        np.subtract(1.0, g[1], keep)
+        for t in reversed(range(start, stop)):
+            s = t - start
+            np.add(dh[t], dh_rec, dh_t)
+            np.multiply(dh_t, q_c[s], dz_c)
+            np.matmul(dz_c, rec_c_t, d_rh)
+            np.multiply(d_rh, q_r[s], dz_r)
+            np.multiply(dh_t, q_z[s], dz_z)
+            np.copyto(dz_by_gate[t], dz_t)
+            if t:
+                np.multiply(dh_t, keep[s], dh_rec)
+                np.add(dh_rec, np.matmul(dz_rz[t], rec_rz_t, dh_rz), dh_rec)
+                np.multiply(d_rh, r[t], d_rh)
+                np.add(dh_rec, d_rh, dh_rec)
     return _weight_grads(p, grad, x, dz, ((h_prev, slice(None, n_sig)), (rh, slice(n_sig, None))),
                          ws, input_grad)
 
@@ -383,13 +415,13 @@ def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs, ws
     rows = steps * batch
     dz = dz.reshape(rows, width)
     for inp, cols in recurrent_inputs:
-        np.matmul(inp.reshape(rows, -1).T, dz[:, cols], out=grad.recurrent[:, cols])
-    np.matmul(x.reshape(rows, -1).T, dz, out=grad.kernel)
+        np.matmul(inp.reshape(rows, -1).T, dz[:, cols], grad.recurrent[:, cols])
+    np.matmul(x.reshape(rows, -1).T, dz, grad.kernel)
     ones = buffer(_scratch(ws), "ones", (rows,), dz.dtype)
     ones[...] = 1.0
-    np.matmul(ones, dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
+    np.matmul(ones, dz, grad.bias)        # a GEMV sums the rows faster than np.sum
     if not input_grad:
         return None
     dx = buffer(ws, "dx", x.shape, x.dtype)
-    np.matmul(dz, p.kernel.T, out=dx.reshape(rows, -1))
+    np.matmul(dz, p.kernel.T, dx.reshape(rows, -1))
     return dx

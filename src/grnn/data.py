@@ -4,7 +4,8 @@ chronological splitting, and sliding-window supervised framing.
 Input sources are comma-separated files with a header row, an ISO-8601
 `Date` column, and one price column per source.  Rows are read as
 `csv.DictReader` reads them (blank rows skipped, a repeated header name
-resolving to its last column), but each file is parsed column-wise rather
+resolving to its last column), but each file is parsed column-wise,
+_FRAME_BLOCK rows at a time, into date ordinals and float64 values rather
 than into one dict per row.  A date or value that does not parse, or a
 value that is not finite, is a DataError naming the file and line, even on
 a date that the join would drop.  Sources trade on different calendars, so
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import itertools
 import json
 import math
@@ -35,7 +37,7 @@ import numpy as np
 
 from .numerics import FLOAT
 
-_FRAME_BLOCK = 512         # rows that write_frame_csv formats, and read_frame_csv parses, at once
+_FRAME_BLOCK = 512         # rows formatted or parsed at once by the CSV writer and readers
 
 
 class DataError(ValueError):
@@ -127,35 +129,50 @@ def _csv_rows(path, fh):
 
 
 def read_series_csv(path, column: str, date_column: str = "Date"):
-    """Read (dates, values) from one delimited source file.
+    """Read (dates, values) from one delimited source file, in file order:
+    dates as int64 proleptic ordinals (`date.toordinal()`), values as float64.
 
     Rows are read as a `csv.DictReader` would: blank rows are skipped and
     not counted in line numbers, a short row has no value (None) for its
     missing fields, and a header name given twice resolves to its last
     column.  An unparseable or non-finite value is a DataError naming the
-    file and line.
+    file and line.  Rows are parsed _FRAME_BLOCK at a time, so the file's
+    rows are never held as text at once.
     """
+    dates, values = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(_csv_rows(path, fh))
-    # a repeated name maps to its last column, as in DictReader's dicts
-    index = {name: i for i, name in enumerate(rows[0] if rows else [])}
-    if date_column not in index:
-        raise DataError(f"{path}: missing {date_column!r} column")
-    if column not in index:
-        raise DataError(f"{path}: missing value column {column!r}")
-    rows = list(filter(None, rows[1:]))     # DictReader skips blank rows
-    if not rows:
+        reader = _csv_rows(path, fh)
+        # a repeated name maps to its last column, as in DictReader's dicts
+        index = {name: i for i, name in enumerate(next(reader, None) or [])}
+        if date_column not in index:
+            raise DataError(f"{path}: missing {date_column!r} column")
+        if column not in index:
+            raise DataError(f"{path}: missing value column {column!r}")
+        rows = filter(None, reader)     # DictReader skips blank rows
+        for first in itertools.count(2, _FRAME_BLOCK):
+            block = list(itertools.islice(rows, _FRAME_BLOCK))
+            if not block:
+                break
+            for parsed, into in zip(_series_block(path, block, first, index[date_column],
+                                                  index[column]), (dates, values)):
+                into.append(parsed)
+    if not dates:
         raise DataError(f"{path}: no data rows")
-    d_idx, v_idx = index[date_column], index[column]
+    return np.concatenate(dates), np.concatenate(values)
+
+
+def _series_block(path, rows: list, first: int, d_idx: int, v_idx: int):
+    """(ordinals, values) of a block of source rows, the first on line `first`."""
     try:        # whole columns at once; any bad row leaves it to the row scan below
-        dates = list(map(dt.date.fromisoformat, map(str.strip, map(itemgetter(d_idx), rows))))
-        values = list(map(float, map(itemgetter(v_idx), rows)))
-        if all(map(math.isfinite, values)):
-            return dates, values
+        dates = map(dt.date.fromisoformat, map(str.strip, map(itemgetter(d_idx), rows)))
+        ordinals = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(rows))
+        values = np.fromiter(map(float, map(itemgetter(v_idx), rows)), FLOAT, len(rows))
+        if np.isfinite(values).all():
+            return ordinals, values
     except (IndexError, ValueError):
         pass
-    dates, values = [], []
-    for lineno, row in enumerate(rows, start=2):
+    ordinals, values = [], []
+    for lineno, row in enumerate(rows, start=first):
         raw_date = row[d_idx] if d_idx < len(row) else None
         raw_val = row[v_idx] if v_idx < len(row) else None
         try:
@@ -167,9 +184,9 @@ def read_series_csv(path, column: str, date_column: str = "Date"):
             ) from None
         if not math.isfinite(value):
             raise DataError(f"{path}:{lineno}: non-finite value={raw_val!r}")
-        dates.append(date)
+        ordinals.append(date.toordinal())
         values.append(value)
-    return dates, values
+    return np.array(ordinals, dtype=np.int64), np.array(values, dtype=FLOAT)
 
 
 def ingest(sources: dict, date_column: str = "Date") -> TimeSeriesFrame:
@@ -181,23 +198,23 @@ def ingest(sources: dict, date_column: str = "Date") -> TimeSeriesFrame:
     if not sources:
         raise DataError("no sources configured")
     per_feature = {}
-    common: set | None = None
     for name, (path, column) in sources.items():
-        dates, values = read_series_csv(path, column, date_column)
-        seen = set(dates)
-        if len(seen) != len(dates):
-            raise DataError(f"{path}: duplicate dates")
-        per_feature[name] = dates, values
-        common = seen if common is None else common & seen
-    if not common:
+        ordinals, values = read_series_csv(path, column, date_column)
+        if not (ordinals[1:] > ordinals[:-1]).all():      # sort only a source out of order
+            order = np.argsort(ordinals, kind="stable")
+            ordinals, values = ordinals[order], values[order]
+            if (ordinals[1:] == ordinals[:-1]).any():
+                raise DataError(f"{path}: duplicate dates")
+        per_feature[name] = ordinals, values
+    common = functools.reduce(np.intersect1d, (ordinals for ordinals, _ in per_feature.values()))
+    if not common.size:
         raise DataError("date intersection across sources is empty")
-    ordered = sorted(common)
     columns = {}
-    for name, (dates, values) in per_feature.items():
-        if dates != ordered:        # sources on one calendar need no lookup
-            values = list(map(dict(zip(dates, values)).__getitem__, ordered))
-        columns[name] = np.array(values, dtype=FLOAT)
-    return TimeSeriesFrame(ordered, columns)
+    for name, (ordinals, values) in per_feature.items():
+        # sources on one calendar need no lookup
+        columns[name] = (values if ordinals.size == common.size
+                         else values[np.searchsorted(ordinals, common)])
+    return TimeSeriesFrame(list(map(dt.date.fromordinal, common)), columns)
 
 
 def ema(series, period: int) -> np.ndarray:

@@ -137,3 +137,42 @@ def test_bench_optim_times_apply_and_digests_the_weights(monkeypatch):
     assert bench.optim_case(ROOT)["digests"] == out["digests"]
     monkeypatch.setattr(bench, "OPTIM_SHAPES", {"c09": ((("lstm", 47),), 4)})
     assert bench.optim_case(ROOT)["digests"] != out["digests"]     # each call moves the weights
+
+
+def test_bench_layer_interleaves_both_trees_in_one_process(monkeypatch, capsys):
+    """The interleaved layer case on sine's LSTM shape, with this checkout
+    loaded twice under distinct package names, and its report: the digests
+    agree, each tree times every call of every block, and each key gets its
+    median block ratio, quartiles and blocks_faster."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    bench = pytest.importorskip("bench")
+    monkeypatch.setattr(bench, "LAYER_SHAPES", {"lstm16": ("lstm", 16, 16, 8, 1, 20)})
+    try:
+        bench.child("layer", f"parent={ROOT}", f"change={ROOT}")
+        assert sys.modules["grnn_change.cells"] is not sys.modules["grnn_parent.cells"]
+    finally:
+        for name in [name for name in sys.modules if name.startswith(("grnn_change",
+                                                                         "grnn_parent"))]:
+            del sys.modules[name]
+    out = json.loads(capsys.readouterr().out)
+    keys = {"lstm16/forward", "lstm16/backward"}
+    for tree in out["trees"].values():
+        assert set(tree["times"]) == set(tree["digests"]) == keys
+        assert all(len(ts) == 20 for ts in tree["times"].values())
+    assert out["trees"]["change"]["digests"] == out["trees"]["parent"]["digests"]
+    assert set(out["blocks"]) == keys
+    for key, pairs in out["blocks"].items():
+        assert len(pairs) == bench.LAYER_BLOCKS
+        for tree, summed in zip(("change", "parent"), zip(*pairs)):
+            assert sum(summed) == pytest.approx(sum(out["trees"][tree]["times"][key]))
+    runs = {name: [{**tree, "probe_s": 0.01}] for name, tree in out["trees"].items()}
+    result = bench.report("layer", {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066,
+                          [out["blocks"]])
+    assert result["artifacts_identical"] is True
+    for vs in result["interleaved"].values():
+        assert vs["blocks"] == bench.LAYER_BLOCKS and 0 <= vs["blocks_faster"] <= vs["blocks"]
+        assert 0 < vs["ratio_q1"] <= vs["median_ratio"] <= vs["ratio_q3"]
+    with pytest.raises(SystemExit):
+        bench.main(["layer", "--interleave"])            # needs --against
+    with pytest.raises(SystemExit):
+        bench.main(["setup", "--interleave", "--against", "HEAD"])

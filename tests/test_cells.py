@@ -6,6 +6,7 @@ from helpers import central_differences
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grnn import cells
 from grnn.cells import (
     GruTape,
     LayerParams,
@@ -141,7 +142,59 @@ def test_gru_gradients_match_finite_differences(activation, seed):
     _fd_check(gru_forward, gru_backward, 3, activation, seed, units=4, input_dim=3)
 
 
-def test_lstm_cell_state_gradient_includes_forget_path():
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_gradients_match_finite_differences_in_one_step_spans(monkeypatch, kind, activation):
+    monkeypatch.setattr(cells, "SPAN_BYTES", 1)
+    if kind == "lstm":
+        _fd_check(lstm_forward, lstm_backward, 4, activation, 3, units=3, input_dim=2)
+    else:
+        _fd_check(gru_forward, gru_backward, 3, activation, 5, units=4, input_dim=3)
+
+
+def test_span_steps_at_the_paper_shapes():
+    """A span is the steps whose (G, B, H) gate blocks fit SPAN_BYTES: at
+    gru-lstm1 (batch 46, float32) one GRU 498 step or two LSTM 311 steps;
+    c09's and sine's windows are one span."""
+    f32 = np.float32
+    assert cells._span_steps(10, 3, 46, 498, f32) == 1
+    assert cells._span_steps(10, 4, 46, 311, f32) == 2
+    assert cells._span_steps(10, 4, 46, 47, f32) == 10
+    assert cells._span_steps(8, 4, 16, 16, f32) == cells._span_steps(8, 3, 16, 16, f32) == 8
+    assert cells._span_steps(10, 4, 46, 47, np.float64) == 7
+    assert cells._span_steps(3, 4, 46, 4096, f32) == 1      # a step over the budget still runs
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("span", [1, 2], ids=["1-step", "2-step-ragged"])
+def test_spans_give_the_bytes_of_one_span(monkeypatch, kind, activation, span):
+    """T = 5 in spans of 1 step, or of 2, 2 and a ragged 1: the weight
+    gradients and dL/dx are the bytes of one span over the window, and the
+    factors' scratch stays within the budget."""
+    n_gates, forward, backward = ((4, lstm_forward, lstm_backward) if kind == "lstm"
+                                  else (3, gru_forward, gru_backward))
+    rng = Rng(47)
+    steps, batch, units, input_dim = 5, 3, 4, 2
+    _, params = make_layer(n_gates, input_dim, units, rng)
+    params = LayerParams(*(a.astype(np.float32) for a in params))
+    x = rng.standard_normal((steps, batch, input_dim)).astype(np.float32)
+    dh = rng.standard_normal((steps, batch, units)).astype(np.float32)
+
+    def run(ws):
+        _, tape = forward(params, x, activation, True, ws)
+        grad = LayerParams(*(np.empty_like(a) for a in params))
+        dx = backward(params, tape, dh, grad, ws)
+        return b"".join(a.tobytes() for a in (*grad, dx))
+
+    one_span = run({})
+    budget = span * n_gates * batch * units * 4
+    monkeypatch.setattr(cells, "SPAN_BYTES", budget)
+    assert cells._span_steps(steps, n_gates, batch, units, np.float32) == span
+    ws = {}
+    assert run(ws) == one_span
+    assert ws["q"].base.nbytes <= budget
+
     """With no recurrent weights, x_0 reaches h_1 only through c_0 and f_1."""
     rng = Rng(31)
     _, params = make_layer(4, 2, 2, rng)

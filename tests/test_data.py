@@ -104,6 +104,13 @@ def test_non_finite_source_value_names_file_and_line(tmp_path, bad):
         ingest({"A": (tmp_path / "a.csv", "Close"), "B": (tmp_path / "b.csv", "Close")})
 
 
+def series_as_lists(series):
+    """`read_series_csv`'s (ordinals, values) arrays as (dates, floats) lists."""
+    ordinals, values = series
+    assert ordinals.dtype == np.int64 and values.dtype == np.float64
+    return list(map(dt.date.fromordinal, ordinals.tolist())), values.tolist()
+
+
 def test_source_rows_read_like_dictreader(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text('Close,Date,Close\r\n\r\n1,2020-01-02 ,3\r\n"4",\r\n'
@@ -112,8 +119,49 @@ def test_source_rows_read_like_dictreader(tmp_path):
         read_series_csv(path, "Close")
     path.write_text("Close,Date,Close\n\n1,2020-01-02 ,3\n\n5, 2020-01-04,6,x\n",
                     encoding="utf-8")
-    assert read_series_csv(path, "Close") == (
+    assert series_as_lists(read_series_csv(path, "Close")) == (
         [dt.date(2020, 1, 2), dt.date(2020, 1, 4)], [3.0, 6.0])
+
+
+def block_source(path, n, blank_after=None, bad_at=None, bad=""):
+    """A source of `n` data rows with value k.5 on row k (0-based), an
+    optional blank line after row `blank_after` and row `bad_at` replaced
+    by the text `bad`; the blank line takes no line number."""
+    lines = ["Date,Close"]
+    for k, date in enumerate(days("2000-01-01", n)):
+        lines.append(bad if k == bad_at else f"{date},{k}.5")
+        if k == blank_after:
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("blank_after", [None, _FRAME_BLOCK - 1, _FRAME_BLOCK])
+def test_source_blocks_match_the_reference(tmp_path, blank_after):
+    """Sources over several blocks, with a blank row on either side of a
+    block boundary, read as the DictReader reference reads them."""
+    path = tmp_path / "s.csv"
+    block_source(path, 2 * _FRAME_BLOCK + 3, blank_after)
+    got = series_as_lists(read_series_csv(path, "Close"))
+    assert got == reference_read_series_csv(path, "Close")
+    assert len(got[0]) == 2 * _FRAME_BLOCK + 3 and got[1][_FRAME_BLOCK] == _FRAME_BLOCK + 0.5
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("2001-05-01,x", "cannot parse date='2001-05-01' value='x'"),
+    ("2001-05-01", "cannot parse date='2001-05-01' value=None"),       # a short row
+    ("2001-05-01,inf", "non-finite value='inf'"),
+])
+@pytest.mark.parametrize("blank_after", [None, _FRAME_BLOCK - 1])
+def test_bad_row_after_the_first_block_names_file_and_line(tmp_path, bad, message,
+                                                           blank_after):
+    """The bad row is data row _FRAME_BLOCK + 40, on line _FRAME_BLOCK + 41
+    whether or not a blank line comes before it, as in the reference."""
+    path = tmp_path / "s.csv"
+    block_source(path, 2 * _FRAME_BLOCK, blank_after, bad_at=_FRAME_BLOCK + 39, bad=bad)
+    where = rf"s\.csv:{_FRAME_BLOCK + 41}: "
+    for read in (read_series_csv, reference_read_series_csv):
+        with pytest.raises(DataError, match=where + message):
+            read(path, "Close")
 
 
 GOOD_DATES = ["2020-01-02", " 2020-01-03", "2020-01-04 ", '"2020-01-05"']
@@ -163,7 +211,9 @@ def test_source_reader_matches_the_dictreader_reference(tmp_path_factory, text):
         except DataError as exc:
             return str(exc)
 
-    assert outcome(read_series_csv) == outcome(reference_read_series_csv)
+    got = outcome(read_series_csv)
+    assert (got if isinstance(got, str) else series_as_lists(got)) == outcome(
+        reference_read_series_csv)
 
 
 # --- indicators ------------------------------------------------------------

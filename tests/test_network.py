@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import central_differences, mse
 
-from grnn import network
+from grnn import cells, network
 from grnn.cells import lstm_forward
 from grnn.network import (
     LayerSpec,
@@ -517,3 +517,35 @@ def test_reused_workspace_matches_fresh_ones(kinds, activation):
             assert layer.gates.tobytes() == fresh.gates.tobytes()
         backward(spec, params, tape, dpred, grads, ws)
         assert grads.flat.tobytes() == backward(spec, params, fresh_tape, dpred).flat.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("span", [1, 2], ids=["1-step", "2-step-ragged"])
+def test_hybrid_in_spans_matches_one_span(monkeypatch, activation, span):
+    """A 3-layer hybrid whose layers have equal gate blocks (LSTM 6, GRU 8,
+    LSTM 6) on one workspace over batches of 5, 3 and 5, lookback 5, in
+    spans of `span` steps at batch 5: the gradients and each layer's dL/dx
+    are the bytes of one span over the window, and the shared factors'
+    scratch stays within the budget."""
+    rng = Rng(48)
+    spec = small_spec(*(LayerSpec(kind, units, activation)
+                        for kind, units in (("lstm", 6), ("gru", 8), ("lstm", 6))), input_dim=3)
+    params = NetworkParams.init(spec, rng, np.float32)
+    batches = [(rng.standard_normal((batch, 5, 3)).astype(np.float32),
+                rng.standard_normal((batch, 1)).astype(np.float32)) for batch in (5, 3, 5)]
+
+    def run():
+        ws, grads, out = {}, NetworkParams.zeros(spec, np.float32), []
+        for windows, dpred in batches:
+            _, tape = forward_batch(spec, params, windows, ws)
+            backward(spec, params, tape, dpred, grads, ws)
+            out.append((grads.flat.tobytes(), ws["dx0"]["dx"].tobytes(),
+                        ws["dx1"]["dx"].tobytes()))
+        return out, ws
+
+    one_span, _ = run()
+    budget = span * 24 * 5 * 4          # span steps of a (G, 5, H) float32 block, G*H = 24
+    monkeypatch.setattr(cells, "SPAN_BYTES", budget)
+    spanned, ws = run()
+    assert spanned == one_span
+    assert ws["scratch"]["q"].base.nbytes <= budget

@@ -43,13 +43,14 @@ quarter of a 2 MiB L2), at least one and at most the window.  Before a
 span's steps it forms, gate-major, the span's factors of dz that do not
 depend on the recursion (q, and the LSTM's cell_from_h or the GRU's
 keep), in scratch sized for one span, so that scratch is bounded by the
-span and not by the window.  The arithmetic per element is the same
-whatever the span.  Each step forms its gradients of the gate
-pre-activations in one (G, B, H) block.  One strided copy per step moves
-that block into the batch-major dz (T, B, G*H), held in the forward's row
-buffer, which every backward GEMM reads.  Its only per-step GEMMs carry
-dh back through R.
-Each weight gradient is then one GEMM over the stacked T*B rows, written
+span and not by the window; a window of more than one span reserves the
+whole budget, so a short batch's longer spans view the same scratch.  The
+arithmetic per element is the same whatever the span.  Each step forms
+its gradients of the gate pre-activations in one (G, B, H) block.  One
+strided copy per step moves that block into the batch-major dz
+(T, B, G*H), held in the forward's row buffer, which every backward GEMM
+reads.  Its only per-step GEMMs carry dh back through R.  Each weight
+gradient is then one GEMM over the stacked T*B rows, written
 into the caller's gradient views, and the gradient for the layer below,
 dz K^T, is computed once.  Everything is deterministic, and the gradients
 are checked against central finite differences in the tests.
@@ -128,29 +129,35 @@ def _activation_grad(name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def buffer(ws: dict, name: str, shape: tuple, dtype) -> np.ndarray:
+def buffer(ws: dict, name: str, shape: tuple, dtype, reserve: int = 0) -> np.ndarray:
     """Uninitialised C-contiguous array `ws[name]` of `shape` and `dtype`.
 
     The array is a view of the name's flat array (its `base`: numpy makes
     a view of a view point at the owner), remade only when the shape or
     dtype changes; the flat grows, and is never shrunk, when a view needs
-    more than it holds.
+    more than it holds, and a new flat holds at least `reserve` elements.
     """
     view = ws.get(name)
     if view is None or view.shape != shape or view.dtype != dtype:
         size = math.prod(shape)
         flat = None if view is None else view.base
         if flat is None or flat.dtype != dtype or flat.size < size:
-            flat = np.empty(size, dtype=dtype)
+            flat = np.empty(max(size, reserve), dtype=dtype)
         view = ws[name] = flat[:size].reshape(shape)
     return view
 
 
-def _span_steps(steps: int, n_gates: int, batch: int, units: int, dtype) -> int:
-    """Steps per backward span: as many as fit their (G, B, H) gate blocks in
-    SPAN_BYTES, at least one and at most the window."""
-    block = n_gates * batch * units * np.dtype(dtype).itemsize
-    return min(steps, max(1, SPAN_BYTES // block))
+def _span(steps: int, n_gates: int, batch: int, units: int, dtype) -> tuple[int, int]:
+    """(steps per backward span, elements to reserve for the span's q).
+
+    A span is as many steps as fit their (G, B, H) gate blocks in
+    SPAN_BYTES, at least one and at most the window.  A window of more than
+    one span reserves the whole budget, so that a short batch, whose spans
+    are longer, views a prefix of the same flats.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    span = min(steps, max(1, SPAN_BYTES // (n_gates * batch * units * itemsize)))
+    return span, SPAN_BYTES // itemsize if span < steps else 0
 
 
 def _scratch(ws: dict) -> dict:
@@ -257,9 +264,10 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     dh = np.asarray(dh, dtype=p.kernel.dtype)
     if dh.shape != act_c.shape:
         raise ShapeError(f"lstm_backward: dh shape {dh.shape}, expected {act_c.shape}")
-    span = _span_steps(steps, 4, batch, units, x.dtype)
-    q_span = buffer(scratch, "q", (span, 4, batch, units), x.dtype)
-    cell_from_h_span = buffer(scratch, "cell_from_h", (span, batch, units), x.dtype)
+    span, reserve = _span(steps, 4, batch, units, x.dtype)
+    q_span = buffer(scratch, "q", (span, 4, batch, units), x.dtype, reserve)
+    cell_from_h_span = buffer(scratch, "cell_from_h", (span, batch, units), x.dtype,
+                              reserve // 4)
     f = gates[:, 0]
     dz = buffer(scratch, "rows", (steps, batch, 4 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 4)
@@ -357,9 +365,9 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     n_sig = 2 * units
     h_prev = h[:-1]
     r = gates[:, 0]
-    span = _span_steps(steps, 3, batch, units, x.dtype)
-    q_span = buffer(scratch, "q", (span, 3, batch, units), x.dtype)
-    keep_span = buffer(scratch, "keep", (span, batch, units), x.dtype)
+    span, reserve = _span(steps, 3, batch, units, x.dtype)
+    q_span = buffer(scratch, "q", (span, 3, batch, units), x.dtype, reserve)
+    keep_span = buffer(scratch, "keep", (span, batch, units), x.dtype, reserve // 3)
     dz = buffer(scratch, "rows", (steps, batch, 3 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 3)
     dz_rz = dz[:, :, :n_sig]

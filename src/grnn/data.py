@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import itertools
 import json
 import math
@@ -206,7 +205,13 @@ def ingest(sources: dict, date_column: str = "Date") -> TimeSeriesFrame:
             if (ordinals[1:] == ordinals[:-1]).any():
                 raise DataError(f"{path}: duplicate dates")
         per_feature[name] = ordinals, values
-    common = functools.reduce(np.intersect1d, (ordinals for ordinals, _ in per_feature.values()))
+    common = None
+    for ordinals, _ in per_feature.values():     # np.intersect1d would import numpy.ma
+        if common is None:
+            common = ordinals
+        else:
+            common = common[ordinals[np.searchsorted(ordinals, common).clip(max=ordinals.size - 1)]
+                            == common]
     if not common.size:
         raise DataError("date intersection across sources is empty")
     columns = {}

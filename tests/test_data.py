@@ -76,6 +76,23 @@ def test_ingest_partial_overlap_keeps_intersection(tmp_path):
     assert [d.isoformat() for d in frame.dates] == days("2020-01-03", 3)
 
 
+def test_ingest_aligns_sources_out_of_date_order(tmp_path):
+    """Each value stays with its own date when sources list their dates in
+    any order and on different calendars; a repeated date is an error."""
+    a_rows = list(zip(days("2020-01-01", 8), [10.0 + k for k in range(8)]))
+    b_rows = list(zip(days("2020-01-03", 8), [20.0 + k for k in range(8)]))
+    write_csv(tmp_path / "a.csv", a_rows[::-1])
+    write_csv(tmp_path / "b.csv", b_rows[3:] + b_rows[:3])
+    frame = ingest({"A": (tmp_path / "a.csv", "Close"), "B": (tmp_path / "b.csv", "Close")})
+    assert [d.isoformat() for d in frame.dates] == days("2020-01-03", 6)
+    assert frame.columns["A"].tolist() == [dict(a_rows)[d] for d in days("2020-01-03", 6)]
+    assert frame.columns["B"].tolist() == [dict(b_rows)[d] for d in days("2020-01-03", 6)]
+    for rows in (a_rows + a_rows[2:3], a_rows[:3] + a_rows[2:]):
+        write_csv(tmp_path / "a.csv", rows)
+        with pytest.raises(DataError, match=r"a\.csv: duplicate dates"):
+            ingest({"A": (tmp_path / "a.csv", "Close"), "B": (tmp_path / "b.csv", "Close")})
+
+
 def test_ingest_unparseable_row_names_file_and_line(tmp_path):
     path = tmp_path / "bad.csv"
     for bad, named in (("oops", "cannot parse date='2020-01-02' value='oops'"),

@@ -526,7 +526,7 @@ def test_hybrid_in_spans_matches_one_span(monkeypatch, activation, span):
     LSTM 6) on one workspace over batches of 5, 3 and 5, lookback 5, in
     spans of `span` steps at batch 5: the gradients and each layer's dL/dx
     are the bytes of one span over the window, and the shared factors'
-    scratch stays within the budget."""
+    scratch stays within the budget and is made at the first batch only."""
     rng = Rng(48)
     spec = small_spec(*(LayerSpec(kind, units, activation)
                         for kind, units in (("lstm", 6), ("gru", 8), ("lstm", 6))), input_dim=3)
@@ -535,17 +535,20 @@ def test_hybrid_in_spans_matches_one_span(monkeypatch, activation, span):
                 rng.standard_normal((batch, 1)).astype(np.float32)) for batch in (5, 3, 5)]
 
     def run():
-        ws, grads, out = {}, NetworkParams.zeros(spec, np.float32), []
+        ws, grads, out, flats = {}, NetworkParams.zeros(spec, np.float32), [], []
         for windows, dpred in batches:
             _, tape = forward_batch(spec, params, windows, ws)
             backward(spec, params, tape, dpred, grads, ws)
             out.append((grads.flat.tobytes(), ws["dx0"]["dx"].tobytes(),
                         ws["dx1"]["dx"].tobytes()))
-        return out, ws
+            flats.append([ws["scratch"][name].base for name in ("q", "keep", "cell_from_h")])
+        return out, flats
 
     one_span, _ = run()
-    budget = span * 24 * 5 * 4          # span steps of a (G, 5, H) float32 block, G*H = 24
+    block = 24 * 5 * 4                  # a (G, 5, H) float32 block, G*H = 24
+    budget = span * block + block // 2  # so batch 3 takes longer spans than batch 5
     monkeypatch.setattr(cells, "SPAN_BYTES", budget)
-    spanned, ws = run()
+    spanned, flats = run()
     assert spanned == one_span
-    assert ws["scratch"]["q"].base.nbytes <= budget
+    assert flats[0][0].nbytes <= budget
+    assert all(a is b for later in flats[1:] for a, b in zip(flats[0], later))

@@ -90,6 +90,25 @@ The timings of one child process are not independent of each other, so
 rounds, not single timings, are the pairs: a speed claim needs the change
 to win 9 of 10 rounds.  The case code runs on both trees, so it calls only
 names that both have.
+
+With --interleave (layer only, with --against), each round is one child
+that loads both trees' grnn under the package names grnn_change and
+grnn_parent (`load_grnn`), in an order that flips from round to round,
+and runs `layer_interleaved`: per key, both trees warm up and are
+digested, then LAYER_BLOCKS blocks of calls alternate between them.  The
+JSON adds, per key, "interleaved": the median of the blocks' change /
+parent ratios, its quartiles, and blocks_faster out of blocks; the rounds
+are still the pairs of the claim rule above.  Both trees share one
+allocator, one BLAS pool and the caches; the warm-up, the alternating
+blocks and the flipped load order keep that fair.  Noise floor, identical
+trees (--against HEAD on an unchanged checkout, 10 rounds, 2 cores,
+OpenBLAS 0.3.31, a shared host with the probe at 14-15 ms against 6.6 ms
+fast): fresh-process rounds read median ratios of 0.939-1.051 with 3-6/10
+rounds faster; two interleaved sets read median block ratios of
+0.994-1.012 at 16 and 47 units and 0.980-1.028 at 512, with 37-57/100
+blocks and 2-7/10 rounds faster.  So an interleaved claim needs 9/10
+rounds and a median block ratio outside 0.98-1.03; no key of the two
+identical-tree sets passed it (0 of 24).
 """
 
 from __future__ import annotations
@@ -296,8 +315,9 @@ def layer_interleaved(trees: dict) -> dict:
     import importlib
 
     order = list(trees)
-    cells = {tree: importlib.import_module(f"{load_grnn(path, 'grnn_' + tree).__name__}.cells")
-             for tree, path in trees.items()}
+    for tree, path in trees.items():
+        load_grnn(path, f"grnn_{tree}")
+    cells = {tree: importlib.import_module(f"grnn_{tree}.cells") for tree in order}
     out = {tree: {"times": {}, "digests": {}} for tree in order}
     blocks = {}
     for name, (*shape, k) in LAYER_SHAPES.items():

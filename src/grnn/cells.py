@@ -155,7 +155,7 @@ def _span(steps: int, n_gates: int, batch: int, units: int, dtype) -> tuple[int,
     one span reserves the whole budget, so that a short batch, whose spans
     are longer, views a prefix of the same flats.
     """
-    itemsize = np.dtype(dtype).itemsize
+    itemsize = dtype.itemsize
     span = min(steps, max(1, SPAN_BYTES // (n_gates * batch * units * itemsize)))
     return span, SPAN_BYTES // itemsize if span < steps else 0
 
@@ -302,7 +302,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
             np.add(dcell, dc, dcell)
             np.multiply(q[s], dcell, dz_t)
             np.multiply(dh_t, q_o[s], dz_o)
-            np.copyto(dz_by_gate[t], dz_t)
+            dz_by_gate[t] = dz_t
             if t:
                 np.multiply(dcell, f[t], dc)
                 np.matmul(dz[t], rec_t, dh_rec)
@@ -402,7 +402,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
             np.matmul(dz_c, rec_c_t, d_rh)
             np.multiply(d_rh, q_r[s], dz_r)
             np.multiply(dh_t, q_z[s], dz_z)
-            np.copyto(dz_by_gate[t], dz_t)
+            dz_by_gate[t] = dz_t
             if t:
                 np.multiply(dh_t, keep[s], dh_rec)
                 np.add(dh_rec, np.matmul(dz_rz[t], rec_rz_t, dh_rz), dh_rec)

@@ -152,9 +152,10 @@ def read_series_csv(path, column: str, date_column: str = "Date"):
             block = list(itertools.islice(rows, _FRAME_BLOCK))
             if not block:
                 break
-            for parsed, into in zip(_series_block(path, block, first, index[date_column],
-                                                  index[column]), (dates, values)):
-                into.append(parsed)
+            block_dates, block_values = _series_block(path, block, first, index[date_column],
+                                                      index[column])
+            dates.append(block_dates)
+            values.append(block_values)
     if not dates:
         raise DataError(f"{path}: no data rows")
     return np.concatenate(dates), np.concatenate(values)
@@ -205,13 +206,10 @@ def ingest(sources: dict, date_column: str = "Date") -> TimeSeriesFrame:
             if (ordinals[1:] == ordinals[:-1]).any():
                 raise DataError(f"{path}: duplicate dates")
         per_feature[name] = ordinals, values
-    common = None
-    for ordinals, _ in per_feature.values():     # np.intersect1d would import numpy.ma
-        if common is None:
-            common = ordinals
-        else:
-            common = common[ordinals[np.searchsorted(ordinals, common).clip(max=ordinals.size - 1)]
-                            == common]
+    (common, _), *others = per_feature.values()
+    for ordinals, _ in others:      # not np.intersect1d, which imports numpy.ma
+        at = np.searchsorted(ordinals, common).clip(max=ordinals.size - 1)
+        common = common[ordinals[at] == common]
     if not common.size:
         raise DataError("date intersection across sources is empty")
     columns = {}

@@ -156,12 +156,12 @@ def test_spans_at_the_paper_shapes():
     """A span is the steps whose (G, B, H) gate blocks fit SPAN_BYTES: at
     gru-lstm1 (batch 46, float32) one GRU 498 step or two LSTM 311 steps,
     with the whole budget reserved; c09's and sine's windows are one span."""
-    f32, whole = np.float32, cells.SPAN_BYTES // 4
+    f32, whole = np.dtype(np.float32), cells.SPAN_BYTES // 4
     assert cells._span(10, 3, 46, 498, f32) == (1, whole)
     assert cells._span(10, 4, 46, 311, f32) == (2, whole)
     assert cells._span(10, 4, 46, 47, f32) == (10, 0)
     assert cells._span(8, 4, 16, 16, f32) == cells._span(8, 3, 16, 16, f32) == (8, 0)
-    assert cells._span(10, 4, 46, 47, np.float64) == (7, whole // 2)
+    assert cells._span(10, 4, 46, 47, np.dtype(np.float64)) == (7, whole // 2)
     assert cells._span(3, 4, 46, 4096, f32) == (1, whole)     # a step over the budget still runs
 
 
@@ -190,7 +190,7 @@ def test_spans_give_the_bytes_of_one_span(monkeypatch, kind, activation, span):
     one_span = run({})
     budget = span * n_gates * batch * units * 4
     monkeypatch.setattr(cells, "SPAN_BYTES", budget)
-    assert cells._span(steps, n_gates, batch, units, np.float32)[0] == span
+    assert cells._span(steps, n_gates, batch, units, np.dtype(np.float32))[0] == span
     ws = {}
     assert run(ws) == one_span
     assert ws["q"].base.nbytes <= budget

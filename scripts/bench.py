@@ -101,14 +101,15 @@ parent ratios, its quartiles, and blocks_faster out of blocks; the rounds
 are still the pairs of the claim rule above.  Both trees share one
 allocator, one BLAS pool and the caches; the warm-up, the alternating
 blocks and the flipped load order keep that fair.  Noise floor, identical
-trees (--against HEAD on an unchanged checkout, 10 rounds, 2 cores,
-OpenBLAS 0.3.31, a shared host with the probe at 14-15 ms against 6.6 ms
-fast): fresh-process rounds read median ratios of 0.939-1.051 with 3-6/10
-rounds faster; two interleaved sets read median block ratios of
-0.994-1.012 at 16 and 47 units and 0.980-1.028 at 512, with 37-57/100
-blocks and 2-7/10 rounds faster.  So an interleaved claim needs 9/10
-rounds and a median block ratio outside 0.98-1.03; no key of the two
-identical-tree sets passed it (0 of 24).
+trees (--against HEAD on an unchanged checkout, 10 rounds each, 2 cores,
+OpenBLAS 0.3.31, a shared host with the probe at 13-15 ms against 6.6 ms
+fast): two fresh-process sets read median ratios of 0.904-1.051 with 3-8/10
+rounds faster; three interleaved sets read median block ratios of
+0.992-1.012 at 16 and 47 units and 0.961-1.028 at 512, with 36-61/100
+blocks and 2-8/10 rounds faster.  So an interleaved claim needs 9/10
+rounds and a median block ratio outside that band (0.99-1.015 at 16 and
+47 units, 0.96-1.03 at 512); no key of the three identical-tree sets
+passed it (0 of 36).
 """
 
 from __future__ import annotations

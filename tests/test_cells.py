@@ -195,6 +195,8 @@ def test_spans_give_the_bytes_of_one_span(monkeypatch, kind, activation, span):
     assert run(ws) == one_span
     assert ws["q"].base.nbytes <= budget
 
+
+def test_lstm_cell_state_gradient_includes_forget_path():
     """With no recurrent weights, x_0 reaches h_1 only through c_0 and f_1."""
     rng = Rng(31)
     _, params = make_layer(4, 2, 2, rng)

@@ -2,7 +2,6 @@
 BENCH_<case>.json for each case.
 
     python scripts/bench.py CASE [CASE ...] [--rounds 5] [--against REV] [--out-dir DIR]
-    python scripts/bench.py layer [--rounds 5] --against REV --interleave
 
 Cases, each with a fixed amount of work per round:
 
@@ -19,10 +18,10 @@ Cases, each with a fixed amount of work per round:
            dL/dx, as a layer above the first runs it), on one workspace
            reused as `train` reuses it, after two warm-up calls: 300 at 16
            units on smoke-sine.ini's shape (batch 16, lookback 8, 1 input),
-           300 at 47 units and 20 at 512 (batch 46, lookback 10, 8
+           300 at 47 units and 60 at 512 (batch 46, lookback 10, 8
            inputs).  Keys <kind><units>/forward and <kind><units>/backward;
            digests: the outputs, the weight gradients and dL/dx.  With
-           --interleave, see below.
+           --against, both trees run in one process; see below.
     predict
            `predict_batch` on 720 windows (the synthetic market bundle's
            test split), lookback 10, 8 features, with float32 weights, after
@@ -91,7 +90,7 @@ rounds, not single timings, are the pairs: a speed claim needs the change
 to win 9 of 10 rounds.  The case code runs on both trees, so it calls only
 names that both have.
 
-With --interleave (layer only, with --against), each round is one child
+The layer case with --against runs interleaved: each round is one child
 that loads both trees' grnn under the package names grnn_change and
 grnn_parent (`load_grnn`), in an order that flips from round to round,
 and runs `layer_interleaved`: per key, both trees warm up and are
@@ -140,8 +139,8 @@ LAYER_SHAPES = {     # name: (kind, units, batch, lookback, inputs, timed calls 
     "gru16": ("gru", 16, 16, 8, 1, 300),
     "lstm47": ("lstm", 47, BATCH, LOOKBACK, FEATURES, 300),
     "gru47": ("gru", 47, BATCH, LOOKBACK, FEATURES, 300),
-    "lstm512": ("lstm", 512, BATCH, LOOKBACK, FEATURES, 20),
-    "gru512": ("gru", 512, BATCH, LOOKBACK, FEATURES, 20),
+    "lstm512": ("lstm", 512, BATCH, LOOKBACK, FEATURES, 60),
+    "gru512": ("gru", 512, BATCH, LOOKBACK, FEATURES, 60),
 }
 LAYER_PARTS = ("forward", "backward")
 LAYER_BLOCKS = 10    # interleaved blocks per round and key
@@ -573,15 +572,13 @@ CASES = {
 }
 
 
-INTERLEAVED = {"layer": layer_interleaved}
-
-
 def child(case: str, *trees: str) -> None:
-    """Run one case with the grnn of sys.path (one tree path), or interleaved
-    over NAME=PATH trees in the order given; print its result as one JSON line."""
+    """Run one case with the grnn of sys.path (one tree path), or the layer case
+    interleaved over NAME=PATH trees in the order given; print its result as one
+    JSON line."""
     with contextlib.redirect_stdout(sys.stderr):
         result = (CASES[case][0](*trees) if len(trees) == 1
-                  else INTERLEAVED[case](dict(tree.split("=", 1) for tree in trees)))
+                  else layer_interleaved(dict(tree.split("=", 1) for tree in trees)))
     print(json.dumps(result))
 
 
@@ -677,14 +674,9 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--against", metavar="REV", help="also time this git revision")
     ap.add_argument("--out-dir", default=ROOT, help="where BENCH_<case>.json go")
-    ap.add_argument("--interleave", action="store_true",
-                    help="run both trees in one child per round, alternating blocks of calls "
-                         f"(cases: {', '.join(INTERLEAVED)}; needs --against)")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
-    if args.interleave and (not args.against or set(args.cases) - set(INTERLEAVED)):
-        ap.error(f"--interleave needs --against and takes only {', '.join(INTERLEAVED)}")
     cases = list(dict.fromkeys(args.cases))
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -708,7 +700,7 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             order = list(trees) if r % 2 else list(trees)[::-1]
             for case in cases:
-                if args.interleave:
+                if case == "layer" and args.against:
                     probe_s = statistics.median(host_probe() for _ in range(PROBE_READINGS))
                     out = run_child(case, work, *(f"{name}={trees[name]}" for name in order))
                     for name in trees:

@@ -423,13 +423,13 @@ def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs, ws
     rows = steps * batch
     dz = dz.reshape(rows, width)
     for inp, cols in recurrent_inputs:
-        np.matmul(inp.reshape(rows, -1).T, dz[:, cols], grad.recurrent[:, cols])
-    np.matmul(x.reshape(rows, -1).T, dz, grad.kernel)
+        np.matmul(inp.reshape(rows, -1).T, dz[:, cols], out=grad.recurrent[:, cols])
+    np.matmul(x.reshape(rows, -1).T, dz, out=grad.kernel)
     ones = buffer(_scratch(ws), "ones", (rows,), dz.dtype)
     ones[...] = 1.0
-    np.matmul(ones, dz, grad.bias)        # a GEMV sums the rows faster than np.sum
+    np.matmul(ones, dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
     if not input_grad:
         return None
     dx = buffer(ws, "dx", x.shape, x.dtype)
-    np.matmul(dz, p.kernel.T, dx.reshape(rows, -1))
+    np.matmul(dz, p.kernel.T, out=dx.reshape(rows, -1))
     return dx

@@ -172,7 +172,35 @@ def test_bench_layer_interleaves_both_trees_in_one_process(monkeypatch, capsys):
     for vs in result["interleaved"].values():
         assert vs["blocks"] == bench.LAYER_BLOCKS and 0 <= vs["blocks_faster"] <= vs["blocks"]
         assert 0 < vs["ratio_q1"] <= vs["median_ratio"] <= vs["ratio_q3"]
-    with pytest.raises(SystemExit):
-        bench.main(["layer", "--interleave"])            # needs --against
-    with pytest.raises(SystemExit):
-        bench.main(["setup", "--interleave", "--against", "HEAD"])
+
+
+def test_bench_layer_against_a_revision_runs_both_trees_in_one_child(monkeypatch, tmp_path):
+    """`layer --against REV` starts one child per round that gets both trees
+    as NAME=PATH, in an order that flips every round, and reports the blocks;
+    here the child runs in-process on one small shape."""
+    if shutil.which("git") is None or subprocess.run(
+            ["git", "rev-parse", "--verify", "HEAD^{commit}"], cwd=ROOT,
+            capture_output=True).returncode != 0:
+        pytest.skip("needs git and a HEAD commit")
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    bench = pytest.importorskip("bench")
+    monkeypatch.setattr(bench, "LAYER_SHAPES", {"gru16": ("gru", 16, 16, 8, 1, 10)})
+    children = []
+
+    def run_child(case, work, *trees):
+        children.append((case, [tree.split("=", 1)[0] for tree in trees]))
+        return bench.layer_interleaved(dict(tree.split("=", 1) for tree in trees))
+
+    monkeypatch.setattr(bench, "run_child", run_child)
+    try:
+        assert bench.main(["layer", "--rounds", "2", "--against", "HEAD",
+                           "--out-dir", str(tmp_path)]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.startswith(("grnn_change",
+                                                                         "grnn_parent"))]:
+            del sys.modules[name]
+    assert children == [("layer", ["parent", "change"]), ("layer", ["change", "parent"])]
+    result = json.loads((tmp_path / "BENCH_layer.json").read_text())
+    assert result["artifacts_identical"] is True
+    assert set(result["interleaved"]) == {"gru16/forward", "gru16/backward"}
+    assert all(vs["blocks"] == 2 * bench.LAYER_BLOCKS for vs in result["interleaved"].values())

@@ -101,14 +101,14 @@ are still the pairs of the claim rule above.  Both trees share one
 allocator, one BLAS pool and the caches; the warm-up, the alternating
 blocks and the flipped load order keep that fair.  Noise floor, identical
 trees (--against HEAD on an unchanged checkout, 10 rounds each, 2 cores,
-OpenBLAS 0.3.31, a shared host with the probe at 13-15 ms against 6.6 ms
-fast): two fresh-process sets read median ratios of 0.904-1.051 with 3-8/10
-rounds faster; three interleaved sets read median block ratios of
-0.992-1.012 at 16 and 47 units and 0.961-1.028 at 512, with 36-61/100
-blocks and 2-8/10 rounds faster.  So an interleaved claim needs 9/10
-rounds and a median block ratio outside that band (0.99-1.015 at 16 and
-47 units, 0.96-1.03 at 512); no key of the three identical-tree sets
-passed it (0 of 36).
+OpenBLAS 0.3.31, a shared host with the probe at 8-15 ms against 6.6 ms
+fast): two sets of fresh-process layer children, one per tree, read median
+ratios of 0.904-1.051 with 3-8/10 rounds faster; three interleaved sets
+read median block ratios of 0.986-1.020 at 16 and 47 units and
+0.971-1.029 at 512 (6 calls per block), with 38-67/100 blocks and 0-8/10
+rounds faster.  So an interleaved claim needs 9/10 rounds and a median
+block ratio outside that band (0.985-1.02 at 16 and 47 units, 0.97-1.03
+at 512); no key of the three identical-tree sets passed it (0 of 36).
 """
 
 from __future__ import annotations

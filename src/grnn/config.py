@@ -70,7 +70,7 @@ class TrainSettings(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        OptimizerState.create(self.optimizer, self.learning_rate)
+        OptimizerState(self.learning_rate)
         LayerSpec("lstm", 1, self.activation)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -150,7 +150,7 @@ def _names(raw: str) -> tuple:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-_TYPE_PARSERS = {"int": int, "float": float, "str": str, "float | None": float}
+_TYPE_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _field_parsers(cls) -> dict:

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import os
 import pickle
 from dataclasses import asdict, dataclass, replace
@@ -66,7 +65,7 @@ from .data import DataError, WindowedDataset, read_jsonl, write_jsonl
 from .metrics import EvalReport, evaluate
 from .network import NetworkParams, NetworkSpec, backward, forward_batch
 from .numerics import FLOAT, Rng
-from .optim import NonFiniteGradient, OptimizerState, apply, clip_gradients
+from .optim import NonFiniteGradient, OptimizerState, apply
 
 IMPROVEMENT_EPS = 1e-12
 R2_RETENTION_BAR = 0.90
@@ -85,7 +84,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     optimizer: str = "nadam"
     seed: int = 0
-    clip_norm: float | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -94,8 +92,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
-            raise ValueError("clip_norm must be a finite number > 0")
+        if self.optimizer != "nadam":
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; expected 'nadam'")
 
 
 @dataclass
@@ -122,7 +120,7 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
     seed_rng = Rng(cfg.seed)
     params = NetworkParams.init(spec, seed_rng.child(0), TRAIN_DTYPE)
     shuffle_rng = seed_rng.child(1)
-    opt = OptimizerState.create(cfg.optimizer, cfg.learning_rate)
+    opt = OptimizerState(cfg.learning_rate)
     ws: dict = {}
     grads = NetworkParams.zeros(spec, TRAIN_DTYPE)
 
@@ -149,8 +147,6 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
                 sq_err_sum += batch_loss * idx.size
                 dpred = (2.0 * err / idx.size)[:, None]
                 backward(spec, params, tape, dpred, grads, ws)
-                if cfg.clip_norm is not None:
-                    clip_gradients(grads, cfg.clip_norm)
                 try:
                     apply(opt, params, grads)
                 except NonFiniteGradient as exc:

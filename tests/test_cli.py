@@ -72,8 +72,9 @@ def test_config_loading_and_overrides(tmp_path):
     assert cfg.target == "SINE"
     assert cfg.indicators == ()
     assert cfg.architectures["lstm1"].units == (16,)
-    cfg2 = load_config(path, overrides=["train.seed=99", "data.lookback=4"])
-    assert cfg2.train.seed == 99 and cfg2.lookback == 4
+    cfg2 = load_config(path, overrides=["train.seed=99", "data.lookback=4",
+                                        "train.optimizer=nadam"])
+    assert cfg2.train.seed == 99 and cfg2.lookback == 4 and cfg2.train.optimizer == "nadam"
 
 
 PROFILES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "profiles")
@@ -89,11 +90,11 @@ def test_shipped_profiles_load(profile):
 def test_empty_scalar_value_keeps_its_default(tmp_path):
     path = write_sine_config(tmp_path)
     cfg = load_config(path, overrides=["train.max_epochs=", "hpo.units_high=",
-                                       "data.lookback=", "train.clip_norm=",
+                                       "data.lookback=", "train.optimizer=",
                                        "arch.lstm1.units="])
     assert cfg.train.max_epochs == TrainSettings().max_epochs
     assert cfg.hpo.units_high == HpoSettings().units_high
-    assert cfg.lookback == 10 and cfg.train.clip_norm is None
+    assert cfg.lookback == 10 and cfg.train.optimizer == "nadam"
     assert cfg.architectures["lstm1"].units is None
     assert cfg.indicators == ()          # an empty list means none, not the default
 
@@ -128,9 +129,8 @@ def one_error_line(capsys) -> str:
     ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
     ("train.dtype=float16", "[train] unknown key 'dtype'"),
     ("hpo.bandwidth_floor=0.02", "[hpo] unknown key 'bandwidth_floor'"),
-    ("train.clip_norm=0", "[train] clip_norm must be a finite number > 0"),
-    ("train.clip_norm=-1", "[train] clip_norm must be a finite number > 0"),
-    ("train.clip_norm=nan", "[train] clip_norm must be a finite number > 0"),
+    ("train.clip_norm=1", "[train] unknown key 'clip_norm'"),
+    ("train.optimizer=adam", "[train] unknown optimizer 'adam'; expected 'nadam'"),
     ("arch.lstm1.learning_rate=nan", "[arch.lstm1] learning_rate must be a finite number > 0"),
     ("train.r2_bar=nan", "[train] r2_bar must be a finite number"),
     ("train.r2_bar=inf", "[train] r2_bar must be a finite number"),

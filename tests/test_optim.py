@@ -7,15 +7,7 @@ from helpers import ScalarBag
 from grnn.network import LayerSpec, NetworkParams, NetworkSpec
 from grnn import optim
 from grnn.numerics import Rng, ShapeError
-from grnn.optim import (
-    DEFAULT_LEARNING_RATES,
-    OPTIMIZER_KINDS,
-    NonFiniteGradient,
-    OptimizerState,
-    apply,
-    clip_gradients,
-    global_norm,
-)
+from grnn.optim import NonFiniteGradient, OptimizerState, apply
 
 
 def nadam_reference(theta, grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
@@ -33,25 +25,18 @@ def nadam_reference(theta, grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
     return out
 
 
-@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-def test_zero_gradient_never_moves_parameters(kind):
+def test_zero_gradient_never_moves_parameters():
     theta = ScalarBag.of(1.5)
-    state = OptimizerState.create(kind)
+    state = OptimizerState()
     for _ in range(25):
         apply(state, theta, ScalarBag.of(0.0))
     assert theta.value[0] == 1.5
     assert state.step_count == 25
 
 
-def test_sgd_hand_case():
-    theta = ScalarBag.of(1.0)
-    apply(OptimizerState(kind="sgd", learning_rate=0.1), theta, ScalarBag.of(2.0))
-    assert theta.value[0] == pytest.approx(0.8, abs=0)
-
-
 def test_nadam_single_step_matches_frozen_oracle():
     theta = ScalarBag.of(0.0)
-    apply(OptimizerState.create("nadam"), theta, ScalarBag.of(1.0))
+    apply(OptimizerState(), theta, ScalarBag.of(1.0))
     assert abs(theta.value[0] - (-0.0018999999810000003)) <= 1e-12
 
 
@@ -59,17 +44,16 @@ def test_nadam_trajectory_matches_oracle():
     grads = [2.0, -1.0, 0.5, 0.0, 3.0, -2.5, 0.1]
     expected = nadam_reference(1.5, grads)
     theta = ScalarBag.of(1.5)
-    state = OptimizerState.create("nadam")
+    state = OptimizerState()
     for g, want in zip(grads, expected):
         apply(state, theta, ScalarBag.of(g))
         assert abs(theta.value[0] - want) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-def test_default_settings_solve_convex_scalar(kind):
+def test_default_settings_solve_convex_scalar():
     theta = ScalarBag.of(0.0)
-    state = OptimizerState.create(kind)
-    assert state.learning_rate == DEFAULT_LEARNING_RATES[kind]
+    state = OptimizerState()
+    assert state.learning_rate == 0.001
     for _ in range(10_000):
         apply(state, theta, ScalarBag(2.0 * (theta.value - 3.0)))
         if abs(theta.value[0] - 3.0) < 0.01:
@@ -77,135 +61,77 @@ def test_default_settings_solve_convex_scalar(kind):
     assert abs(theta.value[0] - 3.0) < 0.01
 
 
-def test_adam_and_nadam_share_second_moment_trajectory():
-    grads = [1.0, -0.3, 2.2, 0.7]
-    adam_t, nadam_t = ScalarBag.of(0.0), ScalarBag.of(0.0)
-    adam_s = OptimizerState.create("adam")
-    nadam_s = OptimizerState.create("nadam")
-    for g in grads:
-        apply(adam_s, adam_t, ScalarBag.of(g))
-        apply(nadam_s, nadam_t, ScalarBag.of(g))
-        np.testing.assert_array_equal(adam_s.v, nadam_s.v)
-    assert adam_t.value[0] != nadam_t.value[0]
-
-
-def test_clip_gradients():
-    g = ScalarBag(np.array([0.1, -0.2]))
-    clip_gradients(g, 1.0)
-    np.testing.assert_array_equal(g.value, [0.1, -0.2])
-
-    g = ScalarBag(np.array([3.0, 4.0]))
-    clip_gradients(g, 1.0)
-    np.testing.assert_allclose(g.value, [0.6, 0.8], rtol=1e-15)
-
-    rng = np.random.Generator(np.random.Philox(key=3))
-    g = ScalarBag(rng.standard_normal(64) * 10)
-    clip_gradients(g, 2.5)
-    assert global_norm(g) <= 2.5 + 1e-12
-
-
 def test_nonfinite_gradient_names_tensor():
     theta = ScalarBag.of(0.0)
     with pytest.raises(NonFiniteGradient, match="value"):
-        apply(OptimizerState.create("sgd"), theta, ScalarBag.of(float("nan")))
+        apply(OptimizerState(), theta, ScalarBag.of(float("nan")))
 
     spec = NetworkSpec(layers=(LayerSpec("gru", 2), LayerSpec("lstm", 3)), input_dim=2)
     params, grads = NetworkParams.init(spec, Rng(1)), NetworkParams.zeros(spec)
     dict(grads.tensors())["layer1.w_o"][2, 0] = np.inf
     with pytest.raises(NonFiniteGradient, match="layer1.w_o"):
-        apply(OptimizerState.create("nadam"), params, grads)
+        apply(OptimizerState(), params, grads)
 
 
-def per_element_reference(kind, theta, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8, rho=0.9):
-    """Each update rule applied element by element with plain Python floats."""
+def per_element_reference(theta, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The update rule applied element by element with plain Python floats."""
     theta = [float(x) for x in theta]
     m = [0.0] * len(theta)
     v = [0.0] * len(theta)
     for t, grads in enumerate(grad_steps, start=1):
         for k, g in enumerate(float(x) for x in grads):
-            if kind == "sgd":
-                theta[k] -= lr * g
-            elif kind == "adagrad":
-                v[k] += g * g
-                theta[k] -= lr * g / (math.sqrt(v[k]) + eps)
-            elif kind == "rmsprop":
-                v[k] = rho * v[k] + (1 - rho) * g * g
-                theta[k] -= lr * g / (math.sqrt(v[k]) + eps)
-            else:
-                m[k] = b1 * m[k] + (1 - b1) * g
-                v[k] = b2 * v[k] + (1 - b2) * g * g
-                mhat, vhat = m[k] / (1 - b1 ** t), v[k] / (1 - b2 ** t)
-                if kind == "adam":
-                    update = mhat
-                else:
-                    update = b1 * mhat + (1 - b1) * g / (1 - b1 ** t)
-                theta[k] -= lr * update / (math.sqrt(vhat) + eps)
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            mhat, vhat = m[k] / (1 - b1 ** t), v[k] / (1 - b2 ** t)
+            update = b1 * mhat + (1 - b1) * g / (1 - b1 ** t)
+            theta[k] -= lr * update / (math.sqrt(vhat) + eps)
     return np.array(theta)
 
 
-@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-def test_flat_apply_matches_per_element_reference(kind):
+def test_flat_apply_matches_per_element_reference():
     rng = np.random.Generator(np.random.Philox(key=11))
     theta0 = rng.standard_normal(37)
     grad_steps = [rng.standard_normal(37) * scale for scale in (1.0, 0.1, 3.0, 0.0, 1e-4, 2.0)]
     theta = ScalarBag(theta0.copy())
-    state = OptimizerState.create(kind)
+    state = OptimizerState()
     for g in grad_steps:
         apply(state, theta, ScalarBag(g.copy()))
-    expected = per_element_reference(kind, theta0, grad_steps, state.learning_rate)
+    expected = per_element_reference(theta0, grad_steps, state.learning_rate)
     np.testing.assert_allclose(theta.value, expected, rtol=1e-13, atol=1e-15)
     assert state.step_count == len(grad_steps)
-
-
-def test_clip_matches_per_element_reference():
-    rng = np.random.Generator(np.random.Philox(key=12))
-    for scale, max_norm in ((10.0, 2.5), (0.01, 2.5), (1.0, 1e-3)):
-        values = rng.standard_normal(50) * scale
-        norm = math.sqrt(sum(float(x) * float(x) for x in values))
-        expected = values * (max_norm / norm) if norm > max_norm else values
-        g = ScalarBag(values.copy())
-        assert global_norm(g) == pytest.approx(norm, rel=1e-14)
-        clip_gradients(g, max_norm)
-        np.testing.assert_allclose(g.value, expected, rtol=1e-14)
 
 
 def test_shape_mismatch_rejected():
     theta = ScalarBag(np.zeros(2))
     with pytest.raises(ShapeError):
-        apply(OptimizerState.create("sgd"), theta, ScalarBag(np.zeros(3)))
+        apply(OptimizerState(), theta, ScalarBag(np.zeros(3)))
 
 
-def test_unknown_kind_and_bad_lr_rejected():
+def test_bad_learning_rate_rejected():
     with pytest.raises(ValueError):
-        OptimizerState(kind="adamw", learning_rate=0.1)
-    with pytest.raises(ValueError):
-        OptimizerState(kind="sgd", learning_rate=0.0)
+        OptimizerState(learning_rate=0.0)
 
 
-def run_blocked_and_single_block(kind, monkeypatch, grads_steps, theta0):
+def run_blocked_and_single_block(monkeypatch, grads_steps, theta0):
     """(params, m, v) after the steps, with BLOCK as shipped and with one block."""
     out = []
     for block in (optim.BLOCK, theta0.size):
         monkeypatch.setattr(optim, "BLOCK", block)
-        theta, state = ScalarBag(theta0.copy()), OptimizerState.create(kind)
+        theta, state = ScalarBag(theta0.copy()), OptimizerState()
         for g in grads_steps:
             apply(state, theta, ScalarBag(g.copy()))
         out.append((theta.value, state.m, state.v))
     return out
 
 
-@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-def test_blocked_apply_equals_one_block(kind, monkeypatch):
+def test_blocked_apply_equals_one_block(monkeypatch):
     n = optim.BLOCK * 5 // 2
     rng = np.random.Generator(np.random.Philox(key=13))
     theta0 = rng.standard_normal(n)
     grad_steps = [rng.standard_normal(n) * scale for scale in (1.0, 0.1, 3.0)]
-    blocked, single = run_blocked_and_single_block(kind, monkeypatch, grad_steps, theta0)
+    blocked, single = run_blocked_and_single_block(monkeypatch, grad_steps, theta0)
     for got, want in zip(blocked, single):
-        if want is None:
-            assert got is None
-        else:
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_nan_in_last_block_updates_nothing_and_names_its_tensor():
@@ -213,7 +139,7 @@ def test_nan_in_last_block_updates_nothing_and_names_its_tensor():
     params, grads = NetworkParams.init(spec, Rng(2)), NetworkParams.zeros(spec)
     assert params.flat.size > 2 * optim.BLOCK
     grads.flat[:] = 0.01
-    state = OptimizerState.create("nadam")
+    state = OptimizerState()
     apply(state, params, grads)
     before = [params.flat.copy(), state.m.copy(), state.v.copy()]
     grads.head_w[0, -1] = np.nan              # the last block holds the head
@@ -224,26 +150,18 @@ def test_nan_in_last_block_updates_nothing_and_names_its_tensor():
     assert state.step_count == 1
 
 
-@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-def test_state_takes_the_dtype_of_the_parameters(kind):
+def test_state_takes_the_dtype_of_the_parameters():
     spec = NetworkSpec(layers=(LayerSpec("lstm", 3),), input_dim=2)
     params = NetworkParams.init(spec, Rng(4), np.float32)
     grads = NetworkParams.zeros(spec, np.float32)
     grads.flat[:] = 0.25
-    state = OptimizerState.create(kind)
+    state = OptimizerState()
     apply(state, params, grads)
     assert params.flat.dtype == np.float32
     assert state.scratch.dtype == np.float32
-    for moment in (state.m, state.v):
-        assert moment is None or moment.dtype == np.float32
+    assert state.m.dtype == state.v.dtype == np.float32
     with pytest.raises(ShapeError):
         apply(state, params, NetworkParams.zeros(spec))
     with pytest.raises(ShapeError):
         apply(state, NetworkParams.init(spec, Rng(4)), NetworkParams.zeros(spec))
 
-
-def test_float32_global_norm_does_not_overflow():
-    g = ScalarBag(np.full(4, 1e20, dtype=np.float32))
-    assert global_norm(g) == pytest.approx(2e20, rel=1e-6)
-    clip_gradients(g, 1.0)
-    np.testing.assert_allclose(g.value, 0.5, rtol=1e-6)

@@ -5,9 +5,9 @@ BENCH_<case>.json for each case.
 
 Cases, each with a fixed amount of work per round:
 
-    step   one float32 training step as `train` runs it per batch
-           (forward_batch, backward, a nadam apply; one workspace and one
-           gradient vector), after two warm-up steps: 300 at c09 (lstm1, 47
+    step   one float32 training step with a whole gradient vector
+           (forward_batch, backward, then one nadam apply over the vector;
+           one workspace), after two warm-up steps: 300 at c09 (lstm1, 47
            units, 10,576 parameters) and 20 at gru-lstm1 (GRU 498 into LSTM
            311, 1.77 M); batch 46, lookback 10, 8 features.  Keys
            <shape>/float32; digests: the weights after the last step.
@@ -191,24 +191,13 @@ def file_sha1(path: str) -> str:
         return sha1(fh.read())
 
 
-def nadam_state(learning_rate: float):
-    """A fresh Nadam state from the grnn on sys.path, in one call that every
-    tree accepts: trees whose optimizer has a kind field get kind="nadam"."""
-    from dataclasses import fields
-
-    from grnn.optim import OptimizerState
-
-    kind = {"kind": "nadam"} if "kind" in {f.name for f in fields(OptimizerState)} else {}
-    return OptimizerState(learning_rate=learning_rate, **kind)
-
-
 def step_case(tree: str) -> dict:
     import tracemalloc
 
     import numpy as np
     from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
     from grnn.numerics import Rng
-    from grnn.optim import apply
+    from grnn.optim import OptimizerState, apply
 
     times, digests, peak_alloc_mb = {}, {}, {}
     for name, (layers, k) in STEP_SHAPES.items():
@@ -219,7 +208,7 @@ def step_case(tree: str) -> dict:
         y = rng.standard_normal(BATCH)
         params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
         grads = NetworkParams.zeros(spec, np.dtype(np.float32))
-        opt, ws = nadam_state(1e-4), {}
+        opt, ws = OptimizerState(learning_rate=1e-4), {}
 
         def forward_backward(ws, rows=BATCH):
             preds, tape = forward_batch(spec, params, x[:rows], ws)
@@ -541,7 +530,7 @@ def optim_case(tree: str) -> dict:
     import numpy as np
     from grnn.network import LayerSpec, NetworkParams, NetworkSpec
     from grnn.numerics import Rng
-    from grnn.optim import apply
+    from grnn.optim import OptimizerState, apply
 
     times, digests = {}, {}
     for name, (layers, k) in OPTIM_SHAPES.items():
@@ -550,7 +539,7 @@ def optim_case(tree: str) -> dict:
         params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
         grads = NetworkParams.zeros(spec, np.dtype(np.float32))
         grads.flat[:] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e-2
-        opt = nadam_state(1e-4)
+        opt = OptimizerState(learning_rate=1e-4)
         apply(opt, params, grads)
         apply(opt, params, grads)
         times[name] = []

@@ -250,10 +250,13 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
                   ws: dict | None = None, input_grad: bool = True):
     """Backward through an LSTM layer.
 
-    dh is dL/dh_t for every step, shape (T, B, H), from the layer above or
-    the head.  Writes dL/dkernel, dL/drecurrent and dL/dbias into `grad`
-    and returns dL/dx, shape (T, B, D), held in `ws` (None with
-    input_grad=False, which skips that GEMM).
+    dh is dL/dh_t for every step, shape (T, B, H), from the layer above,
+    or dL/dh of the last step only, shape (B, H), from the head.  A last
+    step's dh gives the floats of a (T, B, H) dh that is zero before it:
+    each step adds 0.0 in place of dh[t], which also turns -0.0 into +0.0
+    as a zero dh[t] does.  Writes dL/dkernel, dL/drecurrent and dL/dbias
+    into `grad` and returns dL/dx, shape (T, B, D), held in `ws` (None
+    with input_grad=False, which skips that GEMM).
     """
     if not isinstance(tape, LstmTape):
         raise ShapeError(f"lstm_backward: got a {type(tape).__name__}")
@@ -261,9 +264,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     scratch = _scratch(ws)
     x, h, c, gates, act_c, activation = tape
     steps, batch, units = act_c.shape
-    dh = np.asarray(dh, dtype=p.kernel.dtype)
-    if dh.shape != act_c.shape:
-        raise ShapeError(f"lstm_backward: dh shape {dh.shape}, expected {act_c.shape}")
+    dh = _check_dh(dh, act_c, p.kernel.dtype, "lstm_backward")
     span, reserve = _span(steps, 4, batch, units, x.dtype)
     q_span = buffer(scratch, "q", (span, 4, batch, units), x.dtype, reserve)
     cell_from_h_span = buffer(scratch, "cell_from_h", (span, batch, units), x.dtype,
@@ -277,7 +278,8 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     np.copyto(rec_t, p.recurrent.T)                  # BLAS runs this layout faster
     dh_rec, dc, dh_t, dcell = (buffer(scratch, name, (batch, units), x.dtype)
                                for name in ("dh_rec", "dc", "dh_t", "dcell"))
-    dh_rec[...] = 0.0
+    every_step = dh.ndim == 3    # else dL/dh of the last step, where the recursion starts
+    dh_rec[...] = 0.0 if every_step else dh
     dc[...] = 0.0
     for start in reversed(range(0, steps, span)):
         stop = min(start + span, steps)
@@ -297,7 +299,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
         q_o = q_by_gate[2]
         for t in reversed(range(start, stop)):
             s = t - start
-            np.add(dh[t], dh_rec, dh_t)
+            np.add(dh[t] if every_step else 0.0, dh_rec, dh_t)
             np.multiply(dh_t, cell_from_h[s], dcell)
             np.add(dcell, dc, dcell)
             np.multiply(q[s], dcell, dz_t)
@@ -359,9 +361,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     scratch = _scratch(ws)
     x, h, gates, rh, activation = tape
     steps, batch, units = rh.shape
-    dh = np.asarray(dh, dtype=p.kernel.dtype)
-    if dh.shape != rh.shape:
-        raise ShapeError(f"gru_backward: dh shape {dh.shape}, expected {rh.shape}")
+    dh = _check_dh(dh, rh, p.kernel.dtype, "gru_backward")
     n_sig = 2 * units
     h_prev = h[:-1]
     r = gates[:, 0]
@@ -379,7 +379,8 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     np.copyto(rec_c_t, p.recurrent[:, n_sig:].T)
     dh_rec, dh_t, d_rh, dh_rz = (buffer(scratch, name, (batch, units), x.dtype)
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
-    dh_rec[...] = 0.0
+    every_step = dh.ndim == 3
+    dh_rec[...] = 0.0 if every_step else dh
     for start in reversed(range(0, steps, span)):
         stop = min(start + span, steps)
         # factors of dz that do not depend on the recursion, for this span's steps, gate
@@ -397,7 +398,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
         np.subtract(1.0, g[1], keep)
         for t in reversed(range(start, stop)):
             s = t - start
-            np.add(dh[t], dh_rec, dh_t)
+            np.add(dh[t] if every_step else 0.0, dh_rec, dh_t)
             np.multiply(dh_t, q_c[s], dz_c)
             np.matmul(dz_c, rec_c_t, d_rh)
             np.multiply(d_rh, q_r[s], dz_r)
@@ -410,6 +411,15 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
                 np.add(dh_rec, d_rh, dh_rec)
     return _weight_grads(p, grad, x, dz, ((h_prev, slice(None, n_sig)), (rh, slice(n_sig, None))),
                          ws, input_grad)
+
+
+def _check_dh(dh, per_step: np.ndarray, dtype, what: str) -> np.ndarray:
+    """dh as an array of `dtype`, checked against a (T, B, H) array of the tape."""
+    dh = np.asarray(dh, dtype=dtype)
+    if dh.shape not in (per_step.shape, per_step.shape[1:]):
+        raise ShapeError(f"{what}: dh shape {dh.shape}, expected {per_step.shape} "
+                         f"or {per_step.shape[1:]}")
+    return dh
 
 
 def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs, ws: dict,

@@ -9,8 +9,11 @@ Parameters: one contiguous vector, `NetworkParams.flat`, laid out as
     for each layer: kernel (D, G*H), recurrent (H, G*H), bias (G*H,)
     then:           head_w (output_dim, H_top), head_b (output_dim,)
 
-each row-major (gate layout in `cells.py`).  Gradients share the layout.
-The dtype of `flat` (one of DTYPES) is the network's compute dtype.
+each row-major (gate layout in `cells.py`).  Gradients share the layout,
+either as a second NetworkParams or, in training, a part at a time in one
+buffer (`PartGradients`): a part is one layer's three arrays, and the head
+joins the top layer's part.  The dtype of `flat` (one of DTYPES) is the
+network's compute dtype.
 
 Prediction: `predict_batch` runs the windows in chunks whose x K + b rows
 take at most PREDICT_CHUNK_BYTES in the widest layer, so scoring a split
@@ -35,9 +38,13 @@ header without it loads as float64.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,15 +124,48 @@ def _tensor_shapes(spec: NetworkSpec):
     yield (spec.output_dim,)
 
 
-class NetworkParams:
+class _NetworkViews:
+    """A network's layers and head as views of one buffer, and their names."""
+
+    def _place(self, spec: NetworkSpec, buf: np.ndarray, offsets) -> None:
+        """Views of `buf` at `offsets`, one per tensor in `_tensor_shapes` order."""
+        self.spec = spec
+        *layer_views, self.head_w, self.head_b = (
+            buf[offset:offset + math.prod(shape)].reshape(shape)
+            for shape, offset in zip(_tensor_shapes(spec), offsets))
+        self.layers = [LayerParams(*layer_views[k:k + 3]) for k in range(0, len(layer_views), 3)]
+
+    def tensors(self, layers=None):
+        """Yield (name, view) for every checkpoint tensor, in a fixed order.
+
+        Per layer and gate g: v_g (units, input_dim), w_g (units, units) and
+        b_g (units,), the transposed column block of g in kernel, recurrent
+        and bias; then head.w and head.b.  With `layers` (indices, in
+        order), only theirs, and the head's if the top layer is one of them.
+        """
+        top = len(self.spec.layers) - 1
+        for idx in range(top + 1) if layers is None else layers:
+            units, p = self.spec.layers[idx].units, self.layers[idx]
+            for k, gate in enumerate(GATES[self.spec.layers[idx].cell_kind]):
+                cols = slice(k * units, (k + 1) * units)
+                yield f"layer{idx}.v_{gate}", p.kernel[:, cols].T
+                yield f"layer{idx}.w_{gate}", p.recurrent[:, cols].T
+                yield f"layer{idx}.b_{gate}", p.bias[cols]
+            if idx == top:
+                yield "head.w", self.head_w
+                yield "head.b", self.head_b
+
+
+class NetworkParams(_NetworkViews):
     """All weights of a network in one flat vector, float32 or float64.
 
     `layers[l]` is a LayerParams of views into `flat`, and `head_w`
     (output_dim, top_units) and `head_b` (output_dim,) are views too, so
     writing through any of them changes `flat`.  Gradients are a second
-    NetworkParams of the same spec and dtype.  Without `flat` the vector is
-    zeros of `dtype`; a given `flat` brings its own dtype.  Only the spec
-    and `flat` are pickled; the views are rebuilt on unpickling.
+    NetworkParams of the same spec and dtype, or a PartGradients.  Without
+    `flat` the vector is zeros of `dtype`; a given `flat` brings its own
+    dtype.  Only the spec and `flat` are pickled; the views are rebuilt on
+    unpickling.
     """
 
     def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None,
@@ -137,14 +177,8 @@ class NetworkParams:
         if flat.shape != (size,) or flat.dtype not in DTYPES.values():
             raise ShapeError(f"flat parameters {flat.dtype}{flat.shape}, "
                              f"expected float32 or float64 ({size},)")
-        self.spec = spec
         self.flat = flat
-        views, offset = [], 0
-        for shape in shapes:
-            views.append(flat[offset:offset + math.prod(shape)].reshape(shape))
-            offset += math.prod(shape)
-        *layer_views, self.head_w, self.head_b = views
-        self.layers = [LayerParams(*layer_views[k:k + 3]) for k in range(0, len(layer_views), 3)]
+        self._place(spec, flat, itertools.accumulate(map(math.prod, shapes[:-1]), initial=0))
 
     def __getstate__(self):
         return {"spec": self.spec, "flat": self.flat}
@@ -170,23 +204,6 @@ class NetworkParams:
                 arr[...] = glorot_uniform(rng, arr.shape[1], arr.shape[0])
         return params
 
-    def tensors(self):
-        """Yield (name, view) for every checkpoint tensor, in a fixed order.
-
-        Per layer and gate g: v_g (units, input_dim), w_g (units, units) and
-        b_g (units,), the transposed column block of g in kernel, recurrent
-        and bias; then head.w and head.b.
-        """
-        for idx, (layer, p) in enumerate(zip(self.spec.layers, self.layers)):
-            units = layer.units
-            for k, gate in enumerate(GATES[layer.cell_kind]):
-                cols = slice(k * units, (k + 1) * units)
-                yield f"layer{idx}.v_{gate}", p.kernel[:, cols].T
-                yield f"layer{idx}.w_{gate}", p.recurrent[:, cols].T
-                yield f"layer{idx}.b_{gate}", p.bias[cols]
-        yield "head.w", self.head_w
-        yield "head.b", self.head_b
-
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.spec, self.flat.copy())
 
@@ -197,6 +214,40 @@ class NetworkParams:
             name = next(n for n, arr in self.tensors() if not np.all(np.isfinite(arr)))
             raise ValueError(f"parameter tensor {name} contains non-finite entries")
         return self
+
+
+class GradientPart(NamedTuple):
+    """The gradients of one part: of NetworkParams.flat[start:start + flat.size]."""
+
+    start: int
+    flat: np.ndarray
+    tensors: Callable      # () -> (name, view) of the part's tensors, as NetworkParams names them
+
+
+class PartGradients(_NetworkViews):
+    """A network's gradients, a part at a time, in one buffer the size of the largest part.
+
+    A part is one layer's kernel, recurrent and bias: the range of
+    NetworkParams.flat from `starts[l]` to `starts[l + 1]`.  The head joins
+    the top layer's part, because the two are adjacent in flat.
+    `layers[l]`, `head_w` and `head_b` are views as in a NetworkParams of
+    gradients, but each part's views start at the buffer's first element,
+    so that a part's gradients overwrite the part before it.  `backward`
+    with `on_part` hands each part on as soon as it is complete.
+    """
+
+    def __init__(self, spec: NetworkSpec, dtype=np.float64):
+        offsets = list(itertools.accumulate(map(math.prod, _tensor_shapes(spec)), initial=0))
+        top = len(spec.layers) - 1
+        self.starts = offsets[:3 * top + 1:3] + offsets[-1:]
+        self.buffer = np.zeros(max(b - a for a, b in itertools.pairwise(self.starts)), dtype=dtype)
+        self._place(spec, self.buffer,
+                    [offset - self.starts[min(k // 3, top)] for k, offset in enumerate(offsets)])
+
+    def part(self, l: int) -> GradientPart:
+        """Layer l's part (the top layer's holds the head too)."""
+        start, stop = self.starts[l], self.starts[l + 1]
+        return GradientPart(start, self.buffer[:stop - start], functools.partial(self.tensors, [l]))
 
 
 @dataclass
@@ -288,16 +339,28 @@ def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarr
 
 
 def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
-             grads: NetworkParams | None = None, ws: dict | None = None) -> NetworkParams:
+             grads: NetworkParams | PartGradients | None = None, ws: dict | None = None,
+             on_part: Callable | None = None) -> NetworkParams | PartGradients:
     """Full-unrolled BPTT from dL/dprediction; returns the gradients, summed over timesteps.
 
-    The gradients are written into `grads` (a fresh NetworkParams of `spec`
-    when None); every element is overwritten, so a training loop can pass
-    the same container each step.  `ws` is the workspace the tape's forward
-    used, or any other: backward uses the layers' shared scratch (the
-    forward's x K + b rows become dz) and keeps each layer's dL/dx apart
-    from the tape (see `_layer_ws`).  The tape must come from the latest
-    forward on its workspace.
+    The gradients are written into `grads`, a fresh NetworkParams of `spec`
+    when None; every element is overwritten, so a training loop can pass
+    the same container each step.  The head's and the top layer's
+    gradients come first, then each lower layer's.  The top layer's
+    recursion starts from dL/dh of its last step, one (batch, units) row,
+    because the head reads no other step.
+
+    With `on_part`, `grads` is a PartGradients, whose parts share one
+    buffer, and `on_part(grads.part(l))` runs as soon as layer l is done,
+    before the layer below overwrites the buffer.  It may change the
+    part's weights, as training does by running the optimizer there:
+    layer l has already read them for the dL/dx it passes down, and no
+    lower layer reads them.  An exception it raises ends the backward.
+
+    `ws` is the workspace the tape's forward used, or any other: backward
+    uses the layers' shared scratch (the forward's x K + b rows become dz)
+    and keeps each layer's dL/dx apart from the tape (see `_layer_ws`).
+    The tape must come from the latest forward on its workspace.
     """
     dtype = params.flat.dtype
     dpred = np.asarray(dpred, dtype=dtype)
@@ -308,19 +371,19 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
         raise ShapeError(f"dpred shape {dpred.shape}, expected {(batch, spec.output_dim)}")
     if grads is None:
         grads = NetworkParams.zeros(spec, dtype)
-    elif grads.spec != spec or grads.flat.dtype != dtype:
+    elif grads.spec != spec or grads.head_w.dtype != dtype:
         raise ShapeError("grads were built for a different network spec or dtype")
     ws = {} if ws is None else ws
 
     np.matmul(dpred.T, tape.h_last, out=grads.head_w)
     np.sum(dpred, axis=0, out=grads.head_b)
-    dh = buffer(ws, "dh_top", tape.layers[-1].h[1:].shape, dtype)
-    dh[:-1] = 0.0
-    np.matmul(dpred, params.head_w, out=dh[-1])
+    dh = np.matmul(dpred, params.head_w, out=buffer(ws, "dh_top", tape.h_last.shape, dtype))
     for l in reversed(range(len(spec.layers))):
         layer_backward = lstm_backward if spec.layers[l].cell_kind == "lstm" else gru_backward
         dh = layer_backward(params.layers[l], tape.layers[l], dh, grads.layers[l],
                             _layer_ws(ws, f"dx{l % 2}"), input_grad=l > 0)
+        if on_part is not None:
+            on_part(grads.part(l))
     return grads
 
 

@@ -12,9 +12,15 @@ gradients, optimizer moments and each batch of windows, which
 views); the loss, its sum over the epoch and early stopping stay float64.
 A non-finite loss or gradient ends the run with TrainingDiverged (the
 gradient usually overflows first).
-A run keeps one workspace for the tapes and the backward's arrays and one
-gradient vector, so its steps reuse memory instead of allocating it; the
-epoch's short last batch views a prefix of the workspace's arrays.
+A run keeps one workspace for the tapes and the backward's arrays, and
+its gradients in one buffer the size of the network's largest part (a
+layer; the top layer's part holds the head too): `backward` hands each
+layer's part to the optimizer as soon as it is complete, top first, so a
+run never holds the whole gradient vector (`network.PartGradients`).  Its
+steps reuse memory instead of allocating it; the epoch's short last batch
+views a prefix of the workspace's arrays.  A non-finite gradient found in
+a lower layer's part ends the run after the upper parts of that step were
+updated; the run is discarded, so no weights of it are kept.
 
 `run_experiment` trains with seeds seed, seed+1, ... and evaluates each
 run on the held-out test split, retaining runs whose test R^2 clears the
@@ -35,7 +41,7 @@ result pipes with `selectors`, and reaps only its own workers.  A second
 BLAS thread speeds one seed up by less than a second seed adds work, so
 pooled seeds finish sooner than serial ones (README; scripts/bench.py
 pool, BENCH_pool.json).
-Each worker holds its own network, workspace and optimizer, about 98 MB
+Each worker holds its own network, workspace and optimizer, about 87 MB
 at gru-lstm1 (BENCH_pool.json's largest worker); the parent keeps the best
 run's weights only.  The cost: one and two BLAS threads round float32
 differently at the c09 shape (lstm1, 47 units, batch 46), so a multi-seed
@@ -63,7 +69,7 @@ import numpy as np
 
 from .data import DataError, WindowedDataset, read_jsonl, write_jsonl
 from .metrics import EvalReport, evaluate
-from .network import NetworkParams, NetworkSpec, backward, forward_batch
+from .network import NetworkParams, NetworkSpec, PartGradients, backward, forward_batch
 from .numerics import FLOAT, Rng
 from .optim import NonFiniteGradient, OptimizerState, apply
 
@@ -122,7 +128,10 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
     shuffle_rng = seed_rng.child(1)
     opt = OptimizerState(cfg.learning_rate)
     ws: dict = {}
-    grads = NetworkParams.zeros(spec, TRAIN_DTYPE)
+    grads = PartGradients(spec, TRAIN_DTYPE)
+
+    def update(part):                   # backward hands each layer's part over as it completes
+        apply(opt, params, part, part.start)
 
     best_loss = np.inf
     best_params = params.copy()
@@ -135,20 +144,18 @@ def train(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig) -> TrainRe
         sq_err_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            bx, by = xs[idx], ys[idx]
             # overflow surfaces through the explicit finite checks of loss and gradient
             with np.errstate(over="ignore", invalid="ignore"):
-                preds, tape = forward_batch(spec, params, bx, ws)
-                err = preds[:, 0] - by
+                preds, tape = forward_batch(spec, params, xs[idx], ws)
+                err = preds[:, 0] - ys[idx]
                 batch_loss = float(np.mean(err * err))
                 if not np.isfinite(batch_loss):
                     raise TrainingDiverged(
                         f"non-finite training loss at epoch {epoch} (seed {cfg.seed})")
                 sq_err_sum += batch_loss * idx.size
                 dpred = (2.0 * err / idx.size)[:, None]
-                backward(spec, params, tape, dpred, grads, ws)
                 try:
-                    apply(opt, params, grads)
+                    backward(spec, params, tape, dpred, grads, ws, update)
                 except NonFiniteGradient as exc:
                     raise TrainingDiverged(f"non-finite gradient at epoch {epoch} "
                                            f"(seed {cfg.seed}): {exc}") from None

@@ -196,6 +196,37 @@ def test_spans_give_the_bytes_of_one_span(monkeypatch, kind, activation, span):
     assert ws["q"].base.nbytes <= budget
 
 
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("span", [5, 1, 2], ids=["one-span", "1-step", "2-step-ragged"])
+def test_a_last_step_dh_gives_the_bytes_of_a_zero_padded_one(monkeypatch, kind, activation,
+                                                             span):
+    """A (B, H) dh, the head's, gives the weight gradients and dL/dx of the
+    (T, B, H) dh that is zero before its last step, bytes and signed zeros
+    alike, in one span and in several; a wrong-sized row is rejected."""
+    n_gates, forward, backward = ((4, lstm_forward, lstm_backward) if kind == "lstm"
+                                  else (3, gru_forward, gru_backward))
+    rng = Rng(53)
+    steps, batch, units, input_dim = 5, 3, 4, 2
+    _, params = make_layer(n_gates, input_dim, units, rng)
+    params = LayerParams(*(a.astype(np.float32) for a in params))
+    x = rng.standard_normal((steps, batch, input_dim)).astype(np.float32)
+    last = rng.standard_normal((batch, units)).astype(np.float32)
+    last[:, ::2] = -0.0
+    padded = np.zeros((steps, batch, units), dtype=np.float32)
+    padded[-1] = last
+    monkeypatch.setattr(cells, "SPAN_BYTES", span * n_gates * batch * units * 4)
+    got = []
+    for dh in (padded, last):
+        _, tape = forward(params, x, activation, True, {})
+        grad = LayerParams(*(np.empty_like(a) for a in params))
+        dx = backward(params, tape, dh, grad, {})
+        got.append(b"".join(a.tobytes() for a in (*grad, dx)))
+    assert got[0] == got[1]
+    with pytest.raises(ShapeError, match="dh shape"):
+        backward(params, tape, last[:, :-1], grad)
+
+
 def test_lstm_cell_state_gradient_includes_forget_path():
     """With no recurrent weights, x_0 reaches h_1 only through c_0 and f_1."""
     rng = Rng(31)

@@ -13,6 +13,7 @@ from grnn.network import (
     ModelFormatError,
     NetworkParams,
     NetworkSpec,
+    PartGradients,
     backward,
     forward_batch,
     load_model,
@@ -552,3 +553,34 @@ def test_hybrid_in_spans_matches_one_span(monkeypatch, activation, span):
     assert spanned == one_span
     assert flats[0][0].nbytes <= budget
     assert all(a is b for later in flats[1:] for a, b in zip(flats[0], later))
+
+
+def test_backward_in_parts_gives_the_whole_vectors_bytes_a_part_at_a_time():
+    """Three layers, top first: each part handed over is the whole
+    vector's range of the same bytes, its views start at the buffer's
+    first element, it names its own tensors (the top part also the head's)
+    and it is handed over before the layer below overwrites the buffer."""
+    rng = Rng(44)
+    spec = small_spec(LayerSpec("gru", 5, "relu"), LayerSpec("lstm", 4),
+                      LayerSpec("gru", 3), input_dim=2)
+    params = NetworkParams.init(spec, rng, np.float32)
+    windows = rng.standard_normal((6, 4, 2)).astype(np.float32)
+    dpred = rng.standard_normal((6, 1)).astype(np.float32)
+    ws = {}
+    _, tape = forward_batch(spec, params, windows, ws)
+    whole = backward(spec, params, tape, dpred, None, ws)
+    grads, seen = PartGradients(spec, np.float32), []
+
+    def take(part):
+        assert part.flat.ctypes.data == grads.buffer.ctypes.data
+        seen.append((part.start, part.flat.tobytes(), [name for name, _ in part.tensors()]))
+
+    _, tape = forward_batch(spec, params, windows, ws)
+    assert backward(spec, params, tape, dpred, grads, ws, take) is grads
+    assert [start for start, _, _ in seen] == grads.starts[-2::-1]
+    assert grads.buffer.size == max(b - a for a, b in zip(grads.starts, grads.starts[1:]))
+    names = [name for name, _ in whole.tensors()]
+    for (start, got, part_names), stop in zip(seen, grads.starts[:0:-1]):
+        assert got == whole.flat[start:stop].tobytes()
+        assert part_names == names[names.index(part_names[0]):][:len(part_names)]
+    assert seen[0][2][-2:] == ["head.w", "head.b"] and seen[-1][2][0] == "layer0.v_r"

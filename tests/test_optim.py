@@ -165,3 +165,33 @@ def test_state_takes_the_dtype_of_the_parameters():
     with pytest.raises(ShapeError):
         apply(state, NetworkParams.init(spec, Rng(4)), NetworkParams.zeros(spec))
 
+
+
+def test_a_step_in_parts_gives_the_bytes_of_one_call():
+    """Ranges applied from the vector's end down, one straddling a block
+    boundary at an unaligned start, make one step: the same parameters,
+    moments and step count as one call over the whole vector."""
+    n = optim.BLOCK + 1000
+    rng = np.random.Generator(np.random.Philox(key=17))
+    theta0 = rng.standard_normal(n).astype(np.float32)
+    grad_steps = [(rng.standard_normal(n) * scale).astype(np.float32) for scale in (1.0, 0.1)]
+    whole, parts = ScalarBag(theta0.copy()), ScalarBag(theta0.copy())
+    whole_state, parts_state = OptimizerState(), OptimizerState()
+    for g in grad_steps:
+        apply(whole_state, whole, ScalarBag(g.copy()))
+        for start, stop in ((7000, n), (3, 7000), (0, 3)):
+            apply(parts_state, parts, ScalarBag(g[start:stop].copy()), start)
+    assert parts.value.tobytes() == whole.value.tobytes()
+    assert parts_state.m.tobytes() == whole_state.m.tobytes()
+    assert parts_state.v.tobytes() == whole_state.v.tobytes()
+    assert parts_state.step_count == whole_state.step_count == 2
+
+
+def test_a_range_outside_the_vector_or_not_reaching_its_end_first_is_rejected():
+    theta = ScalarBag(np.zeros(6))
+    with pytest.raises(ShapeError, match="reaches the end"):
+        apply(OptimizerState(), theta, ScalarBag(np.zeros(2)), 1)
+    for grads, start in ((np.zeros(2), 5), (np.zeros(2), -1), (np.zeros(0), 6)):
+        with pytest.raises(ShapeError, match="mismatch"):
+            apply(OptimizerState(), theta, ScalarBag(grads), start)
+    assert not theta.value.any()

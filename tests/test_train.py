@@ -13,9 +13,16 @@ import pytest
 
 from grnn.data import NormalizationParams, WindowedDataset
 from grnn.metrics import evaluate
-from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
+from grnn.network import (
+    LayerSpec,
+    NetworkParams,
+    NetworkSpec,
+    PartGradients,
+    backward,
+    forward_batch,
+)
 from grnn.numerics import FLOAT, Rng
-from grnn.optim import OptimizerState, apply
+from grnn.optim import NonFiniteGradient, OptimizerState, apply
 from grnn.train import (
     TRAIN_DTYPE,
     RunArchive,
@@ -73,11 +80,11 @@ def test_train_is_deterministic(sine_dataset):
 
 
 def test_nonfinite_gradient_is_reported_as_divergence(sine_dataset, monkeypatch):
-    def poisoned_backward(spec, params, tape, dpred, grads, ws):
-        backward(spec, params, tape, dpred, grads, ws)
-        grads.head_b[0] = np.inf
+    def poisoned_apply(state, params, grads, start=0):
+        grads.flat[-1] = np.inf             # head.b, the last element of the only part
+        apply(state, params, grads, start)
 
-    monkeypatch.setattr(train_module, "backward", poisoned_backward)
+    monkeypatch.setattr(train_module, "apply", poisoned_apply)
     cfg = TrainConfig(batch_size=16, max_epochs=3, seed=4)
     with pytest.raises(TrainingDiverged, match=r"gradient at epoch 1 \(seed 4\).*head.b"):
         train(SINE_SPEC, sine_dataset, cfg)
@@ -413,3 +420,95 @@ def test_steady_training_step_allocates_less_than_one_gate_block():
     finally:
         tracemalloc.stop()
     assert peak < steps * batch * 4 * units * 8
+
+
+def whole_vector_train(spec, data, cfg):
+    """`train`'s loop with one full gradient vector: each step runs the whole
+    backward and then one apply over the whole vector.  Returns (best, losses)."""
+    seed_rng = Rng(cfg.seed)
+    params = NetworkParams.init(spec, seed_rng.child(0), TRAIN_DTYPE)
+    shuffle_rng = seed_rng.child(1)
+    opt, ws = OptimizerState(cfg.learning_rate), {}
+    grads = NetworkParams.zeros(spec, TRAIN_DTYPE)
+    n = data.train_x.shape[0]
+    losses, best, best_loss = [], params.copy(), np.inf
+    for _ in range(cfg.max_epochs):
+        order = shuffle_rng.permutation(n)
+        sq_err_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            preds, tape = forward_batch(spec, params, data.train_x[idx], ws)
+            err = preds[:, 0] - data.train_y[idx]
+            sq_err_sum += float(np.mean(err * err)) * idx.size
+            backward(spec, params, tape, (2.0 * err / idx.size)[:, None], grads, ws)
+            apply(opt, params, grads)
+        losses.append(sq_err_sum / n)
+        if losses[-1] < best_loss - 1e-12:
+            best_loss = losses[-1]
+            np.copyto(best.flat, params.flat)
+    return best, losses
+
+
+@pytest.mark.parametrize("layers, batch_size", [
+    ((LayerSpec("lstm", 47),), 46),                   # c09: 2,909 windows end in a batch of 11
+    ((LayerSpec("gru", 12, "relu"), LayerSpec("lstm", 9), LayerSpec("gru", 7, "relu")), 64),
+])
+def test_updating_a_part_at_a_time_gives_the_bytes_of_whole_vector_steps(market_dataset, layers,
+                                                                          batch_size):
+    spec = NetworkSpec(layers=layers, input_dim=8)
+    cfg = TrainConfig(batch_size=batch_size, max_epochs=2, patience=2, learning_rate=0.005,
+                      seed=3)
+    assert market_dataset.train_x.shape[0] % batch_size != 0          # a short last batch
+    result = train(spec, market_dataset, cfg)
+    best, losses = whole_vector_train(spec, market_dataset, cfg)
+    assert np.array(result.epoch_losses).tobytes() == np.array(losses).tobytes()
+    assert result.best_params.flat.tobytes() == best.flat.tobytes()
+
+
+def test_a_lower_layers_nonfinite_gradient_leaves_that_layer_as_it_was():
+    spec = NetworkSpec(layers=(LayerSpec("gru", 6), LayerSpec("lstm", 5)), input_dim=3)
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((7, 4, 3)), rng.standard_normal(7)
+    params = NetworkParams.init(spec, Rng(4), TRAIN_DTYPE)
+    grads, opt, ws = PartGradients(spec, TRAIN_DTYPE), OptimizerState(0.01), {}
+
+    def step(poison=False):
+        preds, tape = forward_batch(spec, params, x, ws)
+        if poison:
+            tape.layers[0].x[2, 1, 0] = np.nan     # reaches layer 0's kernel gradient only
+        backward(spec, params, tape, (2.0 * (preds[:, 0] - y) / 7)[:, None], grads, ws,
+                 lambda part: apply(opt, params, part, part.start))
+
+    step()
+    lower = slice(0, grads.starts[1])
+    before = [a[lower].copy() for a in (params.flat, opt.m, opt.v)]
+    top_before = params.flat[lower.stop:].copy()
+    with pytest.raises(NonFiniteGradient, match="layer0.v_r"):
+        step(poison=True)
+    for got, want in zip((params.flat, opt.m, opt.v), before):
+        np.testing.assert_array_equal(got[lower], want)
+    assert not np.array_equal(params.flat[lower.stop:], top_before)   # the top part ran first
+    assert opt.step_count == 2
+
+
+def test_training_holds_one_parts_gradients_not_the_whole_vectors(market_dataset):
+    """One epoch of `train` peaks at least the whole vector less its largest
+    part below the same loop with a whole gradient vector, less 4 KiB for the
+    small Python objects (frames, views, the part's bookkeeping) of a step."""
+    spec = NetworkSpec(layers=(LayerSpec("gru", 64), LayerSpec("lstm", 48)), input_dim=8)
+    cfg = TrainConfig(batch_size=64, max_epochs=1, patience=1, learning_rate=0.005, seed=3)
+    data = replace(market_dataset, train_x=market_dataset.train_x[:640],
+                   train_y=market_dataset.train_y[:640])
+    peaks = []
+    for run in (train, whole_vector_train):
+        run(spec, data, cfg)          # first-use allocations (caches, interned names) go untraced
+        tracemalloc.start()
+        try:
+            run(spec, data, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    starts = PartGradients(spec).starts
+    largest = max(b - a for a, b in zip(starts, starts[1:]))
+    assert largest < starts[-1] * 2 // 3
+    assert peaks[1] - peaks[0] >= (starts[-1] - largest) * TRAIN_DTYPE.itemsize - 4096

@@ -135,25 +135,30 @@ class _NetworkViews:
             for shape, offset in zip(_tensor_shapes(spec), offsets))
         self.layers = [LayerParams(*layer_views[k:k + 3]) for k in range(0, len(layer_views), 3)]
 
-    def tensors(self, layers=None):
+    def tensors(self):
         """Yield (name, view) for every checkpoint tensor, in a fixed order.
 
         Per layer and gate g: v_g (units, input_dim), w_g (units, units) and
         b_g (units,), the transposed column block of g in kernel, recurrent
-        and bias; then head.w and head.b.  With `layers` (indices, in
-        order), only theirs, and the head's if the top layer is one of them.
+        and bias; then head.w and head.b.
         """
-        top = len(self.spec.layers) - 1
-        for idx in range(top + 1) if layers is None else layers:
-            units, p = self.spec.layers[idx].units, self.layers[idx]
-            for k, gate in enumerate(GATES[self.spec.layers[idx].cell_kind]):
-                cols = slice(k * units, (k + 1) * units)
-                yield f"layer{idx}.v_{gate}", p.kernel[:, cols].T
-                yield f"layer{idx}.w_{gate}", p.recurrent[:, cols].T
-                yield f"layer{idx}.b_{gate}", p.bias[cols]
-            if idx == top:
-                yield "head.w", self.head_w
-                yield "head.b", self.head_b
+        return _named(self.spec, self.layers, self.head_w, self.head_b, range(len(self.layers)))
+
+
+def _named(spec: NetworkSpec, layers, head_w, head_b, which):
+    """`tensors()` of the layers `which` (indices, in order), with the head
+    after the top layer's when the top layer is one of them."""
+    top = len(spec.layers) - 1
+    for idx in which:
+        units, p = spec.layers[idx].units, layers[idx]
+        for k, gate in enumerate(GATES[spec.layers[idx].cell_kind]):
+            cols = slice(k * units, (k + 1) * units)
+            yield f"layer{idx}.v_{gate}", p.kernel[:, cols].T
+            yield f"layer{idx}.w_{gate}", p.recurrent[:, cols].T
+            yield f"layer{idx}.b_{gate}", p.bias[cols]
+        if idx == top:
+            yield "head.w", head_w
+            yield "head.b", head_b
 
 
 class NetworkParams(_NetworkViews):
@@ -232,8 +237,9 @@ class PartGradients(_NetworkViews):
     the top layer's part, because the two are adjacent in flat.
     `layers[l]`, `head_w` and `head_b` are views as in a NetworkParams of
     gradients, but each part's views start at the buffer's first element,
-    so that a part's gradients overwrite the part before it.  `backward`
-    with `on_part` hands each part on as soon as it is complete.
+    so that a part's gradients overwrite the part before it.  `parts[l]` is
+    layer l's GradientPart, which `backward` with `on_part` hands on as
+    soon as it is complete.
     """
 
     def __init__(self, spec: NetworkSpec, dtype=np.float64):
@@ -243,11 +249,12 @@ class PartGradients(_NetworkViews):
         self.buffer = np.zeros(max(b - a for a, b in itertools.pairwise(self.starts)), dtype=dtype)
         self._place(spec, self.buffer,
                     [offset - self.starts[min(k // 3, top)] for k, offset in enumerate(offsets)])
-
-    def part(self, l: int) -> GradientPart:
-        """Layer l's part (the top layer's holds the head too)."""
-        start, stop = self.starts[l], self.starts[l + 1]
-        return GradientPart(start, self.buffer[:stop - start], functools.partial(self.tensors, [l]))
+        # the parts name their tensors from the views, not through self, so that no cycle
+        # keeps the buffer alive after the last reference to self goes
+        self.parts = [GradientPart(start, self.buffer[:stop - start],
+                                   functools.partial(_named, spec, self.layers, self.head_w,
+                                                     self.head_b, [l]))
+                      for l, (start, stop) in enumerate(itertools.pairwise(self.starts))]
 
 
 @dataclass
@@ -351,7 +358,7 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
     because the head reads no other step.
 
     With `on_part`, `grads` is a PartGradients, whose parts share one
-    buffer, and `on_part(grads.part(l))` runs as soon as layer l is done,
+    buffer, and `on_part(grads.parts[l])` runs as soon as layer l is done,
     before the layer below overwrites the buffer.  It may change the
     part's weights, as training does by running the optimizer there:
     layer l has already read them for the dL/dx it passes down, and no
@@ -383,7 +390,7 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
         dh = layer_backward(params.layers[l], tape.layers[l], dh, grads.layers[l],
                             _layer_ws(ws, f"dx{l % 2}"), input_grad=l > 0)
         if on_part is not None:
-            on_part(grads.part(l))
+            on_part(grads.parts[l])
     return grads
 
 

@@ -253,10 +253,11 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     dh is dL/dh_t for every step, shape (T, B, H), from the layer above,
     or dL/dh of the last step only, shape (B, H), from the head.  A last
     step's dh gives the floats of a (T, B, H) dh that is zero before it:
-    each step adds 0.0 in place of dh[t], which also turns -0.0 into +0.0
-    as a zero dh[t] does.  Writes dL/dkernel, dL/drecurrent and dL/dbias
-    into `grad` and returns dL/dx, shape (T, B, D), held in `ws` (None
-    with input_grad=False, which skips that GEMM).
+    the recursion starts from it, and each step adds the tape's zero h[0]
+    in place of dh[t], which turns -0.0 into +0.0 as a zero dh[t] does.
+    Writes dL/dkernel, dL/drecurrent and dL/dbias into `grad` and returns
+    dL/dx, shape (T, B, D), held in `ws` (None with input_grad=False,
+    which skips that GEMM).
     """
     if not isinstance(tape, LstmTape):
         raise ShapeError(f"lstm_backward: got a {type(tape).__name__}")
@@ -280,6 +281,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
                                for name in ("dh_rec", "dc", "dh_t", "dcell"))
     every_step = dh.ndim == 3    # else dL/dh of the last step, where the recursion starts
     dh_rec[...] = 0.0 if every_step else dh
+    zero = h[0]                  # the zero initial state, added where dh[t] would be
     dc[...] = 0.0
     for start in reversed(range(0, steps, span)):
         stop = min(start + span, steps)
@@ -299,7 +301,7 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
         q_o = q_by_gate[2]
         for t in reversed(range(start, stop)):
             s = t - start
-            np.add(dh[t] if every_step else 0.0, dh_rec, dh_t)
+            np.add(dh[t] if every_step else zero, dh_rec, dh_t)
             np.multiply(dh_t, cell_from_h[s], dcell)
             np.add(dcell, dc, dcell)
             np.multiply(q[s], dcell, dz_t)
@@ -381,6 +383,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
     every_step = dh.ndim == 3
     dh_rec[...] = 0.0 if every_step else dh
+    zero = h[0]
     for start in reversed(range(0, steps, span)):
         stop = min(start + span, steps)
         # factors of dz that do not depend on the recursion, for this span's steps, gate
@@ -398,7 +401,7 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
         np.subtract(1.0, g[1], keep)
         for t in reversed(range(start, stop)):
             s = t - start
-            np.add(dh[t] if every_step else 0.0, dh_rec, dh_t)
+            np.add(dh[t] if every_step else zero, dh_rec, dh_t)
             np.multiply(dh_t, q_c[s], dz_c)
             np.matmul(dz_c, rec_c_t, d_rh)
             np.multiply(d_rh, q_r[s], dz_r)

@@ -13,7 +13,9 @@ Cases, each with a fixed amount of work per round:
            <shape>/float32; digests: the weights after the last step.
            Then a fresh workspace runs forward_batch and backward on a
            full, a short (SHORT_BATCH) and a full batch under tracemalloc,
-           and the peak is the key's peak_alloc_mb.
+           and the peak is the key's peak_alloc_mb; the bytes that
+           workspace then holds, per buffer ("<part>/<name>", the shared
+           scratch once), are its workspace_bytes.
     layer  one LSTM and one GRU layer, float32: forward then backward (with
            dL/dx, as a layer above the first runs it), on one workspace
            reused as `train` reuses it, after two warm-up calls: 300 at 16
@@ -199,7 +201,7 @@ def step_case(tree: str) -> dict:
     from grnn.numerics import Rng
     from grnn.optim import OptimizerState, apply
 
-    times, digests, peak_alloc_mb = {}, {}, {}
+    times, digests, peak_alloc_mb, ws_bytes = {}, {}, {}, {}
     for name, (layers, k) in STEP_SHAPES.items():
         spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
                            input_dim=FEATURES)
@@ -236,7 +238,26 @@ def step_case(tree: str) -> dict:
             peak_alloc_mb[key] = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
         finally:
             tracemalloc.stop()
-    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
+        ws_bytes[key] = workspace_bytes(fresh)
+    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb,
+            "workspace_bytes": ws_bytes}
+
+
+def workspace_bytes(ws: dict) -> dict:
+    """{"<part>/<name>": bytes of the name's flat array} of a network workspace;
+    a dict met again (the scratch the parts share) is counted where first met."""
+    out, seen = {}, set()
+
+    def walk(part: dict, prefix: str) -> None:
+        seen.add(id(part))
+        for name, value in part.items():
+            if isinstance(value, dict):
+                if id(value) not in seen:
+                    walk(value, f"{prefix}{name}/")
+            else:
+                out[prefix + name] = (value if value.base is None else value.base).nbytes
+    walk(ws, "")
+    return out
 
 
 def layer_calls(cells, kind: str, units: int, batch: int, lookback: int, inputs: int):
@@ -639,6 +660,8 @@ def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
         if "peak_alloc_mb" in outs[0]:
             tree["peak_alloc_mb"] = {key: max(out["peak_alloc_mb"][key] for out in outs)
                                      for key in outs[0]["peak_alloc_mb"]}
+        if "workspace_bytes" in outs[0]:
+            tree["workspace_bytes"] = outs[-1]["workspace_bytes"]
         if "rss_mb" in outs[0]:
             tree["rss_mb"] = {}
             for key in outs[0]["rss_mb"]:
@@ -730,6 +753,10 @@ def main(argv=None) -> int:
             if key in result["trees"]["change"].get("peak_alloc_mb", {}):
                 line += " | peak " + " / ".join(
                     f"{tree['peak_alloc_mb'][key]:.2f}" for tree in trees) + " MB"
+            if key in result["trees"]["change"].get("workspace_bytes", {}):
+                line += " | workspace " + " / ".join(
+                    f"{sum(tree['workspace_bytes'][key].values()) / 2.0 ** 20:.2f}"
+                    for tree in trees) + " MB"
             if key in result["trees"]["change"].get("rss_mb", {}):
                 line += " | rss median " + " / ".join(
                     f"{tree['rss_mb'][key]['median']:.2f}" for tree in trees) + " MB"

@@ -29,31 +29,38 @@ layer; sigmoid is evaluated as 0.5 + 0.5 tanh(x / 2), so the gates of one
 step cost one tanh call.  Initial states are zero.
 
 Inputs are time-major (T, B, D) and each forward returns the layer's
-outputs (T, B, H) plus a tape of stacked (T, ...) arrays (none with
-keep_tape=False, for prediction).  Forward does one x K + b GEMM for the
-whole window into batch-major gate rows (T, B, G*H), then one h R GEMM
-per step (GRU: h R_rz and (r * h) R_c), added to the step's rows in
-place.  The tape holds the gates gate-major, (T, G, B, H), so each gate of
-a step is one contiguous (B, H) block and the sigmoid gates are one
-block.  The step's activation reads its rows through a gate-major view
-and writes the tape: the one strided pass of a forward step.  Backward
-runs its steps in spans, the last span first: a span is as many whole
-steps as fit their (G, B, H) gate blocks in SPAN_BYTES (512 KiB, about a
-quarter of a 2 MiB L2), at least one and at most the window.  Before a
-span's steps it forms, gate-major, the span's factors of dz that do not
-depend on the recursion (q, and the LSTM's cell_from_h or the GRU's
-keep), in scratch sized for one span, so that scratch is bounded by the
-span and not by the window; a window of more than one span reserves the
-whole budget, so a short batch's longer spans view the same scratch.  The
-arithmetic per element is the same whatever the span.  Each step forms
-its gradients of the gate pre-activations in one (G, B, H) block.  One
-strided copy per step moves that block into the batch-major dz
-(T, B, G*H), held in the forward's row buffer, which every backward GEMM
-reads.  Its only per-step GEMMs carry dh back through R.  Each weight
-gradient is then one GEMM over the stacked T*B rows, written
-into the caller's gradient views, and the gradient for the layer below,
-dz K^T, is computed once.  Everything is deterministic, and the gradients
-are checked against central finite differences in the tests.
+outputs (T, B, H) plus a tape (none with keep_tape=False, for
+prediction).  A tape holds what backward cannot rebuild in one pass: the
+input x, the states h (and the LSTM's c), each (T+1, B, H) with a zero
+row 0, and the gates after their activations.  Backward rebuilds the
+LSTM's act(c_t) from c and the GRU's r * h_{t-1} from r and h, with the
+ufuncs the forward used on the same floats, so the forward keeps each
+for one step only, in the row of h it writes last.  Forward does one
+x K + b GEMM for the whole window into batch-major gate rows (T, B, G*H),
+then one h R GEMM per step (GRU: h R_rz and (r * h) R_c), added to the
+step's rows in place.  The tape holds the gates gate-major, (T, G, B, H),
+so each gate of a step is one contiguous (B, H) block and the sigmoid
+gates are one block.  The step's activation reads its rows through a
+gate-major view and writes the tape: the one strided pass of a forward
+step.  Backward runs its steps in spans, the last span first: a span is
+as many whole steps as fit their (G, B, H) gate blocks in SPAN_BYTES
+(512 KiB, about a quarter of a 2 MiB L2), at least one and at most the
+window.  Before a span's steps it forms, gate-major, the span's factors
+of dz that do not depend on the recursion (q, and "keep": the LSTM's
+act'(act(c_t)) o_t, made in place over the span's rebuilt act(c_t), or
+the GRU's 1 - z), in scratch sized for one span, so that scratch is
+bounded by the span and not by the window; a window of more than one
+span reserves the whole budget, so a short batch's longer spans view the
+same scratch.  The arithmetic per element is the same whatever the span.
+Each step forms its gradients of the gate pre-activations in one
+(G, B, H) block.  One strided copy per step moves that block into the
+batch-major dz (T, B, G*H), held in the forward's row buffer, which
+every backward GEMM reads.  Its only per-step GEMMs carry dh back
+through R.  Each weight gradient is then one GEMM over the stacked T*B
+rows, written into the caller's gradient views, and the gradient for the
+layer below, dz K^T, is computed once.  Everything is deterministic, and
+the gradients are checked against central finite differences in the
+tests.
 
 Every array a forward or backward writes, tape included, comes from a
 workspace: a dict from buffer name to array, passed as `ws`.  Each name
@@ -62,15 +69,21 @@ of its prefix in any shape, cached until the shape or dtype asked for
 changes; the flat is reallocated only when it is too small.  So a
 training loop that passes the same workspace each step allocates nothing
 after the first full batch, and an epoch's short last batch views a
-prefix.  A tape is therefore valid only until the next forward on the
-same workspace.  The tape and dx go to `ws` itself and every other
-array, scratch that no call leaves live, to `ws["scratch"]` when there
-is one (a network's layers share it; see `network.py`), else to `ws`.
-Two arrays that are never live at once share a name: the x K + b rows
-double as backward's dz, and "rec" holds forward's halved recurrent
-matrix (the GRU's r and z columns) and, viewed in the transposed shape,
-backward's transposed copy of it.  Called without a workspace, each
-function makes a fresh one and allocates as it goes.
+prefix.  The tape goes to `ws` itself and every other array but dL/dx,
+scratch that no call leaves live, to `ws["scratch"]` when there is one
+(a network's layers share it; see `network.py`), else to `ws`.  Arrays
+that are never live at once share a name.  The x K + b rows double as
+backward's dz.  "rec" holds the forward's halved recurrent matrix (the
+GRU's r and z columns), then, viewed in the transposed shape, backward's
+transposed copy of the whole matrix, whose row blocks R_rz^T and R_c^T
+the GRU's recursion reads; after that recursion, the GRU's rebuilt
+r * h_{t-1}, which dL/dR_c reads.  dL/dx goes to `ws`'s "gates" flat, over
+the gate tape, which backward has finished reading by then; the flat
+grows when the input is wider than the gate rows.  So a tape is valid
+until its backward, which spends it, or the next forward on the same
+workspace, whichever comes first.  Called without a workspace, each
+function makes a fresh one and allocates as it goes, and the tape is
+left as it was.
 """
 
 from __future__ import annotations
@@ -99,7 +112,6 @@ class LstmTape(NamedTuple):
     h: np.ndarray            # (T+1, B, H) outputs; h[0] is the zero initial state
     c: np.ndarray            # (T+1, B, H) cell states; c[0] = 0
     gates: np.ndarray        # (T, 4, B, H) f, i, o, c~ after their activations, gate-major
-    act_c: np.ndarray        # (T, B, H) act(c_t)
     activation: str
 
 
@@ -107,7 +119,6 @@ class GruTape(NamedTuple):
     x: np.ndarray            # (T, B, D) layer input
     h: np.ndarray            # (T+1, B, H) outputs; h[0] is the zero initial state
     gates: np.ndarray        # (T, 3, B, H) r, z, h~ after their activations, gate-major
-    rh: np.ndarray           # (T, B, H) r * h_{t-1}
     activation: str
 
 
@@ -210,7 +221,8 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
 
     With keep_tape=False the gates are computed in place in the x K + b
     rows, the cell state lives in a two-row ring and the tape is None.
-    Outputs and tape live in `ws` and stay valid until its next forward.
+    Outputs and tape live in `ws`; the tape stays valid until its backward
+    or the next forward on `ws`.
     """
     ws = {} if ws is None else ws
     scratch = _scratch(ws)
@@ -225,10 +237,9 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
     c = buffer(ws, "c", (kept + 1, batch, units), x.dtype)
     h[0] = 0.0
     c[0] = 0.0
-    act_c = buffer(ws, "act_c", (kept, batch, units), x.dtype)
     hr = buffer(scratch, "hr", (batch, 4 * units), x.dtype)
     for t in range(steps):
-        c_prev, c_new, a = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], act_c[t % kept]
+        c_prev, c_new, h_new = c[t % (kept + 1)], c[(t + 1) % (kept + 1)], h[t + 1]
         g = gates[t]
         if t:
             pre[t] += np.matmul(h[t], rec, out=hr)
@@ -240,10 +251,10 @@ def lstm_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = 
         _sigmoid_from_half_tanh(g[:3])
         f, i, o, cand = g
         np.multiply(f, c_prev, out=c_new)
-        c_new += np.multiply(i, cand, out=a)      # a is scratch here
-        _activate(activation, c_new, a)
-        np.multiply(a, o, out=h[t + 1])
-    return h[1:], LstmTape(x, h, c, gates, act_c, activation) if keep_tape else None
+        c_new += np.multiply(i, cand, out=h_new)      # h_new is scratch until the last line
+        _activate(activation, c_new, h_new)           # act(c_t), which backward rebuilds
+        h_new *= o
+    return h[1:], LstmTape(x, h, c, gates, activation) if keep_tape else None
 
 
 def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
@@ -256,20 +267,21 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
     the recursion starts from it, and each step adds the tape's zero h[0]
     in place of dh[t], which turns -0.0 into +0.0 as a zero dh[t] does.
     Writes dL/dkernel, dL/drecurrent and dL/dbias into `grad` and returns
-    dL/dx, shape (T, B, D), held in `ws` (None with input_grad=False,
-    which skips that GEMM).
+    dL/dx, shape (T, B, D) (None with input_grad=False, which skips that
+    GEMM).  dL/dx is written over the gate tape in `ws`, the tape's own
+    when `ws` is the forward's workspace, so a tape backs one backward.
     """
     if not isinstance(tape, LstmTape):
         raise ShapeError(f"lstm_backward: got a {type(tape).__name__}")
     ws = {} if ws is None else ws
     scratch = _scratch(ws)
-    x, h, c, gates, act_c, activation = tape
-    steps, batch, units = act_c.shape
-    dh = _check_dh(dh, act_c, p.kernel.dtype, "lstm_backward")
+    x, h, c, gates, activation = tape
+    steps, batch, units = h[1:].shape
+    dh = _check_dh(dh, h[1:], p.kernel.dtype, "lstm_backward")
     span, reserve = _span(steps, 4, batch, units, x.dtype)
     q_span = buffer(scratch, "q", (span, 4, batch, units), x.dtype, reserve)
-    cell_from_h_span = buffer(scratch, "cell_from_h", (span, batch, units), x.dtype,
-                              reserve // 4)
+    # a GRU span's keep is the larger (G = 3), so a hybrid's layers share one flat
+    keep_span = buffer(scratch, "keep", (span, batch, units), x.dtype, reserve // 3)
     f = gates[:, 0]
     dz = buffer(scratch, "rows", (steps, batch, 4 * units), x.dtype)   # x K + b, no longer needed
     dz_by_gate = _by_gate(dz, 4)
@@ -290,13 +302,14 @@ def lstm_backward(p: LayerParams, tape: LstmTape, dh, grad: LayerParams,
         g = gates[start:stop].swapaxes(0, 1)
         q = q_span[:stop - start]
         q_by_gate = q.swapaxes(0, 1)
+        act_c = keep_span[:stop - start]         # act(c_t) as the forward made it, from c
+        _activate(activation, c[start + 1:stop + 1], act_c)
         sigmoid_grad(g[:3], q_by_gate[:3])
-        for k, factor in enumerate((c[start:stop], g[3], act_c[start:stop])):
+        for k, factor in enumerate((c[start:stop], g[3], act_c)):
             q_by_gate[k] *= factor
         q_cand = _activation_grad(activation, g[3], q_by_gate[3])
         q_cand *= g[1]
-        cell_from_h = _activation_grad(activation, act_c[start:stop],
-                                       cell_from_h_span[:stop - start])
+        cell_from_h = _activation_grad(activation, act_c, act_c)
         cell_from_h *= g[2]
         q_o = q_by_gate[2]
         for t in reversed(range(start, stop)):
@@ -318,8 +331,8 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     """Run a GRU layer over a (T, B, D) window. Returns (outputs (T, B, H), GruTape).
 
     With keep_tape=False the gates are computed in place in the x K + b
-    rows, r * h_{t-1} lives in a one-row buffer and the tape is None.
-    Outputs and tape live in `ws` and stay valid until its next forward.
+    rows and the tape is None.  Outputs and tape live in `ws`; the tape
+    stays valid until its backward or the next forward on `ws`.
     """
     ws = {} if ws is None else ws
     scratch = _scratch(ws)
@@ -332,26 +345,24 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
     rec_c = p.recurrent[:, n_sig:]
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)
     h[0] = 0.0
-    kept = steps if keep_tape else 1
     gates = buffer(ws, "gates", (steps, 3, batch, units), x.dtype) if keep_tape else pre_by_gate
-    rh = buffer(ws, "rh", (kept, batch, units), x.dtype)
     hr_rz = buffer(scratch, "hr_rz", (batch, n_sig), x.dtype)
     hr_c = buffer(scratch, "hr_c", (batch, units), x.dtype)
     for t in range(steps):
-        g, rh_t = gates[t], rh[t % kept]
+        g = gates[t]
         rz, cand = g[:2], g[2]
         if t:
             pre[t, :, :n_sig] += np.matmul(h[t], rec_rz, out=hr_rz)
         np.tanh(pre_by_gate[t, :2], out=rz)
         _sigmoid_from_half_tanh(rz)
-        np.multiply(rz[0], h[t], out=rh_t)
-        if t:
-            pre[t, :, n_sig:] += np.matmul(rh_t, rec_c, out=hr_c)
+        if t:               # r * h_{t-1}, which backward rebuilds, in the row h_t overwrites
+            rh = np.multiply(rz[0], h[t], out=h[t + 1])
+            pre[t, :, n_sig:] += np.matmul(rh, rec_c, out=hr_c)
         _activate(activation, pre_by_gate[t, 2], cand)
         np.subtract(cand, h[t], out=h[t + 1])
         h[t + 1] *= rz[1]
         h[t + 1] += h[t]
-    return h[1:], GruTape(x, h, gates, rh, activation) if keep_tape else None
+    return h[1:], GruTape(x, h, gates, activation) if keep_tape else None
 
 
 def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
@@ -361,9 +372,9 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
         raise ShapeError(f"gru_backward: got a {type(tape).__name__}")
     ws = {} if ws is None else ws
     scratch = _scratch(ws)
-    x, h, gates, rh, activation = tape
-    steps, batch, units = rh.shape
-    dh = _check_dh(dh, rh, p.kernel.dtype, "gru_backward")
+    x, h, gates, activation = tape
+    steps, batch, units = h[1:].shape
+    dh = _check_dh(dh, h[1:], p.kernel.dtype, "gru_backward")
     n_sig = 2 * units
     h_prev = h[:-1]
     r = gates[:, 0]
@@ -375,10 +386,9 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
     dz_rz = dz[:, :, :n_sig]
     dz_t = buffer(scratch, "dz_t", (3, batch, units), x.dtype)
     dz_r, dz_z, dz_c = dz_t
-    rec_rz_t = buffer(scratch, "rec", (n_sig, units), x.dtype)        # the forward's rec_rz
-    np.copyto(rec_rz_t, p.recurrent[:, :n_sig].T)
-    rec_c_t = buffer(scratch, "rec_c_t", (units, units), x.dtype)
-    np.copyto(rec_c_t, p.recurrent[:, n_sig:].T)
+    rec_t = buffer(scratch, "rec", p.recurrent.shape[::-1], x.dtype)   # the forward's rec_rz
+    np.copyto(rec_t, p.recurrent.T)
+    rec_rz_t, rec_c_t = rec_t[:n_sig], rec_t[n_sig:]
     dh_rec, dh_t, d_rh, dh_rz = (buffer(scratch, name, (batch, units), x.dtype)
                                  for name in ("dh_rec", "dh_t", "d_rh", "dh_rz"))
     every_step = dh.ndim == 3
@@ -412,6 +422,8 @@ def gru_backward(p: LayerParams, tape: GruTape, dh, grad: LayerParams,
                 np.add(dh_rec, np.matmul(dz_rz[t], rec_rz_t, dh_rz), dh_rec)
                 np.multiply(d_rh, r[t], d_rh)
                 np.add(dh_rec, d_rh, dh_rec)
+    # r * h_{t-1} as the forward made it, over rec_t, which the recursion has finished with
+    rh = np.multiply(r, h_prev, out=buffer(scratch, "rec", h_prev.shape, x.dtype))
     return _weight_grads(p, grad, x, dz, ((h_prev, slice(None, n_sig)), (rh, slice(n_sig, None))),
                          ws, input_grad)
 
@@ -443,6 +455,6 @@ def _weight_grads(p: LayerParams, grad: LayerParams, x, dz, recurrent_inputs, ws
     np.matmul(ones, dz, out=grad.bias)    # a GEMV sums the rows faster than np.sum
     if not input_grad:
         return None
-    dx = buffer(ws, "dx", x.shape, x.dtype)
+    dx = buffer(ws, "gates", x.shape, x.dtype)      # over the spent gate tape
     np.matmul(dz, p.kernel.T, out=dx.reshape(rows, -1))
     return dx

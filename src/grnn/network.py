@@ -282,16 +282,13 @@ def _layer_forward(layer: LayerSpec, p: LayerParams, x, keep_tape: bool = True, 
     return forward(p, x, layer.activation, keep_tape, ws)
 
 
-def _layer_ws(ws: dict, key: str) -> dict:
-    """Part `key` of a network workspace: its own arrays, and the scratch all parts share.
+def _layer_ws(ws: dict, l: int) -> dict:
+    """Layer l's part of a network workspace: its own arrays, and the scratch all parts share.
 
-    Forward gives layer l the part "layer{l}", which keeps its tape.
-    Backward gives it "dx{l % 2}", which keeps only its dL/dx: layer l
-    reads layer l+1's, so the two alternate.  (Each backward reads all of
-    dh before it writes dL/dx, so one buffer would do today; two keep that
-    from depending on the order of work inside a backward.)
+    The part keeps the layer's tape; backward writes the layer's dL/dx
+    over the tape's gates, which the layer below reads as its dh.
     """
-    return ws.setdefault(key, {"scratch": ws.setdefault("scratch", {})})
+    return ws.setdefault(f"layer{l}", {"scratch": ws.setdefault("scratch", {})})
 
 
 def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
@@ -299,14 +296,15 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
     """Run a (batch, lookback, features) stack of windows. Returns (preds, tape).
 
     The tape's arrays live in `ws` (a fresh workspace when None) and stay
-    valid only until the next forward on the same workspace.  The layers
-    share one set of scratch arrays, each the size the widest layer needs.
+    valid only until the backward that reads them or the next forward on
+    the same workspace.  The layers share one set of scratch arrays, each
+    the size the widest layer needs.
     """
     ws = {} if ws is None else ws
     x = np.ascontiguousarray(_check_windows(spec, windows, params.flat.dtype).transpose(1, 0, 2))
     tapes = []
     for l, (layer, p) in enumerate(zip(spec.layers, params.layers)):
-        x, tape = _layer_forward(layer, p, x, ws=_layer_ws(ws, f"layer{l}"))
+        x, tape = _layer_forward(layer, p, x, ws=_layer_ws(ws, l))
         tapes.append(tape)
     h_last = x[-1]
     preds = h_last @ params.head_w.T + params.head_b
@@ -366,8 +364,9 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
 
     `ws` is the workspace the tape's forward used, or any other: backward
     uses the layers' shared scratch (the forward's x K + b rows become dz)
-    and keeps each layer's dL/dx apart from the tape (see `_layer_ws`).
-    The tape must come from the latest forward on its workspace.
+    and writes each layer's dL/dx over the gate tape in the layer's part
+    (see `_layer_ws`).  The tape must come from the latest forward on its
+    workspace, and backward spends it: a tape backs one backward.
     """
     dtype = params.flat.dtype
     dpred = np.asarray(dpred, dtype=dtype)
@@ -388,7 +387,7 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
     for l in reversed(range(len(spec.layers))):
         layer_backward = lstm_backward if spec.layers[l].cell_kind == "lstm" else gru_backward
         dh = layer_backward(params.layers[l], tape.layers[l], dh, grads.layers[l],
-                            _layer_ws(ws, f"dx{l % 2}"), input_grad=l > 0)
+                            _layer_ws(ws, l), input_grad=l > 0)
         if on_part is not None:
             on_part(grads.parts[l])
     return grads

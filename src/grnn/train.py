@@ -280,9 +280,10 @@ def pool_size(repeats: int) -> int:
         workers = os.cpu_count() or 1
     cap = os.environ.get("GRNN_THREADS")
     if cap:
-        if not cap.strip().isdigit():
-            raise ValueError(f"GRNN_THREADS must be a whole number, got {cap!r}")
-        workers = min(workers, int(cap))
+        digits = cap.strip()
+        if not (digits.isascii() and digits.isdigit() and int(digits) >= 1):
+            raise ValueError(f"GRNN_THREADS must be a whole number of at least 1, got {cap!r}")
+        workers = min(workers, int(digits))
     if _blas_thread_setter() is None:
         workers = 1
     return max(1, min(workers, repeats))

@@ -89,13 +89,19 @@ def test_every_traced_name_is_a_function_of_its_grnn_module():
 
 def test_bench_step_reports_peak_alloc(monkeypatch):
     """The step case on one small shape, in-process: a fresh workspace's
-    peak over a full, a short and a full batch."""
+    peak over a full, a short and a full batch, and the bytes of each of
+    its buffers afterwards, which that peak covers."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
     bench = pytest.importorskip("bench")
     monkeypatch.setattr(bench, "STEP_SHAPES", {"c09": ((("lstm", 47),), 2)})
     out = bench.step_case(ROOT)
-    assert set(out["times"]) == set(out["digests"]) == set(out["peak_alloc_mb"]) == {"c09/float32"}
+    assert (set(out["times"]) == set(out["digests"]) == set(out["peak_alloc_mb"])
+            == set(out["workspace_bytes"]) == {"c09/float32"})
     assert len(out["times"]["c09/float32"]) == 2 and out["peak_alloc_mb"]["c09/float32"] > 0
+    buffers = out["workspace_bytes"]["c09/float32"]
+    assert {"scratch/rows", "layer0/gates", "layer0/h", "dh_top"} <= set(buffers)
+    assert not [name for name in buffers if name.startswith("layer0/scratch")]
+    assert 0 < sum(buffers.values()) <= out["peak_alloc_mb"]["c09/float32"] * 2 ** 20
 
 
 def test_bench_rss_reports_each_commands_own_peak(monkeypatch, tmp_path):

@@ -10,6 +10,7 @@ from grnn import cells
 from grnn.cells import (
     GruTape,
     LayerParams,
+    LstmTape,
     gru_backward,
     gru_forward,
     lstm_backward,
@@ -225,6 +226,57 @@ def test_a_last_step_dh_gives_the_bytes_of_a_zero_padded_one(monkeypatch, kind, 
     assert got[0] == got[1]
     with pytest.raises(ShapeError, match="dh shape"):
         backward(params, tape, last[:, :-1], grad)
+
+
+def test_a_tape_holds_nothing_backward_rebuilds():
+    """Backward rebuilds act(c_t) from c and r * h_{t-1} from r and h, so
+    the tapes hold neither, and a forward keeps no other per-step array:
+    its scratch holds no (T, B, H) array."""
+    assert LstmTape._fields == ("x", "h", "c", "gates", "activation")
+    assert GruTape._fields == ("x", "h", "gates", "activation")
+    rng = Rng(19)
+    steps, batch, units = 4, 3, 5
+    x = rng.standard_normal((steps, batch, 2))
+    for n_gates, forward, names in ((4, lstm_forward, {"h", "c", "gates"}),
+                                    (3, gru_forward, {"h", "gates"})):
+        _, params = make_layer(n_gates, 2, units, rng)
+        ws = {"scratch": {}}
+        forward(params, x, "tanh", True, ws)
+        assert set(ws) == {"scratch", *names}
+        assert all(a.shape != (steps, batch, units) for a in ws["scratch"].values())
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("input_dim", [2, 9], ids=["narrow", "wider-than-gates"])
+def test_dx_is_written_over_the_spent_gate_tape(kind, activation, input_dim):
+    """With the forward's workspace, backward writes dL/dx over the tape's
+    gates, growing their flat when the input is wider than the gate rows
+    (9 > G * 2); stand-alone, with no workspace, it leaves the tape alone.
+    Both give the same bytes of gradients and dL/dx."""
+    n_gates, forward, backward = ((4, lstm_forward, lstm_backward) if kind == "lstm"
+                                  else (3, gru_forward, gru_backward))
+    rng = Rng(59)
+    steps, batch, units = 5, 3, 2
+    _, params = make_layer(n_gates, input_dim, units, rng)
+    params = LayerParams(*(a.astype(np.float32) for a in params))
+    x = rng.standard_normal((steps, batch, input_dim)).astype(np.float32)
+    dh = rng.standard_normal((steps, batch, units)).astype(np.float32)
+    got = []
+    for ws in ({}, None):
+        _, tape = forward(params, x, activation, True, ws)
+        gates = tape.gates.copy()
+        grad = LayerParams(*(np.empty_like(a) for a in params))
+        dx = backward(params, tape, dh, grad, ws)
+        got.append(b"".join(a.tobytes() for a in (*grad, dx)))
+        if ws is None:
+            assert tape.gates.tobytes() == gates.tobytes()
+        elif input_dim < n_gates * units:
+            assert np.shares_memory(dx, tape.gates)
+        else:
+            assert dx is ws["gates"] and dx.base.size == x.size
+            assert forward(params, x, activation, True, ws)[1].gates.base is dx.base
+    assert got[0] == got[1]
 
 
 def test_lstm_cell_state_gradient_includes_forget_path():

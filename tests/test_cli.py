@@ -885,9 +885,10 @@ def test_env_var_caps_parallel_workers(monkeypatch):
     monkeypatch.setattr(importlib.import_module("grnn.train"), "_blas_thread_setter",
                         lambda: None)       # workers that cannot cap BLAS: one of them
     assert pool_size(repeats=48) == 1
-    monkeypatch.setenv("GRNN_THREADS", "two")
-    with pytest.raises(ValueError, match="GRNN_THREADS must be a whole number"):
-        pool_size(repeats=48)
+    for bad in ("two", "0", "00", "\u00b2", "\u0663"):    # superscript and Arabic-Indic digits
+        monkeypatch.setenv("GRNN_THREADS", bad)
+        with pytest.raises(ValueError, match="GRNN_THREADS must be a whole number"):
+            pool_size(repeats=48)
 
 
 def test_train_runs_where_the_platform_has_no_sched_getaffinity(tmp_path, monkeypatch,

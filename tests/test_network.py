@@ -469,13 +469,13 @@ def test_dtype_is_checked_where_params_meet():
         backward(spec, params, tape, np.ones((2, 1)), NetworkParams.zeros(spec))
 
 
-@pytest.mark.parametrize("kind, units, gates", [("lstm", 5, 4), ("gru", 6, 2)])
-def test_layer_workspace_holds_one_recurrent_matrix(kind, units, gates):
+@pytest.mark.parametrize("kind, units", [("lstm", 5), ("gru", 6)])
+def test_layer_workspace_holds_one_recurrent_matrix(kind, units):
     """A network's layers share one `rec`, one `rows` and one `q` buffer,
     each sized for the widest layer (here the middle one): `rec` holds the
-    forward's halved recurrent matrix and the backward's transposed copy.
-    Each layer's own part keeps only its tape, and the two dL/dx parts only
-    dL/dx."""
+    forward's halved recurrent matrix, the backward's transposed copy of
+    the whole matrix and, after a GRU's recursion, its r * h_{t-1}.  Each
+    layer's own part keeps only its tape, and there is no dL/dx part."""
     other = "gru" if kind == "lstm" else "lstm"
     spec = small_spec(LayerSpec(other, 3), LayerSpec(kind, units), LayerSpec(other, 2),
                       input_dim=3)
@@ -483,15 +483,40 @@ def test_layer_workspace_holds_one_recurrent_matrix(kind, units, gates):
     steps, batch, ws = 4, 2, {}
     pred, tape = forward_batch(spec, params, np.ones((batch, steps, 3)), ws)
     backward(spec, params, tape, np.ones_like(pred), None, ws)
-    assert set(ws) == {"scratch", "layer0", "layer1", "layer2", "dx0", "dx1", "dh_top"}
+    assert set(ws) == {"scratch", "layer0", "layer1", "layer2", "dh_top"}
     scratch = ws["scratch"]
-    assert scratch["rec"].base.size == units * gates * units
     width = len(network.GATES[kind]) * units
+    assert scratch["rec"].base.size == units * width
     assert scratch["rows"].base.size == scratch["q"].base.size == steps * batch * width
     for l in range(3):
-        assert set(ws[f"layer{l}"]) <= {"scratch", "h", "c", "gates", "act_c", "rh"}
+        assert set(ws[f"layer{l}"]) <= {"scratch", "h", "c", "gates"}
         assert ws[f"layer{l}"]["scratch"] is scratch
-    assert set(ws["dx0"]) == set(ws["dx1"]) == {"scratch", "dx"}
+
+
+def test_a_step_writes_each_dx_over_its_layers_gate_tape():
+    """A training step (forward_batch, then backward handing parts over)
+    leaves no dL/dx part: layers 1 and 2 write their dL/dx over their own
+    gate tapes, growing layer 2's, whose 7-unit input is wider than its
+    one-unit GRU's three gates; layer 0 passes none down, so its tape is
+    left as it was.  The next step views the grown flat."""
+    rng = Rng(46)
+    spec = small_spec(LayerSpec("lstm", 4), LayerSpec("lstm", 7), LayerSpec("gru", 1),
+                      input_dim=3)
+    params = NetworkParams.init(spec, rng, np.float32)
+    grads, ws = PartGradients(spec, np.float32), {}
+    windows = rng.standard_normal((5, 4, 3)).astype(np.float32)
+    dpred = rng.standard_normal((5, 1)).astype(np.float32)
+    _, tape = forward_batch(spec, params, windows, ws)
+    gates0 = tape.layers[0].gates.copy()
+    backward(spec, params, tape, dpred, grads, ws, lambda part: None)
+    assert not [key for key in ws if key.startswith("dx")]
+    assert ws["layer0"]["gates"] is tape.layers[0].gates
+    assert tape.layers[0].gates.tobytes() == gates0.tobytes()
+    dx1, dx2 = ws["layer1"]["gates"], ws["layer2"]["gates"]
+    assert dx1.shape == (4, 5, 4) and dx1.base is tape.layers[1].gates.base
+    assert dx2.shape == (4, 5, 7) and dx2.base.size == 4 * 5 * 7
+    _, tape = forward_batch(spec, params, windows, ws)
+    assert tape.layers[2].gates.base is dx2.base
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -540,9 +565,9 @@ def test_hybrid_in_spans_matches_one_span(monkeypatch, activation, span):
         for windows, dpred in batches:
             _, tape = forward_batch(spec, params, windows, ws)
             backward(spec, params, tape, dpred, grads, ws)
-            out.append((grads.flat.tobytes(), ws["dx0"]["dx"].tobytes(),
-                        ws["dx1"]["dx"].tobytes()))
-            flats.append([ws["scratch"][name].base for name in ("q", "keep", "cell_from_h")])
+            out.append((grads.flat.tobytes(), ws["layer1"]["gates"].tobytes(),
+                        ws["layer2"]["gates"].tobytes()))
+            flats.append([ws["scratch"][name].base for name in ("q", "keep")])
         return out, flats
 
     one_span, _ = run()

@@ -147,12 +147,15 @@ def buffer(ws: dict, name: str, shape: tuple, dtype, reserve: int = 0) -> np.nda
     a view of a view point at the owner), remade only when the shape or
     dtype changes; the flat grows, and is never shrunk, when a view needs
     more than it holds, and a new flat holds at least `reserve` elements.
+    The old flat is let go before the new one is made, so that the two
+    coexist only while a caller holds a view of the old one.
     """
     view = ws.get(name)
     if view is None or view.shape != shape or view.dtype != dtype:
         size = math.prod(shape)
         flat = None if view is None else view.base
         if flat is None or flat.dtype != dtype or flat.size < size:
+            ws[name] = view = flat = None
             flat = np.empty(max(size, reserve), dtype=dtype)
         view = ws[name] = flat[:size].reshape(shape)
     return view

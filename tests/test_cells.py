@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,26 @@ def test_backward_zero_gradient_gives_zero():
     _, gtape = gru_forward(gparams, rng.standard_normal((3, 2, 3)))
     gdx = gru_backward(gparams, gtape, np.zeros((3, 2, 4)), ggrad)
     assert np.all(gflat == 0) and np.all(gdx == 0)
+
+
+def test_a_growing_buffer_lets_its_old_flat_go_first():
+    """A flat too small for the view asked for is freed before the larger
+    one is made, unless a caller still holds a view of it, which keeps its
+    values."""
+    ws = {}
+    tracemalloc.start()
+    try:
+        cells.buffer(ws, "a", (1 << 18,), np.float32)[...] = 1.0       # 1 MiB
+        tracemalloc.reset_peak()
+        cells.buffer(ws, "a", (1 << 19,), np.float32)                  # 2 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
+    held = ws["a"]
+    held[...] = 2.0
+    cells.buffer(ws, "a", (1 << 20,), np.float32)
+    assert ws["a"].base is not held.base and np.all(held == 2.0)
 
 
 def _fd_check(forward, backward, n_gates, activation, seed, units, input_dim,

@@ -77,7 +77,8 @@ backward's dz.  "rec" holds the forward's halved recurrent matrix (the
 GRU's r and z columns), then, viewed in the transposed shape, backward's
 transposed copy of the whole matrix, whose row blocks R_rz^T and R_c^T
 the GRU's recursion reads; after that recursion, the GRU's rebuilt
-r * h_{t-1}, which dL/dR_c reads.  dL/dx goes to `ws`'s "gates" flat, over
+r * h_{t-1}, which dL/dR_c reads.  A GRU forward that keeps a tape
+reserves room for both, so the flat does not grow in backward.  dL/dx goes to `ws`'s "gates" flat, over
 the gate tape, which backward has finished reading by then; the flat
 grows when the input is wider than the gate rows.  So a tape is valid
 until its backward, which spends it, or the next forward on the same
@@ -145,16 +146,16 @@ def buffer(ws: dict, name: str, shape: tuple, dtype, reserve: int = 0) -> np.nda
 
     The array is a view of the name's flat array (its `base`: numpy makes
     a view of a view point at the owner), remade only when the shape or
-    dtype changes; the flat grows, and is never shrunk, when a view needs
-    more than it holds, and a new flat holds at least `reserve` elements.
-    The old flat is let go before the new one is made, so that the two
-    coexist only while a caller holds a view of the old one.
+    dtype changes.  The flat grows, and is never shrunk, when it holds
+    fewer than max(elements of the view, `reserve`).  The old flat is let
+    go before the new one is made, so that the two coexist only while a
+    caller holds a view of the old one.
     """
     view = ws.get(name)
     if view is None or view.shape != shape or view.dtype != dtype:
         size = math.prod(shape)
         flat = None if view is None else view.base
-        if flat is None or flat.dtype != dtype or flat.size < size:
+        if flat is None or flat.dtype != dtype or flat.size < max(size, reserve):
             ws[name] = view = flat = None
             flat = np.empty(max(size, reserve), dtype=dtype)
         view = ws[name] = flat[:size].reshape(shape)
@@ -343,7 +344,9 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
                                                      scratch)
     n_sig = 2 * units
     pre_by_gate = _by_gate(pre, 3)
-    rec_rz = buffer(scratch, "rec", (units, n_sig), x.dtype)
+    # with a tape, room for backward's R^T and r * h_{t-1} in the same flat, so it never grows there
+    reserve = max(p.recurrent.size, steps * batch * units) if keep_tape else 0
+    rec_rz = buffer(scratch, "rec", (units, n_sig), x.dtype, reserve)
     np.multiply(p.recurrent[:, :n_sig], 0.5, out=rec_rz)     # exact halving, as in lstm_forward
     rec_c = p.recurrent[:, n_sig:]
     h = buffer(ws, "h", (steps + 1, batch, units), x.dtype)

@@ -113,9 +113,9 @@ def test_backward_zero_gradient_gives_zero():
 
 
 def test_a_growing_buffer_lets_its_old_flat_go_first():
-    """A flat too small for the view asked for is freed before the larger
-    one is made, unless a caller still holds a view of it, which keeps its
-    values."""
+    """A flat too small for the view asked for, or for its reserve, is
+    freed before the larger one is made, unless a caller still holds a
+    view of it, which keeps its values."""
     ws = {}
     tracemalloc.start()
     try:
@@ -130,6 +130,7 @@ def test_a_growing_buffer_lets_its_old_flat_go_first():
     held[...] = 2.0
     cells.buffer(ws, "a", (1 << 20,), np.float32)
     assert ws["a"].base is not held.base and np.all(held == 2.0)
+    assert cells.buffer(ws, "a", (4,), np.float32, 1 << 21).base.size == 1 << 21
 
 
 def _fd_check(forward, backward, n_gates, activation, seed, units, input_dim,

@@ -66,23 +66,24 @@ Every array a forward or backward writes, tape included, comes from a
 workspace: a dict from buffer name to array, passed as `ws`.  Each name
 has one grow-only flat array, and `buffer` hands out a C-contiguous view
 of its prefix in any shape, cached until the shape or dtype asked for
-changes; the flat is reallocated only when it is too small.  So a
-training loop that passes the same workspace each step allocates nothing
-after the first full batch, and an epoch's short last batch views a
-prefix.  The tape goes to `ws` itself and every other array but dL/dx,
-scratch that no call leaves live, to `ws["scratch"]` when there is one
-(a network's layers share it; see `network.py`), else to `ws`.  Arrays
-that are never live at once share a name.  The x K + b rows double as
-backward's dz.  "rec" holds the forward's halved recurrent matrix (the
-GRU's r and z columns), then, viewed in the transposed shape, backward's
-transposed copy of the whole matrix, whose row blocks R_rz^T and R_c^T
-the GRU's recursion reads; after that recursion, the GRU's rebuilt
-r * h_{t-1}, which dL/dR_c reads.  A GRU forward that keeps a tape
-reserves room for both, so the flat does not grow in backward.  dL/dx goes to `ws`'s "gates" flat, over
-the gate tape, which backward has finished reading by then; the flat
-grows when the input is wider than the gate rows.  So a tape is valid
-until its backward, which spends it, or the next forward on the same
-workspace, whichever comes first.  Called without a workspace, each
+changes; the flat is reallocated only when it is smaller than the view
+or the caller's reserve.  So a training loop that passes the same
+workspace each step allocates nothing after the first full batch, and an
+epoch's short last batch views a prefix.  The tape goes to `ws` itself
+and every other array but dL/dx, scratch that no call leaves live, to
+`ws["scratch"]` when there is one (a network's layers share it; see
+`network.py`), else to `ws`.  Arrays that are never live at once share a
+name.  The x K + b rows double as backward's dz.  "rec" holds the
+forward's halved recurrent matrix (the GRU's r and z columns), then,
+viewed in the transposed shape, backward's transposed copy of the whole
+matrix, whose row blocks R_rz^T and R_c^T the GRU's recursion reads;
+after that recursion, the GRU's rebuilt r * h_{t-1}, which dL/dR_c
+reads.  A GRU forward that keeps a tape reserves room for both, so the
+flat does not grow in backward.  dL/dx goes to `ws`'s "gates" flat,
+over the gate tape, which backward has finished reading by then; the
+flat grows when the input is wider than the gate rows.  So a tape is
+valid until its backward, which spends it, or the next forward on the
+same workspace, whichever comes first.  Called without a workspace, each
 function makes a fresh one and allocates as it goes, and the tape is
 left as it was.
 """
@@ -344,7 +345,7 @@ def gru_forward(p: LayerParams, x, activation: str = "tanh", keep_tape: bool = T
                                                      scratch)
     n_sig = 2 * units
     pre_by_gate = _by_gate(pre, 3)
-    # with a tape, room for backward's R^T and r * h_{t-1} in the same flat, so it never grows there
+    # with a tape, room for backward's R^T and r * h_{t-1}, so the flat never grows there
     reserve = max(p.recurrent.size, steps * batch * units) if keep_tape else 0
     rec_rz = buffer(scratch, "rec", (units, n_sig), x.dtype, reserve)
     np.multiply(p.recurrent[:, :n_sig], 0.5, out=rec_rz)     # exact halving, as in lstm_forward

@@ -41,7 +41,7 @@ result pipes with `selectors`, and reaps only its own workers.  A second
 BLAS thread speeds one seed up by less than a second seed adds work, so
 pooled seeds finish sooner than serial ones (README; scripts/bench.py
 pool, BENCH_pool.json).
-Each worker holds its own network, workspace and optimizer, about 87 MB
+Each worker holds its own network, workspace and optimizer, about 85 MB
 at gru-lstm1 (BENCH_pool.json's largest worker); the parent keeps the best
 run's weights only.  The cost: one and two BLAS threads round float32
 differently at the c09 shape (lstm1, 47 units, batch 46), so a multi-seed

@@ -3,41 +3,54 @@ BENCH_<case>.json for each case.
 
     python scripts/bench.py CASE [CASE ...] [--rounds 5] [--against REV] [--out-dir DIR]
 
-Cases, each with a fixed amount of work per round:
+The in-process cases (layer, step, predict, suggest, optim) time calls
+into grnn; each round runs one of them in one child process that holds
+every tree, through one driver (`interleaved`, below).  The fresh-process
+cases (setup, pool, rss) time start-up, forking or whole commands, so
+each round runs one of them in a fresh child per tree.  Every case does
+a fixed amount of work per round; an in-process key times k calls.
 
-    step   one float32 training step with a whole gradient vector
-           (forward_batch, backward, then one nadam apply over the vector;
-           one workspace), after two warm-up steps: 300 at c09 (lstm1, 47
-           units, 10,576 parameters) and 20 at gru-lstm1 (GRU 498 into LSTM
-           311, 1.77 M); batch 46, lookback 10, 8 features.  Keys
-           <shape>/float32; digests: the weights after the last step.
-           Then a fresh workspace runs forward_batch and backward on a
-           full, a short (SHORT_BATCH) and a full batch under tracemalloc,
-           and the peak is the key's peak_alloc_mb; the bytes that
-           workspace then holds, per buffer ("<part>/<name>", the shared
-           scratch once), are its workspace_bytes.
     layer  one LSTM and one GRU layer, float32: forward then backward (with
            dL/dx, as a layer above the first runs it), on one workspace
-           reused as `train` reuses it, after two warm-up calls: 300 at 16
-           units on smoke-sine.ini's shape (batch 16, lookback 8, 1 input),
-           300 at 47 units and 60 at 512 (batch 46, lookback 10, 8
+           reused as `train` reuses it, after two warm-up calls: k = 300 at
+           16 units on smoke-sine.ini's shape (batch 16, lookback 8, 1
+           input), 300 at 47 units and 60 at 512 (batch 46, lookback 10, 8
            inputs).  Keys <kind><units>/forward and <kind><units>/backward;
-           digests: the outputs, the weight gradients and dL/dx.  With
-           --against, both trees run in one process; see below.
+           digests: the second warm-up's outputs, and its weight gradients
+           with dL/dx.
+    step   one float32 training step as `train` runs it: forward_batch, then
+           backward into a PartGradients, which hands each layer's part to
+           nadam `apply` as soon as the part is done (one workspace), after
+           two warm-up steps: k = 300 at c09 (lstm1, 47 units, 10,576
+           parameters, one part) and 20 at gru-lstm1 (GRU 498 into LSTM 311,
+           1.77 M, two parts); batch 46, lookback 10, 8 features.  Keys
+           <shape>/float32.  After the warm-up, a fresh workspace runs a
+           full, a short (SHORT_BATCH) and a full step under tracemalloc,
+           and the peak is the key's peak_alloc_mb (the gradient part
+           buffer and Nadam's moments are made before it starts); the bytes
+           that workspace then holds, per buffer ("<part>/<name>", the
+           shared scratch once), are its workspace_bytes.  Digests: the
+           weights after those five steps.
     predict
            `predict_batch` on 720 windows (the synthetic market bundle's
            test split), lookback 10, 8 features, with float32 weights, after
-           one warm-up call: 30 calls at c09, 5 at gru-lstm1 and 5 at a
-           512-unit LSTM.  Keys are the shapes; digests: the predictions.
-           After the timed calls one more call runs under tracemalloc, and
-           its peak is the key's peak_alloc_mb.
+           one warm-up call: k = 30 at c09, 5 at gru-lstm1 and 5 at a
+           512-unit LSTM.  Keys are the shapes; digests: the warm-up's
+           predictions.  Then one more call runs under tracemalloc, and its
+           peak is the key's peak_alloc_mb.
     suggest
            one TPE `suggest` on a fixed 60-trial history, after one warm-up
-           call: 200 calls in the lstm1 space (units, learning rate, batch
+           call: k = 200 in the lstm1 space (units, learning rate, batch
            size) and 200 in the gru-lstm1 space (two units dimensions), at
            the [hpo] default bounds and TPE settings.  The history's values
-           are prior draws from one seed, scored by a fixed bowl.  Keys are
-           the spaces; digests: the proposals.
+           are prior draws from one seed, scored by a fixed bowl.  Call n,
+           the warm-up being call 0, draws from Rng(1).child(n), made before
+           its timing starts.  Keys are the spaces; digests: the warm-up's
+           proposal.
+    optim  one nadam `apply` on fixed float32 gradients, after two warm-up
+           calls: k = 1000 at c09 (10,576 parameters) and 100 at gru-lstm1
+           (1.77 M).  Keys are the shapes; digests: the weights after the
+           warm-up.
     setup  command start-up on the synthetic market bundle under
            profiles/synthetic-market.ini: fresh-process `import grnn.cli`
            (import) and `grnn prepare` (prepare), then each prepare stage 5
@@ -65,52 +78,40 @@ Cases, each with a fixed amount of work per round:
            peak_rss_mb reads it the same way, over one process that runs
            prepare and then the train command.  Digests: each command's
            exit code and every file written.
-    optim  one nadam `apply` on fixed float32 gradients, after two warm-up
-           calls: 1000 at c09 (10,576 parameters) and 100 at gru-lstm1
-           (1.77 M).  Keys are the shapes; digests: the weights after the
-           last call.
 
 The synthetic market bundle and the sine CSV are written once into a
 temporary work directory.  With --against REV, `git archive REV` is
-unpacked into a temporary tree too.  Each round runs every case in a fresh
-process per tree, with PYTHONPATH=<tree>/src, the trees' order
-alternating from round to round so that drift of a shared host hits both
-alike.  Before each child, this process times perfbench/probe.py's
-host-speed probe PROBE_READINGS times and keeps the median, so a set of
-rounds taken on a busy host shows as such.  Each BENCH_<case>.json holds
-the machine (perfbench/envinfo.py), the rounds, the probe's time on a fast
-host (probe_ref_s) and, per tree, its commit, its digests, each round's
-probe reading (probe_s), each key's median, min and sample count and, for
-pool, predict, setup and step, the largest memory reading of any round
-(for rss, every round's reading and their median); with --against also,
-per key, the ratio of the medians (change over parent) and the number of
-rounds in which this tree's median of the round was the lower (for rss
-also its reading: rss_change_vs_parent), and whether both trees' digests
-agree.
-The timings of one child process are not independent of each other, so
-rounds, not single timings, are the pairs: a speed claim needs the change
-to win 9 of 10 rounds.  The case code runs on both trees, so it calls only
-names that both have.
+unpacked into a temporary tree too.  Round r runs the trees in one order
+and round r + 1 in the other, so that drift of a shared host hits both
+alike.  A fresh-process child gets PYTHONPATH=<tree>/src.  An in-process
+child loads each tree's grnn under the package name grnn_change or
+grnn_parent (`load_grnn`) in the round's order and runs `interleaved`:
+per key, each tree sets up, warms up and is digested, then the key's k
+calls run in at most BLOCKS blocks (`block_sizes`) that alternate between
+the trees, the tree that goes first flipping every block.  Both trees
+share one allocator, one BLAS pool and the caches; the warm-up, the
+alternating blocks and the flipped load order keep that fair.  The case
+code runs on both trees, so it calls only names that both have.
 
-The layer case with --against runs interleaved: each round is one child
-that loads both trees' grnn under the package names grnn_change and
-grnn_parent (`load_grnn`), in an order that flips from round to round,
-and runs `layer_interleaved`: per key, both trees warm up and are
-digested, then LAYER_BLOCKS blocks of calls alternate between them.  The
-JSON adds, per key, "interleaved": the median of the blocks' change /
-parent ratios, its quartiles, and blocks_faster out of blocks; the rounds
-are still the pairs of the claim rule above.  Both trees share one
-allocator, one BLAS pool and the caches; the warm-up, the alternating
-blocks and the flipped load order keep that fair.  Noise floor, identical
-trees (--against HEAD on an unchanged checkout, 10 rounds each, 2 cores,
-OpenBLAS 0.3.31, a shared host with the probe at 8-15 ms against 6.6 ms
-fast): two sets of fresh-process layer children, one per tree, read median
-ratios of 0.904-1.051 with 3-8/10 rounds faster; three interleaved sets
-read median block ratios of 0.986-1.020 at 16 and 47 units and
-0.971-1.029 at 512 (6 calls per block), with 38-67/100 blocks and 0-8/10
-rounds faster.  So an interleaved claim needs 9/10 rounds and a median
-block ratio outside that band (0.985-1.02 at 16 and 47 units, 0.97-1.03
-at 512); no key of the three identical-tree sets passed it (0 of 36).
+Before each child, this process times perfbench/probe.py's host-speed
+probe PROBE_READINGS times and keeps the median, so a set of rounds taken
+on a busy host shows as such.  Each BENCH_<case>.json holds the machine
+(perfbench/envinfo.py), the rounds, the probe's time on a fast host
+(probe_ref_s) and, per tree, its commit, its digests, each round's probe
+reading (probe_s), each key's median, min and sample count and, for pool,
+predict, setup and step, the largest memory reading of any round (for
+rss, every round's reading and their median).  With --against it also
+holds, per key, the ratio of the medians (change over parent) and the
+number of rounds in which this tree's median of the round was the lower
+(for rss also its reading: rss_change_vs_parent), and whether both trees'
+digests agree; for an in-process case also "interleaved": the median of
+the blocks' change / parent ratios, its quartiles, and blocks_faster out
+of blocks.
+
+The timings of one child process are not independent of each other, so
+rounds, not single timings or blocks, are the pairs: a speed claim needs
+the change to win 9 of 10 rounds and, for an in-process key, a median
+block ratio outside the key's identical-tree band below.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = "import sys, bench; bench.child(*sys.argv[1:])"
+FRESH_PROCESS = ("setup", "pool", "rss")     # their cost includes start-up and forking
 
 BATCH, LOOKBACK, FEATURES = 46, 10, 8
 SHORT_BATCH = 11                 # the last of the synthetic market bundle's 2,909 train windows
@@ -144,8 +146,7 @@ LAYER_SHAPES = {     # name: (kind, units, batch, lookback, inputs, timed calls 
     "lstm512": ("lstm", 512, BATCH, LOOKBACK, FEATURES, 60),
     "gru512": ("gru", 512, BATCH, LOOKBACK, FEATURES, 60),
 }
-LAYER_PARTS = ("forward", "backward")
-LAYER_BLOCKS = 10    # interleaved blocks per round and key
+BLOCKS = 10          # interleaved blocks per round and key, at most
 PREDICT_WINDOWS = 720
 PREDICT_SHAPES = {               # name: (layers, timed calls per round)
     "c09": ((("lstm", 47),), 30),
@@ -193,54 +194,144 @@ def file_sha1(path: str) -> str:
         return sha1(fh.read())
 
 
-def step_case(tree: str) -> dict:
+def load_grnn(tree: str, name: str):
+    """The grnn package of `tree`, imported as package `name` beside any other grnn."""
+    import importlib.util
+
+    package = os.path.join(tree, "src", "grnn")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def block_sizes(k: int) -> list:
+    """The calls of each block of a key's round: at most BLOCKS blocks, none empty,
+    summing to k."""
+    blocks = min(k, BLOCKS)
+    return [k // blocks + (block < k % blocks) for block in range(blocks)]
+
+
+def interleaved(case: str, trees: dict) -> dict:
+    """One round of the in-process `case` for the trees ({name: path}), in this process.
+
+    Each tree's grnn loads as package grnn_<name>, in the order given, and
+    the case's generator runs on it (`<case>_calls(grnn)`).  It yields, one
+    key at a time, after that key's set-up and warm-up: (keys, k, call,
+    digest, readings).  call() runs once and returns its seconds per key;
+    digest() returns the bytes each key's digest hashes; readings is
+    {field: {key: value}} (peak_alloc_mb, workspace_bytes).  Per key, the
+    trees set up in the order given and are digested; then the k calls run
+    in `block_sizes(k)` blocks that alternate between the trees, the tree
+    that goes first flipping every block.  A key's call and digest run only
+    until the case's next key is set up.  Returns, per tree, each key's
+    per-call times and per-block summed seconds, its digests and readings.
+    """
+    order = list(trees)
+    packages = [load_grnn(path, f"grnn_{name}") for name, path in trees.items()]
+    out = {name: {"times": {}, "blocks": {}, "digests": {}} for name in order}
+    for entries in zip(*(CASES[case][0](grnn) for grnn in packages)):
+        calls = {}
+        for name, (keys, k, call, digest, readings) in zip(order, entries):
+            calls[name] = call
+            out[name]["digests"].update(zip(keys, map(sha1, digest())))
+            for key in keys:
+                out[name]["times"][key], out[name]["blocks"][key] = [], []
+            for field, values in readings.items():
+                out[name].setdefault(field, {}).update(values)
+        for block, size in enumerate(block_sizes(k)):      # keys and k: the same on each tree
+            for name in order[block % 2:] + order[:block % 2]:
+                spent = [calls[name]() for _ in range(size)]
+                for key, part in zip(keys, zip(*spent)):
+                    out[name]["times"][key] += part
+                    out[name]["blocks"][key].append(sum(part))
+    return out
+
+
+def seconds(fn, *args) -> tuple:
+    """(the seconds of fn(*args),): the timing of a one-key case's call."""
+    started = time.perf_counter()
+    fn(*args)
+    return (time.perf_counter() - started,)
+
+
+def float32_network(grnn, layers: tuple):
+    """(spec, params): a float32 network of `layers` on FEATURES inputs, from Rng(3)."""
+    import numpy as np
+
+    spec = grnn.NetworkSpec(layers=tuple(grnn.LayerSpec(*layer) for layer in layers),
+                            input_dim=FEATURES)
+    return spec, grnn.NetworkParams.init(spec, grnn.Rng(3), np.dtype(np.float32))
+
+
+def layer_calls(grnn):
+    import numpy as np
+
+    cells = grnn.cells
+    for name, (kind, units, batch, lookback, inputs, k) in LAYER_SHAPES.items():
+        forward, backward = ((cells.lstm_forward, cells.lstm_backward) if kind == "lstm"
+                             else (cells.gru_forward, cells.gru_backward))
+        width = (4 if kind == "lstm" else 3) * units
+        rng = np.random.default_rng(0)
+        limit = np.sqrt(6.0 / (inputs + units + width))
+        p = cells.LayerParams(*(rng.uniform(-limit, limit, shape).astype(np.float32)
+                                for shape in ((inputs, width), (units, width), (width,))))
+        grad = cells.LayerParams(*(np.empty_like(a) for a in p))
+        x = rng.standard_normal((lookback, batch, inputs)).astype(np.float32)
+        dh = (rng.standard_normal((lookback, batch, units)) / batch).astype(np.float32)
+        ws, last = {}, []
+
+        def call():
+            started = time.perf_counter()
+            h, tape = forward(p, x, "tanh", True, ws)
+            middle = time.perf_counter()
+            dx = backward(p, tape, dh, grad, ws, True)
+            ended = time.perf_counter()
+            last[:] = h, dx
+            return middle - started, ended - middle
+
+        call()
+        call()
+        yield ((f"{name}/forward", f"{name}/backward"), k, call,
+               lambda: (last[0].tobytes(), b"".join(a.tobytes() for a in (*grad, last[1]))), {})
+
+
+def step_calls(grnn):
     import tracemalloc
 
     import numpy as np
-    from grnn.network import LayerSpec, NetworkParams, NetworkSpec, backward, forward_batch
-    from grnn.numerics import Rng
-    from grnn.optim import OptimizerState, apply
 
-    times, digests, peak_alloc_mb, ws_bytes = {}, {}, {}, {}
+    network, optim = grnn.network, grnn.optim
     for name, (layers, k) in STEP_SHAPES.items():
-        spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
-                           input_dim=FEATURES)
+        spec, params = float32_network(grnn, layers)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((BATCH, LOOKBACK, FEATURES)).astype(np.float32)
         y = rng.standard_normal(BATCH)
-        params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
-        grads = NetworkParams.zeros(spec, np.dtype(np.float32))
-        opt, ws = OptimizerState(learning_rate=1e-4), {}
+        grads = network.PartGradients(spec, np.dtype(np.float32))
+        opt, ws = optim.OptimizerState(learning_rate=1e-4), {}
 
-        def forward_backward(ws, rows=BATCH):
-            preds, tape = forward_batch(spec, params, x[:rows], ws)
+        def update(part):           # as `train` runs Nadam: a part at a time, inside backward
+            optim.apply(opt, params, part, part.start)
+
+        def step(ws=ws, rows=BATCH):
+            preds, tape = network.forward_batch(spec, params, x[:rows], ws)
             dpred = (2.0 * (preds[:, 0] - y[:rows]) / rows)[:, None]
-            backward(spec, params, tape, dpred, grads, ws)
+            network.backward(spec, params, tape, dpred, grads, ws, update)
 
-        def step():
-            forward_backward(ws)
-            apply(opt, params, grads)
-
-        key = f"{name}/float32"
-        times[key] = []
         step()
         step()
-        for _ in range(k):
-            started = time.perf_counter()
-            step()
-            times[key].append(time.perf_counter() - started)
-        digests[key] = sha1(params.flat.tobytes())
-        fresh = {}
+        key, fresh = f"{name}/float32", {}
         tracemalloc.start()
         try:
             for rows in (BATCH, SHORT_BATCH, BATCH):
-                forward_backward(fresh, rows)
-            peak_alloc_mb[key] = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+                step(fresh, rows)
+            peak_alloc_mb = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
         finally:
             tracemalloc.stop()
-        ws_bytes[key] = workspace_bytes(fresh)
-    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb,
-            "workspace_bytes": ws_bytes}
+        yield ((key,), k, lambda: seconds(step), lambda: (params.flat.tobytes(),),
+               {"peak_alloc_mb": {key: peak_alloc_mb},
+                "workspace_bytes": {key: workspace_bytes(fresh)}})
 
 
 def workspace_bytes(ws: dict) -> dict:
@@ -260,149 +351,36 @@ def workspace_bytes(ws: dict) -> dict:
     return out
 
 
-def layer_calls(cells, kind: str, units: int, batch: int, lookback: int, inputs: int):
-    """One layer of `cells` on fixed float32 inputs and one workspace.
-
-    Returns (call, digests): call() runs forward then backward (with dL/dx)
-    and returns their seconds; digests() hashes the last call's outputs,
-    and its weight gradients with dL/dx.  Both follow LAYER_PARTS' order.
-    """
-    import numpy as np
-
-    forward, backward = ((cells.lstm_forward, cells.lstm_backward) if kind == "lstm"
-                         else (cells.gru_forward, cells.gru_backward))
-    width = (4 if kind == "lstm" else 3) * units
-    rng = np.random.default_rng(0)
-    limit = np.sqrt(6.0 / (inputs + units + width))
-    p = cells.LayerParams(*(rng.uniform(-limit, limit, shape).astype(np.float32)
-                            for shape in ((inputs, width), (units, width), (width,))))
-    grad = cells.LayerParams(*(np.empty_like(a) for a in p))
-    x = rng.standard_normal((lookback, batch, inputs)).astype(np.float32)
-    dh = (rng.standard_normal((lookback, batch, units)) / batch).astype(np.float32)
-    ws, last = {}, []
-
-    def call():
-        started = time.perf_counter()
-        h, tape = forward(p, x, "tanh", True, ws)
-        middle = time.perf_counter()
-        dx = backward(p, tape, dh, grad, ws, True)
-        ended = time.perf_counter()
-        last[:] = h, dx
-        return middle - started, ended - middle
-
-    def digests():
-        h, dx = last
-        return sha1(h.tobytes()), sha1(b"".join(a.tobytes() for a in (*grad, dx)))
-    return call, digests
-
-
-def layer_case(tree: str) -> dict:
-    from grnn import cells
-
-    times, digests = {}, {}
-    for name, (*shape, k) in LAYER_SHAPES.items():
-        call, digest = layer_calls(cells, *shape)
-        call()
-        call()
-        spent = [call() for _ in range(k)]
-        for part, (what, value) in enumerate(zip(LAYER_PARTS, digest())):
-            times[f"{name}/{what}"] = [s[part] for s in spent]
-            digests[f"{name}/{what}"] = value
-    return {"times": times, "digests": digests}
-
-
-def load_grnn(tree: str, name: str):
-    """The grnn package of `tree`, imported as package `name` beside any other grnn."""
-    import importlib.util
-
-    package = os.path.join(tree, "src", "grnn")
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def layer_interleaved(trees: dict) -> dict:
-    """The layer case for the trees ({"change": path, "parent": path}) in this process.
-
-    The trees load, and per key set up, in the order given.  Per key, each
-    tree warms up with two calls, which are digested; then LAYER_BLOCKS
-    blocks of k // LAYER_BLOCKS calls alternate between the trees, the tree
-    that goes first flipping every block.  Returns each tree's per-call
-    times and digests, and per key each block's summed seconds as
-    [change, parent].
-    """
-    import importlib
-
-    order = list(trees)
-    for tree, path in trees.items():
-        load_grnn(path, f"grnn_{tree}")
-    cells = {tree: importlib.import_module(f"grnn_{tree}.cells") for tree in order}
-    out = {tree: {"times": {}, "digests": {}} for tree in order}
-    blocks = {}
-    for name, (*shape, k) in LAYER_SHAPES.items():
-        keys = [f"{name}/{what}" for what in LAYER_PARTS]
-        calls = {tree: layer_calls(cells[tree], *shape) for tree in order}
-        for tree, (call, digest) in calls.items():
-            call()
-            call()
-            out[tree]["digests"].update(zip(keys, digest()))
-            out[tree]["times"].update({key: [] for key in keys})
-        blocks.update({key: [] for key in keys})
-        for block in range(LAYER_BLOCKS):
-            summed = {}
-            for tree in order[block % 2:] + order[:block % 2]:
-                spent = [calls[tree][0]() for _ in range(max(1, k // LAYER_BLOCKS))]
-                summed[tree] = [sum(part) for part in zip(*spent)]
-                for key, part in zip(keys, zip(*spent)):
-                    out[tree]["times"][key] += part
-            for part, key in enumerate(keys):
-                blocks[key].append([summed["change"][part], summed["parent"][part]])
-    return {"trees": out, "blocks": blocks}
-
-
-def predict_case(tree: str) -> dict:
+def predict_calls(grnn):
     import tracemalloc
 
     import numpy as np
-    from grnn.network import LayerSpec, NetworkParams, NetworkSpec, predict_batch
-    from grnn.numerics import Rng
 
-    times, digests, peak_alloc_mb = {}, {}, {}
     windows = np.random.default_rng(0).standard_normal((PREDICT_WINDOWS, LOOKBACK, FEATURES))
     for name, (layers, k) in PREDICT_SHAPES.items():
-        spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
-                           input_dim=FEATURES)
-        params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
-        preds = predict_batch(spec, params, windows)
-        times[name] = []
-        for _ in range(k):
-            started = time.perf_counter()
-            predict_batch(spec, params, windows)
-            times[name].append(time.perf_counter() - started)
+        spec, params = float32_network(grnn, layers)
+        preds = grnn.predict_batch(spec, params, windows)
         tracemalloc.start()
         try:
-            predict_batch(spec, params, windows)
-            peak_alloc_mb[name] = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+            grnn.predict_batch(spec, params, windows)
+            peak_alloc_mb = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
         finally:
             tracemalloc.stop()
-        digests[name] = sha1(preds.tobytes())
-    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
+        yield ((name,), k, lambda: seconds(grnn.predict_batch, spec, params, windows),
+               lambda: (preds.tobytes(),), {"peak_alloc_mb": {name: peak_alloc_mb}})
 
 
-def suggest_case(tree: str) -> dict:
-    from grnn.config import HpoSettings
-    from grnn.hpo import IntUniform, LogUniform, SearchSpace, Trial, suggest
-    from grnn.numerics import Rng
+def suggest_calls(grnn):
+    import importlib
+    import itertools
 
-    hpo = HpoSettings()
-    times, digests = {}, {}
+    hpo, Rng = importlib.import_module(f"{grnn.__name__}.config").HpoSettings(), grnn.Rng
     for name, (layers, k) in SUGGEST_SPACES.items():
-        space = SearchSpace((
-            *(IntUniform(f"units_{i}", hpo.units_low, hpo.units_high) for i in range(layers)),
-            LogUniform("learning_rate", hpo.lr_low, hpo.lr_high),
-            IntUniform("batch_size", hpo.batch_low, hpo.batch_high)))
+        space = grnn.SearchSpace((
+            *(grnn.IntUniform(f"units_{i}", hpo.units_low, hpo.units_high)
+              for i in range(layers)),
+            grnn.LogUniform("learning_rate", hpo.lr_low, hpo.lr_high),
+            grnn.IntUniform("batch_size", hpo.batch_low, hpo.batch_high)))
 
         def bowl(values):
             total = 0.0
@@ -414,15 +392,26 @@ def suggest_case(tree: str) -> dict:
         rng, history = Rng(0), []
         for i in range(SUGGEST_HISTORY):
             values = space.sample_prior(rng)
-            history.append(Trial(i, values, bowl(values), "complete"))
-        suggest(history, space, hpo, Rng(1).child(k))
-        times[name], proposals = [], []
-        for call in range(k):
-            started = time.perf_counter()
-            proposals.append(suggest(history, space, hpo, Rng(1).child(call)))
-            times[name].append(time.perf_counter() - started)
-        digests[name] = sha1(json.dumps(proposals, sort_keys=True).encode())
-    return {"times": times, "digests": digests}
+            history.append(grnn.Trial(i, values, bowl(values), "complete"))
+        children = itertools.count()
+        proposal = grnn.suggest(history, space, hpo, Rng(1).child(next(children)))
+        yield ((name,), k,
+               lambda: seconds(grnn.suggest, history, space, hpo, Rng(1).child(next(children))),
+               lambda: (json.dumps(proposal, sort_keys=True).encode(),), {})
+
+
+def optim_calls(grnn):
+    import numpy as np
+
+    for name, (layers, k) in OPTIM_SHAPES.items():
+        spec, params = float32_network(grnn, layers)
+        grads = grnn.NetworkParams.zeros(spec, np.dtype(np.float32))
+        grads.flat[:] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e-2
+        opt = grnn.OptimizerState(learning_rate=1e-4)
+        grnn.apply(opt, params, grads)
+        grnn.apply(opt, params, grads)
+        yield ((name,), k, lambda: seconds(grnn.apply, opt, params, grads),
+               lambda: (params.flat.tobytes(),), {})
 
 
 def timed(argv: list) -> float:
@@ -547,41 +536,17 @@ def rss_case(tree: str) -> dict:
     return {"times": times, "digests": digests, "rss_mb": rss_mb}
 
 
-def optim_case(tree: str) -> dict:
-    import numpy as np
-    from grnn.network import LayerSpec, NetworkParams, NetworkSpec
-    from grnn.numerics import Rng
-    from grnn.optim import OptimizerState, apply
-
-    times, digests = {}, {}
-    for name, (layers, k) in OPTIM_SHAPES.items():
-        spec = NetworkSpec(layers=tuple(LayerSpec(*layer) for layer in layers),
-                           input_dim=FEATURES)
-        params = NetworkParams.init(spec, Rng(3), np.dtype(np.float32))
-        grads = NetworkParams.zeros(spec, np.dtype(np.float32))
-        grads.flat[:] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e-2
-        opt = OptimizerState(learning_rate=1e-4)
-        apply(opt, params, grads)
-        apply(opt, params, grads)
-        times[name] = []
-        for _ in range(k):
-            started = time.perf_counter()
-            apply(opt, params, grads)
-            times[name].append(time.perf_counter() - started)
-        digests[name] = sha1(params.flat.tobytes())
-    return {"times": times, "digests": digests}
-
-
 CASES = {
-    "layer": (layer_case, "seconds of one LSTM or GRU layer forward, and of its backward "
-                          f"with dL/dx, float32, batch {BATCH}, lookback {LOOKBACK}, "
-                          f"{FEATURES} inputs"),
-    "predict": (predict_case, f"seconds of one predict_batch call on {PREDICT_WINDOWS} "
-                              f"windows, float32, lookback {LOOKBACK}, {FEATURES} features"),
-    "step": (step_case, "seconds of one training step (forward_batch + backward + nadam "
-                        f"apply), batch {BATCH}, lookback {LOOKBACK}, {FEATURES} features"),
-    "suggest": (suggest_case, f"seconds of one TPE suggest on a {SUGGEST_HISTORY}-trial "
-                              "history at the [hpo] default bounds"),
+    "layer": (layer_calls, "seconds of one LSTM or GRU layer forward, and of its backward "
+                           f"with dL/dx, float32, batch {BATCH}, lookback {LOOKBACK}, "
+                           f"{FEATURES} inputs"),
+    "predict": (predict_calls, f"seconds of one predict_batch call on {PREDICT_WINDOWS} "
+                               f"windows, float32, lookback {LOOKBACK}, {FEATURES} features"),
+    "step": (step_calls, "seconds of one training step (forward_batch, then backward "
+                         f"applying nadam a part at a time), batch {BATCH}, lookback "
+                         f"{LOOKBACK}, {FEATURES} features"),
+    "suggest": (suggest_calls, f"seconds of one TPE suggest on a {SUGGEST_HISTORY}-trial "
+                               "history at the [hpo] default bounds"),
     "setup": (setup_case, "seconds of command start-up on the synthetic market bundle: "
                           "fresh-process `import grnn.cli` and `grnn prepare`, and each "
                           "prepare stage in-process"),
@@ -589,26 +554,28 @@ CASES = {
                         "one_worker and pooled"),
     "rss": (rss_case, "raw wall seconds of one grnn command in a fresh process on the "
                       "synthetic market bundle; rss_mb: that process's own peak RSS"),
-    "optim": (optim_case, "seconds of one nadam apply on fixed float32 gradients"),
+    "optim": (optim_calls, "seconds of one nadam apply on fixed float32 gradients"),
 }
 
 
 def child(case: str, *trees: str) -> None:
-    """Run one case with the grnn of sys.path (one tree path), or the layer case
-    interleaved over NAME=PATH trees in the order given; print its result as one
-    JSON line."""
+    """Run `case` on the NAME=PATH trees given and print, as one JSON line, each
+    tree's result: a fresh-process case's on its one tree, whose grnn is on
+    sys.path, or `interleaved`'s."""
+    trees = dict(tree.split("=", 1) for tree in trees)
     with contextlib.redirect_stdout(sys.stderr):
-        result = (CASES[case][0](*trees) if len(trees) == 1
-                  else layer_interleaved(dict(tree.split("=", 1) for tree in trees)))
+        result = ({name: CASES[case][0](path) for name, path in trees.items()}
+                  if case in FRESH_PROCESS else interleaved(case, trees))
     print(json.dumps(result))
 
 
-def run_child(case: str, work: str, *trees: str) -> dict:
-    src = [os.path.join(trees[0], "src")] if len(trees) == 1 else []
+def run_child(case: str, work: str, trees: dict) -> dict:
+    src = [os.path.join(tree, "src") for tree in trees.values() if case in FRESH_PROCESS]
     path = os.pathsep.join(src + [os.path.join(ROOT, "scripts")])
-    done = subprocess.run([sys.executable, "-c", CHILD, case, *trees], cwd=work, check=True,
-                          env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE,
-                          text=True)
+    done = subprocess.run([sys.executable, "-c", CHILD, case,
+                           *(f"{name}={tree}" for name, tree in trees.items())],
+                          cwd=work, check=True, env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, text=True)
     return json.loads(done.stdout)
 
 
@@ -629,15 +596,15 @@ def summary(ts: list) -> dict:
 
 
 def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
-           probe_ref_s: float, blocks: list | None = None) -> dict:
-    """The BENCH_<case>.json record of `runs`: tree -> list of child results;
-    with `blocks`, each interleaved child's [change, parent] block seconds per key."""
+           probe_ref_s: float) -> dict:
+    """The BENCH_<case>.json record of `runs`: tree -> list of child results."""
     result = {"case": case, "what": CASES[case][1], "environment": environment,
               "rounds": rounds, "probe_ref_s": probe_ref_s, "trees": {}}
-    if blocks:
+    if "parent" in runs and "blocks" in runs["parent"][0]:
         result["interleaved"] = {}
-        for key in blocks[0]:
-            pairs = [pair for child_blocks in blocks for pair in child_blocks[key]]
+        for key in runs["parent"][0]["blocks"]:
+            pairs = [pair for a, b in zip(runs["change"], runs["parent"])
+                     for pair in zip(a["blocks"][key], b["blocks"][key])]
             ratios = [change / parent for change, parent in pairs]
             q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
             result["interleaved"][key] = {
@@ -719,25 +686,17 @@ def main(argv=None) -> int:
         os.makedirs(os.path.join(work, "data", "sine"))
         write_sine(os.path.join(work, "data", "sine", "sine.csv"))
         runs = {case: {name: [] for name in trees} for case in cases}
-        blocks = {case: [] for case in cases}
         for r in range(args.rounds):
             order = list(trees) if r % 2 else list(trees)[::-1]
             for case in cases:
-                if case == "layer" and args.against:
+                for group in [[name] for name in order] if case in FRESH_PROCESS else [order]:
                     probe_s = statistics.median(host_probe() for _ in range(PROBE_READINGS))
-                    out = run_child(case, work, *(f"{name}={trees[name]}" for name in order))
-                    for name in trees:
-                        runs[case][name].append({**out["trees"][name], "probe_s": probe_s})
-                    blocks[case].append(out["blocks"])
-                    continue
-                for name in order:
-                    probe_s = statistics.median(host_probe() for _ in range(PROBE_READINGS))
-                    runs[case][name].append({**run_child(case, work, trees[name]),
-                                             "probe_s": probe_s})
+                    out = run_child(case, work, {name: trees[name] for name in group})
+                    for name in group:
+                        runs[case][name].append({**out[name], "probe_s": probe_s})
 
     for case in cases:
-        result = report(case, environment, args.rounds, commits, runs[case], probe.REF_S,
-                        blocks[case])
+        result = report(case, environment, args.rounds, commits, runs[case], probe.REF_S)
         for key in result["trees"]["change"]["times"]:
             line = " | ".join(f"{name} median {tree['times'][key]['median_s'] * 1e3:9.2f} ms"
                               for name, tree in result["trees"].items())

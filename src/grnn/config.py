@@ -12,7 +12,9 @@ Architecture labels encode their stack: `lstm3` is three LSTM layers,
 Each section is one dataclass holding its defaults: [train] a TrainSettings
 (a TrainConfig), [hpo] an HpoSettings (a TpeConfig), [data] and [output]
 fields of PipelineConfig, [arch.<label>] an ArchDef.  An unknown key or
-section, or a value its dataclass rejects, is a ConfigError.
+section, a value its dataclass rejects, or a file that configparser cannot
+read (a duplicate section or key, a key before the first header, a line
+with no `=`) is a ConfigError.
 """
 
 from __future__ import annotations
@@ -139,10 +141,10 @@ def apply_overrides(cp: configparser.ConfigParser, overrides: list[str]) -> None
         if "." not in target:
             raise ConfigError(f"override {item!r}: key must be section.key")
         split = target.rsplit if target.startswith("arch.") else target.split
-        section, key = split(".", 1)
+        section, key = (name.strip() for name in split(".", 1))
         if not cp.has_section(section):
             cp.add_section(section)
-        cp.set(section.strip(), key.strip(), value.strip())
+        cp.set(section, key, value.strip())
 
 
 def _names(raw: str) -> tuple:
@@ -199,10 +201,13 @@ def _settings(cls, cp, section: str):
 def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     cp = _parser()
     cp.optionxform = str
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    apply_overrides(cp, overrides or [])
+    try:
+        read = cp.read(path)
+        if not read:
+            raise ConfigError(f"config file not found: {path}")
+        apply_overrides(cp, overrides or [])
+    except configparser.Error as exc:     # its message can span lines; an error is one line
+        raise ConfigError(" ".join(str(exc).split())) from None
     for section in cp.sections():
         if section not in SECTIONS and section != "sources" and not section.startswith("arch."):
             raise ConfigError(f"unknown section [{section}]; expected one of "

@@ -1,5 +1,6 @@
 """scripts/bench.py end to end: one round of the setup case against HEAD;
-its in-process cases; and the names perfbench's tracer times."""
+its in-process cases through the interleaved driver; how --against starts
+the children; and the names perfbench's tracer times."""
 
 import importlib
 import importlib.util
@@ -12,15 +13,43 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+IN_PROCESS = {      # case: (its shapes' name in bench, small shapes, each key's k)
+    "layer": ("LAYER_SHAPES", {"lstm16": ("lstm", 16, 16, 8, 1, 13)},
+              {"lstm16/forward": 13, "lstm16/backward": 13}),   # 13: not a multiple of BLOCKS
+    "step": ("STEP_SHAPES", {"c09": ((("lstm", 47),), 3)}, {"c09/float32": 3}),  # 3 < BLOCKS
+    "predict": ("PREDICT_SHAPES", {"c09": ((("lstm", 47),), 2)}, {"c09": 2}),
+    "suggest": ("SUGGEST_SPACES", {"lstm1": (1, 2), "gru-lstm1": (2, 3)},
+                {"lstm1": 2, "gru-lstm1": 3}),
+    "optim": ("OPTIM_SHAPES", {"c09": ((("lstm", 47),), 3)}, {"c09": 3}),
+}
 SETUP_KEYS = {"import", "prepare", "ingest", "add_indicators", "normalize", "write_frame_csv",
               "read_frame_csv", "window"}
 
 
-def test_bench_setup_against_head(tmp_path):
+def unload_trees():
+    """Forget the packages bench.load_grnn made, as a fresh child process would."""
+    for name in [name for name in sys.modules if name.startswith(("grnn_change",
+                                                                     "grnn_parent"))]:
+        del sys.modules[name]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """scripts/bench.py as a module; the trees it loads are unloaded afterwards."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    yield pytest.importorskip("bench")
+    unload_trees()
+
+
+def needs_git_head():
     if shutil.which("git") is None or subprocess.run(
             ["git", "rev-parse", "--verify", "HEAD^{commit}"], cwd=ROOT,
             capture_output=True).returncode != 0:
         pytest.skip("needs git and a HEAD commit")
+
+
+def test_bench_setup_against_head(tmp_path):
+    needs_git_head()
     done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "bench.py"), "setup",
                            "--rounds", "1", "--against", "HEAD", "--out-dir", str(tmp_path)],
                           capture_output=True, text=True, timeout=120)
@@ -41,37 +70,6 @@ def test_bench_setup_against_head(tmp_path):
     assert result["artifacts_identical"] is True
 
 
-def test_bench_predict_reports_peak_alloc(monkeypatch):
-    """The predict case on one small shape, in-process, and its report."""
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
-    bench = pytest.importorskip("bench")
-    monkeypatch.setattr(bench, "PREDICT_SHAPES", {"c09": ((("lstm", 47),), 2)})
-    out = bench.predict_case(ROOT)
-    assert set(out["times"]) == set(out["digests"]) == set(out["peak_alloc_mb"]) == {"c09"}
-    assert len(out["times"]["c09"]) == 2 and out["peak_alloc_mb"]["c09"] > 0
-    runs = {name: [{**out, "probe_s": 0.01}] for name in ("change", "parent")}
-    result = bench.report("predict", {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066)
-    for tree in result["trees"].values():
-        assert tree["peak_alloc_mb"] == out["peak_alloc_mb"]
-    assert result["artifacts_identical"] is True
-
-
-def test_bench_suggest_times_each_space(monkeypatch):
-    """The suggest case with two timed calls per space, in-process, and its report."""
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
-    bench = pytest.importorskip("bench")
-    monkeypatch.setattr(bench, "SUGGEST_SPACES", {"lstm1": (1, 2), "gru-lstm1": (2, 2)})
-    out = bench.suggest_case(ROOT)
-    assert set(out["times"]) == set(out["digests"]) == {"lstm1", "gru-lstm1"}
-    assert all(len(ts) == 2 for ts in out["times"].values())
-    assert out["digests"]["lstm1"] != out["digests"]["gru-lstm1"]
-    assert bench.suggest_case(ROOT)["digests"] == out["digests"]
-    runs = {name: [{**out, "probe_s": 0.01}] for name in ("change", "parent")}
-    result = bench.report("suggest", {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066)
-    assert set(result["change_vs_parent"]) == {"lstm1", "gru-lstm1"}
-    assert result["artifacts_identical"] is True
-
-
 def test_every_traced_name_is_a_function_of_its_grnn_module():
     """perfbench's tracer reports a name it cannot find as absent, and the
     workload's result line then carries null metrics; so every name in its
@@ -85,23 +83,6 @@ def test_every_traced_name_is_a_function_of_its_grnn_module():
         found = importlib.import_module(f"grnn.{module}")
         for name in names:
             assert callable(getattr(found, name, None)), f"grnn.{module}.{name}"
-
-
-def test_bench_step_reports_peak_alloc(monkeypatch):
-    """The step case on one small shape, in-process: a fresh workspace's
-    peak over a full, a short and a full batch, and the bytes of each of
-    its buffers afterwards, which that peak covers."""
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
-    bench = pytest.importorskip("bench")
-    monkeypatch.setattr(bench, "STEP_SHAPES", {"c09": ((("lstm", 47),), 2)})
-    out = bench.step_case(ROOT)
-    assert (set(out["times"]) == set(out["digests"]) == set(out["peak_alloc_mb"])
-            == set(out["workspace_bytes"]) == {"c09/float32"})
-    assert len(out["times"]["c09/float32"]) == 2 and out["peak_alloc_mb"]["c09/float32"] > 0
-    buffers = out["workspace_bytes"]["c09/float32"]
-    assert {"scratch/rows", "layer0/gates", "layer0/h", "dh_top"} <= set(buffers)
-    assert not [name for name in buffers if name.startswith("layer0/scratch")]
-    assert 0 < sum(buffers.values()) <= out["peak_alloc_mb"]["c09/float32"] * 2 ** 20
 
 
 def test_bench_rss_reports_each_commands_own_peak(monkeypatch, tmp_path):
@@ -132,81 +113,83 @@ def test_bench_rss_reports_each_commands_own_peak(monkeypatch, tmp_path):
     assert result["artifacts_identical"] is True
 
 
-def test_bench_optim_times_apply_and_digests_the_weights(monkeypatch):
-    """The optim case with three timed calls on the c09 shape, in-process."""
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
-    bench = pytest.importorskip("bench")
-    monkeypatch.setattr(bench, "OPTIM_SHAPES", {"c09": ((("lstm", 47),), 3)})
-    out = bench.optim_case(ROOT)
-    assert set(out["times"]) == set(out["digests"]) == {"c09"}
-    assert len(out["times"]["c09"]) == 3 and all(t > 0 for t in out["times"]["c09"])
-    assert bench.optim_case(ROOT)["digests"] == out["digests"]
-    monkeypatch.setattr(bench, "OPTIM_SHAPES", {"c09": ((("lstm", 47),), 4)})
-    assert bench.optim_case(ROOT)["digests"] != out["digests"]     # each call moves the weights
-
-
-def test_bench_layer_interleaves_both_trees_in_one_process(monkeypatch, capsys):
-    """The interleaved layer case on sine's LSTM shape, with this checkout
-    loaded twice under distinct package names, and its report: the digests
-    agree, each tree times every call of every block, and each key gets its
-    median block ratio, quartiles and blocks_faster."""
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
-    bench = pytest.importorskip("bench")
-    monkeypatch.setattr(bench, "LAYER_SHAPES", {"lstm16": ("lstm", 16, 16, 8, 1, 20)})
-    try:
-        bench.child("layer", f"parent={ROOT}", f"change={ROOT}")
-        assert sys.modules["grnn_change.cells"] is not sys.modules["grnn_parent.cells"]
-    finally:
-        for name in [name for name in sys.modules if name.startswith(("grnn_change",
-                                                                         "grnn_parent"))]:
-            del sys.modules[name]
+@pytest.mark.parametrize("case", IN_PROCESS)
+def test_bench_in_process_case(bench, monkeypatch, capsys, case):
+    """One round of an in-process case through the driver, on small shapes,
+    with this checkout loaded twice under distinct package names, and its
+    report: the digests agree, each key times its k calls per tree in
+    min(k, BLOCKS) blocks, and each key gets its median block ratio,
+    quartiles and blocks_faster; then the case's own checks."""
+    shapes, small, ks = IN_PROCESS[case]
+    monkeypatch.setattr(bench, shapes, small)
+    bench.child(case, f"parent={ROOT}", f"change={ROOT}")
+    assert sys.modules["grnn_change"] is not sys.modules["grnn_parent"]
     out = json.loads(capsys.readouterr().out)
-    keys = {"lstm16/forward", "lstm16/backward"}
-    for tree in out["trees"].values():
-        assert set(tree["times"]) == set(tree["digests"]) == keys
-        assert all(len(ts) == 20 for ts in tree["times"].values())
-    assert out["trees"]["change"]["digests"] == out["trees"]["parent"]["digests"]
-    assert set(out["blocks"]) == keys
-    for key, pairs in out["blocks"].items():
-        assert len(pairs) == bench.LAYER_BLOCKS
-        for tree, summed in zip(("change", "parent"), zip(*pairs)):
-            assert sum(summed) == pytest.approx(sum(out["trees"][tree]["times"][key]))
-    runs = {name: [{**tree, "probe_s": 0.01}] for name, tree in out["trees"].items()}
-    result = bench.report("layer", {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066,
-                          [out["blocks"]])
+    assert list(out) == ["parent", "change"]
+    assert out["change"]["digests"] == out["parent"]["digests"]
+    for tree in out.values():
+        assert set(tree["times"]) == set(tree["blocks"]) == set(tree["digests"]) == set(ks)
+        for key, k in ks.items():
+            assert len(tree["times"][key]) == k and all(t > 0 for t in tree["times"][key])
+            assert len(tree["blocks"][key]) == min(k, bench.BLOCKS)
+            assert sum(tree["blocks"][key]) == pytest.approx(sum(tree["times"][key]))
+    runs = {name: [{**tree, "probe_s": 0.01}] for name, tree in out.items()}
+    result = bench.report(case, {}, 1, {"change": "a", "parent": "b"}, runs, 0.0066)
     assert result["artifacts_identical"] is True
-    for vs in result["interleaved"].values():
-        assert vs["blocks"] == bench.LAYER_BLOCKS and 0 <= vs["blocks_faster"] <= vs["blocks"]
+    assert set(result["interleaved"]) == set(ks)
+    for key, vs in result["interleaved"].items():
+        assert vs["blocks"] == min(ks[key], bench.BLOCKS)
+        assert 0 <= vs["blocks_faster"] <= vs["blocks"]
         assert 0 < vs["ratio_q1"] <= vs["median_ratio"] <= vs["ratio_q3"]
+    trees = result["trees"].values()
+    if case in ("step", "predict"):
+        assert all(set(tree["peak_alloc_mb"]) == set(ks) for tree in trees)
+        assert all(mb > 0 for tree in trees for mb in tree["peak_alloc_mb"].values())
+    if case == "step":      # a fresh workspace's buffers, which its traced peak covers
+        buffers = out["change"]["workspace_bytes"]["c09/float32"]
+        assert {"scratch/rows", "layer0/gates", "layer0/h", "dh_top"} <= set(buffers)
+        assert not [name for name in buffers if name.startswith("layer0/scratch")]
+        assert 0 < sum(buffers.values()) <= out["change"]["peak_alloc_mb"]["c09/float32"] * 2 ** 20
+    if case == "suggest":
+        assert out["change"]["digests"]["lstm1"] != out["change"]["digests"]["gru-lstm1"]
+    if case == "optim":     # each call moves the weights
+        keys, k, call, digest, readings = next(bench.optim_calls(sys.modules["grnn_change"]))
+        before = digest()
+        call()
+        assert digest() != before
 
 
-def test_bench_layer_against_a_revision_runs_both_trees_in_one_child(monkeypatch, tmp_path):
-    """`layer --against REV` starts one child per round that gets both trees
-    as NAME=PATH, in an order that flips every round, and reports the blocks;
-    here the child runs in-process on one small shape."""
-    if shutil.which("git") is None or subprocess.run(
-            ["git", "rev-parse", "--verify", "HEAD^{commit}"], cwd=ROOT,
-            capture_output=True).returncode != 0:
-        pytest.skip("needs git and a HEAD commit")
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
-    bench = pytest.importorskip("bench")
+def test_bench_layer_against_a_revision_runs_both_trees_in_one_child(bench, monkeypatch,
+                                                                       capsys, tmp_path):
+    """`--against REV` starts, per round, one child for an in-process case
+    (layer), which gets both trees as NAME=PATH in an order that flips every
+    round, and one child per tree, in that order, for a fresh-process case
+    (setup); here the children run in-process, on one small layer shape and
+    a stub in place of the setup case."""
+    needs_git_head()
     monkeypatch.setattr(bench, "LAYER_SHAPES", {"gru16": ("gru", 16, 16, 8, 1, 10)})
+    monkeypatch.setitem(bench.CASES, "setup", (
+        lambda tree: {"times": {"import": [0.1]}, "digests": {"tree": tree == ROOT}}, "stub"))
     children = []
 
-    def run_child(case, work, *trees):
-        children.append((case, [tree.split("=", 1)[0] for tree in trees]))
-        return bench.layer_interleaved(dict(tree.split("=", 1) for tree in trees))
+    def run_child(case, work, trees):
+        children.append((case, list(trees)))
+        unload_trees()
+        capsys.readouterr()
+        bench.child(case, *(f"{name}={tree}" for name, tree in trees.items()))
+        return json.loads(capsys.readouterr().out)
 
     monkeypatch.setattr(bench, "run_child", run_child)
-    try:
-        assert bench.main(["layer", "--rounds", "2", "--against", "HEAD",
-                           "--out-dir", str(tmp_path)]) == 0
-    finally:
-        for name in [name for name in sys.modules if name.startswith(("grnn_change",
-                                                                         "grnn_parent"))]:
-            del sys.modules[name]
-    assert children == [("layer", ["parent", "change"]), ("layer", ["change", "parent"])]
-    result = json.loads((tmp_path / "BENCH_layer.json").read_text())
-    assert result["artifacts_identical"] is True
-    assert set(result["interleaved"]) == {"gru16/forward", "gru16/backward"}
-    assert all(vs["blocks"] == 2 * bench.LAYER_BLOCKS for vs in result["interleaved"].values())
+    assert bench.main(["layer", "setup", "--rounds", "2", "--against", "HEAD",
+                       "--out-dir", str(tmp_path)]) == 0
+    assert children == [("layer", ["parent", "change"]), ("setup", ["parent"]),
+                        ("setup", ["change"]), ("layer", ["change", "parent"]),
+                        ("setup", ["change"]), ("setup", ["parent"])]
+    layer = json.loads((tmp_path / "BENCH_layer.json").read_text())
+    assert layer["artifacts_identical"] is True
+    assert set(layer["interleaved"]) == {"gru16/forward", "gru16/backward"}
+    assert all(vs["blocks"] == 2 * bench.BLOCKS for vs in layer["interleaved"].values())
+    setup = json.loads((tmp_path / "BENCH_setup.json").read_text())
+    assert "interleaved" not in setup and setup["change_vs_parent"]["import"]["rounds"] == 2
+    assert setup["trees"]["change"]["digests"] == {"tree": True}
+    assert setup["trees"]["parent"]["digests"] == {"tree": False}

@@ -135,6 +135,7 @@ def one_error_line(capsys) -> str:
     ("train.r2_bar=nan", "[train] r2_bar must be a finite number"),
     ("train.r2_bar=inf", "[train] r2_bar must be a finite number"),
     ("data.split=nan", "[data] split must be a number in (0, 1)"),
+    ("trian .seed=3", "[trian]"),          # the section name is stripped before it is looked up
 ])
 def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
     path = write_sine_config(tmp_path)      # nothing prepared under out/
@@ -142,6 +143,20 @@ def test_bad_config_fails_before_data_loads(tmp_path, capsys, override, named):
                  "--set", override]) == 1
     line = one_error_line(capsys)
     assert named in line and "prepared dataset missing" not in line
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[data]\ntarget = SINE\n[data]\nlookback = 4\n", "section 'data' already exists"),
+    ("[data]\ntarget = SINE\ntarget = SINE\n", "option 'target' in section 'data' already exists"),
+    ("target = SINE\n[data]\n", "File contains no section headers."),
+    ("[data]\ntarget = SINE\nbare line\n", "[line 3]: 'bare line\\n'"),
+], ids=["duplicate-section", "duplicate-key", "key-before-header", "bare-line"])
+def test_malformed_config_file_is_one_error_line(tmp_path, capsys, text, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["prepare", "--config", str(path)]) == 1
+    line = one_error_line(capsys)
+    assert str(path) in line and named in line
 
 
 @pytest.mark.parametrize("name, content, named", [

@@ -112,6 +112,34 @@ The timings of one child process are not independent of each other, so
 rounds, not single timings or blocks, are the pairs: a speed claim needs
 the change to win 9 of 10 rounds and, for an in-process key, a median
 block ratio outside the key's identical-tree band below.
+
+Identical-tree bands of the in-process keys: six sets of 10 rounds, five
+against a parent whose timed code was the same and one against HEAD (2
+cores, OpenBLAS 0.3.31, a shared host with the probe at 6-19 ms against
+6.6 ms fast).  Median block ratios read as below, with 36-62/100 blocks
+faster (18-32/50 at predict's 5-call keys) and 1-8/10 rounds faster: in
+one set gru47 backward was slower in 9/10 rounds at a block ratio of
+1.004, so rounds alone make no claim.  The claim band is the measured
+range widened by at least 0.003 to the next 0.005:
+
+    key                                     measured       claim band
+    layer 16 units, forward and backward    0.997-1.006    0.99-1.01
+    layer 47 units, forward and backward    0.991-1.015    0.985-1.02
+    layer gru512, lstm512 forward           0.985-1.008    0.98-1.015
+    layer lstm512 backward                  0.990-1.060    unresolved
+    step c09 and gru-lstm1                  0.992-1.006    0.985-1.01
+    predict c09                             0.998-1.003    0.995-1.01
+    predict gru-lstm1                       0.987-1.021    0.98-1.025
+    predict lstm512                         0.994-1.009    0.99-1.015
+    suggest lstm1 and gru-lstm1             0.995-1.005    0.99-1.01
+    optim c09                               0.996-1.006    0.99-1.01
+    optim gru-lstm1                         0.992-1.024    0.985-1.03
+
+lstm512 backward read above 1.02 in three of the six sets: one round's
+memory layout moves it, and ten rounds give ten layouts.  The ratio of
+the pooled medians (change_vs_parent's median_ratio) is no measure here:
+on the same trees it read 0.918-1.021 at suggest lstm1 and 0.991-1.130
+at lstm16, where the block ratios stayed within 0.995-1.006.
 """
 
 from __future__ import annotations

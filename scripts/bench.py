@@ -1,14 +1,15 @@
 """Time the stages of the pipeline, optionally against a git revision; write
-BENCH_<case>.json for each case.
+BENCH_<case>.json for each case, with each key's verdict.
 
     python scripts/bench.py CASE [CASE ...] [--rounds 5] [--against REV] [--out-dir DIR]
 
-The in-process cases (layer, step, predict, suggest, optim) time calls
-into grnn; each round runs one of them in one child process that holds
-every tree, through one driver (`interleaved`, below).  The fresh-process
-cases (setup, pool, rss) time start-up, forking or whole commands, so
-each round runs one of them in a fresh child per tree.  Every case does
-a fixed amount of work per round; an in-process key times k calls.
+Each case is one kind of measurement.  The in-process cases (layer, step,
+predict, suggest, optim, stages) time calls into grnn: each round runs one
+of them in one child process that holds every tree, through one driver
+(`interleaved`, below).  The fresh-process cases (commands, pool) time
+start-up, forking or whole commands, so each round runs one of them in a
+fresh child per tree.  Every case does a fixed amount of work per round; an
+in-process key times k calls.
 
     layer  one LSTM and one GRU layer, float32: forward then backward (with
            dL/dx, as a layer above the first runs it), on one workspace
@@ -28,9 +29,9 @@ a fixed amount of work per round; an in-process key times k calls.
            full, a short (SHORT_BATCH) and a full step under tracemalloc,
            and the peak is the key's peak_alloc_mb (the gradient part
            buffer and Nadam's moments are made before it starts); the bytes
-           that workspace then holds, per buffer ("<part>/<name>", the
-           shared scratch once), are its workspace_bytes.  Digests: the
-           weights after those five steps.
+           that workspace then holds are workspace_bytes, one reading per
+           buffer (<key>/<part>/<name>, the shared scratch once).  Digests:
+           the weights after those five steps.
     predict
            `predict_batch` on 720 windows (the synthetic market bundle's
            test split), lookback 10, 8 features, with float32 weights, after
@@ -51,14 +52,22 @@ a fixed amount of work per round; an in-process key times k calls.
            calls: k = 1000 at c09 (10,576 parameters) and 100 at gru-lstm1
            (1.77 M).  Keys are the shapes; digests: the weights after the
            warm-up.
-    setup  command start-up on the synthetic market bundle under
-           profiles/synthetic-market.ini: fresh-process `import grnn.cli`
-           (import) and `grnn prepare` (prepare), then each prepare stage 5
-           times in-process: ingest, add_indicators, normalize,
-           write_frame_csv, read_frame_csv and window.  Then one untimed
-           pass runs each stage under its own tracemalloc, and the peak is
-           the stage's peak_alloc_mb.  Digests: prepared.csv,
-           norm_params.json and window's train_x, test_x, train_y, test_y.
+    stages each stage of `grnn prepare` on the synthetic market bundle under
+           profiles/synthetic-market.ini, on the output of the stages before
+           it, after one warm-up call: k = STAGE_CALLS of ingest,
+           add_indicators, normalize, write_frame_csv, read_frame_csv and
+           window.  Keys are the stages; digests: each stage's output (the
+           file, for write_frame_csv).  One more call runs under
+           tracemalloc, and its peak is the stage's peak_alloc_mb.
+    commands
+           import grnn.cli, then `grnn prepare`, then perfbench's
+           train-lstm1 and train-gru-lstm1 commands (lstm1: 8 seeds x 12
+           epochs, patience 12; gru-lstm1: 1 seed x 1 epoch), each in a
+           fresh process on the synthetic market bundle: wall seconds from
+           this process, and the command's own peak_rss_mb (ru_maxrss of
+           RUSAGE_SELF, so not its pool workers'; perfbench reads its
+           peak_rss_mb the same way).  Digests: each command's exit code
+           and every file written.
     pool   one multi-seed `run_experiment` three ways: serial (one
            `repeats=1` run per seed, in-process at the process's BLAS
            threads), one_worker (GRNN_THREADS=1: a pool of one forked
@@ -68,78 +77,49 @@ a fixed amount of work per round; an in-process key times k calls.
            gru-lstm1 (synthetic-market.ini, 2 seeds x 2 epochs).  Keys
            <shape>/<mode>; digests: the run records.  After each shape the
            peak RSS so far of the process and of its largest pool worker is
-           read; the shapes run from the smallest network to the largest,
-           so each reading is its own shape's.
-    rss    each of `grnn prepare`, then the train-lstm1 and train-gru-lstm1
-           commands of perfbench (lstm1: 8 seeds x 12 epochs, patience 12;
-           gru-lstm1: 1 seed x 1 epoch) in a fresh process on the synthetic
-           market bundle.  Keys are the commands; rss_mb is the process's
-           own ru_maxrss (RUSAGE_SELF, so not its pool workers'); perfbench's
-           peak_rss_mb reads it the same way, over one process that runs
-           prepare and then the train command.  Digests: each command's
-           exit code and every file written.
+           read (peak_rss_mb <shape>/self and <shape>/largest_worker); the
+           shapes run from the smallest network to the largest, so each
+           reading is its own shape's.
 
 The synthetic market bundle and the sine CSV are written once into a
-temporary work directory.  With --against REV, `git archive REV` is
-unpacked into a temporary tree too.  Round r runs the trees in one order
-and round r + 1 in the other, so that drift of a shared host hits both
-alike.  A fresh-process child gets PYTHONPATH=<tree>/src.  An in-process
-child loads each tree's grnn under the package name grnn_change or
-grnn_parent (`load_grnn`) in the round's order and runs `interleaved`:
-per key, each tree sets up, warms up and is digested, then the key's k
-calls run in at most BLOCKS blocks (`block_sizes`) that alternate between
-the trees, the tree that goes first flipping every block.  Both trees
-share one allocator, one BLAS pool and the caches; the warm-up, the
-alternating blocks and the flipped load order keep that fair.  The case
-code runs on both trees, so it calls only names that both have.
+temporary work directory, each child's working directory.  With --against
+REV, `git archive REV` is unpacked into a temporary tree too.  Round r runs
+the trees in one order and round r + 1 in the other, so that drift of a
+shared host hits both alike.  A fresh-process child gets
+PYTHONPATH=<tree>/src.  An in-process child loads each tree's grnn under the
+package name grnn_change or grnn_parent (`load_grnn`) in the round's order
+and runs `interleaved`: per key, each tree sets up, warms up and is
+digested, then the key's k calls run in at most BLOCKS blocks
+(`block_sizes`) that alternate between the trees, the tree that goes first
+flipping every block.  Both trees share one allocator, one BLAS pool and
+the caches; the warm-up, the alternating blocks and the flipped load order
+keep that fair.  The case code runs on both trees, so it calls only names
+that both have.
 
 Before each child, this process times perfbench/probe.py's host-speed
 probe PROBE_READINGS times and keeps the median, so a set of rounds taken
-on a busy host shows as such.  Each BENCH_<case>.json holds the machine
-(perfbench/envinfo.py), the rounds, the probe's time on a fast host
-(probe_ref_s) and, per tree, its commit, its digests, each round's probe
-reading (probe_s), each key's median, min and sample count and, for pool,
-predict, setup and step, the largest memory reading of any round (for
-rss, every round's reading and their median).  With --against it also
-holds, per key, the ratio of the medians (change over parent) and the
-number of rounds in which this tree's median of the round was the lower
-(for rss also its reading: rss_change_vs_parent), and whether both trees'
-digests agree; for an in-process case also "interleaved": the median of
-the blocks' change / parent ratios, its quartiles, and blocks_faster out
-of blocks.
+on a busy host shows as such.  Every child returns {times, digests,
+readings: {field: {key: number}}}, and an in-process child each key's block
+sums too.  Each BENCH_<case>.json holds the machine (perfbench/envinfo.py),
+the rounds, the probe's time on a fast host (probe_ref_s) and, per tree,
+its commit, its digests, each round's probe reading (probe_s), each key's
+median, min and count of timings, and each reading's median and value per
+round.
 
-The timings of one child process are not independent of each other, so
-rounds, not single timings or blocks, are the pairs: a speed claim needs
-the change to win 9 of 10 rounds and, for an in-process key, a median
-block ratio outside the key's identical-tree band below.
-
-Identical-tree bands of the in-process keys: six sets of 10 rounds, five
-against a parent whose timed code was the same and one against HEAD (2
-cores, OpenBLAS 0.3.31, a shared host with the probe at 6-19 ms against
-6.6 ms fast).  Median block ratios read as below, with 36-62/100 blocks
-faster (18-32/50 at predict's 5-call keys) and 1-8/10 rounds faster: in
-one set gru47 backward was slower in 9/10 rounds at a block ratio of
-1.004, so rounds alone make no claim.  The claim band is the measured
-range widened by at least 0.003 to the next 0.005:
-
-    key                                     measured       claim band
-    layer 16 units, forward and backward    0.997-1.006    0.99-1.01
-    layer 47 units, forward and backward    0.991-1.015    0.985-1.02
-    layer gru512, lstm512 forward           0.985-1.008    0.98-1.015
-    layer lstm512 backward                  0.990-1.060    unresolved
-    step c09 and gru-lstm1                  0.992-1.006    0.985-1.01
-    predict c09                             0.998-1.003    0.995-1.01
-    predict gru-lstm1                       0.987-1.021    0.98-1.025
-    predict lstm512                         0.994-1.009    0.99-1.015
-    suggest lstm1 and gru-lstm1             0.995-1.005    0.99-1.01
-    optim c09                               0.996-1.006    0.99-1.01
-    optim gru-lstm1                         0.992-1.024    0.985-1.03
-
-lstm512 backward read above 1.02 in three of the six sets: one round's
-memory layout moves it, and ten rounds give ten layouts.  The ratio of
-the pooled medians (change_vs_parent's median_ratio) is no measure here:
-on the same trees it read 0.918-1.021 at suggest lstm1 and 0.991-1.130
-at lstm16, where the block ratios stayed within 0.995-1.006.
+The rule.  Lower is better for every key and reading, and a round's value
+of a key is the median of its timings in that round.  With --against,
+`compare` gives each time key (change_vs_parent) and each reading
+(readings_vs_parent) one ratio, change over parent, and counts the rounds
+in which the change read lower and higher.  The ratio of an in-process key
+is the median of its blocks' ratios, with quartiles and blocks_lower; of
+any other, the ratio of the medians over rounds.  The timings of one child
+are not independent of each other, so rounds, not blocks, are the pairs.
+A verdict of gain (loss) needs at least 9 of 10 rounds lower (higher) and,
+for an in-process key, a block ratio below (above) the key's identical-tree
+band in BANDS, or else a median over rounds lower (higher) than the
+parent's by more than the parent's interquartile range over rounds.  Fewer
+than ROUNDS rounds, or an in-process key with no band, is unresolved; any
+other result is none.
 """
 
 from __future__ import annotations
@@ -150,6 +130,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import statistics
 import subprocess
 import sys
@@ -158,7 +139,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = "import sys, bench; bench.child(*sys.argv[1:])"
-FRESH_PROCESS = ("setup", "pool", "rss")     # their cost includes start-up and forking
+FRESH_PROCESS = ("commands", "pool")     # their cost includes start-up and forking
 
 BATCH, LOOKBACK, FEATURES = 46, 10, 8
 SHORT_BATCH = 11                 # the last of the synthetic market bundle's 2,909 train windows
@@ -190,36 +171,58 @@ OPTIM_SHAPES = {                 # name: (layers, timed calls per round)
     "c09": ((("lstm", 47),), 1000),
     "gru-lstm1": ((("gru", 498), ("lstm", 311)), 100),
 }
+STAGE_CALLS = 10                 # timed calls per stage and round
 PROBE_READINGS = 5
-STAGE_REPEATS = 5
-STAGES = ("ingest", "add_indicators", "normalize", "write_frame_csv", "read_frame_csv",
-          "window")
 POOL_SHAPES = {                  # name: (profile, architecture, seeds, epochs)
     "sine": ("smoke-sine.ini", "lstm1", 2, 15),
     "c09": ("synthetic-market.ini", "lstm1", 8, 12),
     "gru-lstm1": ("synthetic-market.ini", "gru-lstm1", 2, 2),
 }
 MODES = ("serial", "one_worker", "pooled")
-RSS_COMMANDS = {                 # name: grnn arguments, as perfbench's market workloads run them
+COMMANDS = {         # name: grnn arguments, as perfbench's market workloads run them; none: import
+    "import": (),
     "prepare": ("prepare",),
     "train-lstm1": ("train", "--arch", "lstm1", "--repeats", "8",
                     "--set", "train.max_epochs=12", "--set", "train.patience=12"),
     "train-gru-lstm1": ("train", "--arch", "gru-lstm1", "--repeats", "1",
                         "--set", "train.max_epochs=1"),
 }
-# one grnn command in this process; its exit code and this process's own peak RSS
-RSS_CHILD = ("import json, resource, sys; from grnn.cli import main; "
-             "code = main(sys.argv[1:]); "
-             "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+# one grnn command, or only the import, in this process; its exit code and own peak RSS
+COMMAND_CHILD = ("import json, resource, sys; from grnn.cli import main; "
+                 "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                 "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+ROUNDS = 10          # rounds a verdict needs, of which 9 in 10 must go its way
+
+
+def band(low: float, high: float, *keys: str) -> dict:
+    return dict.fromkeys(keys, (low, high))
+
+
+# "<case>/<key>": the band of an in-process key's median block ratio on identical
+# trees.  layer ... optim: six sets of 10 rounds, five against a parent whose
+# timed code was the same and one against HEAD (2 cores, OpenBLAS 0.3.31, a
+# shared host with the probe at 6-19 ms against 6.6 ms fast); the measured
+# range of ratios widened by at least 0.003 to the next 0.005.  lstm512
+# backward read 0.990-1.060, above 1.02 in three sets (one round's memory
+# layout moves it), so it has no band.
+BANDS = {
+    **band(0.99, 1.01, *(f"layer/{kind}16/{way}" for kind in ("lstm", "gru")
+                         for way in ("forward", "backward"))),
+    **band(0.985, 1.02, *(f"layer/{kind}47/{way}" for kind in ("lstm", "gru")
+                          for way in ("forward", "backward"))),
+    **band(0.98, 1.015, "layer/gru512/forward", "layer/gru512/backward",
+           "layer/lstm512/forward"),
+    **band(0.985, 1.01, "step/c09/float32", "step/gru-lstm1/float32"),
+    **band(0.995, 1.01, "predict/c09"),
+    **band(0.98, 1.025, "predict/gru-lstm1"),
+    **band(0.99, 1.015, "predict/lstm512"),
+    **band(0.99, 1.01, "suggest/lstm1", "suggest/gru-lstm1", "optim/c09"),
+    **band(0.985, 1.03, "optim/gru-lstm1"),
+}
 
 
 def sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
-
-
-def file_sha1(path: str) -> str:
-    with open(path, "rb") as fh:
-        return sha1(fh.read())
 
 
 def load_grnn(tree: str, name: str):
@@ -249,16 +252,16 @@ def interleaved(case: str, trees: dict) -> dict:
     key at a time, after that key's set-up and warm-up: (keys, k, call,
     digest, readings).  call() runs once and returns its seconds per key;
     digest() returns the bytes each key's digest hashes; readings is
-    {field: {key: value}} (peak_alloc_mb, workspace_bytes).  Per key, the
-    trees set up in the order given and are digested; then the k calls run
-    in `block_sizes(k)` blocks that alternate between the trees, the tree
-    that goes first flipping every block.  A key's call and digest run only
+    {field: {key: number}}.  Per key, the trees set up in the order given
+    and are digested; then the k calls run in `block_sizes(k)` blocks that
+    alternate between the trees, the tree that goes first flipping every
+    block.  A key's call and digest run only
     until the case's next key is set up.  Returns, per tree, each key's
     per-call times and per-block summed seconds, its digests and readings.
     """
     order = list(trees)
     packages = [load_grnn(path, f"grnn_{name}") for name, path in trees.items()]
-    out = {name: {"times": {}, "blocks": {}, "digests": {}} for name in order}
+    out = {name: {"times": {}, "blocks": {}, "digests": {}, "readings": {}} for name in order}
     for entries in zip(*(CASES[case][0](grnn) for grnn in packages)):
         calls = {}
         for name, (keys, k, call, digest, readings) in zip(order, entries):
@@ -267,7 +270,7 @@ def interleaved(case: str, trees: dict) -> dict:
             for key in keys:
                 out[name]["times"][key], out[name]["blocks"][key] = [], []
             for field, values in readings.items():
-                out[name].setdefault(field, {}).update(values)
+                out[name]["readings"].setdefault(field, {}).update(values)
         for block, size in enumerate(block_sizes(k)):      # keys and k: the same on each tree
             for name in order[block % 2:] + order[:block % 2]:
                 spent = [calls[name]() for _ in range(size)]
@@ -282,6 +285,18 @@ def seconds(fn, *args) -> tuple:
     started = time.perf_counter()
     fn(*args)
     return (time.perf_counter() - started,)
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """The peak MiB that tracemalloc sees fn(*args) allocate."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def float32_network(grnn, layers: tuple):
@@ -326,8 +341,6 @@ def layer_calls(grnn):
 
 
 def step_calls(grnn):
-    import tracemalloc
-
     import numpy as np
 
     network, optim = grnn.network, grnn.optim
@@ -350,21 +363,17 @@ def step_calls(grnn):
         step()
         step()
         key, fresh = f"{name}/float32", {}
-        tracemalloc.start()
-        try:
-            for rows in (BATCH, SHORT_BATCH, BATCH):
-                step(fresh, rows)
-            peak_alloc_mb = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
-        finally:
-            tracemalloc.stop()
+        peak_alloc_mb = traced_peak_mb(lambda: [step(fresh, rows)
+                                                for rows in (BATCH, SHORT_BATCH, BATCH)])
         yield ((key,), k, lambda: seconds(step), lambda: (params.flat.tobytes(),),
                {"peak_alloc_mb": {key: peak_alloc_mb},
-                "workspace_bytes": {key: workspace_bytes(fresh)}})
+                "workspace_bytes": workspace_bytes(fresh, f"{key}/")})
 
 
-def workspace_bytes(ws: dict) -> dict:
-    """{"<part>/<name>": bytes of the name's flat array} of a network workspace;
-    a dict met again (the scratch the parts share) is counted where first met."""
+def workspace_bytes(ws: dict, prefix: str) -> dict:
+    """{"<prefix><part>/<name>": bytes of the name's flat array} of a network
+    workspace; a dict met again (the scratch the parts share) is counted where
+    first met."""
     out, seen = {}, set()
 
     def walk(part: dict, prefix: str) -> None:
@@ -375,25 +384,18 @@ def workspace_bytes(ws: dict) -> dict:
                     walk(value, f"{prefix}{name}/")
             else:
                 out[prefix + name] = (value if value.base is None else value.base).nbytes
-    walk(ws, "")
+    walk(ws, prefix)
     return out
 
 
 def predict_calls(grnn):
-    import tracemalloc
-
     import numpy as np
 
     windows = np.random.default_rng(0).standard_normal((PREDICT_WINDOWS, LOOKBACK, FEATURES))
     for name, (layers, k) in PREDICT_SHAPES.items():
         spec, params = float32_network(grnn, layers)
         preds = grnn.predict_batch(spec, params, windows)
-        tracemalloc.start()
-        try:
-            grnn.predict_batch(spec, params, windows)
-            peak_alloc_mb = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
-        finally:
-            tracemalloc.stop()
+        peak_alloc_mb = traced_peak_mb(grnn.predict_batch, spec, params, windows)
         yield ((name,), k, lambda: seconds(grnn.predict_batch, spec, params, windows),
                lambda: (preds.tobytes(),), {"peak_alloc_mb": {name: peak_alloc_mb}})
 
@@ -442,62 +444,37 @@ def optim_calls(grnn):
                lambda: (params.flat.tobytes(),), {})
 
 
-def timed(argv: list) -> float:
-    started = time.perf_counter()
-    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return time.perf_counter() - started
+def stages_calls(grnn):
+    import importlib
 
+    tree = os.path.dirname(os.path.dirname(grnn.__path__[0]))
+    cfg = importlib.import_module(f"{grnn.__name__}.config").load_config(
+        os.path.join(tree, "profiles", "synthetic-market.ini"))
+    data, path, out = grnn.data, f"{grnn.__name__}-prepared.csv", {}
 
-def setup_case(tree: str) -> dict:
-    import tracemalloc
+    def frame_bytes(frame):
+        return repr((frame.dates, frame.feature_order)).encode() + frame.matrix().tobytes()
 
-    profile = os.path.join(tree, "profiles", "synthetic-market.ini")
-    times = {"import": [timed([sys.executable, "-c", "import grnn.cli"])]}
-    with tempfile.TemporaryDirectory(dir=".") as out:
-        times["prepare"] = [timed([sys.executable, "-m", "grnn.cli", "prepare", "--config",
-                                   profile, "--out", out])]
-        digests = {name: file_sha1(os.path.join(out, name))
-                   for name in ("prepared.csv", "norm_params.json")}
-        from grnn import data
-        from grnn.config import load_config
-
-        cfg = load_config(profile)
-        path = os.path.join(out, "stages.csv")
-        times.update({name: [] for name in STAGES})
-        peak_alloc_mb = {}
-
-        def timed_stage(name, fn, *args, **kwargs):
-            started = time.perf_counter()
-            value = fn(*args, **kwargs)
-            times[name].append(time.perf_counter() - started)
-            return value
-
-        def traced_stage(name, fn, *args, **kwargs):
-            tracemalloc.start()
-            try:
-                value = fn(*args, **kwargs)
-                peak_alloc_mb[name] = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
-            finally:
-                tracemalloc.stop()
-            return value
-
-        def stages(stage):
-            frame = stage("ingest", data.ingest, cfg.sources, cfg.date_column)
-            frame = stage("add_indicators", data.add_indicators, frame, cfg.target,
-                          cfg.indicators)
-            frame, norm = stage("normalize", data.normalize, frame, fit_on=cfg.fit_on,
-                                split=cfg.split)
-            stage("write_frame_csv", data.write_frame_csv, path, frame, cfg.date_column)
-            frame = stage("read_frame_csv", data.read_frame_csv, path, cfg.date_column)
-            return stage("window", data.window, frame, cfg.lookback, norm, split=cfg.split,
-                         target=cfg.target)
-
-        for _ in range(STAGE_REPEATS):
-            dataset = stages(timed_stage)
-        digests.update({name: sha1(getattr(dataset, name).tobytes())
-                        for name in ("train_x", "test_x", "train_y", "test_y")})
-        stages(traced_stage)
-    return {"times": times, "digests": digests, "peak_alloc_mb": peak_alloc_mb}
+    stages = {       # name: (the stage on the outputs of the stages before it, its output's bytes)
+        "ingest": (lambda: data.ingest(cfg.sources, cfg.date_column), frame_bytes),
+        "add_indicators": (lambda: data.add_indicators(out["ingest"], cfg.target, cfg.indicators),
+                           frame_bytes),
+        "normalize": (lambda: data.normalize(out["add_indicators"], fit_on=cfg.fit_on,
+                                             split=cfg.split),
+                      lambda pair: frame_bytes(pair[0]) + repr(pair[1]).encode()),
+        "write_frame_csv": (lambda: data.write_frame_csv(path, out["normalize"][0],
+                                                         cfg.date_column),
+                            lambda _: pathlib.Path(path).read_bytes()),
+        "read_frame_csv": (lambda: data.read_frame_csv(path, cfg.date_column), frame_bytes),
+        "window": (lambda: data.window(out["read_frame_csv"], cfg.lookback, out["normalize"][1],
+                                       split=cfg.split, target=cfg.target),
+                   lambda ds: b"".join(getattr(ds, name).tobytes()
+                                       for name in ("train_x", "test_x", "train_y", "test_y"))),
+    }
+    for name, (stage, output_bytes) in stages.items():
+        out[name] = stage()
+        yield ((name,), STAGE_CALLS, lambda: seconds(stage), lambda: (output_bytes(out[name]),),
+               {"peak_alloc_mb": {name: traced_peak_mb(stage)}})
 
 
 def pool_case(tree: str) -> dict:
@@ -537,31 +514,32 @@ def pool_case(tree: str) -> dict:
                 raise SystemExit(f"{name}/{mode}: a run failed: {runs}")
             digests[f"{name}/{mode}"] = sha1(json.dumps(
                 [r.to_record() for r in runs], sort_keys=True).encode())
-        peak_rss_mb[name] = {
-            "self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "largest_worker": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
-    return {"times": times, "digests": digests, "peak_rss_mb": peak_rss_mb}
+        for what, who in (("self", resource.RUSAGE_SELF),
+                          ("largest_worker", resource.RUSAGE_CHILDREN)):
+            peak_rss_mb[f"{name}/{what}"] = resource.getrusage(who).ru_maxrss / 1024.0
+    return {"times": times, "digests": digests, "readings": {"peak_rss_mb": peak_rss_mb}}
 
 
-def rss_case(tree: str) -> dict:
+def commands_case(tree: str) -> dict:
     profile = os.path.join(tree, "profiles", "synthetic-market.ini")
-    times, digests, rss_mb = {}, {}, {}
+    times, digests, peak_rss_mb = {}, {}, {}
     with tempfile.TemporaryDirectory(dir=".") as out:
-        for name, args in RSS_COMMANDS.items():
+        for name, args in COMMANDS.items():
+            argv = [*args, "--config", profile, "--out", out] if args else []
             started = time.perf_counter()
-            done = subprocess.run([sys.executable, "-c", RSS_CHILD, *args, "--config", profile,
-                                   "--out", out], check=True, capture_output=True, text=True)
+            done = subprocess.run([sys.executable, "-c", COMMAND_CHILD, *argv], check=True,
+                                  capture_output=True, text=True)
             times[name] = [time.perf_counter() - started]
             code, maxrss_kb = json.loads(done.stdout.splitlines()[-1])
             if code not in (0, 1):      # 1: no run cleared the R2 bar
                 raise SystemExit(f"grnn {name} exited {code}: {done.stderr}")
-            rss_mb[name] = maxrss_kb / 1024.0
+            peak_rss_mb[name] = maxrss_kb / 1024.0
             digests[f"{name}/exit"] = code
         for folder, _, files in os.walk(out):
             for file in files:
                 path = os.path.join(folder, file)
-                digests[os.path.relpath(path, out)] = file_sha1(path)
-    return {"times": times, "digests": digests, "rss_mb": rss_mb}
+                digests[os.path.relpath(path, out)] = sha1(pathlib.Path(path).read_bytes())
+    return {"times": times, "digests": digests, "readings": {"peak_rss_mb": peak_rss_mb}}
 
 
 CASES = {
@@ -575,14 +553,14 @@ CASES = {
                          f"{LOOKBACK}, {FEATURES} features"),
     "suggest": (suggest_calls, f"seconds of one TPE suggest on a {SUGGEST_HISTORY}-trial "
                                "history at the [hpo] default bounds"),
-    "setup": (setup_case, "seconds of command start-up on the synthetic market bundle: "
-                          "fresh-process `import grnn.cli` and `grnn prepare`, and each "
-                          "prepare stage in-process"),
+    "optim": (optim_calls, "seconds of one nadam apply on fixed float32 gradients"),
+    "stages": (stages_calls, "seconds of one prepare stage in-process on the synthetic "
+                             "market bundle"),
+    "commands": (commands_case, "raw wall seconds of one grnn command, or of the import of "
+                                "grnn.cli, in a fresh process on the synthetic market bundle; "
+                                "peak_rss_mb: that process's own peak RSS"),
     "pool": (pool_case, "raw wall seconds of one multi-seed run_experiment: serial, "
                         "one_worker and pooled"),
-    "rss": (rss_case, "raw wall seconds of one grnn command in a fresh process on the "
-                      "synthetic market bundle; rss_mb: that process's own peak RSS"),
-    "optim": (optim_calls, "seconds of one nadam apply on fixed float32 gradients"),
 }
 
 
@@ -623,66 +601,80 @@ def summary(ts: list) -> dict:
     return {"median_s": statistics.median(ts), "min_s": min(ts), "n": len(ts)}
 
 
+def spread(values: list) -> dict:
+    return {"median": statistics.median(values), "rounds": values}
+
+
+def compare(change: list, parent: list, blocks: list | None = None,
+            band: tuple | None = None) -> dict:
+    """One key or reading against the parent, from its value per round in each
+    tree and, for an in-process key, its (change, parent) block pairs and
+    band: the ratio, the rounds lower and higher, and the verdict."""
+    rounds = len(change)
+    vs = {"median_ratio": statistics.median(change) / statistics.median(parent),
+          "rounds": rounds, "rounds_lower": sum(a < b for a, b in zip(change, parent)),
+          "rounds_higher": sum(a > b for a, b in zip(change, parent))}
+    beyond = None        # the ratio or median difference: -1 below its margin, 1 above, 0 within
+    if blocks is not None:
+        q1, vs["median_ratio"], q3 = statistics.quantiles(
+            [a / b for a, b in blocks], n=4, method="inclusive")
+        vs.update(ratio_q1=q1, ratio_q3=q3, blocks=len(blocks), band=band,
+                  blocks_lower=sum(a < b for a, b in blocks))
+        beyond = band and (vs["median_ratio"] > band[1]) - (vs["median_ratio"] < band[0])
+    elif rounds >= ROUNDS:
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        diff = statistics.median(change) - statistics.median(parent)
+        beyond = (diff > q3 - q1) - (diff < q1 - q3)
+    if beyond is None or rounds < ROUNDS:
+        vs["verdict"] = "unresolved"
+    elif beyond < 0 and 10 * vs["rounds_lower"] >= 9 * rounds:
+        vs["verdict"] = "gain"
+    elif beyond > 0 and 10 * vs["rounds_higher"] >= 9 * rounds:
+        vs["verdict"] = "loss"
+    else:
+        vs["verdict"] = "none"
+    return vs
+
+
 def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
            probe_ref_s: float) -> dict:
     """The BENCH_<case>.json record of `runs`: tree -> list of child results."""
     result = {"case": case, "what": CASES[case][1], "environment": environment,
               "rounds": rounds, "probe_ref_s": probe_ref_s, "trees": {}}
-    if "parent" in runs and "blocks" in runs["parent"][0]:
-        result["interleaved"] = {}
-        for key in runs["parent"][0]["blocks"]:
-            pairs = [pair for a, b in zip(runs["change"], runs["parent"])
-                     for pair in zip(a["blocks"][key], b["blocks"][key])]
-            ratios = [change / parent for change, parent in pairs]
-            q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-            result["interleaved"][key] = {
-                "median_ratio": median, "ratio_q1": q1, "ratio_q3": q3,
-                "blocks_faster": sum(change < parent for change, parent in pairs),
-                "blocks": len(pairs)}
-    times = {}
     for name, outs in runs.items():
-        times[name] = {key: [t for out in outs for t in out["times"][key]]
-                       for key in outs[0]["times"]}
-        tree = result["trees"][name] = {
+        result["trees"][name] = {
             "git_commit": commits[name], "digests": outs[-1]["digests"],
             "probe_s": [out["probe_s"] for out in outs],
-            "times": {key: summary(ts) for key, ts in times[name].items()}}
-        if "peak_rss_mb" in outs[0]:
-            tree["peak_rss_mb"] = {
-                shape: {what: max(out["peak_rss_mb"][shape][what] for out in outs)
-                        for what in outs[0]["peak_rss_mb"][shape]}
-                for shape in outs[0]["peak_rss_mb"]}
-        if "peak_alloc_mb" in outs[0]:
-            tree["peak_alloc_mb"] = {key: max(out["peak_alloc_mb"][key] for out in outs)
-                                     for key in outs[0]["peak_alloc_mb"]}
-        if "workspace_bytes" in outs[0]:
-            tree["workspace_bytes"] = outs[-1]["workspace_bytes"]
-        if "rss_mb" in outs[0]:
-            tree["rss_mb"] = {}
-            for key in outs[0]["rss_mb"]:
-                mbs = [out["rss_mb"][key] for out in outs]
-                tree["rss_mb"][key] = {"median": statistics.median(mbs), "rounds": mbs}
+            "times": {key: summary([t for out in outs for t in out["times"][key]])
+                      for key in outs[0]["times"]},
+            "readings": {field: {key: spread([out["readings"][field][key] for out in outs])
+                                 for key in keys}
+                         for field, keys in outs[0]["readings"].items()}}
     if "parent" in runs:
-        trees = result["trees"]
-        result["artifacts_identical"] = (trees["change"]["digests"]
-                                         == trees["parent"]["digests"])
+        change, parent = runs["change"], runs["parent"]
+        result["artifacts_identical"] = change[-1]["digests"] == parent[-1]["digests"]
         result["change_vs_parent"] = {
-            key: {"median_ratio": (trees["change"]["times"][key]["median_s"]
-                                   / trees["parent"]["times"][key]["median_s"]),
-                  "rounds_faster": sum(
-                      statistics.median(a["times"][key]) < statistics.median(b["times"][key])
-                      for a, b in zip(runs["change"], runs["parent"])),
-                  "rounds": len(runs["change"])}
-            for key in times["change"]}
-        if "rss_mb" in trees["change"]:
-            result["rss_change_vs_parent"] = {
-                key: {"median_ratio": (trees["change"]["rss_mb"][key]["median"]
-                                       / trees["parent"]["rss_mb"][key]["median"]),
-                      "rounds_lower": sum(a["rss_mb"][key] < b["rss_mb"][key]
-                                          for a, b in zip(runs["change"], runs["parent"])),
-                      "rounds": len(runs["change"])}
-                for key in trees["change"]["rss_mb"]}
+            key: compare([statistics.median(out["times"][key]) for out in change],
+                         [statistics.median(out["times"][key]) for out in parent],
+                         *([[pair for a, b in zip(change, parent)
+                             for pair in zip(a["blocks"][key], b["blocks"][key])],
+                            BANDS.get(f"{case}/{key}")] if "blocks" in change[0] else []))
+            for key in change[0]["times"]}
+        result["readings_vs_parent"] = {
+            field: {key: compare([out["readings"][field][key] for out in change],
+                                 [out["readings"][field][key] for out in parent])
+                    for key in keys if key in parent[0]["readings"].get(field, {})}
+            for field, keys in change[0]["readings"].items()}
     return result
+
+
+def describe(vs: dict) -> str:
+    """One comparison as its printed line ends."""
+    line = f"x{vs['median_ratio']:.3f}"
+    if "blocks" in vs:
+        line += (f" [{vs['ratio_q1']:.3f}-{vs['ratio_q3']:.3f}], lower in "
+                 f"{vs['blocks_lower']}/{vs['blocks']} blocks")
+    return line + f", lower in {vs['rounds_lower']}/{vs['rounds']} rounds: {vs['verdict']}"
 
 
 def main(argv=None) -> int:
@@ -725,32 +717,20 @@ def main(argv=None) -> int:
 
     for case in cases:
         result = report(case, environment, args.rounds, commits, runs[case], probe.REF_S)
+        trees = result["trees"].values()
         for key in result["trees"]["change"]["times"]:
             line = " | ".join(f"{name} median {tree['times'][key]['median_s'] * 1e3:9.2f} ms"
                               for name, tree in result["trees"].items())
             if "change_vs_parent" in result:
-                vs = result["change_vs_parent"][key]
-                line += (f" | x{vs['median_ratio']:.3f}, faster in "
-                         f"{vs['rounds_faster']}/{vs['rounds']} rounds")
-            if "interleaved" in result:
-                vs = result["interleaved"][key]
-                line += (f" | blocks x{vs['median_ratio']:.3f} [{vs['ratio_q1']:.3f}-"
-                         f"{vs['ratio_q3']:.3f}], faster in {vs['blocks_faster']}/{vs['blocks']}")
-            trees = result["trees"].values()
-            if key in result["trees"]["change"].get("peak_alloc_mb", {}):
-                line += " | peak " + " / ".join(
-                    f"{tree['peak_alloc_mb'][key]:.2f}" for tree in trees) + " MB"
-            if key in result["trees"]["change"].get("workspace_bytes", {}):
-                line += " | workspace " + " / ".join(
-                    f"{sum(tree['workspace_bytes'][key].values()) / 2.0 ** 20:.2f}"
-                    for tree in trees) + " MB"
-            if key in result["trees"]["change"].get("rss_mb", {}):
-                line += " | rss median " + " / ".join(
-                    f"{tree['rss_mb'][key]['median']:.2f}" for tree in trees) + " MB"
-                if "rss_change_vs_parent" in result:
-                    vs = result["rss_change_vs_parent"][key]
-                    line += f", lower in {vs['rounds_lower']}/{vs['rounds']} rounds"
+                line += " | " + describe(result["change_vs_parent"][key])
             print(f"{case}/{key:<22} {line}")
+        for field, keys in result["trees"]["change"]["readings"].items():
+            for key in keys:
+                line = " / ".join(f"{tree['readings'][field][key]['median']:.2f}"
+                                  for tree in trees if key in tree["readings"].get(field, {}))
+                if key in result.get("readings_vs_parent", {}).get(field, {}):
+                    line += " | " + describe(result["readings_vs_parent"][field][key])
+                print(f"{case}/{field}/{key}: median {line}")
         print(f"{case}: probe median " + " | ".join(
             f"{name} {statistics.median(tree['probe_s']) * 1e3:.2f} ms"
             for name, tree in result["trees"].items()) + f" (fast host {probe.REF_S * 1e3} ms)")

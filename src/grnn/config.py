@@ -97,6 +97,10 @@ class HpoSettings(TpeConfig):
         super().__post_init__()
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.units_low < 1:
+            raise ValueError("units_low must be >= 1")
+        if self.batch_low < 1:
+            raise ValueError("batch_low must be >= 1")
 
 
 @dataclass

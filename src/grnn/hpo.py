@@ -153,6 +153,8 @@ class TpeConfig:
             raise ValueError("n_startup must be >= 0")
         if self.n_startup >= self.n_trials:
             raise ValueError("n_startup must be < n_trials")
+        if self.n_ei_candidates < 1:
+            raise ValueError("n_ei_candidates must be >= 1")
 
 
 def split_good_bad(complete: list[Trial], gamma: float):

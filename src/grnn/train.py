@@ -52,7 +52,10 @@ and at the c09 test split one and two threads give the same report.
 A worker exits when its seed pipe reaches EOF: when the parent has no seed
 left for it, or when the parent dies, so the workers of a killed run stop
 after their current seed.  A worker that dies fails only the seed it held
-("worker died"), and a fresh worker takes the remaining seeds.  Where
+("worker died"), and a fresh worker takes the remaining seeds.  Any other
+exception than TrainingDiverged is a bug: the worker sends its traceback,
+and the parent stops the workers and raises it as a RuntimeError that names
+the seed, as a single run would raise it.  Where
 os.fork is missing, a multi-seed run raises OSError.  On Python >= 3.12,
 forking while BLAS threads are alive raises a DeprecationWarning.
 """
@@ -63,6 +66,7 @@ import contextlib
 import functools
 import os
 import pickle
+import traceback
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -294,7 +298,8 @@ def _fork_worker(job, inherited: list):
     the pickled outcome to its result pipe; return its pid, the seed pipe's
     write end and the result pipe's read end.  The worker exits at the seed
     pipe's EOF, which also comes when this process dies, and never returns
-    into the caller: any exception ends it with os._exit(1)."""
+    into the caller: an exception from a seed's run is sent as its formatted
+    traceback, and any other ends the worker with os._exit(1)."""
     seeds_r, seeds_w = os.pipe()
     results_r, results_w = os.pipe()
     pid = os.fork()
@@ -307,7 +312,11 @@ def _fork_worker(job, inherited: list):
                 setter(1)
             with open(seeds_r, "rb") as seeds, open(results_w, "wb") as results:
                 for line in seeds:
-                    pickle.dump(_run_one(job, int(line)), results)
+                    try:
+                        outcome = _run_one(job, int(line))
+                    except Exception:           # a bug: the parent raises it
+                        outcome = traceback.format_exc()
+                    pickle.dump(outcome, results)
                     results.flush()
             os._exit(0)
         finally:
@@ -322,7 +331,8 @@ def _run_pooled(job, seeds: list, workers: int):
     best_params) in seed order.  A worker holds one seed at a time and is
     sent the next when it returns one.  A worker that dies (EOF or a torn
     pickle on its result pipe) fails only the seed it held, and a fresh
-    worker takes the rest."""
+    worker takes the rest.  A worker that sends a traceback stops the pool:
+    it is raised as a RuntimeError naming its seed."""
     # imported here, so that commands which start no pool never load them
     import selectors
     import signal
@@ -358,6 +368,8 @@ def _run_pooled(job, seeds: list, workers: int):
                 except (EOFError, pickle.UnpicklingError):
                     early[seed] = RunRecord(seed=seed, status="failed", error="worker died"), None
                     alive = False
+                if isinstance(early[seed], str):
+                    raise RuntimeError(f"seed {seed} failed in its worker:\n{early[seed]}")
                 send_or_retire(key, alive)
             while next_seed < len(seeds) and seeds[next_seed] in early:
                 yield early.pop(seeds[next_seed])

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -127,6 +128,9 @@ def one_error_line(capsys) -> str:
     ("hpo.max_epochs=0", "[hpo] max_epochs must be >= 1"),
     ("hpo.n_trials=0", "[hpo] n_trials must be >= 1"),
     ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
+    ("hpo.units_low=-40", "[hpo] units_low must be >= 1"),
+    ("hpo.batch_low=-40", "[hpo] batch_low must be >= 1"),
+    ("hpo.n_ei_candidates=0", "[hpo] n_ei_candidates must be >= 1"),
     ("train.dtype=float16", "[train] unknown key 'dtype'"),
     ("hpo.bandwidth_floor=0.02", "[hpo] unknown key 'bandwidth_floor'"),
     ("train.clip_norm=1", "[train] unknown key 'clip_norm'"),
@@ -437,6 +441,29 @@ def test_workers_of_a_killed_train_exit_after_their_seed(tmp_path, monkeypatch):
     for pid in left:
         os.kill(pid, signal.SIGKILL)
     assert not left, "workers still running 20 s after their parent was killed"
+
+
+def test_a_bug_in_a_pooled_worker_fails_the_train_command(tmp_path):
+    """An exception other than TrainingDiverged in a worker is a bug, not a
+    failed run: the pooled `grnn train` exits non-zero with the exception's
+    message on stderr and writes no archive."""
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    bug = ("import sys\nfrom grnn import cli\n"
+           "def evaluate(*args, **kwargs):\n"
+           "    raise AttributeError('injected bug in evaluate')\n"
+           "sys.modules['grnn.train'].evaluate = evaluate\n"
+           "sys.exit(cli.main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", bug, "train", "--config", str(path), "--arch", "lstm1",
+         "--repeats", "2", "--set", "train.max_epochs=2"],
+        env={**os.environ, "PYTHONPATH": src, "GRNN_THREADS": "2"},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "AttributeError: injected bug in evaluate" in done.stderr
+    assert re.search(r"seed 4[23] failed in its worker", done.stderr)
+    assert not (tmp_path / "out" / "train" / "lstm1" / "archive.jsonl").exists()
 
 
 def test_multi_seed_train_without_fork_fails_with_one_error_line(tmp_path, capsys,

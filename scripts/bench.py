@@ -204,7 +204,8 @@ def band(low: float, high: float, *keys: str) -> dict:
 # shared host with the probe at 6-19 ms against 6.6 ms fast); the measured
 # range of ratios widened by at least 0.003 to the next 0.005.  lstm512
 # backward read 0.990-1.060, above 1.02 in three sets (one round's memory
-# layout moves it), so it has no band.
+# layout moves it), so it has no band.  stages: three sets of 10 rounds against
+# HEAD, widened the same way; each set's ratio lay within the others' quartiles.
 BANDS = {
     **band(0.99, 1.01, *(f"layer/{kind}16/{way}" for kind in ("lstm", "gru")
                          for way in ("forward", "backward"))),
@@ -218,6 +219,9 @@ BANDS = {
     **band(0.99, 1.015, "predict/lstm512"),
     **band(0.99, 1.01, "suggest/lstm1", "suggest/gru-lstm1", "optim/c09"),
     **band(0.985, 1.03, "optim/gru-lstm1"),
+    **band(0.995, 1.015, "stages/ingest", "stages/window"),
+    **band(0.99, 1.005, "stages/add_indicators", "stages/read_frame_csv"),
+    **band(0.995, 1.005, "stages/normalize", "stages/write_frame_csv"),
 }
 
 

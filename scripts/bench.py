@@ -657,13 +657,15 @@ def report(case: str, environment: dict, rounds: int, commits: dict, runs: dict,
     if "parent" in runs:
         change, parent = runs["change"], runs["parent"]
         result["artifacts_identical"] = change[-1]["digests"] == parent[-1]["digests"]
-        result["change_vs_parent"] = {
-            key: compare([statistics.median(out["times"][key]) for out in change],
-                         [statistics.median(out["times"][key]) for out in parent],
-                         *([[pair for a, b in zip(change, parent)
-                             for pair in zip(a["blocks"][key], b["blocks"][key])],
-                            BANDS.get(f"{case}/{key}")] if "blocks" in change[0] else []))
-            for key in change[0]["times"]}
+        result["change_vs_parent"] = {}
+        for key in change[0]["times"]:
+            blocks = ([pair for a, b in zip(change, parent)
+                       for pair in zip(a["blocks"][key], b["blocks"][key])]
+                      if "blocks" in change[0] else None)
+            result["change_vs_parent"][key] = compare(
+                [statistics.median(out["times"][key]) for out in change],
+                [statistics.median(out["times"][key]) for out in parent],
+                blocks, BANDS.get(f"{case}/{key}"))
         result["readings_vs_parent"] = {
             field: {key: compare([out["readings"][field][key] for out in change],
                                  [out["readings"][field][key] for out in parent])

@@ -52,11 +52,11 @@ and at the c09 test split one and two threads give the same report.
 A worker exits when its seed pipe reaches EOF: when the parent has no seed
 left for it, or when the parent dies, so the workers of a killed run stop
 after their current seed.  A worker that dies fails only the seed it held
-("worker died"), and a fresh worker takes the remaining seeds.  Any other
-exception than TrainingDiverged is a bug: the worker sends its traceback,
-and the parent stops the workers and raises it as a RuntimeError that names
-the seed, as a single run would raise it.  Where
-os.fork is missing, a multi-seed run raises OSError.  On Python >= 3.12,
+("worker died"), and a fresh worker takes the remaining seeds.  Any
+exception other than TrainingDiverged is a bug: the worker sends its
+traceback, and the parent stops the workers and raises it as a RuntimeError
+that names the seed, as a single run would raise it.  Where os.fork is
+missing, a multi-seed run raises OSError.  On Python >= 3.12,
 forking while BLAS threads are alive raises a DeprecationWarning.
 """
 
@@ -318,6 +318,7 @@ def _fork_worker(job, inherited: list):
                         outcome = traceback.format_exc()
                     pickle.dump(outcome, results)
                     results.flush()
+                    del outcome         # the run's weights, before the next run makes its own
             os._exit(0)
         finally:
             os._exit(1)

@@ -215,9 +215,9 @@ def test_bench_layer_against_a_revision_runs_both_trees_in_one_child(bench, monk
 
 
 def synthetic_rounds(change: list, parent: list, blocks: list) -> dict:
-    """runs for `report` of one in-process key, "key", timed once per round,
-    with each round's value as its reading "mb" too, and `blocks` (change,
-    parent) pairs per round."""
+    """The runs `report` takes for one in-process key, "key", timed once per
+    round, with each round's value as its reading "mb" too, and `blocks`
+    (change, parent) pairs per round."""
     def outs(values, side):
         return [{"times": {"key": [value]}, "blocks": {"key": [pair[side] for pair in blocks]},
                  "digests": {}, "readings": {"mb": {"key": value}}, "probe_s": 0.01}
@@ -237,8 +237,7 @@ def test_report_states_a_verdict_per_key_and_reading(bench, monkeypatch, change,
     beyond its band; a reading's, 9/10 rounds and a median beyond the
     parent's interquartile range over rounds (here 0.98-1.02)."""
     monkeypatch.setitem(bench.BANDS, "layer/key", (0.99, 1.01))
-    parent = [0.98, 1.02] * 5
-    parent = parent[:len(change)]
+    parent = ([0.98, 1.02] * 5)[:len(change)]
     runs = synthetic_rounds(change, parent, [(ratio, 1.0)] * 3)
     result = bench.report("layer", {}, len(change), {"change": "a", "parent": "b"}, runs, 0.0066)
     key, reading = result["change_vs_parent"]["key"], result["readings_vs_parent"]["mb"]["key"]

@@ -66,7 +66,6 @@ import contextlib
 import functools
 import os
 import pickle
-import traceback
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -315,6 +314,8 @@ def _fork_worker(job, inherited: list):
                     try:
                         outcome = _run_one(job, int(line))
                     except Exception:           # a bug: the parent raises it
+                        import traceback        # only here, so that no command loads it
+
                         outcome = traceback.format_exc()
                     pickle.dump(outcome, results)
                     results.flush()

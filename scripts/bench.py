@@ -230,7 +230,9 @@ def sha1(data: bytes) -> str:
 
 
 def load_grnn(tree: str, name: str):
-    """The grnn package of `tree`, imported as package `name` beside any other grnn."""
+    """The grnn package of `tree`, imported as package `name` beside any other grnn,
+    with the modules the in-process cases call imported, so bound as its attributes
+    (`grnn.network`): the package itself imports none."""
     import importlib.util
 
     package = os.path.join(tree, "src", "grnn")
@@ -238,6 +240,8 @@ def load_grnn(tree: str, name: str):
         name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for submodule in ("cells", "config", "data", "hpo", "network", "numerics", "optim"):
+        importlib.import_module(f"{name}.{submodule}")
     return module
 
 
@@ -307,9 +311,10 @@ def float32_network(grnn, layers: tuple):
     """(spec, params): a float32 network of `layers` on FEATURES inputs, from Rng(3)."""
     import numpy as np
 
-    spec = grnn.NetworkSpec(layers=tuple(grnn.LayerSpec(*layer) for layer in layers),
-                            input_dim=FEATURES)
-    return spec, grnn.NetworkParams.init(spec, grnn.Rng(3), np.dtype(np.float32))
+    network = grnn.network
+    spec = network.NetworkSpec(layers=tuple(network.LayerSpec(*layer) for layer in layers),
+                               input_dim=FEATURES)
+    return spec, network.NetworkParams.init(spec, grnn.numerics.Rng(3), np.dtype(np.float32))
 
 
 def layer_calls(grnn):
@@ -398,23 +403,22 @@ def predict_calls(grnn):
     windows = np.random.default_rng(0).standard_normal((PREDICT_WINDOWS, LOOKBACK, FEATURES))
     for name, (layers, k) in PREDICT_SHAPES.items():
         spec, params = float32_network(grnn, layers)
-        preds = grnn.predict_batch(spec, params, windows)
-        peak_alloc_mb = traced_peak_mb(grnn.predict_batch, spec, params, windows)
-        yield ((name,), k, lambda: seconds(grnn.predict_batch, spec, params, windows),
+        preds = grnn.network.predict_batch(spec, params, windows)
+        peak_alloc_mb = traced_peak_mb(grnn.network.predict_batch, spec, params, windows)
+        yield ((name,), k, lambda: seconds(grnn.network.predict_batch, spec, params, windows),
                lambda: (preds.tobytes(),), {"peak_alloc_mb": {name: peak_alloc_mb}})
 
 
 def suggest_calls(grnn):
-    import importlib
     import itertools
 
-    hpo, Rng = importlib.import_module(f"{grnn.__name__}.config").HpoSettings(), grnn.Rng
+    tpe, hpo, Rng = grnn.hpo, grnn.config.HpoSettings(), grnn.numerics.Rng
     for name, (layers, k) in SUGGEST_SPACES.items():
-        space = grnn.SearchSpace((
-            *(grnn.IntUniform(f"units_{i}", hpo.units_low, hpo.units_high)
+        space = tpe.SearchSpace((
+            *(tpe.IntUniform(f"units_{i}", hpo.units_low, hpo.units_high)
               for i in range(layers)),
-            grnn.LogUniform("learning_rate", hpo.lr_low, hpo.lr_high),
-            grnn.IntUniform("batch_size", hpo.batch_low, hpo.batch_high)))
+            tpe.LogUniform("learning_rate", hpo.lr_low, hpo.lr_high),
+            tpe.IntUniform("batch_size", hpo.batch_low, hpo.batch_high)))
 
         def bowl(values):
             total = 0.0
@@ -426,34 +430,32 @@ def suggest_calls(grnn):
         rng, history = Rng(0), []
         for i in range(SUGGEST_HISTORY):
             values = space.sample_prior(rng)
-            history.append(grnn.Trial(i, values, bowl(values), "complete"))
+            history.append(tpe.Trial(i, values, bowl(values), "complete"))
         children = itertools.count()
-        proposal = grnn.suggest(history, space, hpo, Rng(1).child(next(children)))
+        proposal = tpe.suggest(history, space, hpo, Rng(1).child(next(children)))
         yield ((name,), k,
-               lambda: seconds(grnn.suggest, history, space, hpo, Rng(1).child(next(children))),
+               lambda: seconds(tpe.suggest, history, space, hpo, Rng(1).child(next(children))),
                lambda: (json.dumps(proposal, sort_keys=True).encode(),), {})
 
 
 def optim_calls(grnn):
     import numpy as np
 
+    optim = grnn.optim
     for name, (layers, k) in OPTIM_SHAPES.items():
         spec, params = float32_network(grnn, layers)
-        grads = grnn.NetworkParams.zeros(spec, np.dtype(np.float32))
+        grads = grnn.network.NetworkParams.zeros(spec, np.dtype(np.float32))
         grads.flat[:] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e-2
-        opt = grnn.OptimizerState(learning_rate=1e-4)
-        grnn.apply(opt, params, grads)
-        grnn.apply(opt, params, grads)
-        yield ((name,), k, lambda: seconds(grnn.apply, opt, params, grads),
+        opt = optim.OptimizerState(learning_rate=1e-4)
+        optim.apply(opt, params, grads)
+        optim.apply(opt, params, grads)
+        yield ((name,), k, lambda: seconds(optim.apply, opt, params, grads),
                lambda: (params.flat.tobytes(),), {})
 
 
 def stages_calls(grnn):
-    import importlib
-
     tree = os.path.dirname(os.path.dirname(grnn.__path__[0]))
-    cfg = importlib.import_module(f"{grnn.__name__}.config").load_config(
-        os.path.join(tree, "profiles", "synthetic-market.ini"))
+    cfg = grnn.config.load_config(os.path.join(tree, "profiles", "synthetic-market.ini"))
     data, path, out = grnn.data, f"{grnn.__name__}-prepared.csv", {}
 
     def frame_bytes(frame):

@@ -1,14 +1,14 @@
 """Command-line pipeline: prepare, hpo, train, evaluate, compare, report.
 
     grnn prepare  --config cfg.ini [--out DIR]
-    grnn hpo      --config cfg.ini --arch lstm1 [--seed S] [--out DIR]
-    grnn train    --config cfg.ini --arch lstm1 [--hyperparams F] [--repeats N]
-                  [--seed S] [--out DIR]
+    grnn hpo      --config cfg.ini --arch lstm1 [--out DIR]
+    grnn train    --config cfg.ini --arch lstm1 [--hyperparams F] [--repeats N] [--out DIR]
     grnn evaluate --config cfg.ini --checkpoint F [--out DIR]
     grnn compare  --config cfg.ini [--arch L ...] [--out DIR]
     grnn report   --config cfg.ini --arch lstm1 [--out DIR]
 
-Any config key can be overridden with repeated `--set section.key=value`.
+Any config key can be overridden with repeated `--set section.key=value`;
+seeds too (`--set train.seed=S`, `--set hpo.seed=S`, `--set hpo.train_seed=S`).
 Commands are deterministic: identical inputs and seeds write byte-identical
 artifacts.  `train` runs one repeat in-process and more in a pool of forked
 one-BLAS-thread workers, at most `GRNN_THREADS` of them (see grnn.train).
@@ -469,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override any config key (repeatable)")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="global seed override")
         if arch:
             p.add_argument("--arch", required=arch_required,
                            action="append" if not arch_required else "store",
@@ -495,10 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = list(args.set)
-        if args.seed is not None:
-            overrides += [f"train.seed={args.seed}", f"hpo.seed={args.seed}"]
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, args.set)
         if args.command == "prepare":
             return cmd_prepare(cfg, args.out)
         if args.command == "hpo":

@@ -244,8 +244,10 @@ def optimize(objective, space: SearchSpace, cfg: TpeConfig,
              history: list[Trial] | None = None, on_trial=None):
     """Run suggest->evaluate cycles until the history holds cfg.n_trials.
 
-    `objective` maps a values dict to a float loss; exceptions and
-    non-finite returns mark the trial failed.  The objective must be
+    `objective` maps a values dict to a float loss.  A FloatingPointError
+    (a diverged run: `train.TrainingDiverged`) or a non-finite return marks
+    the trial failed; any other exception is a bug and propagates, and no
+    trial is recorded for it.  The objective must be
     deterministic: an exact repeat of a finished trial's values takes that
     trial's outcome instead of calling it again.  Returns (best trial or
     None if nothing completed, full history).  Passing a partial history
@@ -267,12 +269,14 @@ def optimize(objective, space: SearchSpace, cfg: TpeConfig,
         else:
             try:
                 result = float(objective(values))
-                if not math.isfinite(result):
-                    raise ValueError(f"objective returned {result}")
+            except FloatingPointError as exc:       # a diverged run
+                result, error = math.nan, f"{type(exc).__name__}: {exc}"
+            else:
+                error = f"ValueError: objective returned {result}"
+            if math.isfinite(result):
                 trial = Trial(trial_id, values, result, "complete")
-            except Exception as exc:
-                trial = Trial(trial_id, values, None, "failed",
-                              error=f"{type(exc).__name__}: {exc}")
+            else:
+                trial = Trial(trial_id, values, None, "failed", error=error)
             finished[key] = trial
         history.append(trial)
         if on_trial is not None:

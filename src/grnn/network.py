@@ -7,7 +7,7 @@ window starts from zero states.
 Parameters: one contiguous vector, `NetworkParams.flat`, laid out as
 
     for each layer: kernel (D, G*H), recurrent (H, G*H), bias (G*H,)
-    then:           head_w (output_dim, H_top), head_b (output_dim,)
+    then:           head_w (1, H_top), head_b (1,)
 
 each row-major (gate layout in `cells.py`).  Gradients share the layout,
 either as a second NetworkParams or, in training, a part at a time in one
@@ -31,9 +31,11 @@ tensors in `NetworkParams.tensors()` order, each a view of `flat`:
     layer{l}.b_g  (H,)     bias[block g]
     head.w, head.b
 
-with g over f, i, o, c (LSTM) or r, z, c (GRU).  float32 weights are
-written upcast and the header's `extra` records `"dtype": "float32"`; a
-header without it loads as float64.  Round-trips are bit-exact.
+with g over f, i, o, c (LSTM) or r, z, c (GRU).  The header's spec
+records `"output_dim": 1`, and a checkpoint with any other is rejected.
+float32 weights are written upcast and the header's `extra` records
+`"dtype": "float32"`; a header without it loads as float64.  Round-trips
+are bit-exact.
 """
 
 from __future__ import annotations
@@ -92,17 +94,17 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """Recurrent layers on `input_dim` features, under one output unit."""
+
     layers: tuple[LayerSpec, ...]
     input_dim: int
-    output_dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("a network needs at least one recurrent layer")
-        if min(check_type(self.input_dim, int, "input_dim"),
-               check_type(self.output_dim, int, "output_dim")) < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
+        if check_type(self.input_dim, int, "input_dim") < 1:
+            raise ValueError("input_dim must be >= 1")
 
     def layer_input_dims(self):
         """Input width of each layer: features, then the previous layer's units."""
@@ -120,8 +122,8 @@ def _tensor_shapes(spec: NetworkSpec):
         yield (in_dim, width)
         yield (layer.units, width)
         yield (width,)
-    yield (spec.output_dim, spec.layers[-1].units)
-    yield (spec.output_dim,)
+    yield (1, spec.layers[-1].units)
+    yield (1,)
 
 
 class _NetworkViews:
@@ -165,7 +167,7 @@ class NetworkParams(_NetworkViews):
     """All weights of a network in one flat vector, float32 or float64.
 
     `layers[l]` is a LayerParams of views into `flat`, and `head_w`
-    (output_dim, top_units) and `head_b` (output_dim,) are views too, so
+    (1, top_units) and `head_b` (1,) are views too, so
     writing through any of them changes `flat`.  Gradients are a second
     NetworkParams of the same spec and dtype, or a PartGradients.  Without
     `flat` the vector is zeros of `dtype`; a given `flat` brings its own
@@ -312,7 +314,7 @@ def forward_batch(spec: NetworkSpec, params: NetworkParams, windows,
 
 
 def predict_batch(spec: NetworkSpec, params: NetworkParams, windows) -> np.ndarray:
-    """Predictions for many windows, with no tape. Returns (n, output_dim).
+    """Predictions for many windows, with no tape. Returns (n, 1).
 
     The windows go through the layers in as few chunks as keep the widest
     layer's x K + b rows within PREDICT_CHUNK_BYTES, the chunks as equal in
@@ -373,8 +375,8 @@ def backward(spec: NetworkSpec, params: NetworkParams, tape: ForwardTape, dpred,
     if dpred.ndim == 1:
         dpred = dpred[None, :]
     batch = tape.h_last.shape[0]
-    if dpred.shape != (batch, spec.output_dim):
-        raise ShapeError(f"dpred shape {dpred.shape}, expected {(batch, spec.output_dim)}")
+    if dpred.shape != (batch, 1):
+        raise ShapeError(f"dpred shape {dpred.shape}, expected ({batch}, 1)")
     if grads is None:
         grads = NetworkParams.zeros(spec, dtype)
     elif grads.spec != spec or grads.head_w.dtype != dtype:
@@ -409,7 +411,7 @@ def save_model(path, spec: NetworkSpec, params: NetworkParams, extra: dict | Non
         "version": MODEL_VERSION,
         "spec": {
             "input_dim": spec.input_dim,
-            "output_dim": spec.output_dim,
+            "output_dim": 1,
             "layers": [
                 {"kind": l.cell_kind, "units": l.units, "activation": l.activation}
                 for l in spec.layers
@@ -449,11 +451,12 @@ def load_model(path) -> tuple[NetworkSpec, NetworkParams, dict]:
     if header.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"{path}: version {header.get('version')!r}, expected {MODEL_VERSION}")
     try:
+        if check_type(header["spec"]["output_dim"], int, "output_dim") != 1:
+            raise ValueError(f"output_dim {header['spec']['output_dim']} is not 1")
         spec = NetworkSpec(
             layers=tuple(LayerSpec(l["kind"], l["units"], l["activation"])
                          for l in header["spec"]["layers"]),
             input_dim=header["spec"]["input_dim"],
-            output_dim=header["spec"]["output_dim"],
         )
         manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -33,14 +33,16 @@ trains in-process at the process's BLAS threads.  Every run of a
 multi-seed experiment trains in one of `pool_size(repeats)` =
 min(cores, GRNN_THREADS, repeats) workers forked from this process with
 os.fork, even when that is one worker, so the dataset reaches them by
-copy-on-write; each worker caps its BLAS to one thread after the fork,
-where numpy's BLAS has a thread setter (where it has none, there is one
-worker).  The parent never sets its BLAS threads and starts no thread: it
-sends each worker one seed at a time down a pipe, waits on the workers'
-result pipes with `selectors`, and reaps only its own workers.  A second
-BLAS thread speeds one seed up by less than a second seed adds work, so
-pooled seeds finish sooner than serial ones (README; scripts/bench.py
-pool, BENCH_pool.json).
+copy-on-write.  Each worker trains at one BLAS thread: the parent sets
+its BLAS to one thread before its first fork and restores its count when
+the pool ends, so the workers inherit one thread and none sets it
+(OpenBLAS would start a helper thread in a worker that did).  Where
+numpy's BLAS has no thread getter and setter, there is one worker.  The
+parent starts no thread of its own: it sends each worker one seed at a
+time down a pipe, waits on the workers' result pipes with `selectors`,
+and reaps only its own workers.  A second BLAS thread speeds one seed up
+by less than a second seed adds work, so pooled seeds finish sooner than
+serial ones (README; scripts/bench.py pool, BENCH_pool.json).
 Each worker holds its own network, workspace and optimizer, about 85 MB
 at gru-lstm1 (BENCH_pool.json's largest worker); the parent keeps the best
 run's weights only.  The cost: one and two BLAS threads round float32
@@ -81,8 +83,11 @@ R2_RETENTION_BAR = 0.90
 TRAIN_DTYPE = np.dtype(np.float32)
 
 
-class TrainingDiverged(RuntimeError):
-    """Training loss or gradient became non-finite; the run is recorded as failed."""
+class TrainingDiverged(FloatingPointError):
+    """Training loss or gradient became non-finite; the run is recorded as failed.
+
+    A FloatingPointError, so that `hpo.optimize` logs it as a failed trial
+    without importing this module."""
 
 
 @dataclass
@@ -91,7 +96,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 5
     learning_rate: float = 0.001
-    optimizer: str = "nadam"
     seed: int = 0
 
     def __post_init__(self):
@@ -101,8 +105,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.optimizer != "nadam":
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; expected 'nadam'")
 
 
 @dataclass
@@ -250,8 +252,8 @@ _BLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_",
 
 
 @functools.cache
-def _blas_thread_setter():
-    """The BLAS thread-count setter of numpy's BLAS, or None where it has none.
+def _blas_threads():
+    """(getter, setter) of numpy's BLAS thread count, or None where it has none.
 
     dlsym on numpy's extension module also searches the BLAS it links.
     """
@@ -262,10 +264,12 @@ def _blas_thread_setter():
     except (AttributeError, OSError):
         return None
     for prefix, suffix in _BLAS_SYMBOLS:
+        getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
         setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-        if setter is not None:
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            return setter
+            return getter, setter
     return None
 
 
@@ -274,8 +278,8 @@ def pool_size(repeats: int) -> int:
 
     The cores are those this process may run on, or all of the machine's
     where the platform cannot tell (no os.sched_getaffinity).  Where
-    numpy's BLAS has no thread setter the workers could not cap it, so the
-    pool has one worker.
+    numpy's BLAS has no thread getter and setter the workers could not be
+    held to one BLAS thread, so the pool has one worker.
     """
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
@@ -287,7 +291,7 @@ def pool_size(repeats: int) -> int:
         if not (digits.isascii() and digits.isdigit() and int(digits) >= 1):
             raise ValueError(f"GRNN_THREADS must be a whole number of at least 1, got {cap!r}")
         workers = min(workers, int(digits))
-    if _blas_thread_setter() is None:
+    if _blas_threads() is None:
         workers = 1
     return max(1, min(workers, repeats))
 
@@ -306,9 +310,6 @@ def _fork_worker(job, inherited: list):
         try:
             for fd in (seeds_w, results_r, *inherited):      # the parent's pipe ends
                 os.close(fd)
-            setter = _blas_thread_setter()
-            if setter is not None:
-                setter(1)
             with open(seeds_r, "rb") as seeds, open(results_w, "wb") as results:
                 for line in seeds:
                     try:
@@ -334,7 +335,9 @@ def _run_pooled(job, seeds: list, workers: int):
     sent the next when it returns one.  A worker that dies (EOF or a torn
     pickle on its result pipe) fails only the seed it held, and a fresh
     worker takes the rest.  A worker that sends a traceback stops the pool:
-    it is raised as a RuntimeError naming its seed."""
+    it is raised as a RuntimeError naming its seed.  This process runs at
+    one BLAS thread from its first fork until the pool ends, when its
+    count is restored (see the module docstring)."""
     # imported here, so that commands which start no pool never load them
     import selectors
     import signal
@@ -345,6 +348,8 @@ def _run_pooled(job, seeds: list, workers: int):
     early = {}                  # outcomes that finished before an earlier seed
     next_seed = 0
     sel = selectors.DefaultSelector()    # result pipe -> [pid, seed pipe, seed held]
+    blas = _blas_threads()                  # (getter, setter), or None
+    threads = blas[0]() if blas else None
 
     def send_or_retire(key, alive=True):
         if alive and pending:
@@ -358,6 +363,8 @@ def _run_pooled(job, seeds: list, workers: int):
         os.waitpid(key.data[0], 0)
 
     try:
+        if blas:
+            blas[1](1)                       # the workers inherit one BLAS thread
         while pending or sel.get_map():
             while pending and len(sel.get_map()) < workers:
                 ours = [fd for key in sel.get_map().values() for fd in (key.fd, key.data[1])]
@@ -381,6 +388,8 @@ def _run_pooled(job, seeds: list, workers: int):
             os.kill(key.data[0], signal.SIGKILL)
             send_or_retire(key, alive=False)
         sel.close()
+        if blas:
+            blas[1](threads)
 
 
 def run_experiment(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig,

@@ -158,7 +158,7 @@ def test_c03_sine_smoke_learning():
         ds = _sine_dataset()
         spec = NetworkSpec(layers=(LayerSpec("lstm", 16),), input_dim=1)
         cfg = TrainConfig(batch_size=16, max_epochs=500, patience=5,
-                          learning_rate=3e-3, optimizer="nadam", seed=42)
+                          learning_rate=3e-3, seed=42)
         result = train(spec, ds, cfg)
         report = evaluate(spec, result.best_params, ds, split="test")
         elapsed = time.monotonic() - started
@@ -410,7 +410,7 @@ def test_c09_desk_scale_reproduction():
         spec = NetworkSpec(layers=(LayerSpec("lstm", 47),),
                            input_dim=len(ds.feature_order))
         cfg = TrainConfig(batch_size=46, max_epochs=200, patience=5,
-                          learning_rate=0.00486, optimizer="nadam", seed=100)
+                          learning_rate=0.00486, seed=100)
         archive = run_experiment(spec, ds, cfg, repeats=10, architecture="lstm1")
         complete = [r for r in archive.runs if r.report is not None]
         assert complete, "all reproduction runs diverged"

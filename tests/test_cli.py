@@ -1,7 +1,6 @@
 import datetime as dt
 import errno
 import glob
-import importlib
 import json
 import math
 import multiprocessing
@@ -15,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import grnn.train as train_module
 from grnn import cli
 from grnn.cli import main
 from grnn.config import ConfigError, HpoSettings, TrainSettings, load_config, parse_arch_label
@@ -34,7 +34,7 @@ def write_sine_config(tmp_path, **overrides):
         "data": {"date_column": "Date", "target": "SINE", "indicators": "",
                  "lookback": 8, "split": 0.80, "fit_on": "train_only"},
         "sources": {"SINE": f"{csv_path}:{column}"},
-        "train": {"optimizer": "nadam", "activation": "tanh", "max_epochs": 120,
+        "train": {"activation": "tanh", "max_epochs": 120,
                   "patience": 5, "learning_rate": 0.003, "batch_size": 16,
                   "repeats": 2, "seed": 42, "r2_bar": 0.90},
         "hpo": {"n_trials": 6, "n_startup": 2, "max_epochs": 4, "seed": 5,
@@ -73,9 +73,8 @@ def test_config_loading_and_overrides(tmp_path):
     assert cfg.target == "SINE"
     assert cfg.indicators == ()
     assert cfg.architectures["lstm1"].units == (16,)
-    cfg2 = load_config(path, overrides=["train.seed=99", "data.lookback=4",
-                                        "train.optimizer=nadam"])
-    assert cfg2.train.seed == 99 and cfg2.lookback == 4 and cfg2.train.optimizer == "nadam"
+    cfg2 = load_config(path, overrides=["train.seed=99", "data.lookback=4"])
+    assert cfg2.train.seed == 99 and cfg2.lookback == 4
 
 
 PROFILES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "profiles")
@@ -91,11 +90,11 @@ def test_shipped_profiles_load(profile):
 def test_empty_scalar_value_keeps_its_default(tmp_path):
     path = write_sine_config(tmp_path)
     cfg = load_config(path, overrides=["train.max_epochs=", "hpo.units_high=",
-                                       "data.lookback=", "train.optimizer=",
+                                       "data.lookback=", "train.activation=",
                                        "arch.lstm1.units="])
     assert cfg.train.max_epochs == TrainSettings().max_epochs
     assert cfg.hpo.units_high == HpoSettings().units_high
-    assert cfg.lookback == 10 and cfg.train.optimizer == "nadam"
+    assert cfg.lookback == 10 and cfg.train.activation == TrainSettings().activation
     assert cfg.architectures["lstm1"].units is None
     assert cfg.indicators == ()          # an empty list means none, not the default
 
@@ -117,7 +116,7 @@ def one_error_line(capsys) -> str:
 @pytest.mark.parametrize("override, named", [
     ("train.lerning_rate=0.1", "'lerning_rate'"),
     ("trian.seed=3", "[trian]"),
-    ("train.optimizer=adamw", "optimizer 'adamw'"),
+    ("train.optimizer=nadam", "[train] unknown key 'optimizer'"),
     ("train.activation=sigmoid", "'sigmoid'"),
     ("train.learning_rate=-1", "learning_rate"),
     ("hpo.n_startup_random=3", "'n_startup_random'"),
@@ -134,7 +133,6 @@ def one_error_line(capsys) -> str:
     ("train.dtype=float16", "[train] unknown key 'dtype'"),
     ("hpo.bandwidth_floor=0.02", "[hpo] unknown key 'bandwidth_floor'"),
     ("train.clip_norm=1", "[train] unknown key 'clip_norm'"),
-    ("train.optimizer=adam", "[train] unknown optimizer 'adam'; expected 'nadam'"),
     ("arch.lstm1.learning_rate=nan", "[arch.lstm1] learning_rate must be a finite number > 0"),
     ("train.r2_bar=nan", "[train] r2_bar must be a finite number"),
     ("train.r2_bar=inf", "[train] r2_bar must be a finite number"),
@@ -308,7 +306,6 @@ def test_hpo_log_survives_a_crash_and_a_torn_line(tmp_path, capsys, monkeypatch)
             raise KeyboardInterrupt
         return train(*args)
 
-    train_module = importlib.import_module("grnn.train")
     monkeypatch.setattr(train_module, "train", crashing_train)
     with pytest.raises(KeyboardInterrupt):
         main(hpo)
@@ -443,27 +440,58 @@ def test_workers_of_a_killed_train_exit_after_their_seed(tmp_path, monkeypatch):
     assert not left, "workers still running 20 s after their parent was killed"
 
 
-def test_a_bug_in_a_pooled_worker_fails_the_train_command(tmp_path):
-    """An exception other than TrainingDiverged in a worker is a bug, not a
-    failed run: the pooled `grnn train` exits non-zero with the exception's
-    message on stderr and writes no archive."""
-    path = write_sine_config(tmp_path)
-    assert main(["prepare", "--config", str(path)]) == 0
+def with_a_bug_in_evaluate(path, *argv, **env):
+    """Run `grnn` with argv on config `path` in a fresh process whose
+    `evaluate`, as grnn.train calls it, raises AttributeError."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     bug = ("import sys\nfrom grnn import cli\n"
            "def evaluate(*args, **kwargs):\n"
            "    raise AttributeError('injected bug in evaluate')\n"
            "sys.modules['grnn.train'].evaluate = evaluate\n"
            "sys.exit(cli.main(sys.argv[1:]))\n")
-    done = subprocess.run(
-        [sys.executable, "-c", bug, "train", "--config", str(path), "--arch", "lstm1",
-         "--repeats", "2", "--set", "train.max_epochs=2"],
-        env={**os.environ, "PYTHONPATH": src, "GRNN_THREADS": "2"},
-        capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", bug, argv[0], "--config", str(path), *argv[1:]],
+                          env={**os.environ, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_bug_in_a_pooled_worker_fails_the_train_command(tmp_path):
+    """An exception other than TrainingDiverged in a worker is a bug, not a
+    failed run: the pooled `grnn train` exits non-zero with the exception's
+    message on stderr and writes no archive."""
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    done = with_a_bug_in_evaluate(path, "train", "--arch", "lstm1", "--repeats", "2",
+                                  "--set", "train.max_epochs=2", GRNN_THREADS="2")
     assert done.returncode != 0
     assert "AttributeError: injected bug in evaluate" in done.stderr
     assert re.search(r"seed 4[23] failed in its worker", done.stderr)
     assert not (tmp_path / "out" / "train" / "lstm1" / "archive.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("hpo", "--arch", "lstm1"),
+    ("train", "--arch", "lstm1", "--repeats", "1", "--set", "train.max_epochs=2"),
+], ids=["hpo", "train-one-repeat"])
+def test_a_bug_in_an_in_process_run_fails_the_command(tmp_path, argv):
+    """A bug in a trial or a one-repeat run is not a failed trial or run:
+    the command exits non-zero with the exception's message on stderr and
+    records neither."""
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    done = with_a_bug_in_evaluate(path, *argv)
+    assert done.returncode != 0
+    assert "AttributeError: injected bug in evaluate" in done.stderr
+    log = tmp_path / "out" / "hpo" / "lstm1" / "trials.jsonl"
+    assert not log.exists() or log.read_bytes() == b""      # hpo opens its log before trial 0
+    assert not (tmp_path / "out" / "train" / "lstm1" / "archive.jsonl").exists()
+
+
+def test_seed_is_a_config_key_not_a_flag(tmp_path, capsys):
+    path = write_sine_config(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(["train", "--config", str(path), "--arch", "lstm1", "--seed", "7"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_multi_seed_train_without_fork_fails_with_one_error_line(tmp_path, capsys,
@@ -734,7 +762,7 @@ def test_seed_override_changes_archive(tmp_path):
     archive_path = tmp_path / "out" / "train" / "lstm1" / "archive.jsonl"
     rec_default = json.loads(archive_path.read_text().splitlines()[1])
     assert main(["train", "--config", str(path), "--arch", "lstm1",
-                 "--repeats", "1", "--seed", "777"]) == 0
+                 "--repeats", "1", "--set", "train.seed=777"]) == 0
     rec_seeded = json.loads(archive_path.read_text().splitlines()[1])
     assert rec_default["seed"] == 42
     assert rec_seeded["seed"] == 777
@@ -762,8 +790,8 @@ def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
     def with_extra(**extra):
         return json.dumps({**header, "extra": extra}).encode() + b"\n" + blob
 
-    def with_spec(layer_units=3, input_dim=1):
-        spec_rec = {**header["spec"], "input_dim": input_dim,
+    def with_spec(layer_units=3, input_dim=1, output_dim=1):
+        spec_rec = {**header["spec"], "input_dim": input_dim, "output_dim": output_dim,
                     "layers": [{**header["spec"]["layers"][0], "units": layer_units}]}
         return json.dumps({**header, "spec": spec_rec}).encode() + b"\n" + blob
 
@@ -779,6 +807,7 @@ def test_evaluate_rejects_malformed_checkpoints(tmp_path, capsys):
         "units_true": with_spec(layer_units=True),
         "input_dim_float": with_spec(input_dim=1.5),
         "input_dim_true": with_spec(input_dim=True),
+        "output_dim_2": with_spec(output_dim=2),
     }
     bad_extras = {
         "lookback_list": with_extra(lookback=[1]),
@@ -924,8 +953,7 @@ def test_env_var_caps_parallel_workers(monkeypatch):
     monkeypatch.setenv("GRNN_THREADS", "1")
     assert pool_size(repeats=48) == 1
     monkeypatch.setenv("GRNN_THREADS", "8")
-    monkeypatch.setattr(importlib.import_module("grnn.train"), "_blas_thread_setter",
-                        lambda: None)       # workers that cannot cap BLAS: one of them
+    monkeypatch.setattr(train_module, "_blas_threads", lambda: None)       # workers that cannot cap BLAS: one of them
     assert pool_size(repeats=48) == 1
     for bad in ("two", "0", "00", "\u00b2", "\u0663"):    # superscript and Arabic-Indic digits
         monkeypatch.setenv("GRNN_THREADS", bad)

@@ -21,6 +21,7 @@ from grnn.hpo import (
     suggest,
 )
 from grnn.numerics import Rng
+from grnn.train import TrainingDiverged
 
 UNITS = IntUniform("units", 32, 512)
 LR = LogUniform("learning_rate", 1e-4, 1e-2)
@@ -164,12 +165,31 @@ def test_optimize_constant_objective_picks_first_trial():
 
 def test_optimize_all_failures_yields_none():
     def boom(values):
-        raise RuntimeError("nope")
+        raise TrainingDiverged("nope")
 
     best, hist = optimize(boom, SPACE, TpeConfig(n_trials=8, n_startup=2, seed=3))
     assert best is None
     assert all(t.status == "failed" for t in hist)
+    assert {t.error for t in hist} == {"TrainingDiverged: nope"}
     assert len(hist) == 8
+
+
+def test_a_bug_in_the_objective_propagates_and_records_no_trial():
+    """Only a diverged run (a FloatingPointError) or a non-finite value is a
+    failed trial; any other exception ends the search with no record of
+    its trial."""
+    calls, logged = [], []
+
+    def objective(values):
+        calls.append(values)
+        if len(calls) == 4:
+            raise ZeroDivisionError("a bug")
+        return bowl(values)
+
+    with pytest.raises(ZeroDivisionError, match="a bug"):
+        optimize(objective, SPACE, TpeConfig(n_trials=8, n_startup=2, seed=3),
+                 on_trial=logged.append)
+    assert [t.status for t in logged] == ["complete"] * 3
 
 
 def test_optimize_marks_nonfinite_objective_failed():
@@ -178,6 +198,7 @@ def test_optimize_marks_nonfinite_objective_failed():
 
     _, hist = optimize(sometimes, SPACE, TpeConfig(n_trials=12, n_startup=4, seed=4))
     assert {t.status for t in hist} == {"complete", "failed"}
+    assert {t.error for t in hist if t.status == "failed"} == {"ValueError: objective returned inf"}
 
 
 def test_optimize_deterministic_for_fixed_seed():
@@ -216,7 +237,7 @@ def test_a_repeated_trial_takes_the_recorded_outcome():
     def objective(values):
         calls.append(values["units"])
         if values["units"] == 6:
-            raise RuntimeError("too wide")
+            raise TrainingDiverged("too wide")
         return float(values["units"])
 
     cfg = TpeConfig(n_trials=10, n_startup=2, seed=3)

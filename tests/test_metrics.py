@@ -87,7 +87,7 @@ def test_evaluate_memorizing_model_scores_one(sine_dataset):
 
     spec = NetworkSpec(layers=(LayerSpec("lstm", 16),), input_dim=1)
     cfg = TrainConfig(batch_size=16, max_epochs=500, patience=500,
-                      learning_rate=0.003, optimizer="nadam", seed=5)
+                      learning_rate=0.003, seed=5)
     result = train(spec, sine_dataset, cfg)
     report = evaluate(spec, result.best_params, sine_dataset, split="train")
     assert report.r2 > 0.9999

@@ -456,6 +456,18 @@ def test_checkpoint_dtype_errors(tmp_path):
         load_model(path)
 
 
+def test_a_checkpoint_of_other_than_one_output_is_rejected(tmp_path):
+    spec = small_spec(LayerSpec("lstm", 2))
+    path = tmp_path / "m.grnn"
+    save_model(path, spec, NetworkParams.init(spec, Rng(16)))
+    blob = path.read_bytes()
+    assert blob.count(b'"output_dim": 1') == 1      # the header still records the one output
+    for bad in (b'"output_dim": 2', b'"output_dim": true'):
+        path.write_bytes(blob.replace(b'"output_dim": 1', bad))
+        with pytest.raises(ModelFormatError, match="output_dim"):
+            load_model(path)
+
+
 def test_dtype_is_checked_where_params_meet():
     spec = small_spec(LayerSpec("lstm", 2))
     with pytest.raises(ShapeError):

@@ -1,5 +1,4 @@
 import datetime as dt
-import importlib
 import json
 import os
 import pickle
@@ -11,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import grnn.train as train_module
 from grnn.data import NormalizationParams, WindowedDataset
 from grnn.metrics import evaluate
 from grnn.network import (
@@ -35,7 +35,6 @@ from grnn.train import (
 )
 
 SINE_SPEC = NetworkSpec(layers=(LayerSpec("lstm", 16),), input_dim=1)
-train_module = importlib.import_module("grnn.train")    # grnn.train is also the function
 
 
 def zero_dataset(n=12, lookback=3):
@@ -92,7 +91,7 @@ def test_nonfinite_gradient_is_reported_as_divergence(sine_dataset, monkeypatch)
 
 def test_sine_smoke_reaches_low_loss(sine_dataset):
     cfg = TrainConfig(batch_size=16, max_epochs=500, patience=5,
-                      learning_rate=3e-3, optimizer="nadam", seed=42)
+                      learning_rate=3e-3, seed=42)
     result = train(SINE_SPEC, sine_dataset, cfg)
     assert result.best_loss < 1e-3
     report = evaluate(SINE_SPEC, result.best_params, sine_dataset, split="test")
@@ -183,11 +182,12 @@ def test_parallel_workers_match_sequential(sine_dataset, monkeypatch):
     assert [r.to_record() for r in seq.runs] == [r.to_record() for r in par.runs]
 
 
-def test_one_worker_trains_every_seed_and_the_parent_never_sets_blas(sine_dataset,
-                                                                      monkeypatch, tmp_path):
-    setter = train_module._blas_thread_setter()
-    if setter is None:
-        pytest.skip("numpy's BLAS has no thread setter")
+def test_one_worker_trains_every_seed_and_only_the_parent_sets_blas(sine_dataset,
+                                                                    monkeypatch, tmp_path):
+    blas = train_module._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no thread getter and setter")
+    get, setter = blas
     log = tmp_path / "blas_calls"
 
     def logged_setter(n):        # a file, because a pool worker is another process
@@ -195,19 +195,62 @@ def test_one_worker_trains_every_seed_and_the_parent_never_sets_blas(sine_datase
             fh.write(f"{os.getpid()} {n}\n")
         setter(n)
 
-    monkeypatch.setattr(train_module, "_blas_thread_setter", lambda: logged_setter)
+    monkeypatch.setattr(train_module, "_blas_threads", lambda: (get, logged_setter))
     monkeypatch.setenv("GRNN_THREADS", "1")
     cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=51)
+    threads = get()
     archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2)
     calls = [line.split() for line in log.read_text().splitlines()]
-    assert len(calls) == 1                              # one worker capped its BLAS once
-    assert calls[0][1] == "1" and int(calls[0][0]) != os.getpid()
+    # the parent set one thread before it forked and its own count after the pool
+    assert calls == [[str(os.getpid()), "1"], [str(os.getpid()), str(threads)]]
     # at the sine shape one and two BLAS threads agree, so the pooled seeds
     # match single-seed runs, which train in this process
     singles = [run_experiment(SINE_SPEC, sine_dataset, replace(cfg, seed=seed), repeats=1)
                for seed in (51, 52)]
     assert [r.to_record() for r in archive.runs] == [a.runs[0].to_record() for a in singles]
-    assert len(log.read_text().splitlines()) == 1        # nor does a single seed set BLAS
+    assert len(log.read_text().splitlines()) == 2        # nor does a single seed set BLAS
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_pool_restores_the_blas_threads_and_its_workers_run_one_thread(sine_dataset,
+                                                                         monkeypatch, tmp_path):
+    """A pooled run leaves this process's BLAS thread count as it found it,
+    also when on_run raises; each worker trains with one OS thread and one
+    BLAS thread, because it never sets the count that it inherits."""
+    blas = train_module._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no thread getter and setter")
+    get, setter = blas
+    log = tmp_path / "workers"
+
+    def logged_train(spec, data, cfg):
+        result = train(spec, data, cfg)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), len(os.listdir("/proc/self/task")), get()]) + "\n")
+        return result
+
+    class Stop(Exception):
+        pass
+
+    def stop(record):
+        raise Stop
+
+    monkeypatch.setattr(train_module, "train", logged_train)
+    monkeypatch.setenv("GRNN_THREADS", "2")
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=90)
+    threads = get()
+    setter(2)
+    try:
+        run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2)
+        assert get() == 2
+        with pytest.raises(Stop):
+            run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3, on_run=stop)
+        assert get() == 2
+    finally:
+        setter(threads)
+    workers = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(workers) >= 3 and all(pid != os.getpid() for pid, _, _ in workers)
+    assert [(tasks, blas_threads) for _, tasks, blas_threads in workers] == [(1, 1)] * len(workers)
 
 
 def test_the_archive_keeps_the_best_runs_weights_only(sine_dataset):

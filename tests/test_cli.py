@@ -953,7 +953,8 @@ def test_env_var_caps_parallel_workers(monkeypatch):
     monkeypatch.setenv("GRNN_THREADS", "1")
     assert pool_size(repeats=48) == 1
     monkeypatch.setenv("GRNN_THREADS", "8")
-    monkeypatch.setattr(train_module, "_blas_threads", lambda: None)       # workers that cannot cap BLAS: one of them
+    # workers that cannot be held to one BLAS thread: one of them
+    monkeypatch.setattr(train_module, "_blas_threads", lambda: None)
     assert pool_size(repeats=48) == 1
     for bad in ("two", "0", "00", "\u00b2", "\u0663"):    # superscript and Arabic-Indic digits
         monkeypatch.setenv("GRNN_THREADS", bad)

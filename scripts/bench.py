@@ -43,7 +43,8 @@ in-process key times k calls.
            one TPE `suggest` on a fixed 60-trial history, after one warm-up
            call: k = 200 in the lstm1 space (units, learning rate, batch
            size) and 200 in the gru-lstm1 space (two units dimensions), at
-           the [hpo] default bounds and TPE settings.  The history's values
+           the [hpo] bounds and TPE settings of each tree's
+           synthetic-market.ini (the defaults).  The history's values
            are prior draws from one seed, scored by a fixed bowl.  Call n,
            the warm-up being call 0, draws from Rng(1).child(n), made before
            its timing starts.  Keys are the spaces; digests: the warm-up's
@@ -79,7 +80,9 @@ in-process key times k calls.
            peak RSS so far of the process and of its largest pool worker is
            read (peak_rss_mb <shape>/self and <shape>/largest_worker); the
            shapes run from the smallest network to the largest, so each
-           reading is its own shape's.
+           reading is its own shape's.  The seed count goes in the config
+           (`TrainConfig.repeats`), so pool cannot run --against a tree
+           whose `run_experiment` still takes `repeats`.
 
 The synthetic market bundle and the sine CSV are written once into a
 temporary work directory, each child's working directory.  With --against
@@ -412,7 +415,9 @@ def predict_calls(grnn):
 def suggest_calls(grnn):
     import itertools
 
-    tpe, hpo, Rng = grnn.hpo, grnn.config.HpoSettings(), grnn.numerics.Rng
+    tree = os.path.dirname(os.path.dirname(grnn.__path__[0]))
+    hpo = grnn.config.load_config(os.path.join(tree, "profiles", "synthetic-market.ini")).hpo
+    tpe, Rng = grnn.hpo, grnn.numerics.Rng
     for name, (layers, k) in SUGGEST_SPACES.items():
         space = tpe.SearchSpace((
             *(tpe.IntUniform(f"units_{i}", hpo.units_low, hpo.units_high)
@@ -509,12 +514,12 @@ def pool_case(tree: str) -> dict:
         for mode in MODES:
             started = time.perf_counter()
             if mode == "serial":
-                runs = [run_experiment(spec, dataset, replace(tc, seed=tc.seed + k),
-                                       repeats=1).runs[0] for k in range(seeds)]
+                runs = [run_experiment(spec, dataset, replace(tc, repeats=1, seed=tc.seed + k))
+                        .runs[0] for k in range(seeds)]
             else:
                 one_worker = {"GRNN_THREADS": "1"} if mode == "one_worker" else {}
                 with mock.patch.dict(os.environ, one_worker):
-                    runs = run_experiment(spec, dataset, tc, repeats=seeds).runs
+                    runs = run_experiment(spec, dataset, replace(tc, repeats=seeds)).runs
             times[f"{name}/{mode}"] = [time.perf_counter() - started]
             if [r.status for r in runs] != ["complete"] * seeds:
                 raise SystemExit(f"{name}/{mode}: a run failed: {runs}")

@@ -9,6 +9,7 @@
 
 Any config key can be overridden with repeated `--set section.key=value`;
 seeds too (`--set train.seed=S`, `--set hpo.seed=S`, `--set hpo.train_seed=S`).
+`--repeats N` is the override `train.repeats=N`, applied after every `--set`.
 Commands are deterministic: identical inputs and seeds write byte-identical
 artifacts.  `train` runs one repeat in-process and more in a pool of forked
 one-BLAS-thread workers, at most `GRNN_THREADS` of them (see grnn.train).
@@ -212,9 +213,8 @@ def cmd_hpo(cfg: PipelineConfig, label: str, out: str | None) -> int:
         spec = _network_spec(cfg, arch, units)
         tc = replace(cfg.train, batch_size=int(values["batch_size"]),
                      learning_rate=float(values["learning_rate"]),
-                     max_epochs=cfg.hpo.max_epochs, seed=cfg.hpo.train_seed)
-        record = run_experiment(spec, dataset, tc, repeats=1, architecture=label,
-                                r2_bar=cfg.train.r2_bar).runs[0]
+                     max_epochs=cfg.hpo.max_epochs, repeats=1, seed=cfg.hpo.train_seed)
+        record = run_experiment(spec, dataset, tc, architecture=label).runs[0]
         if record.report is None:
             raise TrainingDiverged(record.error)
         return record.report.rmse_nd
@@ -262,9 +262,7 @@ def _resolve_hyperparams(cfg: PipelineConfig, arch: ArchDef,
     if arch.units is None:
         raise ConfigError(
             f"{arch.label}: no units configured; add [arch.{arch.label}] or pass --hyperparams")
-    lr = arch.learning_rate if arch.learning_rate is not None else cfg.train.learning_rate
-    batch = arch.batch_size if arch.batch_size is not None else cfg.train.batch_size
-    return list(arch.units), float(lr), int(batch)
+    return list(arch.units), arch.learning_rate, arch.batch_size
 
 
 def _report_row_header() -> str:
@@ -278,11 +276,10 @@ def _report_row(model: str, n_layers: int, rep: EvalReport) -> str:
 
 
 def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
-              repeats: int | None, out: str | None) -> int:
+              out: str | None) -> int:
     arch = cfg.arch(label)
     units, lr, batch = _resolve_hyperparams(cfg, arch, hyperparams_path)
     spec = _network_spec(cfg, arch, units)
-    n_runs = repeats if repeats is not None else cfg.train.repeats
     tc = replace(cfg.train, batch_size=batch, learning_rate=lr)
     dataset = load_prepared(cfg, out)
 
@@ -292,10 +289,9 @@ def cmd_train(cfg: PipelineConfig, label: str, hyperparams_path: str | None,
 
     outdir = _outdir(cfg, out, "train", label)
     with _owned(outdir):
-        info(f"{label}: units={units} lr={lr} batch={batch} repeats={n_runs} "
-             f"seed={tc.seed} activation={cfg.train.activation}")
-        archive = run_experiment(spec, dataset, tc, repeats=n_runs, architecture=label,
-                                 r2_bar=cfg.train.r2_bar, on_run=on_run)
+        info(f"{label}: units={units} lr={lr} batch={batch} repeats={tc.repeats} "
+             f"seed={tc.seed} activation={tc.activation}")
+        archive = run_experiment(spec, dataset, tc, architecture=label, on_run=on_run)
         save_archive(os.path.join(outdir, "archive.jsonl"), archive)
 
         best = archive.best()
@@ -360,8 +356,7 @@ def _load_checkpoint(cfg: PipelineConfig, path: str, out: str | None):
 def cmd_evaluate(cfg: PipelineConfig, checkpoint: str, out: str | None) -> int:
     spec, params, extra, dataset = _load_checkpoint(cfg, checkpoint, out)
     label = extra.get("architecture", "model")
-    report = evaluate(spec, params, dataset, split="test",
-                      seed=extra.get("seed"), architecture=label)
+    report = evaluate(spec, params, dataset, seed=extra.get("seed"), architecture=label)
     model, n_layers = _model_row_labels(label)
     print(_report_row_header())
     print(_report_row(model, n_layers, report))
@@ -480,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="repeated-seed training runs")
     common(p_train, arch=True, arch_required=True)
     p_train.add_argument("--hyperparams", default=None, help="best.json from hpo")
-    p_train.add_argument("--repeats", type=int, default=None)
+    p_train.add_argument("--repeats", type=int, default=None, metavar="N",
+                         help="the same as --set train.repeats=N")
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on the test split")
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
@@ -494,13 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set)
+        repeats = getattr(args, "repeats", None)       # a flag of train only
+        cfg = load_config(args.config, args.set + ([f"train.repeats={repeats}"]
+                                                   if repeats is not None else []))
         if args.command == "prepare":
             return cmd_prepare(cfg, args.out)
         if args.command == "hpo":
             return cmd_hpo(cfg, args.arch, args.out)
         if args.command == "train":
-            return cmd_train(cfg, args.arch, args.hyperparams, args.repeats, args.out)
+            return cmd_train(cfg, args.arch, args.hyperparams, args.out)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.checkpoint, args.out)
         if args.command == "compare":

@@ -9,25 +9,24 @@ Architecture labels encode their stack: `lstm3` is three LSTM layers,
 `gru-lstm2` is the GRU->LSTM hybrid block repeated twice (four layers).
 `units` lists one value per layer, in order.
 
-Each section is one dataclass holding its defaults: [train] a TrainSettings
-(a TrainConfig), [hpo] an HpoSettings (a TpeConfig), [data] and [output]
-fields of PipelineConfig, [arch.<label>] an ArchDef.  An unknown key or
-section, a value its dataclass rejects, or a file that configparser cannot
-read (a duplicate section or key, a key before the first header, a line
-with no `=`) is a ConfigError.
+Each section is one dataclass holding its defaults: [train] a
+train.TrainConfig, [hpo] an hpo.TpeConfig, [data] and [output] fields of
+PipelineConfig, [arch.<label>] an ArchDef.  An [arch.<label>]'s learning
+rate and batch size are resolved against [train] at load, so TrainConfig's
+checks cover them too.  An unknown key or section or a value its dataclass
+rejects is a ConfigError that names the section; so is a file that
+configparser cannot read (a duplicate section or key, a key before the
+first header, a line with no `=`), naming the file and line.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .hpo import TpeConfig
-from .network import LayerSpec
-from .optim import OptimizerState
-from .train import R2_RETENTION_BAR, TrainConfig
+from .train import TrainConfig
 
 ARCH_PATTERN = re.compile(r"^(lstm-gru|gru-lstm|lstm|gru)(\d+)$")
 
@@ -51,56 +50,13 @@ def parse_arch_label(label: str) -> tuple[str, ...]:
 
 @dataclass
 class ArchDef:
+    """[arch.<label>]: a roster entry; its rate and batch fall back to [train]'s."""
+
     label: str
     cell_kinds: tuple
+    learning_rate: float
+    batch_size: int
     units: tuple | None = None
-    learning_rate: float | None = None
-    batch_size: int | None = None
-
-    def __post_init__(self):
-        if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be a finite number > 0")
-
-
-@dataclass
-class TrainSettings(TrainConfig):
-    """[train]: the training run plus the cell activation and the protocol."""
-
-    activation: str = "tanh"
-    repeats: int = 48
-    r2_bar: float = R2_RETENTION_BAR
-
-    def __post_init__(self):
-        super().__post_init__()
-        OptimizerState(self.learning_rate)
-        LayerSpec("lstm", 1, self.activation)
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if not math.isfinite(self.r2_bar):
-            raise ValueError("r2_bar must be a finite number")
-
-
-@dataclass
-class HpoSettings(TpeConfig):
-    """[hpo]: the TPE search, the trial budget and the search bounds."""
-
-    max_epochs: int = 40
-    train_seed: int = 0
-    units_low: int = 32
-    units_high: int = 512
-    lr_low: float = 1e-4
-    lr_high: float = 1e-2
-    batch_low: int = 16
-    batch_high: int = 128
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.units_low < 1:
-            raise ValueError("units_low must be >= 1")
-        if self.batch_low < 1:
-            raise ValueError("batch_low must be >= 1")
 
 
 @dataclass
@@ -112,8 +68,8 @@ class PipelineConfig:
     lookback: int = 10
     split: float = 0.80
     fit_on: str = "train_only"
-    train: TrainSettings = field(default_factory=TrainSettings)
-    hpo: HpoSettings = field(default_factory=HpoSettings)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    hpo: TpeConfig = field(default_factory=TpeConfig)
     output_dir: str = "out"
     architectures: dict = field(default_factory=dict)   # label -> ArchDef
 
@@ -167,8 +123,8 @@ DATA_KEYS = {"date_column": str, "target": str, "indicators": _names,
              "lookback": int, "split": float, "fit_on": str}
 ARCH_KEYS = {"units": lambda raw: tuple(int(u) for u in _names(raw)),
              "learning_rate": float, "batch_size": int}
-SECTIONS = {"data": DATA_KEYS, "train": _field_parsers(TrainSettings),
-            "hpo": _field_parsers(HpoSettings), "output": {"dir": str},
+SECTIONS = {"data": DATA_KEYS, "train": _field_parsers(TrainConfig),
+            "hpo": _field_parsers(TpeConfig), "output": {"dir": str},
             "architectures": {"roster": _names}}
 
 
@@ -194,10 +150,10 @@ def _read(cp, section: str, parsers: dict) -> dict:
     return out
 
 
-def _settings(cls, cp, section: str):
-    values = _read(cp, section, SECTIONS[section])
+def _checked(section: str, make, *args, **values):
+    """make(*args, **values); a ValueError its checks raise is a ConfigError naming `section`."""
     try:
-        return cls(**values)
+        return make(*args, **values)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
@@ -230,6 +186,8 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     if "target" not in data:
         raise ConfigError("[data] target is required")
 
+    train = _checked("train", TrainConfig, **_read(cp, "train", SECTIONS["train"]))
+    hpo = _checked("hpo", TpeConfig, **_read(cp, "hpo", SECTIONS["hpo"]))
     labels = _read(cp, "architectures", SECTIONS["architectures"]).get("roster", ())
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate architecture labels in roster: {list(labels)}")
@@ -238,19 +196,14 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
         kinds = parse_arch_label(label)
         section = f"arch.{label}"
         values = _read(cp, section, ARCH_KEYS)
-        try:
-            arch = ArchDef(label=label, cell_kinds=kinds, **values)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from None
-        if arch.units is not None and len(arch.units) != len(kinds):
-            raise ConfigError(
-                f"[{section}] units: {len(arch.units)} values for {len(kinds)} layers")
-        architectures[label] = arch
+        units = values.pop("units", None)
+        if units is not None and len(units) != len(kinds):
+            raise ConfigError(f"[{section}] units: {len(units)} values for {len(kinds)} layers")
+        if units is not None and min(units) < 1:
+            raise ConfigError(f"[{section}] units must be >= 1, got {list(units)}")
+        run = _checked(section, replace, train, **values)
+        architectures[label] = ArchDef(label, kinds, run.learning_rate, run.batch_size, units)
 
     output = {f"output_{k}": v for k, v in _read(cp, "output", SECTIONS["output"]).items()}
-    train, hpo = _settings(TrainSettings, cp, "train"), _settings(HpoSettings, cp, "hpo")
-    try:
-        return PipelineConfig(sources=sources, train=train, hpo=hpo,
-                              architectures=architectures, **data, **output)
-    except ValueError as exc:
-        raise ConfigError(f"[data] {exc}") from None
+    return _checked("data", PipelineConfig, sources=sources, train=train, hpo=hpo,
+                    architectures=architectures, **data, **output)

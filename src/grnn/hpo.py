@@ -76,8 +76,9 @@ class LogUniform:
     high: float
 
     def __post_init__(self):
-        if not 0.0 < self.low < self.high:
-            raise ValueError(f"{self.name}: need 0 < low < high, got [{self.low}, {self.high}]")
+        if not 0.0 < self.low < self.high < math.inf:
+            raise ValueError(f"{self.name}: need 0 < low < high < inf, "
+                             f"got [{self.low}, {self.high}]")
 
     def sample_prior(self, rng: Rng):
         return float(np.exp(rng.uniform(math.log(self.low), math.log(self.high))))
@@ -138,11 +139,21 @@ class Trial:
 
 @dataclass
 class TpeConfig:
+    """[hpo]: the TPE search, the trial budget and the search bounds."""
+
     n_trials: int = 60
     n_startup: int = 20
     gamma: float = 0.25
     n_ei_candidates: int = 24
     seed: int = 0
+    max_epochs: int = 40
+    train_seed: int = 0
+    units_low: int = 32
+    units_high: int = 512
+    lr_low: float = 1e-4
+    lr_high: float = 1e-2
+    batch_low: int = 16
+    batch_high: int = 128
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -155,6 +166,14 @@ class TpeConfig:
             raise ValueError("n_startup must be < n_trials")
         if self.n_ei_candidates < 1:
             raise ValueError("n_ei_candidates must be >= 1")
+        if self.seed < 0 or self.train_seed < 0:
+            raise ValueError("seed and train_seed must be >= 0")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.units_low < 1:
+            raise ValueError("units_low must be >= 1")
+        if self.batch_low < 1:
+            raise ValueError("batch_low must be >= 1")
 
 
 def split_good_bad(complete: list[Trial], gamma: float):

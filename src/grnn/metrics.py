@@ -73,20 +73,14 @@ class EvalReport:
 
 
 def evaluate(spec: NetworkSpec, params: NetworkParams, dataset: WindowedDataset,
-             split: str = "test", seed: int | None = None,
-             architecture: str = "") -> EvalReport:
-    """Score a model on one split of a windowed dataset.
+             seed: int | None = None, architecture: str = "") -> EvalReport:
+    """Score a model on the test split of a windowed dataset.
 
     Normalized-space error feeds rmse_nd; r2/rmse/mape are computed after
     inverse-transforming predictions and targets back to raw units.
     """
-    if split == "test":
-        xs, ys = dataset.test_x, dataset.test_y
-    elif split == "train":
-        xs, ys = dataset.train_x, dataset.train_y
-    else:
-        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
-    preds_nd = predict_batch(spec, params, xs)[:, 0]
+    ys = dataset.test_y
+    preds_nd = predict_batch(spec, params, dataset.test_x)[:, 0]
     rmse_nd = rmse(ys, preds_nd)
     y_raw = dataset.norm.unscale(dataset.target_name, ys)
     p_raw = dataset.norm.unscale(dataset.target_name, preds_nd)

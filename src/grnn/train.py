@@ -22,11 +22,11 @@ views a prefix of the workspace's arrays.  A non-finite gradient found in
 a lower layer's part ends the run after the upper parts of that step were
 updated; the run is discarded, so no weights of it are kept.
 
-`run_experiment` trains with seeds seed, seed+1, ... and evaluates each
-run on the held-out test split, retaining runs whose test R^2 clears the
-configured bar (0.90 by default).  Every run -- retained, discarded, or
-diverged -- stays in the archive for statistical testing.  Runs come back
-in seed order.
+`run_experiment` trains cfg.repeats runs with seeds cfg.seed, cfg.seed+1,
+... and evaluates each run on the held-out test split, retaining runs whose
+test R^2 clears cfg.r2_bar (0.90 by default); `[train]` loads into that
+one TrainConfig.  Every run -- retained, discarded, or diverged -- stays
+in the archive for statistical testing.  Runs come back in seed order.
 
 Where the runs execute follows one rule with two paths.  A single run
 trains in-process at the process's BLAS threads.  Every run of a
@@ -66,12 +66,14 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import pickle
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .cells import ACTIVATIONS
 from .data import DataError, WindowedDataset, read_jsonl, write_jsonl
 from .metrics import EvalReport, evaluate
 from .network import NetworkParams, NetworkSpec, PartGradients, backward, forward_batch
@@ -92,11 +94,16 @@ class TrainingDiverged(FloatingPointError):
 
 @dataclass
 class TrainConfig:
+    """[train]: one training run, the cell activation and the repeated-run protocol."""
+
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 5
     learning_rate: float = 0.001
     seed: int = 0
+    activation: str = "tanh"
+    repeats: int = 48
+    r2_bar: float = R2_RETENTION_BAR
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -105,6 +112,15 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        OptimizerState(self.learning_rate)          # the optimizer checks the rate
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
+        if not math.isfinite(self.r2_bar):
+            raise ValueError("r2_bar must be a finite number")
 
 
 @dataclass
@@ -233,16 +249,15 @@ class RunArchive:
 
 
 def _run_one(job, seed: int):
-    spec, data, cfg, label, r2_bar = job
+    spec, data, cfg, label = job
     cfg = replace(cfg, seed=seed)
     try:
         result = train(spec, data, cfg)
-        report = evaluate(spec, result.best_params, data, split="test",
-                          seed=seed, architecture=label)
+        report = evaluate(spec, result.best_params, data, seed=seed, architecture=label)
         record = RunRecord(seed=seed, status="complete",
                            stopped_epoch=result.stopped_epoch,
                            train_loss=result.best_loss, report=report,
-                           retained=report.r2 > r2_bar)
+                           retained=report.r2 > cfg.r2_bar)
         return record, result.best_params
     except TrainingDiverged as exc:
         return RunRecord(seed=seed, status="failed", error=str(exc)), None
@@ -393,23 +408,20 @@ def _run_pooled(job, seeds: list, workers: int):
 
 
 def run_experiment(spec: NetworkSpec, data: WindowedDataset, cfg: TrainConfig,
-                   repeats: int = 48, architecture: str = "",
-                   r2_bar: float = R2_RETENTION_BAR, on_run=None) -> RunArchive:
-    """Train `repeats` times with seeds cfg.seed, cfg.seed+1, ...
+                   architecture: str = "", on_run=None) -> RunArchive:
+    """Train cfg.repeats times with seeds cfg.seed, cfg.seed+1, ...
 
-    Runs with test R^2 > r2_bar are retained; all runs are archived in
+    Runs with test R^2 > cfg.r2_bar are retained; all runs are archived in
     seed order, and `on_run(record)` is called for each, in seed order.
     The archive keeps the weights of its best run only.  See the module
     docstring for where the runs execute.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    job = (spec, data, cfg, architecture, r2_bar)
-    if repeats == 1:
+    job = (spec, data, cfg, architecture)
+    if cfg.repeats == 1:
         outcomes = contextlib.nullcontext([_run_one(job, cfg.seed)])
     else:       # closed on the way out, so an exception from on_run stops the workers
         outcomes = contextlib.closing(_run_pooled(
-            job, [cfg.seed + k for k in range(repeats)], pool_size(repeats)))
+            job, [cfg.seed + k for k in range(cfg.repeats)], pool_size(cfg.repeats)))
     archive = RunArchive(architecture=architecture, runs=[])
     with outcomes as runs:
         for record, params in runs:

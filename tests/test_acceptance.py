@@ -160,7 +160,7 @@ def test_c03_sine_smoke_learning():
         cfg = TrainConfig(batch_size=16, max_epochs=500, patience=5,
                           learning_rate=3e-3, seed=42)
         result = train(spec, ds, cfg)
-        report = evaluate(spec, result.best_params, ds, split="test")
+        report = evaluate(spec, result.best_params, ds)
         elapsed = time.monotonic() - started
         assert result.best_loss < 1e-3, f"train MSE {result.best_loss}"
         assert result.stopped_epoch <= 500
@@ -342,7 +342,7 @@ def test_c07_rmse_nd_identity():
                 if case % 2 else (LayerSpec("gru", int(rng.integers(2, 8))),)
             spec = NetworkSpec(layers=layers, input_dim=len(ds.feature_order))
             params = NetworkParams.init(spec, rng)
-            report = evaluate(spec, params, ds, split="test")
+            report = evaluate(spec, params, ds)
             assert abs(report.rmse - report.rmse_nd * span) <= 1e-9 * report.rmse
 
 
@@ -410,8 +410,8 @@ def test_c09_desk_scale_reproduction():
         spec = NetworkSpec(layers=(LayerSpec("lstm", 47),),
                            input_dim=len(ds.feature_order))
         cfg = TrainConfig(batch_size=46, max_epochs=200, patience=5,
-                          learning_rate=0.00486, seed=100)
-        archive = run_experiment(spec, ds, cfg, repeats=10, architecture="lstm1")
+                          learning_rate=0.00486, repeats=10, seed=100)
+        archive = run_experiment(spec, ds, cfg, architecture="lstm1")
         complete = [r for r in archive.runs if r.report is not None]
         assert complete, "all reproduction runs diverged"
         best_r2 = max(r.report.r2 for r in complete)
@@ -432,11 +432,11 @@ def test_c10_byte_identical_reruns(tmp_path):
         ds = _sine_dataset()
         spec = NetworkSpec(layers=(LayerSpec("lstm", 8),), input_dim=1)
         cfg = TrainConfig(batch_size=16, max_epochs=40, patience=5,
-                          learning_rate=3e-3, seed=5)
+                          learning_rate=3e-3, repeats=2, seed=5)
 
         pairs = []
         for run in (1, 2):
-            archive = run_experiment(spec, ds, cfg, repeats=2, architecture="lstm1")
+            archive = run_experiment(spec, ds, cfg, architecture="lstm1")
             arc_path = tmp_path / f"archive{run}.jsonl"
             save_archive(arc_path, archive)
             ckpt_path = tmp_path / f"best{run}.grnn"
@@ -447,7 +447,7 @@ def test_c10_byte_identical_reruns(tmp_path):
             hist_path = tmp_path / f"trials{run}.jsonl"
             save_history(hist_path, history)
             report = evaluate(spec, archive.best_params, ds,
-                              split="test", seed=best.seed, architecture="lstm1")
+                              seed=best.seed, architecture="lstm1")
             pairs.append((arc_path.read_bytes(), ckpt_path.read_bytes(),
                           hist_path.read_bytes(), repr(report.to_record())))
         assert pairs[0] == pairs[1]

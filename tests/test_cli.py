@@ -1,29 +1,37 @@
+import contextlib
+import dataclasses
 import datetime as dt
 import errno
 import glob
+import io
 import json
 import math
 import multiprocessing
 import os
+import pathlib
 import re
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grnn.train as train_module
 from grnn import cli
 from grnn.cli import main
-from grnn.config import ConfigError, HpoSettings, TrainSettings, load_config, parse_arch_label
-from grnn.hpo import load_history
+from grnn.config import ARCH_KEYS, SECTIONS, ConfigError, load_config, parse_arch_label
+from grnn.hpo import TpeConfig, load_history
 from grnn.metrics import EvalReport
 from grnn.network import LayerSpec, NetworkParams, NetworkSpec, load_model, save_model
 from grnn.numerics import Rng
 from grnn.synthetic import write_bundle, write_sine
-from grnn.train import RunArchive, RunRecord, save_archive, train
+from grnn.train import RunArchive, RunRecord, TrainConfig, save_archive, train
 
 
 def write_sine_config(tmp_path, **overrides):
@@ -92,11 +100,26 @@ def test_empty_scalar_value_keeps_its_default(tmp_path):
     cfg = load_config(path, overrides=["train.max_epochs=", "hpo.units_high=",
                                        "data.lookback=", "train.activation=",
                                        "arch.lstm1.units="])
-    assert cfg.train.max_epochs == TrainSettings().max_epochs
-    assert cfg.hpo.units_high == HpoSettings().units_high
-    assert cfg.lookback == 10 and cfg.train.activation == TrainSettings().activation
+    assert cfg.train.max_epochs == TrainConfig().max_epochs
+    assert cfg.hpo.units_high == TpeConfig().units_high
+    assert cfg.lookback == 10 and cfg.train.activation == TrainConfig().activation
     assert cfg.architectures["lstm1"].units is None
     assert cfg.indicators == ()          # an empty list means none, not the default
+
+
+def test_train_and_hpo_sections_are_the_run_dataclasses(tmp_path):
+    """[train] is read into a TrainConfig and [hpo] into a TpeConfig: the
+    keys each section accepts are exactly that dataclass's fields."""
+    path = write_sine_config(tmp_path)
+    cfg = load_config(path)
+    assert type(cfg.train) is TrainConfig and type(cfg.hpo) is TpeConfig
+    for section, cls in (("train", TrainConfig), ("hpo", TpeConfig)):
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        assert sorted(SECTIONS[section]) == names
+        with pytest.raises(ConfigError, match=re.escape(f"expected one of {names}")):
+            load_config(path, overrides=[f"{section}.no_such_key=1"])
+        every_key = [f"{section}.{f.name}={f.default}" for f in dataclasses.fields(cls)]
+        assert getattr(load_config(path, overrides=every_key), section) == cls()
 
 
 def test_arch_override_reaches_its_section(tmp_path):
@@ -124,6 +147,9 @@ def one_error_line(capsys) -> str:
     ("hpo.gamma=1.5", "[hpo] gamma"),
     ("train.max_epochs=0", "[train] max_epochs must be >= 1"),
     ("train.repeats=0", "[train] repeats must be >= 1"),
+    ("train.seed=-1", "[train] seed must be >= 0"),
+    ("hpo.seed=-1", "[hpo] seed and train_seed must be >= 0"),
+    ("hpo.train_seed=-1", "[hpo] seed and train_seed must be >= 0"),
     ("hpo.max_epochs=0", "[hpo] max_epochs must be >= 1"),
     ("hpo.n_trials=0", "[hpo] n_trials must be >= 1"),
     ("hpo.n_startup=-1", "[hpo] n_startup must be >= 0"),
@@ -134,6 +160,10 @@ def one_error_line(capsys) -> str:
     ("hpo.bandwidth_floor=0.02", "[hpo] unknown key 'bandwidth_floor'"),
     ("train.clip_norm=1", "[train] unknown key 'clip_norm'"),
     ("arch.lstm1.learning_rate=nan", "[arch.lstm1] learning_rate must be a finite number > 0"),
+    ("arch.lstm1.batch_size=0", "[arch.lstm1] batch_size must be >= 1"),
+    ("arch.lstm1.batch_size=-1", "[arch.lstm1] batch_size must be >= 1"),
+    ("arch.lstm1.units=0", "[arch.lstm1] units must be >= 1"),
+    ("arch.lstm1.units=-3", "[arch.lstm1] units must be >= 1"),
     ("train.r2_bar=nan", "[train] r2_bar must be a finite number"),
     ("train.r2_bar=inf", "[train] r2_bar must be a finite number"),
     ("data.split=nan", "[data] split must be a number in (0, 1)"),
@@ -244,6 +274,15 @@ def test_hpo_bad_search_bounds_fail_before_data_loads(tmp_path, capsys):
     assert main(["hpo", "--config", str(path), "--arch", "lstm1",
                  "--set", "hpo.units_low=64"]) == 1
     assert "low must be < high" in one_error_line(capsys)
+
+
+def test_an_infinite_learning_rate_bound_fails_before_data_loads(tmp_path, capsys):
+    """numpy cannot draw log(lr) uniformly up to log(inf): it raises
+    OverflowError, which `main` does not catch, so the bound is checked first."""
+    path = write_sine_config(tmp_path)      # nothing prepared under out/
+    assert main(["hpo", "--config", str(path), "--arch", "lstm1",
+                 "--set", "hpo.lr_high=inf"]) == 1
+    assert "learning_rate: need 0 < low < high < inf, got [0.001, inf]" in one_error_line(capsys)
 
 
 def test_hpo_resume_rejects_trial_without_objective(tmp_path, capsys):
@@ -694,6 +733,27 @@ def test_train_rerun_is_byte_identical(tmp_path):
     assert (archive_path.read_bytes(), ckpt_path.read_bytes()) == first
 
 
+def test_repeats_flag_is_the_train_repeats_override(tmp_path, capsys):
+    """`--repeats N` appends `train.repeats=N` after the --set list, so it
+    writes the archive `--set train.repeats=N` writes, and wins over a
+    --set of the same key."""
+    path = write_sine_config(tmp_path)
+    assert main(["prepare", "--config", str(path)]) == 0
+    train_argv = ["train", "--config", str(path), "--arch", "lstm1",
+                  "--set", "train.max_epochs=15"]
+    outdir = tmp_path / "out" / "train" / "lstm1"
+    written = []
+    for how in (["--repeats", "3"], ["--set", "train.repeats=3"]):
+        assert main([*train_argv, *how]) == 0
+        written.append(((outdir / "archive.jsonl").read_bytes(),
+                        (outdir / "best.grnn").read_bytes()))
+    assert written[0] == written[1]
+    assert len(written[0][0].splitlines()) == 1 + 3
+    assert main([*train_argv, "--repeats", "1", "--set", "train.repeats=3"]) == 0
+    assert len((outdir / "archive.jsonl").read_bytes().splitlines()) == 1 + 1
+    capsys.readouterr()
+
+
 def test_train_no_qualifying_run_exits_nonzero(tmp_path, capsys):
     path = write_sine_config(tmp_path)
     assert main(["prepare", "--config", str(path)]) == 0
@@ -1009,3 +1069,126 @@ def test_worker_count_does_not_change_multi_seed_artifacts(tmp_path, monkeypatch
         assert json.loads((tmp_path / "out" / "eval" / "lstm1.json").read_text()) == archived
     assert artifacts[0] == artifacts[1]
     capsys.readouterr()
+
+
+# --- fuzz: whatever a user gives the CLI, one error: line at most -------------
+
+FUZZ_KEYS = ([f"{section}.{key}" for section in ("data", "train", "hpo")
+              for key in sorted(SECTIONS[section])]
+             + [f"arch.{label}.{key}" for label in ("lstm1", "gru1") for key in sorted(ARCH_KEYS)])
+FUZZ_VALUES = ("", "x", "-1", "0", "-3", "1", "2", "16", "0.5", "0.001", "1e-300",
+               "99999999999999999999999", "1e308", "nan", "inf", "-inf", ",", "relu",
+               "full", "Date", "SINE", "MACD,RSI")
+FUZZ_LINES = (b"", b"\x00", b"\xff\xfe", b"[]", b"{}", b"null", b"NaN", b",,,", b"[data]",
+              b"target = SINE", b"x", b"2020-01-01,nan", b"2020-01-01,", b"Date,Value")
+FUZZ_JSON = (None, True, "x", "", -1, 0, 10 ** 30, 1e308, 1.5, float("nan"), float("inf"),
+             [], {}, [1, "x"])
+FUZZ_FILES = {      # what a drawn corruption hits, under the example's directory
+    "config": "config.ini", "csv": "data/sine.csv", "checkpoint": "out/train/lstm1/best.grnn",
+    "trials": "out/hpo/lstm1/trials.jsonl", "archive": "out/train/lstm1/archive.jsonl"}
+FUZZ_COMMANDS = {   # command: its arguments, and the files of FUZZ_FILES that it reads
+    "prepare": ([], ("config", "csv")),
+    "hpo": (["--arch", "lstm1"], ("config", "trials")),
+    "train": (["--arch", "lstm1", "--repeats", "1"], ("config",)),
+    "evaluate": (["--checkpoint", "{root}/" + FUZZ_FILES["checkpoint"]],
+                 ("config", "checkpoint")),
+    "compare": ([], ("config", "archive")),
+    "report": (["--arch", "lstm1"], ("config", "checkpoint", "archive")),
+}
+
+
+def _json_paths(value, path=()):
+    """The path of `value` and of every value inside it."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _json_paths(sub, (*path, key))
+
+
+def _mangled_json(draw, text: bytes) -> bytes:
+    """`text`, one JSON value, with one value inside it replaced or one key dropped."""
+    record = json.loads(text)
+    path = draw(st.sampled_from(list(_json_paths(record))[1:] or [()]))
+    if not path:
+        return json.dumps(draw(st.sampled_from(FUZZ_JSON))).encode()
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(FUZZ_JSON))
+    return json.dumps(record).encode()
+
+
+def _corrupted(draw, kind: str, data: bytes) -> bytes:
+    """A cut, a line of junk or, in a JSON line, one mangled value."""
+    lines = data.split(b"\n")
+    i = 0 if kind == "checkpoint" else draw(st.integers(0, len(lines) - 1))
+    json_line = kind in ("checkpoint", "trials", "archive") and lines[i].strip()
+    how = draw(st.sampled_from(("json", "json", "cut", "line")     # JSON mangled half the time
+                               if json_line else ("cut", "line")))
+    if how == "json":
+        lines[i] = _mangled_json(draw, lines[i])
+    elif how == "line":
+        lines[i] = draw(st.sampled_from(FUZZ_LINES))
+    elif kind == "checkpoint":          # its JSON header; the tensors stay
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    else:
+        return data[:draw(st.integers(0, len(data)))]
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_outputs(tmp_path_factory):
+    """The out/ of a sine pipeline: prepared data, one logged trial, and a
+    one-seed archive and checkpoint for lstm1 and for gru1."""
+    base = tmp_path_factory.mktemp("fuzz")
+    path = write_sine_config(base)
+    small = ["--set", "train.max_epochs=15", "--set", "hpo.max_epochs=1",
+             "--set", "hpo.n_trials=2", "--set", "hpo.n_startup=1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["prepare", "--config", str(path)]) == 0
+        assert main(["hpo", "--config", str(path), "--arch", "lstm1", *small]) == 0
+        for label in ("lstm1", "gru1"):
+            assert main(["train", "--config", str(path), "--arch", label, "--repeats", "1",
+                         *small]) == 0
+    trials = base / "out" / "hpo" / "lstm1" / "trials.jsonl"
+    trials.write_bytes(trials.read_bytes().splitlines(keepends=True)[0])   # one trial to resume
+    return base / "out"
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(draw=st.data())
+def test_fuzzed_cli_input_fails_with_one_error_line(fuzz_outputs, draw):
+    """Some --set values, or else one corruption of a file the command reads (the
+    config, the source CSV, the checkpoint's header, the trial log or the
+    archive): `main` exits 0 or 1 and prints at most one error: line and no
+    traceback.  The pins after the drawn overrides keep every command to one
+    in-process seed of one epoch, and a search to one trial."""
+    draw = draw.draw
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    args, reads = FUZZ_COMMANDS[command]
+    corrupted = draw(st.sampled_from((None, *reads)))
+    overrides = [] if corrupted else draw(st.lists(st.tuples(
+        st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        path = write_sine_config(root)
+        shutil.copytree(fuzz_outputs, root / "out")
+        if corrupted is not None:
+            target = root / FUZZ_FILES[corrupted]
+            target.write_bytes(_corrupted(draw, corrupted, target.read_bytes()))
+        argv = [command, "--config", str(path), "--out", str(root / "out"),
+                *(arg.format(root=root) for arg in args)]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={value}"]
+        argv += ["--set", "train.max_epochs=1", "--set", "hpo.n_trials=2",
+                 "--set", "hpo.n_startup=1", "--set", "hpo.max_epochs=1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1, argv

@@ -68,6 +68,8 @@ def test_degenerate_distributions_rejected():
         LogUniform("x", 1e-3, 1e-3)
     with pytest.raises(ValueError):
         LogUniform("x", 0.0, 1.0)
+    with pytest.raises(ValueError, match="high < inf"):
+        LogUniform("x", 1e-3, float("inf"))
 
 
 # --- suggest ----------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_evaluate_consistency_and_rmse_identity(market_dataset):
     ds = market_dataset
     spec = NetworkSpec(layers=(LayerSpec("gru", 5),), input_dim=len(ds.feature_order))
     params = NetworkParams.init(spec, Rng(3))
-    report = evaluate(spec, params, ds, split="test", seed=7, architecture="gru1")
+    report = evaluate(spec, params, ds, seed=7, architecture="gru1")
 
     preds = predict_batch(spec, params, ds.test_x)[:, 0]
     assert report.rmse_nd == pytest.approx(rmse(ds.test_y, preds), rel=1e-15)
@@ -77,19 +77,20 @@ def test_evaluate_constant_mean_predictor_scores_zero(market_dataset):
     spec = NetworkSpec(layers=(LayerSpec("lstm", 4),), input_dim=len(ds.feature_order))
     params = NetworkParams.zeros(spec)
     params.head_b[:] = ds.test_y.mean()
-    report = evaluate(spec, params, ds, split="test")
+    report = evaluate(spec, params, ds)
     assert report.r2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evaluate_memorizing_model_scores_one(sine_dataset):
-    """A model driven to near-zero training loss scores ~1 on its own data."""
+    """A model driven to near-zero training loss on a noiseless sine scores
+    ~1 on the held-out test split too."""
     from grnn.train import TrainConfig, train
 
     spec = NetworkSpec(layers=(LayerSpec("lstm", 16),), input_dim=1)
     cfg = TrainConfig(batch_size=16, max_epochs=500, patience=500,
                       learning_rate=0.003, seed=5)
     result = train(spec, sine_dataset, cfg)
-    report = evaluate(spec, result.best_params, sine_dataset, split="train")
+    report = evaluate(spec, result.best_params, sine_dataset)
     assert report.r2 > 0.9999
     assert report.rmse_nd < 1e-2
 
@@ -99,6 +100,6 @@ def test_eval_report_record_roundtrip(market_dataset):
 
     spec = NetworkSpec(layers=(LayerSpec("gru", 3),), input_dim=len(market_dataset.feature_order))
     report = evaluate(spec, NetworkParams.init(spec, Rng(9)), market_dataset,
-                      split="test", seed=1, architecture="x")
+                      seed=1, architecture="x")
     back = EvalReport.from_record(report.to_record())
     assert back == report

@@ -94,7 +94,7 @@ def test_sine_smoke_reaches_low_loss(sine_dataset):
                       learning_rate=3e-3, seed=42)
     result = train(SINE_SPEC, sine_dataset, cfg)
     assert result.best_loss < 1e-3
-    report = evaluate(SINE_SPEC, result.best_params, sine_dataset, split="test")
+    report = evaluate(SINE_SPEC, result.best_params, sine_dataset)
     assert report.r2 > 0.99
 
 
@@ -124,11 +124,9 @@ def test_divergence_is_reported(sine_dataset):
 
 def test_run_experiment_determinism_and_retention(sine_dataset):
     cfg = TrainConfig(batch_size=16, max_epochs=120, patience=5,
-                      learning_rate=3e-3, seed=42)
-    arc1 = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
-                          architecture="lstm1")
-    arc2 = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
-                          architecture="lstm1")
+                      learning_rate=3e-3, repeats=2, seed=42)
+    arc1 = run_experiment(SINE_SPEC, sine_dataset, cfg, architecture="lstm1")
+    arc2 = run_experiment(SINE_SPEC, sine_dataset, cfg, architecture="lstm1")
     assert [r.to_record() for r in arc1.runs] == [r.to_record() for r in arc2.runs]
     assert [r.seed for r in arc1.runs] == [42, 43]
     assert all(r.retained for r in arc1.runs)          # sine runs clear 0.90 easily
@@ -138,9 +136,8 @@ def test_run_experiment_determinism_and_retention(sine_dataset):
 
 def test_run_experiment_zero_retained_is_not_a_crash(sine_dataset):
     cfg = TrainConfig(batch_size=16, max_epochs=1, patience=5,
-                      learning_rate=1e-5, seed=0)
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
-                             architecture="lstm1", r2_bar=0.999999)
+                      learning_rate=1e-5, repeats=2, seed=0, r2_bar=0.999999)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, architecture="lstm1")
     assert archive.best() is None
     assert archive.retained == []
     assert len(archive.runs) == 2
@@ -148,8 +145,8 @@ def test_run_experiment_zero_retained_is_not_a_crash(sine_dataset):
 
 def test_run_experiment_records_failed_runs(sine_dataset):
     cfg = TrainConfig(batch_size=16, max_epochs=30, patience=30,
-                      learning_rate=1e20, seed=9)
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2)
+                      learning_rate=1e20, repeats=2, seed=9)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg)
     assert all(r.status == "failed" for r in archive.runs)
     assert all(r.report is None for r in archive.runs)
     assert archive.best() is None
@@ -157,13 +154,11 @@ def test_run_experiment_records_failed_runs(sine_dataset):
 
 def test_archive_roundtrip_and_byte_determinism(tmp_path, sine_dataset):
     cfg = TrainConfig(batch_size=16, max_epochs=60, patience=5,
-                      learning_rate=3e-3, seed=11)
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
-                             architecture="lstm1")
+                      learning_rate=3e-3, repeats=2, seed=11)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, architecture="lstm1")
     p1, p2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
     save_archive(p1, archive)
-    save_archive(p2, run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
-                                    architecture="lstm1"))
+    save_archive(p2, run_experiment(SINE_SPEC, sine_dataset, cfg, architecture="lstm1"))
     assert p1.read_bytes() == p2.read_bytes()
     back = load_archive(p1)
     assert back.architecture == "lstm1"
@@ -172,12 +167,11 @@ def test_archive_roundtrip_and_byte_determinism(tmp_path, sine_dataset):
 
 def test_parallel_workers_match_sequential(sine_dataset, monkeypatch):
     cfg = TrainConfig(batch_size=16, max_epochs=25, patience=5,
-                      learning_rate=3e-3, seed=21)
+                      learning_rate=3e-3, repeats=2, seed=21)
     archives = []
     for threads in ("1", "2"):
         monkeypatch.setenv("GRNN_THREADS", threads)
-        archives.append(run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
-                                       architecture="x"))
+        archives.append(run_experiment(SINE_SPEC, sine_dataset, cfg, architecture="x"))
     seq, par = archives
     assert [r.to_record() for r in seq.runs] == [r.to_record() for r in par.runs]
 
@@ -197,15 +191,16 @@ def test_one_worker_trains_every_seed_and_only_the_parent_sets_blas(sine_dataset
 
     monkeypatch.setattr(train_module, "_blas_threads", lambda: (get, logged_setter))
     monkeypatch.setenv("GRNN_THREADS", "1")
-    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=51)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3,
+                      repeats=2, seed=51)
     threads = get()
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg)
     calls = [line.split() for line in log.read_text().splitlines()]
     # the parent set one thread before it forked and its own count after the pool
     assert calls == [[str(os.getpid()), "1"], [str(os.getpid()), str(threads)]]
     # at the sine shape one and two BLAS threads agree, so the pooled seeds
     # match single-seed runs, which train in this process
-    singles = [run_experiment(SINE_SPEC, sine_dataset, replace(cfg, seed=seed), repeats=1)
+    singles = [run_experiment(SINE_SPEC, sine_dataset, replace(cfg, repeats=1, seed=seed))
                for seed in (51, 52)]
     assert [r.to_record() for r in archive.runs] == [a.runs[0].to_record() for a in singles]
     assert len(log.read_text().splitlines()) == 2        # nor does a single seed set BLAS
@@ -237,14 +232,15 @@ def test_a_pool_restores_the_blas_threads_and_its_workers_run_one_thread(sine_da
 
     monkeypatch.setattr(train_module, "train", logged_train)
     monkeypatch.setenv("GRNN_THREADS", "2")
-    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=90)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3,
+                      repeats=2, seed=90)
     threads = get()
     setter(2)
     try:
-        run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2)
+        run_experiment(SINE_SPEC, sine_dataset, cfg)
         assert get() == 2
         with pytest.raises(Stop):
-            run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3, on_run=stop)
+            run_experiment(SINE_SPEC, sine_dataset, replace(cfg, repeats=3), on_run=stop)
         assert get() == 2
     finally:
         setter(threads)
@@ -254,8 +250,9 @@ def test_a_pool_restores_the_blas_threads_and_its_workers_run_one_thread(sine_da
 
 
 def test_the_archive_keeps_the_best_runs_weights_only(sine_dataset):
-    cfg = TrainConfig(batch_size=16, max_epochs=6, patience=5, learning_rate=3e-3, seed=88)
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3)
+    cfg = TrainConfig(batch_size=16, max_epochs=6, patience=5, learning_rate=3e-3,
+                      repeats=3, seed=88)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg)
     best = archive.best()
     assert best.seed == 89          # neither the first nor the last run
     want = train(SINE_SPEC, sine_dataset, replace(cfg, seed=best.seed)).best_params
@@ -270,8 +267,9 @@ def test_a_single_seed_run_sizes_no_pool(sine_dataset, monkeypatch):
         raise AssertionError("a single seed needs no pool")
 
     monkeypatch.setattr(train_module, "pool_size", no_pool)
-    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=5, learning_rate=3e-3, seed=55)
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=1)
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=5, learning_rate=3e-3,
+                      repeats=1, seed=55)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg)
     assert [r.status for r in archive.runs] == ["complete"]
 
 
@@ -282,10 +280,11 @@ def test_a_dead_worker_fails_its_seeds_and_the_rest_still_run(sine_dataset, monk
         return train(spec, data, cfg)
 
     monkeypatch.setattr(train_module, "train", dying)
-    cfg = TrainConfig(batch_size=16, max_epochs=5, patience=5, learning_rate=3e-3, seed=60)
+    cfg = TrainConfig(batch_size=16, max_epochs=5, patience=5, learning_rate=3e-3,
+                      repeats=4, seed=60)
     seen = []
     monkeypatch.setenv("GRNN_THREADS", "2")
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=4, on_run=seen.append)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, on_run=seen.append)
     assert [r.seed for r in archive.runs] == [60, 61, 62, 63]
     assert seen == archive.runs
     assert (archive.runs[0].status, archive.runs[0].error) == ("failed", "worker died")
@@ -314,9 +313,10 @@ def test_a_worker_dying_on_the_last_seed_still_reports_it(sine_dataset, monkeypa
     monkeypatch.setattr(train_module, "train", dying)
     monkeypatch.setattr(train_module.pickle, "dump", torn_dump)
     monkeypatch.setenv("GRNN_THREADS", "1")
-    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3, seed=70)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, learning_rate=3e-3,
+                      repeats=3, seed=70)
     seen = []
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3, on_run=seen.append)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, on_run=seen.append)
     assert [(r.seed, r.status, r.error) for r in archive.runs] == [
         (70, "complete", ""), (71, "complete", ""), (72, "failed", "worker died")]
     assert seen == archive.runs
@@ -343,9 +343,10 @@ def test_a_run_left_early_stops_and_reaps_its_workers(sine_dataset, monkeypatch)
 
     monkeypatch.setenv("GRNN_THREADS", "2")
     before = _children()
-    cfg = TrainConfig(batch_size=16, max_epochs=50, patience=50, learning_rate=3e-3, seed=80)
+    cfg = TrainConfig(batch_size=16, max_epochs=50, patience=50, learning_rate=3e-3,
+                      repeats=3, seed=80)
     with pytest.raises(Stop) as stopped:
-        run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=3, on_run=stop)
+        run_experiment(SINE_SPEC, sine_dataset, cfg, on_run=stop)
     assert stopped.traceback and _children() == before
 
 
@@ -368,8 +369,8 @@ def test_a_pooled_run_starts_no_thread_and_loads_no_pool_module(sine_dataset, tm
               "seen = [threads()]\n"
               "archive = run_experiment(\n"
               "    NetworkSpec(layers=(LayerSpec('lstm', 16),), input_dim=1), data,\n"
-              "    TrainConfig(batch_size=16, max_epochs=3, learning_rate=3e-3, seed=5),\n"
-              "    repeats=2, on_run=lambda record: seen.append(threads()))\n"
+              "    TrainConfig(batch_size=16, max_epochs=3, learning_rate=3e-3, repeats=2,\n"
+              "                seed=5), on_run=lambda record: seen.append(threads()))\n"
               "seen.append(threads())\n"
               "pool = ('multiprocessing', 'concurrent.futures')\n"
               "print(json.dumps({'seen': seen, 'status': [r.status for r in archive.runs],\n"
@@ -390,9 +391,8 @@ def test_a_pooled_run_starts_no_thread_and_loads_no_pool_module(sine_dataset, tm
 
 def test_metric_samples_pull_retained_only(sine_dataset):
     cfg = TrainConfig(batch_size=16, max_epochs=80, patience=5,
-                      learning_rate=3e-3, seed=31)
-    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, repeats=2,
-                             architecture="lstm1")
+                      learning_rate=3e-3, repeats=2, seed=31)
+    archive = run_experiment(SINE_SPEC, sine_dataset, cfg, architecture="lstm1")
     samples = archive.metric_samples("r2")
     assert samples.size == len(archive.retained)
     assert np.all(samples > 0.90)
